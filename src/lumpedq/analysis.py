@@ -24,6 +24,7 @@ from .composite import (
     DispersiveObservables,
     DressedSpectrum,
     build_full_hamiltonian,
+    calibrate_scalar,
     coupling_rates,
     cross_kerr_matrix,
     diagonalize,
@@ -31,7 +32,7 @@ from .composite import (
     mode_frequencies,
 )
 from .config import DeviceConfig, LineConfig, TransmonConfig
-from .errors import ConfigError, TargetOutOfRange
+from .errors import ConfigError
 from .loadedline import LineMode, LoadedLineSpec, calibrate_length, solve_modes
 from .maxwell_io import parse_maxwell_file
 from .netlist import (
@@ -393,11 +394,14 @@ def _coupling_graph(
 # drivers
 # ---------------------------------------------------------------------------
 
-def run_analysis(config: DeviceConfig, naive: bool = False):
-    """Full model, and the naive comparison alongside when requested."""
+def run_analysis(config: DeviceConfig, naive: bool = False,
+                 model: DeviceModel | None = None):
+    """Full model (``model`` when it is already built), and the naive
+    comparison alongside when requested."""
     from .report import build_report
 
-    model = build_model(config)
+    if model is None:
+        model = build_model(config)
     naive_model = build_model(config, naive=True) if naive else None
     return build_report(model, naive_model=naive_model)
 
@@ -420,10 +424,12 @@ class BudgetRow:
     delta_percent: float
 
 
-def run_budget(config: DeviceConfig) -> list[BudgetRow]:
+def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[BudgetRow]:
     """Sensitivity budget: toggle each model feature / parameter and report
-    the change of chi_qr against the full model."""
-    base = build_model(config)
+    the change of chi_qr against the full model (``base`` when it is
+    already built)."""
+    if base is None:
+        base = build_model(config)
     if base.dispersive is None:
         raise ConfigError("budget requires a qubit and a readout subsystem")
     chi0 = base.dispersive.chi_qr
@@ -506,19 +512,14 @@ def calibrate_junction(
     endpoints (f_q decreases as L_j grows); returns (lj, report)."""
     from .report import build_report
 
-    def response(lj: float) -> float:
-        model = build_model(config, lj_overrides={junction: lj})
-        return model.dispersive.f_qubit
+    models: dict[float, DeviceModel] = {}
 
-    lo, hi = lj_bounds_h
-    f_lo, f_hi = response(lo), response(hi)
-    if not (min(f_lo, f_hi) <= target_fq_hz <= max(f_lo, f_hi)):
-        raise TargetOutOfRange(
-            f"target {target_fq_hz / 1e9:.4f} GHz outside the endpoint range "
-            f"[{min(f_lo, f_hi) / 1e9:.4f}, {max(f_lo, f_hi) / 1e9:.4f}] GHz"
-        )
-    from scipy.optimize import brentq
+    def model_at(lj: float) -> DeviceModel:
+        # brentq revisits the endpoints and returns a point it evaluated
+        if lj not in models:
+            models[lj] = build_model(config, lj_overrides={junction: lj})
+        return models[lj]
 
-    lj = float(brentq(lambda x: response(x) - target_fq_hz, lo, hi, rtol=rtol))
-    model = build_model(config, lj_overrides={junction: lj})
-    return lj, build_report(model, calibrated={junction: lj})
+    lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,
+                          lj_bounds_h, rtol=rtol, fmt=lambda f: f"{f / 1e9:.4f} GHz")
+    return lj, build_report(model_at(lj), calibrated={junction: lj})

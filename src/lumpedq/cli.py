@@ -52,13 +52,14 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_budget(args) -> None:
-    from .analysis import run_analysis, run_budget
+    from .analysis import build_model, run_analysis, run_budget
     from .config import load_device_config
     from .report import AnalysisReport, budget_to_dicts, to_machine, to_table
 
     config = load_device_config(args.config)
-    rows = run_budget(config)
-    base = run_analysis(config)
+    model = build_model(config)
+    rows = run_budget(config, base=model)
+    base = run_analysis(config, model=model)
     report = AnalysisReport(
         device=base.device, provenance=base.provenance,
         observables=base.observables, budget=budget_to_dicts(rows),

@@ -7,6 +7,17 @@ couplings are specified through the reported effective reciprocals
 convention doubles the raw inverse-matrix entry, each unordered pair term is
 assembled with weight 1/2 so the total reproduces the quadratic form
 (1/2) Q^T C_k^-1 Q exactly.
+
+Real gauge: every Fock state of a harmonic subsystem is multiplied by i^n,
+n being its total occupation; transmon levels keep their phase. The gauge
+is a diagonal unitary, so the spectrum and every squared overlap with a bare
+product state are unchanged. In it the line charge i Q (a^dag - a) becomes
+the real Q (a^dag + a) and the flux Phi (a^dag + a) the purely imaginary
+-i Phi (a^dag - a), so a charge-charge term is real and a flux-flux term is
+real with a factor -1. The Hamiltonian is therefore assembled as a dense
+real-symmetric matrix, each pair term written at the indices the tensor
+strides give, and only its lowest eigenpairs, the ones that hold the bare
+labels of total occupation <= 2 the observables read, are solved for.
 """
 
 from __future__ import annotations
@@ -15,10 +26,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy import constants
 
 from .errors import (
     DimensionOverflow,
+    NotRealInGauge,
     TargetOutOfRange,
     UnlabeledState,
     ValidationError,
@@ -26,6 +39,13 @@ from .errors import (
 from .subsystems import QuantizedSubsystem
 
 DEFAULT_DIMENSION_CAP = 20_000
+# eigenpairs solved for beyond the bare states up to the highest required one
+SUBSET_MARGIN = 8
+# dense float64 N x N arrays alive during the eigensolve: H, the solver's
+# working copy and up to N eigenvectors
+EIGENSOLVE_COPIES = 3
+GAUGE_RTOL = 1e-12
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -60,11 +80,6 @@ class CouplingGraph:
         # deterministic canonical order
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.key())))
 
-    def without_zero_edges(self) -> "CouplingGraph":
-        return CouplingGraph(tuple(
-            e for e in self.edges if e.inv_c_eff != 0.0 or e.inv_l_eff != 0.0
-        ))
-
     def restricted_to(self, subsystem: str) -> "CouplingGraph":
         """Keep only edges that touch ``subsystem`` (for budget comparisons)."""
         return CouplingGraph(tuple(
@@ -72,11 +87,68 @@ class CouplingGraph:
         ))
 
 
-def _lift_factor(op: np.ndarray, dims: Sequence[int], position: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, op if i == position else np.eye(d, dtype=complex))
-    return out
+def available_memory_bytes() -> int | None:
+    """The kernel's estimate of the memory available to new allocations
+    (MemAvailable), or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _occupations(mode_dims: Sequence[int]) -> np.ndarray:
+    """Per-mode occupation of every product basis state, in np.ndindex
+    order: shape (prod(mode_dims), len(mode_dims))."""
+    return np.indices(mode_dims).reshape(len(mode_dims), -1).T
+
+
+def _bare_energies(subsystems: Sequence[QuantizedSubsystem]) -> np.ndarray:
+    """Outer sum of the subsystem energies, in product basis order."""
+    total = np.zeros(1)
+    for sub in subsystems:
+        total = (total[:, None] + sub.energies[None, :]).ravel()
+    return total
+
+
+def _gauged(sub: QuantizedSubsystem, op: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """Operator in the real gauge as (M, p) with U^dag op U = i^p M, M real
+    and p in {0, 1}; raises NotRealInGauge when it is neither real nor
+    imaginary to GAUGE_RTOL."""
+    if sub.mode_frequencies:
+        n = np.array([sum(label) for label in sub.bare_labels])
+        op = _I_POWERS[(n[None, :] - n[:, None]) % 4] * op
+    scale = np.max(np.abs(op)) or 1.0
+    if np.max(np.abs(op.imag)) <= GAUGE_RTOL * scale:
+        real = op.real
+        return 0.5 * (real + real.T), 0
+    if np.max(np.abs(op.real)) <= GAUGE_RTOL * scale:
+        imag = op.imag
+        return 0.5 * (imag - imag.T), 1
+    raise NotRealInGauge(
+        f"{what} of subsystem {sub.name!r} is neither real nor imaginary in the real gauge"
+    )
+
+
+def _add_pair_term(h: np.ndarray, dims: Sequence[int], ia: int, a: np.ndarray,
+                   ib: int, b: np.ndarray, coef: float) -> None:
+    """h += coef * kron(I, a, I, b, I), with ``a`` on factor ``ia`` and ``b``
+    on factor ``ib``, written at the indices the tensor strides give."""
+    strides = [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
+    rest = np.zeros(1, dtype=np.intp)
+    for k, d in enumerate(dims):
+        if k not in (ia, ib):
+            rest = (rest[:, None] + strides[k] * np.arange(d)).ravel()
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    rows = (strides[ia] * ra)[:, None] + (strides[ib] * rb)[None, :]
+    cols = (strides[ia] * ca)[:, None] + (strides[ib] * cb)[None, :]
+    values = (coef * a[ra, ca])[:, None] * b[rb, cb][None, :]
+    h[(rest[:, None] + rows.ravel()).ravel(), (rest[:, None] + cols.ravel()).ravel()] += (
+        np.broadcast_to(values.ravel(), (len(rest), values.size)).ravel())
 
 
 def build_full_hamiltonian(
@@ -84,12 +156,16 @@ def build_full_hamiltonian(
     graph: CouplingGraph,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> np.ndarray:
-    """Assemble the full Hamiltonian in the product of the subsystem
-    eigenbases. Fails fast with DimensionOverflow beyond ``dimension_cap``;
-    no silent solver switch."""
+    """Assemble the real-symmetric full Hamiltonian (float64) in the real
+    gauge of the product of the subsystem eigenbases. Fails fast with
+    DimensionOverflow beyond ``dimension_cap`` or when the eigensolve would
+    not fit in the available memory; no silent solver switch."""
     names = [s.name for s in subsystems]
     if len(set(names)) != len(names):
         raise ValidationError("subsystem names must be unique")
+    for sub in subsystems:
+        if np.count_nonzero(sub.hamiltonian - np.diag(np.diag(sub.hamiltonian))):
+            raise ValidationError(f"subsystem {sub.name!r}: Hamiltonian is not diagonal")
     dims = [s.dimension for s in subsystems]
     total = int(np.prod(dims))
     if total > dimension_cap:
@@ -98,10 +174,7 @@ def build_full_hamiltonian(
         )
     position = {name: i for i, name in enumerate(names)}
 
-    h = np.zeros((total, total), dtype=complex)
-    for i, sub in enumerate(subsystems):
-        h += _lift_factor(sub.hamiltonian.astype(complex), dims, i)
-
+    terms = []  # (factor a, operator a, factor b, operator b, coefficient)
     for edge in graph.edges:
         for sub_name, port in ((edge.sub_a, edge.port_a), (edge.sub_b, edge.port_b)):
             if sub_name not in position:
@@ -110,23 +183,40 @@ def build_full_hamiltonian(
                 raise ValidationError(f"subsystem {sub_name!r} has no port {port!r}")
         ia, ib = position[edge.sub_a], position[edge.sub_b]
         sub_a, sub_b = subsystems[ia], subsystems[ib]
-        if edge.inv_c_eff != 0.0:
-            qa = _lift_factor(sub_a.charge_ops[edge.port_a], dims, ia)
-            qb = _lift_factor(sub_b.charge_ops[edge.port_b], dims, ib)
-            # half of the pair-reported reciprocal restores the raw
-            # quadratic-form coefficient [C_k^-1]_nm
-            h += 0.5 * edge.inv_c_eff * (qa @ qb)
-        if edge.inv_l_eff != 0.0:
+        for kind, inv in (("charge", edge.inv_c_eff), ("flux", edge.inv_l_eff)):
+            if inv == 0.0:
+                continue
+            gauged = []
             for sub, port in ((sub_a, edge.port_a), (sub_b, edge.port_b)):
-                if port not in sub.flux_ops:
+                ops = sub.charge_ops if kind == "charge" else sub.flux_ops
+                if port not in ops:
                     raise ValidationError(
                         f"inductive coupling needs a flux operator on {sub.name!r}:{port!r}; "
                         "discrete-charge subsystems only couple capacitively"
                     )
-            fa = _lift_factor(sub_a.flux_ops[edge.port_a], dims, ia)
-            fb = _lift_factor(sub_b.flux_ops[edge.port_b], dims, ib)
-            h += 0.5 * edge.inv_l_eff * (fa @ fb)
-    return 0.5 * (h + h.conj().T)
+                gauged.append(_gauged(sub, ops[port], f"{kind} operator {port!r}"))
+            (op_a, pa), (op_b, pb) = gauged
+            if pa != pb:
+                raise NotRealInGauge(
+                    f"{kind} coupling {edge.sub_a!r}:{edge.port_a!r}-{edge.sub_b!r}:"
+                    f"{edge.port_b!r} pairs a real with an imaginary operator"
+                )
+            # half of the pair-reported reciprocal restores the raw
+            # quadratic-form coefficient; i * i = -1 for two imaginary factors
+            terms.append((ia, op_a, ib, op_b, (-0.5 if pa else 0.5) * inv))
+
+    needed = EIGENSOLVE_COPIES * 8 * total**2
+    available = available_memory_bytes()
+    if available is not None and needed > available:
+        raise DimensionOverflow(
+            f"product dimension {total} needs about {needed / 1e9:.2f} GB for the "
+            f"eigensolve, more than the {available / 1e9:.2f} GB available"
+        )
+    h = np.zeros((total, total))
+    h[np.diag_indices(total)] = _bare_energies(subsystems)
+    for term in terms:
+        _add_pair_term(h, dims, *term)
+    return h
 
 
 def coupling_rates(
@@ -154,15 +244,15 @@ def coupling_rates(
 
 @dataclass(frozen=True)
 class DressedSpectrum:
-    """Eigenenergies of the composite Hamiltonian with dressed states labeled
-    by their dominant bare product state.
+    """Lowest eigenenergies of the composite Hamiltonian with dressed states
+    labeled by their dominant bare product state.
 
     Labels are occupation tuples flattened across every mode of every
     subsystem, in subsystem order; a label is only reported when the squared
     overlap with the bare state is at least ``min_overlap``.
     """
 
-    energies: np.ndarray  # J, ascending
+    energies: np.ndarray  # J, ascending; the levels that were solved for
     labels: Mapping[tuple[int, ...], int]
     overlaps: Mapping[tuple[int, ...], float]
     subsystem_names: tuple[str, ...]
@@ -190,49 +280,53 @@ def diagonalize(
     hamiltonian: np.ndarray,
     min_overlap: float = 0.5,
 ) -> DressedSpectrum:
-    """Dense diagonalization plus maximum-overlap labeling.
+    """Lowest-subset eigensolve plus maximum-overlap labeling.
 
-    Bare labels are matched greedily by descending overlap, ties broken by
-    lower dressed energy, which keeps the map injective.
+    The k lowest eigenpairs are solved for, k being the number of bare
+    product energies up to the highest one of a label of total occupation
+    <= 2, plus SUBSET_MARGIN. While such a label is unassigned and a state
+    outside the subset could still carry it, k doubles, up to the full
+    dimension. With ``min_overlap`` >= 1/2 a bare label dominates at most one
+    dressed state, so each state takes its largest-overlap label when that
+    overlap reaches ``min_overlap``; at an exact 1/2 tie the lower energy wins.
     """
-    vals, vecs = np.linalg.eigh(hamiltonian)
-    dims = [s.dimension for s in subsystems]
-    flat_labels: list[tuple[int, ...]] = []
-    for idx in np.ndindex(*dims):
-        combo: tuple[int, ...] = ()
-        for sub, i in zip(subsystems, idx):
-            combo = combo + sub.bare_labels[i]
-        flat_labels.append(combo)
-
-    overlap = np.abs(vecs) ** 2  # overlap[basis, state]
-    order = np.argsort(overlap, axis=None)[::-1]
-    n = len(vals)
-    basis_taken = np.zeros(n, dtype=bool)
-    state_taken = np.zeros(n, dtype=bool)
+    if not 0.5 <= min_overlap <= 1.0:
+        raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
+    occupation = _occupations([d for s in subsystems for d in s.mode_dims])
+    n = len(occupation)
+    if hamiltonian.shape != (n, n):
+        raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
+    bare = _bare_energies(subsystems)
+    required = occupation.sum(axis=1) <= 2
+    k = min(n, int(np.count_nonzero(bare <= bare[required].max())) + SUBSET_MARGIN)
+    while True:
+        vals, vecs = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, k - 1])
+        overlap = np.abs(vecs) ** 2  # overlap[basis, state]
+        basis = np.argmax(overlap, axis=0)
+        states = np.flatnonzero(overlap[basis, np.arange(k)] >= min_overlap)
+        # a basis state can top two states only at an exact 1/2 tie: keep the lower
+        _, first = np.unique(basis[states], return_index=True)
+        states = np.sort(states[first])
+        labeled = np.zeros(n, dtype=bool)
+        labeled[basis[states]] = True
+        # overlap still left for states outside the subset, with rounding slack
+        reachable = 1.0 - overlap.sum(axis=1) >= min_overlap - 1e-9
+        if k == n or not np.any(required & ~labeled & reachable):
+            break
+        k = min(n, 2 * k)
     labels: dict[tuple[int, ...], int] = {}
     quality: dict[tuple[int, ...], float] = {}
-    assigned = 0
-    for flat in order:
-        b, s = divmod(int(flat), n)
-        if basis_taken[b] or state_taken[s]:
-            continue
-        if overlap[b, s] < min_overlap:
-            break
-        basis_taken[b] = True
-        state_taken[s] = True
-        labels[flat_labels[b]] = int(s)
-        quality[flat_labels[b]] = float(overlap[b, s])
-        assigned += 1
-        if assigned == n:
-            break
-    unlabeled = tuple(int(s) for s in range(n) if not state_taken[s])
+    for s in states.tolist():
+        label = tuple(occupation[basis[s]].tolist())
+        labels[label] = s
+        quality[label] = float(overlap[basis[s], s])
     return DressedSpectrum(
         energies=vals,
         labels=labels,
         overlaps=quality,
         subsystem_names=tuple(s.name for s in subsystems),
         mode_dims=tuple(s.mode_dims for s in subsystems),
-        unlabeled=unlabeled,
+        unlabeled=tuple(sorted(set(range(k)) - set(labels.values()))),
         min_overlap=min_overlap,
     )
 
@@ -316,22 +410,17 @@ def calibrate_scalar(
     target: float,
     bounds: tuple[float, float],
     rtol: float = 1e-6,
+    fmt="{:.6g}".format,
 ) -> float:
     """Monotone scalar calibration: find x in ``bounds`` with response(x) =
     target. The endpoint responses must bracket the target, otherwise
-    TargetOutOfRange is raised."""
+    TargetOutOfRange is raised, quoting them as rendered by ``fmt``."""
     from scipy.optimize import brentq
 
     lo, hi = bounds
-    f_lo = response(lo) - target
-    f_hi = response(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    low, high = sorted((response(lo), response(hi)))
+    if not low <= target <= high:
         raise TargetOutOfRange(
-            f"target {target:.6g} not bracketed by endpoint responses "
-            f"({response(lo):.6g}, {response(hi):.6g})"
+            f"target {fmt(target)} outside the endpoint range [{fmt(low)}, {fmt(high)}]"
         )
     return float(brentq(lambda x: response(x) - target, lo, hi, rtol=rtol))

@@ -92,6 +92,14 @@ class AnalysisOptions:
     qubit: str = ""
     readout: str = ""
 
+    def __post_init__(self):
+        # below 1/2 a bare state can dominate two dressed states, and the
+        # labels would depend on how many states were solved for
+        if not 0.5 <= self.min_overlap <= 1.0:
+            raise ConfigError(
+                f"analysis.min_overlap must lie in [0.5, 1], got {self.min_overlap}"
+            )
+
 
 @dataclass(frozen=True)
 class DeviceConfig:

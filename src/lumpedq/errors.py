@@ -69,11 +69,17 @@ class TruncationNotConverged(NumericalError):
 # --- composite errors -------------------------------------------------------
 
 class DimensionOverflow(NumericalError):
-    """Tensor-product dimension exceeds the configured cap."""
+    """Tensor-product dimension exceeds the configured cap, or its eigensolve
+    would not fit in the available memory."""
 
 
 class UnlabeledState(NumericalError):
     """A dressed state required for an observable could not be labeled."""
+
+
+class NotRealInGauge(NumericalError):
+    """A port operator or pair term stays complex in the real gauge, so the
+    composite Hamiltonian cannot be assembled as a real matrix."""
 
 
 class TargetOutOfRange(NumericalError):

@@ -116,6 +116,24 @@ def mathieu_transmon_levels(ej_over_ec, count=3):
     return np.sort(values)[:count]
 
 
+def greedy_labels(vals, vecs, flat_labels, min_overlap=0.5):
+    """Oracle labeling on a full eigensolve: match (basis, state) pairs
+    greedily by descending overlap, each basis and each state used once."""
+    overlap = np.abs(vecs) ** 2
+    n = len(vals)
+    basis_taken, state_taken, labels = set(), set(), {}
+    for flat in np.argsort(overlap, axis=None, kind="stable")[::-1]:
+        b, s = divmod(int(flat), n)
+        if overlap[b, s] < min_overlap:
+            break
+        if b in basis_taken or s in state_taken:
+            continue
+        basis_taken.add(b)
+        state_taken.add(s)
+        labels[flat_labels[b]] = s
+    return labels
+
+
 def qubit_readout_system(g01_hz, *, f_r=7.0e9, ec_hz=287e6, ej_over_ec=None,
                          qubit_levels=6, readout_levels=6):
     """Transmon + one harmonic readout mode with the 0-1 coupling matrix

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from lumpedq import analysis
 from lumpedq.analysis import build_model, calibrate_junction, run_analysis, run_budget, run_sweep
 from lumpedq.benchmark import benchmark_config
+from lumpedq.composite import build_full_hamiltonian, diagonalize
 from lumpedq.config import parse_device_config
 from lumpedq.errors import ConfigError, TargetOutOfRange
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.subsystems import quantize_line
+
+from conftest import greedy_labels
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +60,24 @@ class TestFullModel:
 
     def test_every_retained_coordinate_has_port(self, full_model):
         assert set(full_model.port_coord) == set(full_model.reduced.labels)
+
+
+class TestLowestSubset:
+    def test_subset_matches_full_eigh_on_benchmark_device(self, full_model):
+        """The partial solve's labels and energies equal those of a full
+        np.linalg.eigh labeled by the greedy maximum-overlap oracle."""
+        subs = full_model.subsystems
+        h = build_full_hamiltonian(subs, full_model.graph)
+        spec = diagonalize(subs, h)
+        k = len(spec.energies)
+        assert k < h.shape[0]
+        assert spec.labels == full_model.spectrum.labels
+        vals, vecs = np.linalg.eigh(h)
+        full = greedy_labels(vals, vecs, list(np.ndindex(*[d for s in subs for d in s.mode_dims])))
+        assert spec.labels == {lab: s for lab, s in full.items() if s < k}
+        np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
+        # every label of total occupation <= 2 that the full solve assigns is present
+        assert all(lab in spec.labels for lab in full if sum(lab) <= 2)
 
 
 class TestNaiveComparison:
@@ -136,8 +158,22 @@ class TestSweepAndCalibration:
         assert report.calibrated["j1"] == lj
 
     def test_calibrate_target_out_of_range(self, bench):
-        with pytest.raises(TargetOutOfRange):
+        with pytest.raises(TargetOutOfRange, match=r"target 20\.0000 GHz"):
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))
+
+    def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
+        built = []
+
+        def counting(config, **kwargs):
+            built.append(kwargs["lj_overrides"]["j1"])
+            return build_model(config, **kwargs)
+
+        monkeypatch.setattr(analysis, "build_model", counting)
+        lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
+                                        (10e-9, 14e-9))
+        assert len(built) == len(set(built))
+        assert lj in built
+        assert report.calibrated["j1"] == lj
 
     def test_fixed_point_calibration(self, bench, full_model):
         lj, _ = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 import yaml
 
-from lumpedq.analysis import run_analysis
+from lumpedq import analysis, composite
+from lumpedq.analysis import run_analysis, run_budget
 from lumpedq.benchmark import benchmark_config, benchmark_maxwell, write_benchmark
 from lumpedq.cli import main
 from lumpedq.config import load_device_config, parse_device_config
 from lumpedq.errors import AsymmetryError, ConfigError, ParseError, SignError
 from lumpedq.maxwell_io import parse_maxwell_file, parse_maxwell_text, serialize_maxwell
-from lumpedq.report import to_machine, to_table
+from lumpedq.report import AnalysisReport, budget_to_dicts, to_machine, to_table
 
 CANONICAL = """# units: fF
 node,g,a,b
@@ -240,6 +241,48 @@ class TestCli:
 
         shutil.copy(device_dir / "qubit_cell.csv", tmp_path / "qubit_cell.csv")
         assert run_cli("analyze", str(small)) == 3
+
+    def test_budget_reuses_the_base_build(self, device_dir, tmp_path, monkeypatch):
+        """The budget builds its base model once, and its machine report is
+        byte-identical to one assembled from separate budget and analysis runs."""
+        config = load_device_config(device_dir / "device.yaml")
+        rows = run_budget(config)
+        base = run_analysis(config)
+        separate = to_machine(AnalysisReport(
+            device=base.device, provenance=base.provenance,
+            observables=base.observables, budget=budget_to_dicts(rows)))
+
+        calls = []
+        build = analysis.build_model
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "build_model", counting)
+        out = tmp_path / "budget.json"
+        assert run_cli("budget", str(device_dir / "device.yaml"),
+                       "--format", "machine", "-o", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == separate
+        assert len(calls) == len(rows) + 1
+
+    def test_memory_guard_exit_code_3(self, device_dir, monkeypatch, capsys):
+        monkeypatch.setattr(composite, "available_memory_bytes", lambda: 1 << 20)
+        assert run_cli("analyze", str(device_dir / "device.yaml")) == 3
+        assert "available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.0, 0.49, 1.01])
+    def test_min_overlap_outside_range_rejected(self, device_dir, value):
+        cfg = yaml.safe_load((device_dir / "device.yaml").read_text())
+        cfg["analysis"]["min_overlap"] = value
+        with pytest.raises(ConfigError, match="min_overlap"):
+            parse_device_config(cfg, base_dir=device_dir)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0])
+    def test_min_overlap_range_ends_accepted(self, device_dir, value):
+        cfg = yaml.safe_load((device_dir / "device.yaml").read_text())
+        cfg["analysis"]["min_overlap"] = value
+        assert parse_device_config(cfg, base_dir=device_dir).analysis.min_overlap == value
 
     def test_console_entry_point(self, device_dir):
         proc = subprocess.run(

@@ -5,6 +5,8 @@ description go in; dressed frequencies, anharmonicities, coupling rates, and
 cross-Kerr shifts come out.
 """
 
+__version__ = "0.1.0"
+
 from .composite import (
     CouplingEdge,
     CouplingGraph,
@@ -21,9 +23,7 @@ from .loadedline import (
     LoadedLineSpec,
     calibrate_length,
     characteristic_lhs,
-    epr_loading,
     solve_modes,
-    zpf,
 )
 from .netlist import (
     CellMatrices,
@@ -34,13 +34,12 @@ from .netlist import (
     NodeRegistry,
     ReducedCircuit,
     compose_cells,
+    coupler_kernel,
     extract_blocks,
     reduce_maxwell,
     reduce_network,
     rotate_to_junction_basis,
     schur_eliminate,
-    second_pass_eliminate,
-    select_constraint_basis,
 )
 from .subsystems import (
     QuantizedSubsystem,
@@ -49,5 +48,3 @@ from .subsystems import (
     quantize_line,
     scale_operators,
 )
-
-__version__ = "0.1.0"

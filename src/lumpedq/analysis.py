@@ -43,6 +43,7 @@ from .netlist import (
     MaxwellMatrix,
     NodeRegistry,
     ReducedCircuit,
+    _stamp_two_terminal,
     compose_cells,
     extract_blocks,
     merge_maxwell_nodes,
@@ -108,10 +109,7 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> list[tuple[
             maxwell = merge_maxwell_nodes(maxwell, cc.ground_nets, config.datum)
         if cell_hook is not None:
             maxwell = cell_hook(cc.ident, maxwell)
-        cell = reduce_maxwell(maxwell, config.datum)
-        cells.append((cc.ident, CellMatrices(
-            ident=cc.ident, nodes=cell.nodes, c_mat=cell.c_mat, l_inv=cell.l_inv,
-        )))
+        cells.append((cc.ident, reduce_maxwell(maxwell, config.datum)))
     return cells
 
 
@@ -141,7 +139,7 @@ def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrice
 
 
 def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]],
-                     registry: NodeRegistry, lj_overrides: Mapping[str, float]) -> list[CellMatrices]:
+                     lj_overrides: Mapping[str, float]) -> list[CellMatrices]:
     """Junctions ride on the cell containing their nodes; explicit linear
     inductors are collected into one synthetic lumped cell."""
     junctions = []
@@ -157,8 +155,8 @@ def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]]
 
     out = [cell for _, cell in cells]
     if junctions:
-        holder = out[0]
-        out[0] = CellMatrices(ident=holder.ident, nodes=holder.nodes,
+        ident, holder = cells[0]
+        out[0] = CellMatrices(ident=ident, nodes=holder.nodes,
                               c_mat=holder.c_mat, l_inv=holder.l_inv,
                               junctions=tuple(junctions))
     if config.inductors:
@@ -167,25 +165,14 @@ def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]]
         index = {n: i for i, n in enumerate(nodes)}
         l_inv = np.zeros((len(nodes), len(nodes)))
         for ind in config.inductors:
-            y = 1.0 / ind.l_h
-            a, b = ind.node_a, ind.node_b
-            if a != config.datum and b != config.datum:
-                i, j = index[a], index[b]
-                l_inv[i, i] += y
-                l_inv[j, j] += y
-                l_inv[i, j] -= y
-                l_inv[j, i] -= y
-            else:
-                keep = a if a != config.datum else b
-                l_inv[index[keep], index[keep]] += y
+            _stamp_two_terminal(l_inv, index, config.datum, ind.node_a, ind.node_b, 1.0 / ind.l_h)
         out.append(CellMatrices(ident="__inductors__", nodes=tuple(nodes),
                                 c_mat=np.zeros_like(l_inv), l_inv=l_inv))
     return out
 
 
-def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig,
-                        blocks: CircuitBlocks, reduced: ReducedCircuit,
-                        naive_c: float | None) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
+def _transmon_subsystem(tc: TransmonConfig, reduced: ReducedCircuit,
+                        c_eff: Callable[[str], float]) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
     owned = [j for j in reduced.junctions if j.subsystem == tc.name]
     if len(owned) != 1:
         raise ConfigError(f"transmon {tc.name!r} must own exactly one junction, found {len(owned)}")
@@ -197,9 +184,8 @@ def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig,
             f"transmon {tc.name!r} retains non-junction coordinates {extra}; "
             "declare pad nodes consumed by the rotation or mark them as couplers"
         )
-    c_eff = naive_c if naive_c is not None else blocks.c_eff(junction.ident)
     spec = TransmonSpec(
-        c_eff=c_eff,
+        c_eff=c_eff(junction.ident),
         ej=junction.effective_ej(),
         q_offset=tc.q_offset_2e * 2.0 * constants.e,
         n_max=tc.n_max,
@@ -214,6 +200,30 @@ def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig,
     return spec, sub, junction.ident
 
 
+def _weak_coupling(netlist: CompositeNetlist, reduced: ReducedCircuit) -> tuple[
+        Callable[[str], float], Callable[[str, str], float], Callable[[str, str], float]]:
+    """Naive-mode (c_eff, inv_c, inv_l): the weak-coupling expansion of the
+    raw junction-basis capacitance matrix C = s_n.T @ C_node @ s_n, left
+    unsymmetrized, in place of the eliminated inverse. A junction's
+    capacitance is its diagonal entry C_jj, a pair reciprocal is
+    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms."""
+    s_n = reduced.record.s_n
+    rotated = s_n.T @ netlist.c_mat @ s_n
+    index = {label: i for i, label in enumerate(reduced.record.rotated_labels)}
+
+    def c_eff(label: str) -> float:
+        return rotated[index[label], index[label]]
+
+    def inv_c(label_a: str, label_b: str) -> float:
+        a, b = index[label_a], index[label_b]
+        return 2.0 * (-rotated[a, b] / (rotated[a, a] * rotated[b, b]))
+
+    def inv_l(label_a: str, label_b: str) -> float:
+        return 0.0
+
+    return c_eff, inv_c, inv_l
+
+
 def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float]]:
     """Lumped-equivalent port ZPFs for the undressed (C_L = 0) line: the mode
     maps to an LC with port capacitance C_port = c * int u^2 dz / u(0)^2."""
@@ -226,28 +236,25 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_result(lc: LineConfig, blocks: CircuitBlocks | None, naive: bool) -> LineResult:
-    port_loadings = {}
-    if blocks is not None:
-        for node in lc.nodes:
-            port_loadings[node] = blocks.c_eff(node)
-    if naive:
-        loading = 0.0
-    elif port_loadings:
+def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks,
+                    naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
+    """Solve and quantize one line, loaded by the larger of its dressed port
+    loadings; ``naive`` solves it unloaded with lumped-equivalent port ZPFs."""
+    port_loadings = {node: blocks.c_eff(node) for node in lc.nodes}
+    loading = 0.0
+    if port_loadings and not naive:
         loading = max(port_loadings.values())
-        spread = max(port_loadings.values()) - min(port_loadings.values())
+        spread = loading - min(port_loadings.values())
         if len(port_loadings) > 1 and spread > 1e-3 * loading:
             warnings.warn(
                 f"line {lc.name!r}: port loadings differ by {spread:.3e} F; "
                 "modeled as singly loaded with the larger value"
             )
-    else:
-        loading = 0.0
 
     if lc.length_m is not None:
         length = lc.length_m
     else:
-        cal_load = 0.0 if (lc.target_loading == "unloaded" or naive) else loading
+        cal_load = 0.0 if lc.target_loading == "unloaded" else loading
         length = calibrate_length(
             2.0 * math.pi * lc.target_hz, lc.target_mode,
             z0=lc.z0_ohm, v_p=lc.vp_m_per_s, c_load=cal_load, shorted_end=lc.shorted_end,
@@ -257,8 +264,11 @@ def _line_result(lc: LineConfig, blocks: CircuitBlocks | None, naive: bool) -> L
         c_load=loading, shorted_end=lc.shorted_end,
     )
     modes = solve_modes(spec, lc.modes)
+    charge_zpf, flux_zpf = _naive_port_zpfs(modes) if naive else (None, None)
+    sub = quantize_line(spec, modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
+                        charge_zpf=charge_zpf, flux_zpf=flux_zpf)
     return LineResult(config=lc, spec=spec, dressed_loading=loading,
-                      port_loadings=port_loadings, modes=tuple(modes))
+                      port_loadings=port_loadings, modes=tuple(modes)), sub
 
 
 def build_model(
@@ -279,42 +289,27 @@ def build_model(
     lj_overrides = dict(lj_overrides or {})
     loaded = _load_cells(config, cell_hook)
     registry = _build_registry(config, loaded)
-    cells = _attach_elements(config, loaded, registry, lj_overrides)
-    netlist = compose_cells(cells, registry)
+    netlist = compose_cells(_attach_elements(config, loaded, lj_overrides), registry)
     reduced = reduce_network(netlist)
     blocks = extract_blocks(reduced)
-
-    rotated = None
     if naive:
-        s_n = reduced.record.s_n
-        rotated = s_n.T @ netlist.c_mat @ s_n
-
-    def _naive_diag(label: str) -> float:
-        i = reduced.record.rotated_labels.index(label)
-        return rotated[i, i]
+        c_eff, inv_c, inv_l = _weak_coupling(netlist, reduced)
+    else:
+        c_eff, inv_c, inv_l = blocks.c_eff, blocks.inv_c_coupling, blocks.inv_l_coupling
 
     subsystems: list[QuantizedSubsystem] = []
     transmon_specs = {}
     port_coord: dict[str, tuple[str, str]] = {}
     for tc in config.transmons:
-        naive_c = _naive_diag(_transmon_junction(config, tc).ident) if naive else None
-        spec, sub, junction_label = _transmon_subsystem(tc, config, blocks, reduced, naive_c)
+        spec, sub, junction_label = _transmon_subsystem(tc, reduced, c_eff)
         transmon_specs[tc.name] = spec
         subsystems.append(sub)
         port_coord[junction_label] = (tc.name, "junction")
 
     lines = {}
     for lc in config.lines:
-        result = _line_result(lc, blocks, naive)
-        lines[lc.name] = result
-        if naive:
-            charge_zpf, flux_zpf = _naive_port_zpfs(result.modes)
-        else:
-            charge_zpf = flux_zpf = None
-        subsystems.append(quantize_line(
-            result.spec, result.modes, levels=lc.levels, name=lc.name,
-            ports=lc.nodes, charge_zpf=charge_zpf, flux_zpf=flux_zpf,
-        ))
+        lines[lc.name], sub = _line_subsystem(lc, blocks, naive)
+        subsystems.append(sub)
         for node in lc.nodes:
             port_coord[node] = (lc.name, node)
 
@@ -327,7 +322,7 @@ def build_model(
                     f"retained coordinate {label!r} of subsystem {name!r} has no port operator"
                 )
 
-    graph = _coupling_graph(reduced, blocks, port_coord, naive, rotated)
+    graph = _coupling_graph(port_coord, inv_c, inv_l)
     if graph_hook is not None:
         graph = graph_hook(graph)
 
@@ -352,20 +347,13 @@ def build_model(
     )
 
 
-def _transmon_junction(config: DeviceConfig, tc: TransmonConfig):
-    owned = [j for j in config.junctions if j.subsystem == tc.name]
-    if len(owned) != 1:
-        raise ConfigError(f"transmon {tc.name!r} must own exactly one junction")
-    return owned[0]
-
-
 def _coupling_graph(
-    reduced: ReducedCircuit,
-    blocks: CircuitBlocks,
     port_coord: Mapping[str, tuple[str, str]],
-    naive: bool,
-    rotated: np.ndarray | None,
+    inv_c: Callable[[str, str], float],
+    inv_l: Callable[[str, str], float],
 ) -> CouplingGraph:
+    """One edge per pair of ports in different subsystems with a nonzero
+    capacitive or inductive coupling reciprocal."""
     labels = list(port_coord)
     edges = []
     for a in range(len(labels)):
@@ -375,18 +363,10 @@ def _coupling_graph(
             sub_b, p_b = port_coord[lb]
             if sub_a == sub_b:
                 continue
-            if naive:
-                ia = reduced.record.rotated_labels.index(la)
-                ib = reduced.record.rotated_labels.index(lb)
-                entry = -rotated[ia, ib] / (rotated[ia, ia] * rotated[ib, ib])
-                inv_c = 2.0 * entry
-                inv_l = 0.0
-            else:
-                inv_c = blocks.inv_c_coupling(la, lb)
-                inv_l = blocks.inv_l_coupling(la, lb)
-            if inv_c == 0.0 and inv_l == 0.0:
+            c_ab, l_ab = inv_c(la, lb), inv_l(la, lb)
+            if c_ab == 0.0 and l_ab == 0.0:
                 continue
-            edges.append(CouplingEdge(sub_a, p_a, sub_b, p_b, inv_c_eff=inv_c, inv_l_eff=inv_l))
+            edges.append(CouplingEdge(sub_a, p_a, sub_b, p_b, inv_c_eff=c_ab, inv_l_eff=l_ab))
     return CouplingGraph(tuple(edges))
 
 
@@ -505,11 +485,11 @@ def calibrate_junction(
     junction: str,
     target_fq_hz: float,
     lj_bounds_h: tuple[float, float],
-    rtol: float = 1e-6,
 ):
     """Root-solve the full-pipeline qubit frequency against the junction
-    inductance. The response is verified to bracket the target at the
-    endpoints (f_q decreases as L_j grows); returns (lj, report)."""
+    inductance to 2e-12 H (see ``calibrate_scalar``). The response is
+    verified to bracket the target at the endpoints (f_q decreases as L_j
+    grows); returns (lj, report)."""
     from .report import build_report
 
     models: dict[float, DeviceModel] = {}
@@ -521,5 +501,5 @@ def calibrate_junction(
         return models[lj]
 
     lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,
-                          lj_bounds_h, rtol=rtol, fmt=lambda f: f"{f / 1e9:.4f} GHz")
+                          lj_bounds_h, fmt=lambda f: f"{f / 1e9:.4f} GHz")
     return lj, build_report(model_at(lj), calibrated={junction: lj})

@@ -45,6 +45,9 @@ SUBSET_MARGIN = 8
 # working copy and up to N eigenvectors
 EIGENSOLVE_COPIES = 3
 GAUGE_RTOL = 1e-12
+# brentq's relative tolerance in calibrate_scalar; see its docstring for the
+# bound that holds
+CALIBRATION_RTOL = 1e-6
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
@@ -409,12 +412,15 @@ def calibrate_scalar(
     response,
     target: float,
     bounds: tuple[float, float],
-    rtol: float = 1e-6,
     fmt="{:.6g}".format,
 ) -> float:
     """Monotone scalar calibration: find x in ``bounds`` with response(x) =
     target. The endpoint responses must bracket the target, otherwise
-    TargetOutOfRange is raised, quoting them as rendered by ``fmt``."""
+    TargetOutOfRange is raised, quoting them as rendered by ``fmt``.
+
+    ``brentq`` stops once the root is bracketed to its default absolute
+    xtol = 2e-12 plus CALIBRATION_RTOL * |x|. For x in henries the absolute
+    term dominates: the root holds to 2e-12 H, not to 1e-6 relative."""
     from scipy.optimize import brentq
 
     lo, hi = bounds
@@ -423,4 +429,4 @@ def calibrate_scalar(
         raise TargetOutOfRange(
             f"target {fmt(target)} outside the endpoint range [{fmt(low)}, {fmt(high)}]"
         )
-    return float(brentq(lambda x: response(x) - target, lo, hi, rtol=rtol))
+    return float(brentq(lambda x: response(x) - target, lo, hi, rtol=CALIBRATION_RTOL))

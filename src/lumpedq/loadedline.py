@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants
 
-from .errors import InvalidTarget, ValidationError
+from .errors import InvalidTarget, NumericalError, ValidationError
 
 #: relative width at which bisection stops before Newton polishing
 _BISECT_RTOL = 1e-13
+#: largest accepted LineMode.residual() of a solved mode
+MODE_RESIDUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,37 +200,20 @@ def solve_modes(spec: LoadedLineSpec, count: int) -> list[LineMode]:
     """Lowest ``count`` dynamical modes, strictly increasing in frequency.
 
     For an open right end the m = 0 branch is the trivial d.c. root and is
-    excluded; see ``LoadedLineSpec.has_dc_mode``.
+    excluded; see ``LoadedLineSpec.has_dc_mode``. A mode whose residual
+    exceeds MODE_RESIDUAL_RTOL raises NumericalError.
     """
     if count < 1:
         raise ValidationError("mode count must be at least 1")
     m0 = spec.first_mode_number
-    return [_mode_from_omega(spec, m, _solve_branch(spec, m)) for m in range(m0, m0 + count)]
-
-
-def epr_loading(spec: LoadedLineSpec, mode: LineMode) -> float:
-    """Fraction of the mode's capacitive energy stored in the loading
-    capacitor, from the closed-form line integral."""
-    u0 = math.cos(mode.phase)
-    load = spec.c_load * u0**2
-    return load / (load + spec.c_per_len * _u_squared_integral(spec.length, mode.k, mode.phase))
-
-
-@dataclass(frozen=True)
-class ZeroPointFluctuations:
-    """ZPF amplitudes of the mode fields: total load charge at z = 0, and
-    evaluator profiles for charge density and flux along the line."""
-
-    q0: float
-    q_density: object  # z -> C/m
-    phi: object  # z -> Wb
-
-
-def zpf(spec: LoadedLineSpec, mode: LineMode) -> ZeroPointFluctuations:
-    """Zero-point fluctuations fixed by the energy-participation ratios:
-    q0^2 = (hbar w / 2) C_L p_load, q(z)^2 = (hbar w / 2) c p_c(z), and
-    phi(z) = q(z) / (c w)."""
-    return ZeroPointFluctuations(q0=mode.q0_zpf, q_density=mode.q_zpf, phi=mode.phi_zpf)
+    modes = [_mode_from_omega(spec, m, _solve_branch(spec, m)) for m in range(m0, m0 + count)]
+    for mode in modes:
+        if mode.residual() > MODE_RESIDUAL_RTOL:
+            raise NumericalError(
+                f"line mode m={mode.index} misses its characteristic equation by "
+                f"{mode.residual():.3e} relative (tolerance {MODE_RESIDUAL_RTOL:g})"
+            )
+    return modes
 
 
 def calibrate_length(

@@ -5,9 +5,11 @@ Everything here operates on node-to-datum generalized fluxes in SI units
 
     MaxwellMatrix --reduce_maxwell--> CellMatrices --compose_cells-->
     CompositeNetlist --rotate_to_junction_basis--> junction-flux basis
-    --select_constraint_basis/schur_eliminate--> capacitive couplers removed
-    --second_pass_eliminate--> inductive couplers removed
+    --coupler_kernel/schur_eliminate(C, L_inv)--> capacitive couplers removed
+    --coupler_kernel/schur_eliminate(L_inv, C)--> inductive couplers removed
     --extract_blocks--> dressed subsystem blocks and pairwise couplings
+
+``reduce_network`` runs the rotation and both elimination passes.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -280,11 +282,7 @@ class ReductionRecord:
 
     s_n: np.ndarray  # node basis -> rotated basis, phi_node = s_n @ phi_rotated
     rotated_labels: tuple[str, ...]
-    s_r_first: np.ndarray
-    s_k_first: np.ndarray
-    s_r_second: np.ndarray
-    s_k_second: np.ndarray
-    eliminated: tuple[str, ...]
+    eliminated: tuple[str, ...]  # coupler coordinates removed, first pass first
 
 
 @dataclass(frozen=True)
@@ -558,139 +556,66 @@ def coupler_class_warnings(
     return messages
 
 
-def _kernel_directions(mat: np.ndarray, candidates: Sequence[int]) -> list[int]:
+def coupler_kernel(mat: np.ndarray, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
+    """Indices of the declared coupler coordinates that lie in ker(mat).
+
+    Subsystem-owned kernel directions (for instance the uniform mode of an
+    open-ended line) are never candidates.
+    """
+    candidates = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)]
     scale = np.linalg.norm(mat, 2) if mat.size else 0.0
     if scale == 0.0:
-        return list(candidates)
+        return candidates
     return [i for i in candidates if np.linalg.norm(mat[:, i]) <= KERNEL_RTOL * scale]
 
 
-def _complement_columns(n: int, chosen: Sequence[int]) -> np.ndarray:
-    keep = [i for i in range(n) if i not in set(chosen)]
-    s_k = np.zeros((n, len(keep)))
-    for col, i in enumerate(keep):
-        s_k[i, col] = 1.0
-    return s_k
-
-
-def select_constraint_basis(
-    c_mat: np.ndarray,
-    l_inv: np.ndarray,
-    labels: Sequence[str],
-    registry: NodeRegistry,
-    preserve: Sequence[str] = (),
-    require: Sequence[str] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Select the elimination basis for capacitively-touched coupler fluxes.
-
-    S_r columns span verified coupler directions inside ker(L_inv);
-    subsystem-owned kernel directions (for instance the uniform mode of an
-    open-ended line) are never candidates, and ``preserve`` can exclude
-    specific coupler coordinates explicitly. S_k is the complementary set of
-    identity columns. ``require`` lists coordinates that must be eliminated;
-    a required coordinate outside the kernel raises NonNullDirection.
-    """
-    labels = tuple(labels)
-    candidates = [
-        i for i, lab in enumerate(labels)
-        if registry.is_coupler(lab) and lab not in preserve
-    ]
-    kernel = _kernel_directions(l_inv, candidates)
-    for lab in require:
-        if lab not in labels:
-            raise UnknownNode(f"required elimination coordinate {lab!r} not in basis")
-        if labels.index(lab) not in kernel:
-            scale = np.linalg.norm(l_inv, 2)
-            resid = np.linalg.norm(l_inv[:, labels.index(lab)])
-            raise NonNullDirection(
-                f"coordinate {lab!r} is not a null direction of the inverse inductance "
-                f"(|L^-1 s| = {resid:.3e} vs tolerance {KERNEL_RTOL * scale:.3e})"
-            )
-    n = len(labels)
-    s_r = np.zeros((n, len(kernel)))
-    for col, i in enumerate(kernel):
-        s_r[i, col] = 1.0
-    return s_r, _complement_columns(n, kernel)
-
-
 def schur_eliminate(
-    c_mat: np.ndarray,
-    l_inv: np.ndarray,
-    s_r: np.ndarray,
-    s_k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate the S_r directions: restrict L_inv and take the Schur
-    complement of the capacitance quadratic form on the retained basis."""
-    l_red = _symmetrize(s_k.T @ l_inv @ s_k)
-    if s_r.shape[1] == 0:
-        return _symmetrize(s_k.T @ c_mat @ s_k), l_red
-    block = s_r.T @ c_mat @ s_r
-    w = np.linalg.eigvalsh(_symmetrize(block))
-    if w[0] <= SINGULAR_RATIO * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularCouplerBlock(
-            "coupler capacitance block is numerically singular; an eliminated "
-            "coupler island has no capacitive path"
-        )
-    cross = c_mat @ s_r
-    c_red = s_k.T @ (c_mat - cross @ np.linalg.solve(block, cross.T)) @ s_k
-    return _symmetrize(c_red), l_red
+    schur: np.ndarray,
+    other: np.ndarray,
+    eliminate: Sequence[int],
+    block: str,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Eliminate the ``eliminate`` coordinates: take the Schur complement of
+    the ``schur`` quadratic form onto the kept coordinates and restrict
+    ``other`` to them. ``block`` names the Schur block in the error raised
+    when it is singular.
 
-
-def second_pass_eliminate(
-    c_mat: np.ndarray,
-    l_inv: np.ndarray,
-    labels: Sequence[str],
-    registry: NodeRegistry,
-    preserve: Sequence[str] = (),
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray, np.ndarray]:
-    """Mirror of the first pass with the matrix roles flipped: coupler
-    directions in ker(C) are removed via the Schur complement of L_inv.
-
-    Returns (C, L_inv, labels, s_r, s_k); an identity pass when no inductive
-    coupler directions exist.
+    Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
-    labels = tuple(labels)
-    candidates = [
-        i for i, lab in enumerate(labels)
-        if registry.is_coupler(lab) and lab not in preserve
-    ]
-    kernel = _kernel_directions(c_mat, candidates)
-    n = len(labels)
-    s_r = np.zeros((n, len(kernel)))
-    for col, i in enumerate(kernel):
-        s_r[i, col] = 1.0
-    s_k = _complement_columns(n, kernel)
-    if not kernel:
-        return c_mat, l_inv, labels, s_r, s_k
-    block = s_r.T @ l_inv @ s_r
-    w = np.linalg.eigvalsh(_symmetrize(block))
+    r = np.asarray(eliminate, dtype=int)
+    dropped = set(eliminate)
+    keep = [i for i in range(schur.shape[0]) if i not in dropped]
+    kk = np.ix_(keep, keep)
+    if r.size == 0:
+        return schur[kk], other[kk], keep
+    rr = schur[np.ix_(r, r)]
+    w = np.linalg.eigvalsh(_symmetrize(rr))
     if w[0] <= SINGULAR_RATIO * max(w[-1], 0.0) or w[-1] <= 0.0:
         raise SingularCouplerBlock(
-            "coupler inductance block is numerically singular during the second pass"
+            f"coupler {block} block is numerically singular; an eliminated "
+            f"coupler island is not connected through the {block} matrix"
         )
-    cross = l_inv @ s_r
-    l_red = _symmetrize(s_k.T @ (l_inv - cross @ np.linalg.solve(block, cross.T)) @ s_k)
-    c_red = _symmetrize(s_k.T @ c_mat @ s_k)
-    kept = tuple(lab for i, lab in enumerate(labels) if i not in set(kernel))
-    return c_red, l_red, kept, s_r, s_k
+    kr = schur[np.ix_(keep, r)]
+    reduced = schur[kk] - kr @ np.linalg.solve(rr, kr.T)
+    return _symmetrize(reduced), other[kk], keep
 
 
-def reduce_network(net: CompositeNetlist, preserve: Sequence[str] = ()) -> ReducedCircuit:
-    """Run the full two-pass elimination and assemble the reduced circuit."""
+def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
+    """Rotate to the junction basis, then eliminate the coupler coordinates
+    in two passes: those in ker(L_inv) by a Schur complement of C, then
+    those in ker(C) by a Schur complement of L_inv."""
     c, l_inv, labels, s_n = rotate_to_junction_basis(net)
     coupler_class_warnings(c, l_inv, labels, net.registry)
 
-    s_r1, s_k1 = select_constraint_basis(c, l_inv, labels, net.registry, preserve=preserve)
-    eliminated1 = tuple(labels[i] for i in np.nonzero(s_r1.sum(axis=1))[0])
-    c1, l1 = schur_eliminate(c, l_inv, s_r1, s_k1)
-    labels1 = tuple(lab for lab in labels if lab not in eliminated1)
+    first = coupler_kernel(l_inv, labels, net.registry)
+    c1, l1, keep1 = schur_eliminate(c, l_inv, first, "capacitance")
+    labels1 = [labels[i] for i in keep1]
+    second = coupler_kernel(c1, labels1, net.registry)
+    l2, c2, keep2 = schur_eliminate(l1, c1, second, "inverse inductance")
+    labels2 = tuple(labels1[i] for i in keep2)
+    eliminated = tuple(labels[i] for i in first) + tuple(labels1[i] for i in second)
 
-    c2, l2, labels2, s_r2, s_k2 = second_pass_eliminate(
-        c1, l1, labels1, net.registry, preserve=preserve
-    )
-    eliminated2 = tuple(lab for lab in labels1 if lab not in labels2)
-
-    leftovers = [lab for lab in labels2 if net.registry.is_coupler(lab) and lab not in preserve]
+    leftovers = [lab for lab in labels2 if net.registry.is_coupler(lab)]
     if leftovers:
         raise NonNullDirection(
             f"coupler coordinates {leftovers} lie in neither kernel space; "
@@ -705,24 +630,14 @@ def reduce_network(net: CompositeNetlist, preserve: Sequence[str] = ()) -> Reduc
             junction_index[lab] = i
             block_lists[junction_by_id[lab].subsystem].append(i)
         else:
-            owner = net.registry.subsystem_of(lab)
-            if owner is None:
-                # preserved coupler coordinate: grouped under its own key
-                block_lists.setdefault(f"coupler:{lab}", []).append(i)
-            else:
-                block_lists[owner].append(i)
+            block_lists[net.registry.subsystem_of(lab)].append(i)
 
     l_prime = l2.copy()
     for j in net.junctions:
         k = junction_index[j.ident]
         l_prime[k, k] -= 1.0 / j.lj
 
-    record = ReductionRecord(
-        s_n=s_n, rotated_labels=labels,
-        s_r_first=s_r1, s_k_first=s_k1,
-        s_r_second=s_r2, s_k_second=s_k2,
-        eliminated=eliminated1 + eliminated2,
-    )
+    record = ReductionRecord(s_n=s_n, rotated_labels=labels, eliminated=eliminated)
     return ReducedCircuit(
         labels=labels2, c_mat=c2, l_inv=l2, l_inv_prime=l_prime,
         block_index={k: tuple(v) for k, v in block_lists.items()},
@@ -775,10 +690,6 @@ class CircuitBlocks:
     def subsystem_c_inv(self, name: str) -> np.ndarray:
         idx = np.asarray(self.block_index[name], dtype=int)
         return self.c_inv[np.ix_(idx, idx)]
-
-    def subsystem_l_inv(self, name: str) -> np.ndarray:
-        idx = np.asarray(self.block_index[name], dtype=int)
-        return self.l_inv_prime[np.ix_(idx, idx)]
 
 
 def extract_blocks(rc: ReducedCircuit, c_inv: np.ndarray | None = None) -> CircuitBlocks:

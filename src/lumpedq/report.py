@@ -16,7 +16,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
+from .loadedline import MODE_RESIDUAL_RTOL
+from .netlist import KERNEL_RTOL, SYMMETRY_RTOL
 
 CONVENTIONS = {
     "frequencies": "transition frequency (E_state - E_ground)/h, hertz",
@@ -30,10 +32,11 @@ CONVENTIONS = {
                             "assembled pair energy uses half of them",
 }
 
+# advertised tolerances, each checked at run time by the module defining it
 TOLERANCES = {
-    "kernel_rtol": 1e-9,
-    "symmetry_rtol": 1e-12,
-    "mode_residual_rtol": 1e-12,
+    "kernel_rtol": KERNEL_RTOL,
+    "symmetry_rtol": SYMMETRY_RTOL,
+    "mode_residual_rtol": MODE_RESIDUAL_RTOL,
 }
 
 
@@ -66,7 +69,7 @@ def make_provenance(config) -> dict:
             inputs[cell.maxwell_file.name] = "unreadable"
     canonical_cfg = json.dumps(config.raw, sort_keys=True, default=str)
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "config_sha256": _hash_bytes(canonical_cfg.encode()),
         "input_sha256": inputs,
         "tolerances": TOLERANCES,

@@ -124,12 +124,7 @@ def test_criterion_4_schur_oracle():
 def test_criterion_5_series_eliminations():
     """Series capacitors through a capacitive coupler give C1 C2/(C1 + C2);
     series inductors through an inductive coupler give L1 + L2; 1e-12."""
-    from lumpedq.netlist import (
-        NodeRegistry,
-        schur_eliminate,
-        second_pass_eliminate,
-        select_constraint_basis,
-    )
+    from lumpedq.netlist import NodeRegistry, coupler_kernel, schur_eliminate
 
     reg = NodeRegistry(
         datum="gnd", subsystem_names=("s0", "s1"),
@@ -140,8 +135,8 @@ def test_criterion_5_series_eliminations():
     c1, c2 = 2e-15, 2e-15
     c = np.array([[c1, 0.0, -c1], [0.0, c2, -c2], [-c1, -c2, c1 + c2]])
     l_inv = np.diag([1e9, 1e9, 0.0])
-    s_r, s_k = select_constraint_basis(c, l_inv, ("a", "b", "m"), reg)
-    c_k, _ = schur_eliminate(c, l_inv, s_r, s_k)
+    labels = ("a", "b", "m")
+    c_k, _, _ = schur_eliminate(c, l_inv, coupler_kernel(l_inv, labels, reg), "capacitance")
     series_c = c1 * c2 / (c1 + c2)
     assert c_k[0, 0] == pytest.approx(series_c, rel=1e-12)
     assert c_k[0, 1] == pytest.approx(-series_c, rel=1e-12)
@@ -153,8 +148,9 @@ def test_criterion_5_series_eliminations():
         [-1 / l1, -1 / l2, 1 / l1 + 1 / l2],
     ])
     c = np.diag([50e-15, 50e-15, 0.0])
-    _, li2, labels2, _, _ = second_pass_eliminate(c, l_inv, ("a", "b", "m"), reg)
-    assert labels2 == ("a", "b")
+    li2, _, keep = schur_eliminate(l_inv, c, coupler_kernel(c, labels, reg),
+                                   "inverse inductance")
+    assert tuple(labels[i] for i in keep) == ("a", "b")
     assert li2[0, 0] == pytest.approx(1.0 / (l1 + l2), rel=1e-12)
     _passed(5, "series-capacitor and series-inductor eliminations exact to 1e-12")
 

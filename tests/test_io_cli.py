@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lumpedq import analysis, composite
+import lumpedq
+from lumpedq import analysis, composite, loadedline, netlist
 from lumpedq.analysis import run_analysis, run_budget
 from lumpedq.benchmark import benchmark_config, benchmark_maxwell, write_benchmark
 from lumpedq.cli import main
@@ -141,6 +142,15 @@ class TestReports:
         assert prov["tool_version"]
         assert "qubit_cell.csv" in prov["input_sha256"]
         assert len(prov["config_sha256"]) == 64
+
+    def test_provenance_quotes_the_checked_constants(self, report):
+        prov = report.provenance
+        assert prov["tool_version"] == lumpedq.__version__
+        assert prov["tolerances"] == {
+            "kernel_rtol": netlist.KERNEL_RTOL,
+            "symmetry_rtol": netlist.SYMMETRY_RTOL,
+            "mode_residual_rtol": loadedline.MODE_RESIDUAL_RTOL,
+        }
 
     def test_table_rendering(self, report):
         text = to_table(report)

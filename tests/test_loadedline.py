@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from scipy import constants
 from scipy.integrate import quad
 
+from lumpedq import loadedline
 from lumpedq.discretize import ladder_netlist, normal_mode_frequencies
-from lumpedq.errors import InvalidTarget, ValidationError
+from lumpedq.errors import InvalidTarget, NumericalError, ValidationError
 from lumpedq.loadedline import (
     LoadedLineSpec,
     calibrate_length,
     characteristic_lhs,
-    epr_loading,
     solve_modes,
-    zpf,
 )
 
 C_LIGHT = constants.c
@@ -94,6 +93,14 @@ class TestSolveModes:
         for mode in solve_modes(spec, 6):
             assert mode.residual() < 1e-12
 
+    def test_perturbed_root_raises(self, monkeypatch):
+        """A root 1e-9 off its branch misses the advertised residual bound."""
+        solve = loadedline._solve_branch
+        monkeypatch.setattr(loadedline, "_solve_branch",
+                            lambda spec, m: solve(spec, m) * (1.0 + 1e-9))
+        with pytest.raises(NumericalError, match="characteristic equation"):
+            solve_modes(measured_scale_spec(), 3)
+
     def test_frequencies_strictly_increasing(self):
         spec = measured_scale_spec()
         freqs = [m.omega for m in solve_modes(spec, 6)]
@@ -140,7 +147,7 @@ class TestEpr:
     def test_unloaded_epr_is_zero(self):
         spec = LoadedLineSpec.from_wave_params(6e-3, 50.0, 1.2e8, c_load=0.0)
         mode = solve_modes(spec, 1)[0]
-        assert epr_loading(spec, mode) == 0.0
+        assert mode.p_load == 0.0
 
     def test_closure_with_quadrature_oracle(self):
         spec = measured_scale_spec()
@@ -175,16 +182,15 @@ class TestZpf:
     def test_unloaded_port_charge_vanishes(self):
         spec = LoadedLineSpec.from_wave_params(6e-3, 50.0, 1.2e8, c_load=0.0)
         mode = solve_modes(spec, 1)[0]
-        assert zpf(spec, mode).q0 == 0.0
+        assert mode.q0_zpf == 0.0
 
     def test_energy_closure(self):
         """Q0^2/C_L + int q^2/c dz = hbar*omega/2."""
         spec = measured_scale_spec()
         for mode in solve_modes(spec, 3):
-            fields = zpf(spec, mode)
-            integral, _ = quad(lambda z: fields.q_density(z) ** 2 / spec.c_per_len,
+            integral, _ = quad(lambda z: mode.q_zpf(z) ** 2 / spec.c_per_len,
                                0.0, spec.length, epsabs=1e-40, epsrel=1e-12, limit=200)
-            total = fields.q0**2 / spec.c_load + integral
+            total = mode.q0_zpf**2 / spec.c_load + integral
             assert total == pytest.approx(0.5 * constants.hbar * mode.omega, rel=1e-9)
 
     def test_flux_charge_relation(self):

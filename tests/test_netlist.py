@@ -25,6 +25,7 @@ from lumpedq.netlist import (
     MaxwellMatrix,
     NodeRegistry,
     compose_cells,
+    coupler_kernel,
     embed_maxwell,
     extract_blocks,
     merge_maxwell_nodes,
@@ -32,8 +33,6 @@ from lumpedq.netlist import (
     reduce_network,
     rotate_to_junction_basis,
     schur_eliminate,
-    second_pass_eliminate,
-    select_constraint_basis,
 )
 
 from conftest import random_circuit
@@ -323,16 +322,19 @@ class TestElimination:
         c = np.array([[3.0, 0.0, -1.0], [0.0, 3.0, -1.0], [-1.0, -1.0, 2.0]]) * fF
         l_inv = np.zeros((3, 3))
         l_inv[0, 0] = l_inv[1, 1] = 1.0 / (10 * nH)
-        s_r, s_k = select_constraint_basis(c, l_inv, labels, reg)
-        np.testing.assert_allclose(s_r, [[0.0], [0.0], [1.0]])
-        assert s_k.shape == (3, 2)
+        eliminate = coupler_kernel(l_inv, labels, reg)
+        assert eliminate == [2]
+        _, _, keep = schur_eliminate(c, l_inv, eliminate, "capacitance")
+        assert keep == [0, 1]
 
     def test_no_couplers_identity(self):
         reg = simple_registry({"s0": ["a", "b"]})
         c = np.eye(2) * fF
-        s_r, s_k = select_constraint_basis(c, np.zeros((2, 2)), ("a", "b"), reg)
-        assert s_r.shape == (2, 0)
-        np.testing.assert_allclose(s_k, np.eye(2))
+        eliminate = coupler_kernel(np.zeros((2, 2)), ("a", "b"), reg)
+        assert eliminate == []
+        c_k, _, keep = schur_eliminate(c, np.zeros((2, 2)), eliminate, "capacitance")
+        assert keep == [0, 1]
+        np.testing.assert_allclose(c_k, c)
 
     def test_subsystem_kernel_direction_not_selected(self):
         # open-ended ladder: the uniform flux vector spans ker(L^-1) but is
@@ -342,16 +344,7 @@ class TestElimination:
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
         uniform = np.ones(len(labels))
         assert np.linalg.norm(net.l_inv @ uniform) < 1e-9 * np.linalg.norm(net.l_inv, 2)
-        s_r, s_k = select_constraint_basis(c, l_inv, labels, net.registry)
-        assert s_r.shape[1] == 0
-
-    def test_required_non_null_direction_raises(self):
-        reg = simple_registry({"s0": ["a"]}, couplers=["p"])
-        labels = ("a", "p")
-        c = np.eye(2) * fF
-        l_inv = np.array([[1.0, -1.0], [-1.0, 1.0]]) / (10 * nH)  # inductor touches p
-        with pytest.raises(NonNullDirection):
-            select_constraint_basis(c, l_inv, labels, reg, require=("p",))
+        assert coupler_kernel(l_inv, labels, net.registry) == []
 
     def test_series_capacitors_through_coupler(self):
         """C1 = C2 = 2 fF in series through an eliminated node: 1 fF."""
@@ -365,8 +358,7 @@ class TestElimination:
         ])
         l_inv = np.zeros((3, 3))
         l_inv[0, 0] = l_inv[1, 1] = 1e9
-        s_r, s_k = select_constraint_basis(c, l_inv, labels, reg)
-        c_k, l_k = schur_eliminate(c, l_inv, s_r, s_k)
+        c_k, l_k, _ = schur_eliminate(c, l_inv, coupler_kernel(l_inv, labels, reg), "capacitance")
         expected = c1 * c2 / (c1 + c2)
         np.testing.assert_allclose(
             c_k, [[expected, -expected], [-expected, expected]], rtol=1e-12
@@ -375,9 +367,8 @@ class TestElimination:
     def test_empty_sr_is_permutation(self, rng):
         net = random_circuit(rng, n_couplers=1)
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
-        s_r = np.zeros((len(labels), 0))
-        s_k = np.eye(len(labels))
-        c_k, l_k = schur_eliminate(c, l_inv, s_r, s_k)
+        c_k, l_k, keep = schur_eliminate(c, l_inv, [], "capacitance")
+        assert keep == list(range(len(labels)))
         np.testing.assert_allclose(c_k, c)
         np.testing.assert_allclose(l_k, l_inv)
 
@@ -387,10 +378,8 @@ class TestElimination:
         c = np.diag([50 * fF, 0.0])
         l_inv = np.zeros((2, 2))
         l_inv[0, 0] = 1.0 / (10 * nH)
-        s_r = np.array([[0.0], [1.0]])
-        s_k = np.array([[1.0], [0.0]])
-        with pytest.raises(SingularCouplerBlock):
-            schur_eliminate(c, l_inv, s_r, s_k)
+        with pytest.raises(SingularCouplerBlock, match="capacitance"):
+            schur_eliminate(c, l_inv, [1], "capacitance")
 
     def test_second_pass_series_inductors(self):
         """Coupler joining L1 and L2 in series: effective L1 + L2."""
@@ -403,7 +392,9 @@ class TestElimination:
             [-1 / l1, -1 / l2, 1 / l1 + 1 / l2],
         ])
         c = np.diag([50 * fF, 50 * fF, 0.0])
-        c2, li2, labels2, s_r, s_k = second_pass_eliminate(c, l_inv, labels, reg)
+        li2, c2, keep = schur_eliminate(l_inv, c, coupler_kernel(c, labels, reg),
+                                        "inverse inductance")
+        labels2 = tuple(labels[i] for i in keep)
         assert labels2 == ("a", "b")
         y = 1.0 / (l1 + l2)
         np.testing.assert_allclose(li2, [[y, -y], [-y, y]], rtol=1e-12)
@@ -412,26 +403,15 @@ class TestElimination:
     def test_second_pass_identity_when_purely_capacitive(self, rng):
         net = random_circuit(rng)
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
-        s_r, s_k = select_constraint_basis(c, l_inv, labels, net.registry)
-        c1, l1 = schur_eliminate(c, l_inv, s_r, s_k)
-        labels1 = tuple(lab for i, lab in enumerate(labels) if s_r[i].sum() == 0)
-        c2, l2, labels2, *_ = second_pass_eliminate(c1, l1, labels1, net.registry)
+        first = coupler_kernel(l_inv, labels, net.registry)
+        c1, l1, keep1 = schur_eliminate(c, l_inv, first, "capacitance")
+        labels1 = tuple(labels[i] for i in keep1)
+        l2, c2, keep2 = schur_eliminate(l1, c1, coupler_kernel(c1, labels1, net.registry),
+                                        "inverse inductance")
+        labels2 = tuple(labels1[i] for i in keep2)
         assert labels2 == labels1
         np.testing.assert_allclose(c2, c1)
         np.testing.assert_allclose(l2, l1)
-
-    def test_preserved_coupler_coordinate_retained(self):
-        """A coupler coordinate listed in ``preserve`` survives elimination
-        and is grouped under its own block key."""
-        cell = CellMatrices(
-            "c1", ("a", "p"),
-            np.array([[50.0, -5.0], [-5.0, 20.0]]) * fF,
-            np.zeros((2, 2)),
-        )
-        net = compose_cells([cell], simple_registry({"s0": ["a"]}, couplers=["p"]))
-        rc = reduce_network(net, preserve=("p",))
-        assert "p" in rc.labels
-        assert rc.block_index["coupler:p"] == (rc.index_of("p"),)
 
     def test_compose_unknown_node(self):
         cell = CellMatrices("c1", ("zz",), np.array([[1.0 * fF]]), np.zeros((1, 1)))
@@ -504,7 +484,10 @@ class TestReduceNetwork:
         net = random_circuit(rng, n_nodes=6, n_couplers=2)
         rc = reduce_network(net)
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
-        s_r, s_k = select_constraint_basis(c, l_inv, labels, net.registry)
+        eliminate = coupler_kernel(l_inv, labels, net.registry)
+        identity = np.eye(len(labels))
+        s_r = identity[:, eliminate]
+        s_k = np.delete(identity, eliminate, axis=1)
 
         freqs = normal_mode_frequencies(rc.c_mat, rc.l_inv)
         t_end = 10 * 2 * np.pi / freqs[0]

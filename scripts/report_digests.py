@@ -5,8 +5,9 @@ of two checkouts.
 With no arguments, writes the shipped benchmark device to a temporary
 directory and prints the digest of the machine report of each of
 ``analyze --naive``, ``budget`` and a 3-point ``sweep`` of the junction
-inductance. Given device config paths, prints the ``analyze --naive``
-digest of each. Run it from each checkout and compare the lines:
+inductance. Given device config paths, prints the ``analyze`` and the
+``analyze --naive`` digest of each. Run it from each checkout and compare
+the lines:
 
     PYTHONPATH=src python scripts/report_digests.py [config ...]
 """
@@ -19,6 +20,10 @@ from pathlib import Path
 from lumpedq.benchmark import write_benchmark
 from lumpedq.cli import main as lumpedq_main
 
+CONFIG_RUNS = {
+    "analyze": ["analyze"],
+    "analyze --naive": ["analyze", "--naive"],
+}
 SHIPPED_RUNS = {
     "analyze --naive": ["analyze", "--naive"],
     "budget": ["budget"],
@@ -38,15 +43,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("configs", nargs="*", type=Path,
-                        help="device configs to digest with analyze --naive")
+                        help="device configs to digest with analyze and analyze --naive")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         if args.configs:
             for config in args.configs:
-                print(f"{report_digest(SHIPPED_RUNS['analyze --naive'], config, out)}  "
-                      f"analyze --naive {config}")
+                for name, run in CONFIG_RUNS.items():
+                    print(f"{report_digest(run, config, out)}  {name} {config}")
         else:
             config = write_benchmark(Path(tmp) / "device")
             for name, run in SHIPPED_RUNS.items():

@@ -206,10 +206,12 @@ def _weak_coupling(netlist: CompositeNetlist, reduced: ReducedCircuit) -> tuple[
     raw junction-basis capacitance matrix C = s_n.T @ C_node @ s_n, left
     unsymmetrized, in place of the eliminated inverse. A junction's
     capacitance is its diagonal entry C_jj, a pair reciprocal is
-    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms."""
-    s_n = reduced.record.s_n
-    rotated = s_n.T @ netlist.c_mat @ s_n
-    index = {label: i for i, label in enumerate(reduced.record.rotated_labels)}
+    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms. Only
+    the entries of the retained (port) coordinates are formed."""
+    rotated_index = {label: i for i, label in enumerate(reduced.record.rotated_labels)}
+    s_ports = reduced.record.s_n[:, [rotated_index[label] for label in reduced.labels]]
+    rotated = s_ports.T @ netlist.c_mat @ s_ports
+    index = {label: i for i, label in enumerate(reduced.labels)}
 
     def c_eff(label: str) -> float:
         return rotated[index[label], index[label]]

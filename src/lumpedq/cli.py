@@ -69,11 +69,11 @@ def _cmd_budget(args) -> None:
 
 def _cmd_modes(args) -> None:
     import numpy as np
-    import yaml
 
+    from .config import load_yaml
     from .loadedline import LoadedLineSpec, solve_modes
 
-    raw = yaml.safe_load(Path(args.line_spec).read_text(encoding="utf-8"))
+    raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValidationError(f"{args.line_spec}: expected a mapping of line parameters")
     try:

@@ -21,6 +21,12 @@ from .errors import ConfigError
 _TERMINATIONS = {"open": False, "short": True}
 
 
+def load_yaml(text: str) -> Any:
+    """Parse a YAML document with PyYAML's safe loader, through libyaml's C
+    implementation when PyYAML was built with it."""
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 @dataclass(frozen=True)
 class CellConfig:
     ident: str
@@ -290,7 +296,7 @@ def load_device_config(path: str | Path) -> DeviceConfig:
     if not path.exists():
         raise ConfigError(f"configuration file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = load_yaml(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     return parse_device_config(raw, base_dir=path.parent)

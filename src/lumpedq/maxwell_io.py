@@ -26,10 +26,42 @@ UNIT_SCALES = {"F": 1.0, "pF": 1e-12, "fF": 1e-15}
 SYMMETRIZE_LIMIT = 1e-6
 
 
+def _raise_first_bad_row(rows: list[tuple[int, str]], width: int, source: str) -> None:
+    """Walk the data rows in read order and raise the ParseError of the first
+    unparsable value or wrong-length row, with its line and column."""
+    for lineno, line in rows:
+        fields = [f.strip() for f in line.split(",")]
+        for col, field in enumerate(fields[1:], start=2):
+            try:
+                float(field)
+            except ValueError:
+                raise ParseError(
+                    f"{source}: cannot parse {field!r} as a number", line=lineno, column=col
+                ) from None
+        if len(fields) - 1 != width:
+            raise ParseError(
+                f"{source}: row {fields[0]!r} has {len(fields) - 1} values for {width} nodes",
+                line=lineno,
+            )
+
+
+def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> np.ndarray:
+    """The value fields of the data rows, parsed by numpy in one call; a
+    failure is located by a row-by-row pass."""
+    try:
+        if any(line.count(",") != width for _, line in rows):
+            raise ValueError("rows of unequal length")
+        return np.loadtxt([line.partition(",")[2] for _, line in rows],
+                          delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _raise_first_bad_row(rows, width, source)
+        raise ParseError(f"{source}: cannot parse the matrix values ({exc})") from None
+
+
 def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
     units = None
     header: list[str] | None = None
-    rows: list[tuple[str, list[float]]] = []
+    rows: list[tuple[int, str]] = []  # (line number, data line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -41,29 +73,16 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
                 if key.strip() == "units":
                     units = value.strip()
             continue
-        fields = [f.strip() for f in line.split(",")]
         if header is None:
+            fields = [f.strip() for f in line.split(",")]
             if fields[0] != "node":
                 raise ParseError(f"{source}: first data line must start with 'node'", line=lineno, column=1)
             header = fields[1:]
             if len(set(header)) != len(header):
                 raise ParseError(f"{source}: duplicate node names in header", line=lineno)
             continue
-        name = fields[0]
-        values = []
-        for col, field in enumerate(fields[1:], start=2):
-            try:
-                values.append(float(field))
-            except ValueError:
-                raise ParseError(
-                    f"{source}: cannot parse {field!r} as a number", line=lineno, column=col
-                ) from None
-        if len(values) != len(header):
-            raise ParseError(
-                f"{source}: row {name!r} has {len(values)} values for {len(header)} nodes",
-                line=lineno,
-            )
-        rows.append((name, values))
+        rows.append((lineno, line))
+    display = _parse_values(rows, len(header), source) if rows else None
 
     if units is None:
         raise ParseError(f"{source}: missing mandatory '# units:' header")
@@ -71,11 +90,10 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
         raise ParseError(f"{source}: unsupported units {units!r}; use one of {sorted(UNIT_SCALES)}")
     if header is None or not rows:
         raise ParseError(f"{source}: no matrix data found")
-    names = [name for name, _ in rows]
+    names = [line.partition(",")[0].strip() for _, line in rows]
     if names != header:
         raise ParseError(f"{source}: row order {names} does not match header order {header}")
 
-    display = np.array([values for _, values in rows], dtype=float)
     scale = UNIT_SCALES[units]
 
     asym = np.max(np.abs(display - display.T))

@@ -9,7 +9,10 @@ Everything here operates on node-to-datum generalized fluxes in SI units
     --coupler_kernel/schur_eliminate(L_inv, C)--> inductive couplers removed
     --extract_blocks--> dressed subsystem blocks and pairwise couplings
 
-``reduce_network`` runs the rotation and both elimination passes.
+``reduce_network`` runs the rotation and both elimination passes. Both use
+the sparsity that modular cells give the device matrices: the rotation is
+read off the junction forest and applied by index products, and each
+elimination solves the islands of its coupler block one at a time.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -62,9 +65,19 @@ def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = SYMMETRY_
 
 
 def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
+    """Raise unless ``m`` is positive semi-definite to ``rtol``. A Cholesky
+    factorization accepts a positive definite matrix at a fraction of an
+    eigensolve; only a matrix it rejects (singular or indefinite) pays for
+    ``eigvalsh``, which decides the case and words the error."""
     if m.size == 0:
         return
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    sym = _symmetrize(m)
+    try:
+        np.linalg.cholesky(sym)
+        return
+    except np.linalg.LinAlgError:
+        pass
+    w = np.linalg.eigvalsh(sym)
     largest = max(w[-1], 0.0) or 1.0
     if w[0] < -rtol * largest:
         raise MalformedMatrix(
@@ -420,7 +433,7 @@ def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> Comp
                             l_inv=_symmetrize(l_inv), junctions=tuple(junctions))
 
 
-def _junction_pivots(net: CompositeNetlist) -> dict[str, str]:
+def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
     """Assign each junction the node coordinate its flux will replace.
 
     The junction graph must be a forest (no flux loops). Each tree is rooted
@@ -428,6 +441,9 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, str]:
     lexicographically smallest node, and every edge consumes its endpoint
     farther from the root. Rooting away from couplers keeps coupler node
     fluxes available for the later constraint elimination.
+
+    Returns {junction: (parent, pivot)} in breadth-first order, so every
+    parent is settled before the pivot node below it.
     """
     datum = net.registry.datum
     adjacency: dict[str, list[tuple[str, str]]] = {}
@@ -435,7 +451,7 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, str]:
         adjacency.setdefault(j.node_neg, []).append((j.node_pos, j.ident))
         adjacency.setdefault(j.node_pos, []).append((j.node_neg, j.ident))
 
-    pivots: dict[str, str] = {}
+    pivots: dict[str, tuple[str, str]] = {}
     visited: set[str] = set()
     components: list[list[str]] = []
     for start in sorted(adjacency):
@@ -474,9 +490,33 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, str]:
                         "flux-loop circuits are out of scope"
                     )
                 seen_nodes.add(v)
-                pivots[ident] = v
+                pivots[ident] = (u, v)
                 queue.append(v)
     return pivots
+
+
+def _congruence(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> np.ndarray:
+    """s.T @ m @ s for a symmetric m and the s with entries s[rows, cols] =
+    vals, sorted by column with every column occupied.
+
+    A column of s with one nonzero (nearly all of them) makes its row and
+    column of the result a signed gather of m; only the few deeper columns
+    are summed over their nonzeros.
+    """
+    counts = np.bincount(cols, minlength=m.shape[0])
+    first = np.cumsum(counts) - counts
+    sign, pick = vals[first], rows[first]
+    out = sign[:, None] * m[np.ix_(pick, pick)] * sign
+    deep = np.flatnonzero(counts > 1)
+    if deep.size:
+        spans = [slice(first[k], first[k] + counts[k]) for k in deep]
+        ms = np.stack([(m[:, rows[g]] * vals[g]).sum(axis=1) for g in spans], axis=1)
+        block = sign[:, None] * ms[pick]  # s.T @ m @ s[:, deep]
+        block[deep] = [(vals[g, None] * ms[rows[g]]).sum(axis=0) for g in spans]
+        out[:, deep] = block
+        out[deep, :] = block.T
+    return _symmetrize(out)
 
 
 def rotate_to_junction_basis(
@@ -487,42 +527,47 @@ def rotate_to_junction_basis(
 
     Returns (C, L_inv, labels, s_n) with C = s_n.T @ C_n @ s_n and
     L_inv = s_n.T @ L_inv_n @ s_n; s_n is integer-valued and invertible.
+
+    s_n is read off the junction forest: a node that keeps its own
+    coordinate has a unit row, and each pivot node's row is its parent's row
+    plus or minus its junction's coordinate (the datum's row is zero).
     """
     nodes = net.labels
-    index = {n: i for i, n in enumerate(nodes)}
+    datum = net.registry.datum
     pivots = _junction_pivots(net)
+    consumed = {pivot for _, pivot in pivots.values()}
+    labels = [j.ident for j in net.junctions] + [n for n in nodes if n not in consumed]
+    column = {label: k for k, label in enumerate(labels)}
 
+    # rows of s_n as {column: +-1}
+    s_rows: dict[str, dict[int, int]] = {datum: {}}
+    s_rows.update((n, {column[n]: 1}) for n in nodes if n not in consumed)
+    junction_by_id = {j.ident: j for j in net.junctions}
+    for ident, (parent, pivot) in pivots.items():
+        sign = 1 if pivot == junction_by_id[ident].node_pos else -1
+        s_rows[pivot] = {**s_rows[parent], column[ident]: sign}
+
+    # t, the inverse of s_n, maps node fluxes to the rotated coordinates:
+    # its row k is e_pos - e_neg for a junction and e_node for a kept node
+    t_rows = [(j.node_pos, j.node_neg) for j in net.junctions]
+    t_rows += [(n, datum) for n in labels[len(net.junctions):]]
+    for k, (pos, neg) in enumerate(t_rows):
+        product = dict(s_rows[pos])
+        for col, v in s_rows[neg].items():
+            product[col] = product.get(col, 0) - v
+        if {col: v for col, v in product.items() if v} != {k: 1}:
+            raise DependentJunctionLoop("junction basis transformation is not invertible")
+
+    node_index = {node: i for i, node in enumerate(nodes)}
+    entries = sorted((col, node_index[node], v)
+                     for node in nodes for col, v in s_rows[node].items())
+    cols, rows, vals = np.array(entries, dtype=int).reshape(-1, 3).T
+    vals = vals.astype(float)
     n = len(nodes)
-    rows = []
-    labels: list[str] = []
-    for j in net.junctions:
-        row = np.zeros(n)
-        if j.node_pos != net.registry.datum:
-            row[index[j.node_pos]] += 1.0
-        if j.node_neg != net.registry.datum:
-            row[index[j.node_neg]] -= 1.0
-        rows.append(row)
-        labels.append(j.ident)
-    consumed = set(pivots.values())
-    for node in nodes:
-        if node in consumed:
-            continue
-        row = np.zeros(n)
-        row[index[node]] = 1.0
-        rows.append(row)
-        labels.append(node)
-    t = np.vstack(rows) if rows else np.eye(n)
-
-    sign, logdet = np.linalg.slogdet(t)
-    if sign == 0 or not np.isfinite(logdet):
-        raise DependentJunctionLoop("junction flux difference vectors are linearly dependent")
-    s_n = np.linalg.inv(t)
-    s_n = np.round(s_n)  # exact by construction: t is unimodular over the integers
-    if np.max(np.abs(t @ s_n - np.eye(n))) > 1e-9:
-        raise DependentJunctionLoop("junction basis transformation is not invertible")
-
-    c = _symmetrize(s_n.T @ net.c_mat @ s_n)
-    l_inv = _symmetrize(s_n.T @ net.l_inv @ s_n)
+    s_n = np.zeros((n, n))
+    s_n[rows, cols] = vals
+    c = _congruence(net.c_mat, rows, cols, vals)
+    l_inv = _congruence(net.l_inv, rows, cols, vals)
     return c, l_inv, tuple(labels), s_n
 
 
@@ -540,19 +585,20 @@ def coupler_class_warnings(
     index = {lab: i for i, lab in enumerate(labels)}
     c_scale = np.max(np.abs(c_mat)) or 1.0
     l_scale = np.max(np.abs(l_inv)) or 1.0
-    for node in sorted(registry.couplers):
-        if node not in index:
-            continue  # consumed by a junction pivot
-        i = index[node]
-        touched_c = np.max(np.abs(c_mat[i])) > 1e-14 * c_scale
-        touched_l = np.max(np.abs(l_inv[i])) > 1e-14 * l_scale
-        if touched_c and touched_l:
-            msg = (
-                f"coupler node {node!r} is touched by both capacitive and inductive "
-                "elements; only verified kernel directions will be eliminated"
-            )
-            warnings.warn(msg)
-            messages.append(msg)
+    # couplers consumed by a junction pivot have no coordinate left
+    present = [node for node in sorted(registry.couplers) if node in index]
+    idx = [index[node] for node in present]
+    touched_c = np.max(np.abs(c_mat[idx]), axis=1, initial=0.0) > 1e-14 * c_scale
+    touched_l = np.max(np.abs(l_inv[idx]), axis=1, initial=0.0) > 1e-14 * l_scale
+    for node, both in zip(present, touched_c & touched_l):
+        if not both:
+            continue
+        msg = (
+            f"coupler node {node!r} is touched by both capacitive and inductive "
+            "elements; only verified kernel directions will be eliminated"
+        )
+        warnings.warn(msg)
+        messages.append(msg)
     return messages
 
 
@@ -563,10 +609,39 @@ def coupler_kernel(mat: np.ndarray, labels: Sequence[str], registry: NodeRegistr
     open-ended line) are never candidates.
     """
     candidates = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)]
-    scale = np.linalg.norm(mat, 2) if mat.size else 0.0
+    # ||mat||_2 equals the 2-norm of its block on the nonzero rows and columns
+    rows = np.flatnonzero(np.any(mat, axis=1))
+    cols = np.flatnonzero(np.any(mat, axis=0))
+    scale = np.linalg.norm(mat[np.ix_(rows, cols)], 2) if rows.size else 0.0
     if scale == 0.0:
         return candidates
-    return [i for i in candidates if np.linalg.norm(mat[:, i]) <= KERNEL_RTOL * scale]
+    norms = np.linalg.norm(mat[:, candidates], axis=0)
+    return [i for i, norm in zip(candidates, norms) if norm <= KERNEL_RTOL * scale]
+
+
+def _islands(block: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of a square block, each in
+    ascending index order, listed by their smallest index."""
+    n = block.shape[0]
+    rows, cols = np.nonzero((block != 0) | (block.T != 0))
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    island_of = [-1] * n
+    islands = []
+    for seed in range(n):
+        if island_of[seed] >= 0:
+            continue
+        island_of[seed] = len(islands)
+        members, stack = [seed], [seed]
+        while stack:
+            u = stack.pop()
+            for v in cols[starts[u]:starts[u + 1]]:
+                if island_of[v] < 0:
+                    island_of[v] = island_of[seed]
+                    members.append(v)
+                    stack.append(v)
+        islands.append(np.sort(members))
+    return islands
 
 
 def schur_eliminate(
@@ -580,6 +655,11 @@ def schur_eliminate(
     ``other`` to them. ``block`` names the Schur block in the error raised
     when it is singular.
 
+    The eliminated block is split into the islands of its nonzero pattern
+    (couplers of different cells share no entries); each island is tested
+    and solved on its own, and the singularity test compares the smallest
+    eigenvalue of all islands with the largest.
+
     Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
     r = np.asarray(eliminate, dtype=int)
@@ -588,15 +668,19 @@ def schur_eliminate(
     kk = np.ix_(keep, keep)
     if r.size == 0:
         return schur[kk], other[kk], keep
-    rr = schur[np.ix_(r, r)]
-    w = np.linalg.eigvalsh(_symmetrize(rr))
-    if w[0] <= SINGULAR_RATIO * max(w[-1], 0.0) or w[-1] <= 0.0:
+    islands = [r[island] for island in _islands(schur[np.ix_(r, r)])]
+    spectra = [np.linalg.eigvalsh(_symmetrize(schur[np.ix_(rc, rc)])) for rc in islands]
+    lowest = min(w[0] for w in spectra)
+    highest = max(w[-1] for w in spectra)
+    if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
         raise SingularCouplerBlock(
             f"coupler {block} block is numerically singular; an eliminated "
             f"coupler island is not connected through the {block} matrix"
         )
-    kr = schur[np.ix_(keep, r)]
-    reduced = schur[kk] - kr @ np.linalg.solve(rr, kr.T)
+    reduced = schur[kk]
+    for rc in islands:
+        kr = schur[np.ix_(keep, rc)]
+        reduced -= kr @ np.linalg.solve(schur[np.ix_(rc, rc)], kr.T)
     return _symmetrize(reduced), other[kk], keep
 
 

@@ -71,6 +71,29 @@ class TestMaxwellFormat:
         assert err.value.line == 4
         assert err.value.column == 3
 
+    def test_ragged_row_reports_line(self):
+        with pytest.raises(ParseError, match="2 values for 3 nodes") as err:
+            parse_maxwell_text(CANONICAL.replace("b,-3.0,-4.0,8.0", "b,-3.0,-4.0"))
+        assert err.value.line == 5
+
+    def test_first_bad_row_in_read_order_is_reported(self):
+        bad = CANONICAL.replace("6.0", "six").replace("b,-3.0,-4.0,8.0", "b,-3.0,-4.0")
+        with pytest.raises(ParseError, match="six") as err:
+            parse_maxwell_text(bad)
+        assert (err.value.line, err.value.column) == (4, 3)
+        # within a row too, a bad value is reported before a wrong length
+        with pytest.raises(ParseError, match="six") as err:
+            parse_maxwell_text(CANONICAL.replace("a,-2.0,6.0,-4.0", "a,-2.0,six"))
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_values_parse_as_python_floats(self):
+        fields = [[" 5.25e0", "-2", "-3.25 "], ["-2.0", "+6.5", "-4.5E-0"],
+                  ["-3.25", "-4.5", "8.000000000000001"]]
+        text = "# units: fF\nnode,g,a,b\n" + "".join(
+            f"{name},{','.join(row)}\n" for name, row in zip("gab", fields))
+        m = parse_maxwell_text(text)
+        assert np.array_equal(m.display_matrix, [[float(v) for v in row] for row in fields])
+
     def test_header_row_order_mismatch(self):
         shuffled = CANONICAL.replace("node,g,a,b", "node,g,b,a")
         with pytest.raises(ParseError, match="order"):

@@ -24,6 +24,7 @@ from lumpedq.netlist import (
     JunctionElement,
     MaxwellMatrix,
     NodeRegistry,
+    check_psd,
     compose_cells,
     coupler_kernel,
     embed_maxwell,
@@ -625,3 +626,157 @@ def test_energy_invariance_under_rotation(c_ground, mutual, lj):
     for _ in range(5):
         v = rng.normal(size=2)
         assert v @ c @ v == pytest.approx((s_n @ v) @ net.c_mat @ (s_n @ v), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# structure-exploiting reduction against dense references
+# ---------------------------------------------------------------------------
+
+def dense_junction_inverse(net, labels):
+    """Reference s_n: the node-to-rotated transform t built row by row as a
+    dense matrix (e_pos - e_neg for a junction, e_node for a kept node),
+    inverted and rounded to integers."""
+    index = {node: i for i, node in enumerate(net.labels)}
+    n = len(index)
+    t = np.zeros((n, n))
+    for k, j in enumerate(net.junctions):
+        if j.node_pos in index:
+            t[k, index[j.node_pos]] += 1.0
+        if j.node_neg in index:
+            t[k, index[j.node_neg]] -= 1.0
+    for k, node in enumerate(labels[len(net.junctions):], start=len(net.junctions)):
+        t[k, index[node]] = 1.0
+    return np.round(np.linalg.inv(t))
+
+
+@st.composite
+def junction_forests(draw):
+    """A random circuit whose junctions form a forest: every node hangs off
+    the datum, off an earlier node, or off nothing (a new tree). Chains,
+    datum-rooted and coupler-rooted trees and several trees all occur; node
+    names are shuffled against the build order."""
+    n = draw(st.integers(2, 9))
+    parents = [draw(st.integers(-2, k - 1)) for k in range(n)]  # -2: none, -1: datum
+    couplers = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = [f"n{order[k]}" for k in range(n)]
+
+    c = np.diag(rng.uniform(20.0, 100.0, n))
+    l_inv = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.uniform() < 0.5:
+                mutual = rng.uniform(0.5, 20.0)
+                c[[a, b], [a, b]] += mutual
+                c[[a, b], [b, a]] -= mutual
+            if rng.uniform() < 0.2:
+                y = 1.0 / rng.uniform(1.0, 20.0)
+                l_inv[[a, b], [a, b]] += y
+                l_inv[[a, b], [b, a]] -= y
+    junctions = []
+    for k, parent in enumerate(parents):
+        if parent == -2:
+            continue
+        ends = ["gnd" if parent == -1 else names[parent], names[k]]
+        if flips[k]:
+            ends.reverse()
+        junctions.append(JunctionElement.from_inductance(
+            f"j{k}", *ends, "s0", lj=rng.uniform(5.0, 20.0) * nH, cj=rng.uniform(0.0, 3.0) * fF))
+    cell = CellMatrices("c1", tuple(names), c * fF, l_inv / nH, junctions=tuple(junctions))
+    coupler_names = [name for name, flag in zip(names, couplers) if flag]
+    system = [name for name, flag in zip(names, couplers) if not flag]
+    return compose_cells([cell], simple_registry({"s0": system}, couplers=coupler_names))
+
+
+@given(junction_forests())
+def test_sparse_rotation_matches_dense_inverse(net):
+    c, l_inv, labels, s_n = rotate_to_junction_basis(net)
+    assert labels[:len(net.junctions)] == tuple(j.ident for j in net.junctions)
+    s_ref = dense_junction_inverse(net, labels)
+    assert np.array_equal(s_n, s_ref)
+    for got, node_matrix in ((c, net.c_mat), (l_inv, net.l_inv)):
+        ref = s_ref.T @ node_matrix @ s_ref
+        ref = 0.5 * (ref + ref.T)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def coupler_islands(rng, sizes, n_keep=3, scales=None):
+    """Random symmetric matrix whose eliminated coordinates form dense
+    islands of the given sizes with no entries between islands, each island
+    coupled to every kept coordinate; indices are shuffled. Returns the
+    matrix and the islands' indices."""
+    scales = scales or [1.0] * len(sizes)
+    n = n_keep + sum(sizes)
+    position = rng.permutation(n)  # shuffled index of each built coordinate
+    m = np.zeros((n, n))
+    a = rng.normal(size=(n_keep, n_keep))
+    kept = position[:n_keep]
+    m[np.ix_(kept, kept)] = a @ a.T + n_keep * np.eye(n_keep)
+    islands = []
+    start = n_keep
+    for size, scale in zip(sizes, scales):
+        island = position[start:start + size]
+        b = rng.normal(size=(size, size))
+        m[np.ix_(island, island)] = scale * (b @ b.T + size * np.eye(size))
+        coupling = 0.3 * scale * rng.normal(size=(n_keep, size))
+        m[np.ix_(kept, island)] = coupling
+        m[np.ix_(island, kept)] = coupling.T
+        islands.append(sorted(int(i) for i in island))
+        start += size
+    return m * fF, islands
+
+
+def eliminated(islands):
+    return sorted(i for island in islands for i in island)
+
+
+class TestIslandSchur:
+    def test_islands_match_single_block(self, rng):
+        for sizes in ([1], [3, 1, 4], [2, 2, 2, 5, 1]):
+            m, islands = coupler_islands(rng, sizes)
+            r = eliminated(islands)
+            other = rng.normal(size=m.shape)
+            got, other_kept, keep = schur_eliminate(m, other, r, "capacitance")
+            assert keep == [i for i in range(len(m)) if i not in r]
+            kk, kr, rr = np.ix_(keep, keep), np.ix_(keep, r), np.ix_(r, r)
+            ref = m[kk] - m[kr] @ np.linalg.solve(m[rr], m[kr].T)
+            ref = 0.5 * (ref + ref.T)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+            np.testing.assert_array_equal(other_kept, other[kk])
+
+    def test_one_singular_island_raises(self, rng):
+        m, islands = coupler_islands(rng, [3, 2, 4])
+        pair = islands[1]  # becomes a floating pair: its block loses a rank
+        m[np.ix_(pair, pair)] = np.array([[1.0, -1.0], [-1.0, 1.0]]) * 5 * fF
+        with pytest.raises(SingularCouplerBlock, match="inverse inductance block"):
+            schur_eliminate(m, np.zeros_like(m), eliminated(islands), "inverse inductance")
+
+    def test_singularity_is_judged_across_islands(self, rng):
+        # each island is well conditioned on its own, but one sits 1e-20
+        # below the others, as a single eliminated block would see it
+        m, islands = coupler_islands(rng, [3, 2, 4], scales=[1.0, 1e-20, 1.0])
+        with pytest.raises(SingularCouplerBlock, match="capacitance block"):
+            schur_eliminate(m, np.zeros_like(m), eliminated(islands), "capacitance")
+
+
+class TestPsdCheck:
+    def test_indefinite_message(self):
+        with pytest.raises(MalformedMatrix) as err:
+            check_psd(np.array([[1.0, 1.5], [1.5, 0.5]]) * fF, "test capacitance")
+        w = np.linalg.eigvalsh(np.array([[1.0, 1.5], [1.5, 0.5]]) * fF)
+        assert str(err.value) == (
+            f"test capacitance is not positive semi-definite "
+            f"(min/max eigenvalue {w[0]:.3e}/{w[1]:.3e})"
+        )
+
+    def test_singular_inverse_inductance_accepted(self):
+        y = 1.0 / (10 * nH)
+        floating = y * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(floating)  # only the eigenvalue fallback can accept it
+        check_psd(floating, "inverse inductance")
+        check_psd(floating - 1e-14 * y * np.eye(3), "inverse inductance")  # within PSD_RTOL
+        with pytest.raises(MalformedMatrix, match="inverse inductance"):
+            check_psd(floating - 1e-10 * y * np.eye(3), "inverse inductance")

@@ -42,9 +42,9 @@ from .netlist import (
     schur_eliminate,
 )
 from .subsystems import (
+    ModeFactor,
     QuantizedSubsystem,
     TransmonSpec,
     diagonalize_transmon,
     quantize_line,
-    scale_operators,
 )

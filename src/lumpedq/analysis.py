@@ -10,6 +10,7 @@ so sweep points may execute in parallel.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,14 +83,8 @@ class DeviceModel:
     spectrum: DressedSpectrum
     dispersive: DispersiveObservables | None
     port_coord: Mapping[str, tuple[str, str]]  # reduced label -> (subsystem, port)
-
-    @property
-    def flat_mode_names(self) -> tuple[str, ...]:
-        names = []
-        for sub in self.subsystems:
-            for m in range(len(sub.mode_dims)):
-                names.append(f"{sub.name}[{m}]" if len(sub.mode_dims) > 1 else sub.name)
-        return tuple(names)
+    # one name per flattened mode: the subsystem's, indexed when it has several
+    flat_mode_names: tuple[str, ...]
 
     def dressed_mode_frequencies(self) -> list[float]:
         return mode_frequencies(self.spectrum)
@@ -191,13 +186,7 @@ def _transmon_subsystem(tc: TransmonConfig, reduced: ReducedCircuit,
         n_max=tc.n_max,
         levels=tc.levels,
     )
-    sub = diagonalize_transmon(spec)
-    sub = QuantizedSubsystem(
-        name=tc.name, mode_dims=sub.mode_dims, hamiltonian=sub.hamiltonian,
-        charge_ops=sub.charge_ops, flux_ops=sub.flux_ops,
-        mode_frequencies=sub.mode_frequencies, charge_scales=sub.charge_scales,
-    )
-    return spec, sub, junction.ident
+    return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
 
 
 def _weak_coupling(netlist: CompositeNetlist, reduced: ReducedCircuit) -> tuple[
@@ -331,21 +320,23 @@ def build_model(
     h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
     spectrum = diagonalize(subsystems, h, min_overlap=config.analysis.min_overlap)
 
+    flat_mode_names = tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
+                            for sub in subsystems for m in range(len(sub.factors)))
+
+    def first_mode(name: str) -> int:
+        return flat_mode_names.index(name if name in flat_mode_names else f"{name}[0]")
+
     dispersive = None
-    flat_names = []
-    for sub in subsystems:
-        for m in range(len(sub.mode_dims)):
-            flat_names.append((sub.name, m))
     if config.analysis.qubit and config.analysis.readout:
-        qubit_mode = flat_names.index((config.analysis.qubit, 0))
-        readout_mode = flat_names.index((config.analysis.readout, 0))
-        dispersive = extract_dispersive(spectrum, qubit_mode, readout_mode)
+        dispersive = extract_dispersive(spectrum, first_mode(config.analysis.qubit),
+                                        first_mode(config.analysis.readout))
 
     return DeviceModel(
         config=config, naive=naive, registry=registry, netlist=netlist,
         reduced=reduced, blocks=blocks, subsystems=tuple(subsystems),
         transmon_specs=transmon_specs, lines=lines, graph=graph,
         spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
+        flat_mode_names=flat_mode_names,
     )
 
 

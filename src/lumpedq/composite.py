@@ -8,14 +8,12 @@ convention doubles the raw inverse-matrix entry, each unordered pair term is
 assembled with weight 1/2 so the total reproduces the quadratic form
 (1/2) Q^T C_k^-1 Q exactly.
 
-Real gauge: every Fock state of a harmonic subsystem is multiplied by i^n,
-n being its total occupation; transmon levels keep their phase. The gauge
-is a diagonal unitary, so the spectrum and every squared overlap with a bare
-product state are unchanged. In it the line charge i Q (a^dag - a) becomes
-the real Q (a^dag + a) and the flux Phi (a^dag + a) the purely imaginary
--i Phi (a^dag - a), so a charge-charge term is real and a flux-flux term is
-real with a factor -1. The Hamiltonian is therefore assembled as a dense
-real-symmetric matrix, each pair term written at the indices the tensor
+Every subsystem arrives as one real factor per mode, quantized in the real
+gauge (see ``subsystems``): charge operators are real symmetric and flux
+operators i times a real antisymmetric matrix, so a charge-charge term is
+real and a flux-flux term is real with a factor -1. The Hamiltonian is
+therefore assembled as a dense real-symmetric matrix over the flattened
+factors, one term per coupled mode pair written at the indices the tensor
 strides give, and only its lowest eigenpairs, the ones that hold the bare
 labels of total occupation <= 2 the observables read, are solved for.
 """
@@ -31,12 +29,11 @@ from scipy import constants
 
 from .errors import (
     DimensionOverflow,
-    NotRealInGauge,
     TargetOutOfRange,
     UnlabeledState,
     ValidationError,
 )
-from .subsystems import QuantizedSubsystem
+from .subsystems import QuantizedSubsystem, outer_sum
 
 DEFAULT_DIMENSION_CAP = 20_000
 # eigenpairs solved for beyond the bare states up to the highest required one
@@ -44,11 +41,9 @@ SUBSET_MARGIN = 8
 # dense float64 N x N arrays alive during the eigensolve: H, the solver's
 # working copy and up to N eigenvectors
 EIGENSOLVE_COPIES = 3
-GAUGE_RTOL = 1e-12
 # brentq's relative tolerance in calibrate_scalar; see its docstring for the
 # bound that holds
 CALIBRATION_RTOL = 1e-6
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -111,29 +106,7 @@ def _occupations(mode_dims: Sequence[int]) -> np.ndarray:
 
 def _bare_energies(subsystems: Sequence[QuantizedSubsystem]) -> np.ndarray:
     """Outer sum of the subsystem energies, in product basis order."""
-    total = np.zeros(1)
-    for sub in subsystems:
-        total = (total[:, None] + sub.energies[None, :]).ravel()
-    return total
-
-
-def _gauged(sub: QuantizedSubsystem, op: np.ndarray, what: str) -> tuple[np.ndarray, int]:
-    """Operator in the real gauge as (M, p) with U^dag op U = i^p M, M real
-    and p in {0, 1}; raises NotRealInGauge when it is neither real nor
-    imaginary to GAUGE_RTOL."""
-    if sub.mode_frequencies:
-        n = np.array([sum(label) for label in sub.bare_labels])
-        op = _I_POWERS[(n[None, :] - n[:, None]) % 4] * op
-    scale = np.max(np.abs(op)) or 1.0
-    if np.max(np.abs(op.imag)) <= GAUGE_RTOL * scale:
-        real = op.real
-        return 0.5 * (real + real.T), 0
-    if np.max(np.abs(op.real)) <= GAUGE_RTOL * scale:
-        imag = op.imag
-        return 0.5 * (imag - imag.T), 1
-    raise NotRealInGauge(
-        f"{what} of subsystem {sub.name!r} is neither real nor imaginary in the real gauge"
-    )
+    return outer_sum([sub.energies for sub in subsystems])
 
 
 def _add_pair_term(h: np.ndarray, dims: Sequence[int], ia: int, a: np.ndarray,
@@ -166,47 +139,38 @@ def build_full_hamiltonian(
     names = [s.name for s in subsystems]
     if len(set(names)) != len(names):
         raise ValidationError("subsystem names must be unique")
-    for sub in subsystems:
-        if np.count_nonzero(sub.hamiltonian - np.diag(np.diag(sub.hamiltonian))):
-            raise ValidationError(f"subsystem {sub.name!r}: Hamiltonian is not diagonal")
-    dims = [s.dimension for s in subsystems]
+    factors = [f for s in subsystems for f in s.factors]
+    dims = [len(f.levels) for f in factors]
     total = int(np.prod(dims))
     if total > dimension_cap:
         raise DimensionOverflow(
             f"product dimension {total} exceeds the configured cap {dimension_cap}"
         )
-    position = {name: i for i, name in enumerate(names)}
+    offsets = np.cumsum([0] + [len(s.factors) for s in subsystems]).tolist()
+    slots = {s.name: range(o, o + len(s.factors)) for s, o in zip(subsystems, offsets)}
+    ports = {s.name: s.ports for s in subsystems}
 
     terms = []  # (factor a, operator a, factor b, operator b, coefficient)
     for edge in graph.edges:
-        for sub_name, port in ((edge.sub_a, edge.port_a), (edge.sub_b, edge.port_b)):
-            if sub_name not in position:
+        ends = ((edge.sub_a, edge.port_a), (edge.sub_b, edge.port_b))
+        for sub_name, port in ends:
+            if sub_name not in slots:
                 raise ValidationError(f"coupling references unknown subsystem {sub_name!r}")
-            if port not in subsystems[position[sub_name]].charge_ops:
+            if port not in ports[sub_name]:
                 raise ValidationError(f"subsystem {sub_name!r} has no port {port!r}")
-        ia, ib = position[edge.sub_a], position[edge.sub_b]
-        sub_a, sub_b = subsystems[ia], subsystems[ib]
-        for kind, inv in (("charge", edge.inv_c_eff), ("flux", edge.inv_l_eff)):
-            if inv == 0.0:
+        # half of the pair-reported reciprocal restores the raw quadratic-form
+        # coefficient; a flux operator is i times its stored matrix, i * i = -1
+        for kind, coef in (("charge", 0.5 * edge.inv_c_eff), ("flux", -0.5 * edge.inv_l_eff)):
+            if coef == 0.0:
                 continue
-            gauged = []
-            for sub, port in ((sub_a, edge.port_a), (sub_b, edge.port_b)):
-                ops = sub.charge_ops if kind == "charge" else sub.flux_ops
-                if port not in ops:
+            for sub_name, port in ends:
+                if any(getattr(factors[i], kind) is None for i in slots[sub_name]):
                     raise ValidationError(
-                        f"inductive coupling needs a flux operator on {sub.name!r}:{port!r}; "
+                        f"inductive coupling needs a flux operator on {sub_name!r}:{port!r}; "
                         "discrete-charge subsystems only couple capacitively"
                     )
-                gauged.append(_gauged(sub, ops[port], f"{kind} operator {port!r}"))
-            (op_a, pa), (op_b, pb) = gauged
-            if pa != pb:
-                raise NotRealInGauge(
-                    f"{kind} coupling {edge.sub_a!r}:{edge.port_a!r}-{edge.sub_b!r}:"
-                    f"{edge.port_b!r} pairs a real with an imaginary operator"
-                )
-            # half of the pair-reported reciprocal restores the raw
-            # quadratic-form coefficient; i * i = -1 for two imaginary factors
-            terms.append((ia, op_a, ib, op_b, (-0.5 if pa else 0.5) * inv))
+            terms.extend((ia, getattr(factors[ia], kind), ib, getattr(factors[ib], kind), coef)
+                         for ia in slots[edge.sub_a] for ib in slots[edge.sub_b])
 
     needed = EIGENSOLVE_COPIES * 8 * total**2
     available = available_memory_bytes()
@@ -226,18 +190,16 @@ def coupling_rates(
     subsystems: Sequence[QuantizedSubsystem],
     graph: CouplingGraph,
 ) -> dict[tuple[str, int, str, int], float]:
-    """Linear coupling rates g (rad/s) per mode pair, from the scale factors
-    of the dimensionless port operators: hbar g = A_n B_m [C_k^-1]_nm."""
+    """Linear coupling rates g (rad/s) per mode pair, from the charge scales
+    of the mode factors: hbar g = A_n B_m [C_k^-1]_nm."""
     by_name = {s.name: s for s in subsystems}
     out: dict[tuple[str, int, str, int], float] = {}
     for edge in graph.edges:
         if edge.inv_c_eff == 0.0:
             continue
-        scales_a = by_name[edge.sub_a].charge_scales[edge.port_a]
-        scales_b = by_name[edge.sub_b].charge_scales[edge.port_b]
-        for ma, fa in enumerate(scales_a):
-            for mb, fb in enumerate(scales_b):
-                g = fa * fb * (0.5 * edge.inv_c_eff) / constants.hbar
+        for ma, fa in enumerate(by_name[edge.sub_a].factors):
+            for mb, fb in enumerate(by_name[edge.sub_b].factors):
+                g = fa.charge_scale * fb.charge_scale * (0.5 * edge.inv_c_eff) / constants.hbar
                 key = (edge.sub_a, ma, edge.sub_b, mb)
                 if key[:2] > key[2:]:
                     key = (edge.sub_b, mb, edge.sub_a, ma)

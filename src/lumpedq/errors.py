@@ -77,11 +77,6 @@ class UnlabeledState(NumericalError):
     """A dressed state required for an observable could not be labeled."""
 
 
-class NotRealInGauge(NumericalError):
-    """A port operator or pair term stays complex in the real gauge, so the
-    composite Hamiltonian cannot be assembled as a real matrix."""
-
-
 class TargetOutOfRange(NumericalError):
     """Calibration target is not bracketed by the endpoint responses."""
 

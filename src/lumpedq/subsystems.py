@@ -3,14 +3,21 @@
 Transmons are diagonalized exactly in the Cooper-pair-number basis (which
 handles offset charge without approximation); line modes are quantized in
 Fock bases with matrix elements fixed by their zero-point fluctuations.
-Each quantized subsystem carries its truncated Hamiltonian and the port
+A quantized subsystem is one factor per mode: its levels and the port
 charge/flux operators needed for pairwise coupling terms.
+
+Operators are emitted in a real gauge: every Fock state |n> of a line mode
+carries the phase i^n, a diagonal unitary that leaves the spectrum and every
+squared overlap with a bare product state unchanged. In it the line charge
+i Q (a^dag - a) is the real symmetric Q (a^dag + a), and the line flux
+Phi (a^dag + a) is i times the real antisymmetric Phi (a - a^dag). Transmon
+eigenvectors are real, so their charge operator is real as it stands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import constants
@@ -52,33 +59,62 @@ class TransmonSpec:
         return self.q_offset / (2.0 * _E)
 
 
+def outer_sum(levels: Sequence[np.ndarray]) -> np.ndarray:
+    """Energies of every product state, in np.ndindex order, from the
+    levels of each factor."""
+    total = np.zeros(1)
+    for level in levels:
+        total = (total[:, None] + level[None, :]).ravel()
+    return total
+
+
+@dataclass(frozen=True)
+class ModeFactor:
+    """One mode of a subsystem in the real gauge: its levels, its port
+    charge operator (real symmetric) and, for a harmonic mode, the real
+    antisymmetric matrix that is its port flux operator divided by i.
+
+    Operators symmetric (or antisymmetric) to 1e-12 relative are accepted and
+    stored exactly so, which keeps the assembled Hamiltonian exactly
+    symmetric.
+    """
+
+    levels: np.ndarray  # J, 1-D
+    charge: np.ndarray  # C
+    charge_scale: float  # C; 2e for discrete charge, Q_zpf for a harmonic quadrature
+    flux: np.ndarray | None = None  # Wb; the flux operator is i times this
+
+    def __post_init__(self):
+        if np.ndim(self.levels) != 1:
+            raise ValidationError("mode levels must be a 1-D array of energies")
+        dim = len(self.levels)
+        for what, op, sign, kind in (("charge", self.charge, 1.0, "symmetric"),
+                                     ("flux", self.flux, -1.0, "antisymmetric")):
+            if op is None:
+                continue
+            if op.shape != (dim, dim):
+                raise ValidationError(f"mode {what} operator shape {op.shape} does not match "
+                                      f"{dim} levels")
+            if (op.dtype.kind != "f"
+                    or np.max(np.abs(op - sign * op.T)) > 1e-12 * (np.max(np.abs(op)) or 1.0)):
+                raise ValidationError(f"mode {what} operator is not real {kind}")
+            object.__setattr__(self, what, 0.5 * (op + sign * op.T))
+
+
 @dataclass(frozen=True)
 class QuantizedSubsystem:
-    """Truncated subsystem: diagonal Hamiltonian in its own eigenbasis plus
-    port operators expressed there.
-
-    ``mode_dims`` lists the per-mode truncations whose product is the
-    subsystem dimension; ``bare_labels[i]`` gives the per-mode occupation
-    tuple of internal basis state i. A transmon is a single anharmonic mode.
+    """Truncated subsystem: one factor per mode, its product basis in
+    np.ndindex order. Every port shares the same operators (the two-port bus
+    approximation). A transmon is a single anharmonic mode.
     """
 
     name: str
-    mode_dims: tuple[int, ...]
-    hamiltonian: np.ndarray  # J, diagonal in the internal basis
-    charge_ops: Mapping[str, np.ndarray]  # port label -> operator (C)
-    flux_ops: Mapping[str, np.ndarray] = field(default_factory=dict)  # port label -> operator (Wb)
-    mode_frequencies: tuple[float, ...] = ()  # rad/s, harmonic modes only
-    charge_scales: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
+    ports: tuple[str, ...]
+    factors: tuple[ModeFactor, ...]
 
-    def __post_init__(self):
-        dim = int(np.prod(self.mode_dims))
-        if self.hamiltonian.shape != (dim, dim):
-            raise ValidationError(f"subsystem {self.name!r}: Hamiltonian shape mismatch")
-        for label, op in {**self.charge_ops, **self.flux_ops}.items():
-            if op.shape != (dim, dim):
-                raise ValidationError(f"subsystem {self.name!r}: operator {label!r} shape mismatch")
-            if np.max(np.abs(op - op.conj().T)) > 1e-12 * (np.max(np.abs(op)) or 1.0):
-                raise ValidationError(f"subsystem {self.name!r}: operator {label!r} not Hermitian")
+    @property
+    def mode_dims(self) -> tuple[int, ...]:
+        return tuple(len(f.levels) for f in self.factors)
 
     @property
     def dimension(self) -> int:
@@ -86,16 +122,7 @@ class QuantizedSubsystem:
 
     @property
     def energies(self) -> np.ndarray:
-        return np.real(np.diag(self.hamiltonian))
-
-    @property
-    def bare_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(idx) for idx in np.ndindex(*self.mode_dims)
-        )
-
-    def ports(self) -> tuple[str, ...]:
-        return tuple(self.charge_ops)
+        return outer_sum([f.levels for f in self.factors])
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -135,27 +162,12 @@ def diagonalize_transmon(spec: TransmonSpec) -> QuantizedSubsystem:
             f"E01 changes by {abs(e01 - e01_big) / abs(e01_big):.3e} on doubling"
         )
     charge = 2.0 * _E * (vecs.T @ (n[:, None] * vecs))
-    charge = 0.5 * (charge + charge.T)
-    return QuantizedSubsystem(
-        name="transmon",
-        mode_dims=(spec.levels,),
-        hamiltonian=np.diag(vals),
-        charge_ops={"junction": charge},
-        charge_scales={"junction": (2.0 * _E,)},
-    )
+    return QuantizedSubsystem(name="transmon", ports=("junction",), factors=(
+        ModeFactor(levels=vals, charge=charge, charge_scale=2.0 * _E),))
 
 
 def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-
-
-def _lift(op: np.ndarray, dims: Sequence[int], position: int) -> np.ndarray:
-    """Embed a single-mode operator into the product space of ``dims``."""
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        factor = op if i == position else np.eye(d, dtype=complex)
-        out = np.kron(out, factor)
-    return out
 
 
 def quantize_line(
@@ -167,9 +179,10 @@ def quantize_line(
     charge_zpf: Sequence[float] | None = None,
     flux_zpf: Sequence[float] | None = None,
 ) -> QuantizedSubsystem:
-    """Fock-truncate the listed line modes and build the port operators at
-    the loaded end, Q(0) = sum_m i Q_m_zpf (a_m^dag - a_m) and the matching
-    flux operator from Phi_m_zpf(0).
+    """Fock-truncate the listed line modes, one factor per mode, with the
+    port operators at the loaded end in the real gauge: levels
+    hbar omega_m (n + 1/2), charge Q_m_zpf (a_m^dag + a_m) and flux
+    i Phi_m_zpf(0) (a_m - a_m^dag).
 
     ``spec`` must carry the dressed loading capacitance the modes were
     solved with. Every entry of ``ports`` shares the same z = 0 operators
@@ -191,55 +204,10 @@ def quantize_line(
     if flux_zpf is None:
         flux_zpf = [float(m.phi_zpf(0.0)) for m in modes]
 
-    dims = tuple(level_list)
-    dim = int(np.prod(dims))
-    h = np.zeros((dim, dim))
-    charge = np.zeros((dim, dim), dtype=complex)
-    flux = np.zeros((dim, dim), dtype=complex)
-    for pos, (mode, d) in enumerate(zip(modes, dims)):
+    factors = []
+    for mode, d, q, phi in zip(modes, level_list, charge_zpf, flux_zpf):
         a = _destroy(d)
-        number = a.T @ a
-        h += mode.omega * constants.hbar * np.real(_lift(number + 0.5 * np.eye(d), dims, pos))
-        charge += 1j * charge_zpf[pos] * _lift(a.T - a, dims, pos)
-        flux += flux_zpf[pos] * _lift(a.T + a, dims, pos)
-    return QuantizedSubsystem(
-        name=name,
-        mode_dims=dims,
-        hamiltonian=h,
-        charge_ops={p: charge for p in ports},
-        flux_ops={p: flux for p in ports},
-        mode_frequencies=tuple(m.omega for m in modes),
-        charge_scales={p: tuple(charge_zpf) for p in ports},
-    )
-
-
-@dataclass(frozen=True)
-class ScaledOperator:
-    """One dimensionless port-operator component with its scale factor, so
-    that sum(factor * matrix) reproduces the raw charge operator exactly."""
-
-    factor: float  # C; 2e for discrete charge, Q_zpf for a harmonic quadrature
-    matrix: np.ndarray
-    mode: int
-
-
-def scale_operators(sub: QuantizedSubsystem, port: str) -> list[ScaledOperator]:
-    """Decompose a port charge operator into dimensionless components.
-
-    For a transmon the single component is the Cooper-pair-number operator
-    with scale 2e; for harmonic modes each component is i(a^dag - a) with the
-    mode's charge ZPF as scale.
-    """
-    if port not in sub.charge_ops:
-        raise ValidationError(f"subsystem {sub.name!r} has no port {port!r}")
-    factors = sub.charge_scales.get(port)
-    if factors is None:
-        raise ValidationError(f"subsystem {sub.name!r} port {port!r} carries no scale record")
-    if len(sub.mode_dims) == 1 and len(factors) == 1 and sub.mode_frequencies == ():
-        return [ScaledOperator(factors[0], sub.charge_ops[port] / factors[0], 0)]
-    out = []
-    for pos, factor in enumerate(factors):
-        a = _destroy(sub.mode_dims[pos])
-        dimless = 1j * _lift(a.T - a, sub.mode_dims, pos)
-        out.append(ScaledOperator(factor, dimless, pos))
-    return out
+        factors.append(ModeFactor(
+            levels=mode.omega * constants.hbar * (np.diag(a.T @ a) + 0.5),
+            charge=q * (a.T + a), charge_scale=q, flux=phi * (a - a.T)))
+    return QuantizedSubsystem(name=name, ports=tuple(ports), factors=tuple(factors))

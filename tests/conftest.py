@@ -160,7 +160,7 @@ def qubit_readout_system(g01_hz, *, f_r=7.0e9, ec_hz=287e6, ej_over_ec=None,
     readout = quantize_line(spec, modes, levels=readout_levels, name="readout",
                             ports=("b1",))
 
-    q01 = abs(transmon.charge_ops["junction"][0, 1])
+    q01 = abs(transmon.factors[0].charge[0, 1])
     q_r = modes[0].q0_zpf
     g01 = 2 * np.pi * g01_hz
     # assembled pair term is half the reported reciprocal
@@ -173,18 +173,15 @@ def qubit_readout_system(g01_hz, *, f_r=7.0e9, ec_hz=287e6, ej_over_ec=None,
 def kerr_oscillator(name, f01_hz, alpha_hz, levels, q_zpf, port="p"):
     """Anharmonic (Kerr) oscillator with harmonic ladder operators: the model
     the dispersive formula chi = g^2 alpha / (Delta (Delta + alpha))
-    describes. Level energies are h*(n f01 + alpha n(n-1)/2)."""
-    from lumpedq.subsystems import QuantizedSubsystem
+    describes. Level energies are h*(n f01 + alpha n(n-1)/2); the charge
+    q_zpf (a^dag + a) is in the real gauge."""
+    from lumpedq.subsystems import ModeFactor, QuantizedSubsystem
 
     n = np.arange(levels, dtype=float)
     energies = constants.h * (n * f01_hz + 0.5 * alpha_hz * n * (n - 1.0))
     a = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1)
-    charge = 1j * q_zpf * (a.T - a)
-    return QuantizedSubsystem(
-        name=name, mode_dims=(levels,), hamiltonian=np.diag(energies),
-        charge_ops={port: charge}, charge_scales={port: (q_zpf,)},
-        mode_frequencies=(2 * np.pi * f01_hz,),
-    )
+    factor = ModeFactor(levels=energies, charge=q_zpf * (a.T + a), charge_scale=q_zpf)
+    return QuantizedSubsystem(name=name, ports=(port,), factors=(factor,))
 
 
 def kerr_readout_system(g01_hz, *, f_q=5.3e9, alpha=-330e6, f_r=7.0e9,

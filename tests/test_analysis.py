@@ -109,7 +109,7 @@ class TestNaiveComparison:
                               charge_zpf=[m.q0_zpf for m in modes],
                               flux_zpf=[float(m.phi_zpf(0.0)) for m in modes])
         np.testing.assert_allclose(full.energies, naive.energies)
-        assert np.max(np.abs(full.charge_ops["b"])) == 0.0
+        assert all(np.max(np.abs(f.charge)) == 0.0 for f in full.factors)
 
     def test_report_carries_naive_block(self, bench):
         report = run_analysis(bench, naive=True)

@@ -1,9 +1,12 @@
 """Composite Hamiltonian assembly, labeling, and dispersive observables."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import constants
 
 from lumpedq import composite
@@ -20,13 +23,12 @@ from lumpedq.composite import (
 )
 from lumpedq.errors import (
     DimensionOverflow,
-    NotRealInGauge,
     TargetOutOfRange,
     UnlabeledState,
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
-from lumpedq.subsystems import QuantizedSubsystem, quantize_line
+from lumpedq.subsystems import ModeFactor, QuantizedSubsystem, quantize_line
 
 from conftest import greedy_labels, kerr_readout_system, qubit_readout_system
 
@@ -36,21 +38,22 @@ HBAR = constants.hbar
 
 def harmonic_subsystem(name, f_hz, levels, q_zpf=1e-18, port="p"):
     a = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1)
-    h = HBAR * 2 * np.pi * f_hz * (a.T @ a + 0.5 * np.eye(levels))
-    charge = 1j * q_zpf * (a.T - a)
-    return QuantizedSubsystem(
-        name=name, mode_dims=(levels,), hamiltonian=h,
-        charge_ops={port: charge}, flux_ops={},
-        mode_frequencies=(2 * np.pi * f_hz,),
-        charge_scales={port: (q_zpf,)},
-    )
+    factor = ModeFactor(levels=HBAR * 2 * np.pi * f_hz * (np.arange(levels) + 0.5),
+                        charge=q_zpf * (a.T + a), charge_scale=q_zpf)
+    return QuantizedSubsystem(name=name, ports=(port,), factors=(factor,))
 
 
 def kron_hamiltonian(subsystems, graph):
     """Oracle: the ungauged complex Hamiltonian from Kronecker products and
-    matrix products of the raw port operators."""
-    dims = [s.dimension for s in subsystems]
-    position = {s.name: i for i, s in enumerate(subsystems)}
+    matrix products of the raw port operators, one factor per mode.
+
+    A factor with a flux operator is a line mode: its raw charge
+    i q (a^dag - a) and flux Phi (a^dag + a) are built here from its charge
+    scale q and from Phi, the (0, 1) entry of the stored Phi (a - a^dag). A
+    factor without one is a transmon, whose charge is real as stored."""
+    factors = [f for s in subsystems for f in s.factors]
+    owners = [s.name for s in subsystems for _ in s.factors]
+    dims = [len(f.levels) for f in factors]
 
     def lift(op, i):
         out = np.eye(1, dtype=complex)
@@ -58,16 +61,19 @@ def kron_hamiltonian(subsystems, graph):
             out = np.kron(out, op if j == i else np.eye(d))
         return out
 
-    h = sum(lift(s.hamiltonian, i) for i, s in enumerate(subsystems))
+    charge, flux = [], []
+    for f in factors:
+        a = np.diag(np.sqrt(np.arange(1.0, len(f.levels))), k=1)
+        charge.append(f.charge if f.flux is None else 1j * f.charge_scale * (a.T - a))
+        flux.append(None if f.flux is None else f.flux[0, 1] * (a.T + a))
+    h = sum(lift(np.diag(f.levels), i) for i, f in enumerate(factors))
     for e in graph.edges:
-        ia, ib = position[e.sub_a], position[e.sub_b]
-        a, b = subsystems[ia], subsystems[ib]
-        if e.inv_c_eff:
-            h = h + 0.5 * e.inv_c_eff * (lift(a.charge_ops[e.port_a], ia)
-                                         @ lift(b.charge_ops[e.port_b], ib))
-        if e.inv_l_eff:
-            h = h + 0.5 * e.inv_l_eff * (lift(a.flux_ops[e.port_a], ia)
-                                         @ lift(b.flux_ops[e.port_b], ib))
+        for ia in (i for i, name in enumerate(owners) if name == e.sub_a):
+            for ib in (i for i, name in enumerate(owners) if name == e.sub_b):
+                if e.inv_c_eff:
+                    h = h + 0.5 * e.inv_c_eff * (lift(charge[ia], ia) @ lift(charge[ib], ib))
+                if e.inv_l_eff:
+                    h = h + 0.5 * e.inv_l_eff * (lift(flux[ia], ia) @ lift(flux[ib], ib))
     return h
 
 
@@ -90,7 +96,7 @@ def gauge_oracle_system():
     line_a, modes_a = two_mode_line("la", 6.3e9, (3, 2), "pa")
     line_b, modes_b = two_mode_line("lb", 7.1e9, (3, 2), "pb")
     hbar_g = constants.hbar * 2 * np.pi * 150e6
-    q01 = abs(qubit.charge_ops["junction"][0, 1])
+    q01 = abs(qubit.factors[0].charge[0, 1])
     qa, qb = modes_a[0].q0_zpf, modes_b[0].q0_zpf
     fa, fb = float(modes_a[0].phi_zpf(0.0)), float(modes_b[0].phi_zpf(0.0))
     edges = {
@@ -103,6 +109,16 @@ def gauge_oracle_system():
                                                   inv_c_eff=1.5 * hbar_g / (q01 * qb)),
     }
     return [qubit, line_a, line_b], edges
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_parts():
+    """A loaded line with three solved modes, and a transmon with a one-mode
+    readout line (2 levels), for the random-line oracle test."""
+    spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
+                                           c_load=320e-15)
+    subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=2)
+    return spec, tuple(solve_modes(spec, 3)), tuple(subs)
 
 
 def pt2_energies(h0_diag, v):
@@ -130,8 +146,8 @@ class TestAssembly:
 
     def test_disjoint_factors_commute_exactly(self):
         subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=3)
-        ha = np.kron(subs[0].hamiltonian, np.eye(3))
-        hb = np.kron(np.eye(3), subs[1].hamiltonian)
+        ha = np.kron(np.diag(subs[0].energies), np.eye(3))
+        hb = np.kron(np.eye(3), np.diag(subs[1].energies))
         assert np.max(np.abs(ha @ hb - hb @ ha)) == 0.0
 
     def test_hermitian(self):
@@ -143,11 +159,11 @@ class TestAssembly:
         """A port operator Hermitian only to the subsystem tolerance still
         yields a Hamiltonian symmetric to the last bit."""
         subs, graph, _, _, _ = qubit_readout_system(80e6, qubit_levels=3, readout_levels=3)
-        charge = subs[0].charge_ops["junction"].copy()
+        factor = subs[0].factors[0]
+        charge = factor.charge.copy()
         charge[0, 1] *= 1.0 + 1e-13
-        skewed = QuantizedSubsystem(name="transmon", mode_dims=(3,),
-                                    hamiltonian=subs[0].hamiltonian,
-                                    charge_ops={"junction": charge})
+        skewed = QuantizedSubsystem(name="transmon", ports=("junction",), factors=(
+            ModeFactor(levels=factor.levels, charge=charge, charge_scale=factor.charge_scale),))
         h = build_full_hamiltonian([skewed, subs[1]], graph)
         assert np.array_equal(h, h.T)
 
@@ -168,24 +184,18 @@ class TestAssembly:
 
     def test_assembled_pair_term_matches_scaled_identity(self):
         """The assembled coupling equals hbar*g times the dimensionless
-        operator product in the real gauge, entrywise: the readout's
-        i(a^dag - a) times i^(n' - n) is the real a^dag + a."""
+        operator product in the real gauge, entrywise: the readout charge is
+        its scale times the real a^dag + a, the transmon's 2e times n."""
         subs, graph, g01, _, mode = qubit_readout_system(50e6)
-        edge = graph.edges[0]
         h_coupled = build_full_hamiltonian(subs, graph)
         h_bare = build_full_hamiltonian(subs, CouplingGraph(()))
         coupling_term = h_coupled - h_bare
         rates = coupling_rates(subs, graph)
         ((_, _, _, _), g_rad), = rates.items()
-        from lumpedq.subsystems import scale_operators
-        a_q = scale_operators(subs[0], "junction")[0]
-        a_r = scale_operators(subs[1], "b1")[0]
-        phase = 1j ** np.arange(subs[1].dimension)
-        gauged = np.conj(phase)[:, None] * a_r.matrix * phase[None, :]
-        assert np.max(np.abs(gauged.imag)) == 0.0
+        qubit, readout = subs[0].factors[0], subs[1].factors[0]
         a = np.diag(np.sqrt(np.arange(1.0, subs[1].dimension)), k=1)
-        np.testing.assert_array_equal(gauged.real, a.T + a)
-        dimless = np.kron(a_q.matrix, gauged.real)
+        np.testing.assert_array_equal(readout.charge, readout.charge_scale * (a.T + a))
+        dimless = np.kron(qubit.charge / qubit.charge_scale, a.T + a)
         expected = HBAR * g_rad * dimless
         np.testing.assert_allclose(coupling_term, expected,
                                    atol=1e-12 * np.max(np.abs(expected)))
@@ -205,12 +215,11 @@ class TestAssembly:
         assert available is None or available > 0
 
     def test_non_diagonal_subsystem_hamiltonian_rejected(self):
-        subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=2, readout_levels=2)
-        mixed = QuantizedSubsystem(name="mixed", mode_dims=(2,),
-                                   hamiltonian=np.array([[0.0, 1e-25], [1e-25, 1e-24]]),
-                                   charge_ops={"p": np.zeros((2, 2))})
-        with pytest.raises(ValidationError, match="not diagonal"):
-            build_full_hamiltonian([subs[0], mixed], CouplingGraph(()))
+        """A mode carries its levels, not a Hamiltonian matrix: anything but
+        a 1-D array of energies is rejected when the factor is built."""
+        with pytest.raises(ValidationError, match="1-D"):
+            ModeFactor(levels=np.array([[0.0, 1e-25], [1e-25, 1e-24]]),
+                       charge=np.zeros((2, 2)), charge_scale=1e-18)
 
     def test_inductive_coupling_to_transmon_rejected(self):
         subs, _, _, _, _ = qubit_readout_system(0.0)
@@ -243,25 +252,59 @@ class TestRealGauge:
         vals_flipped = np.linalg.eigvalsh(kron_hamiltonian(subs, CouplingGraph((flipped,))))
         assert np.max(np.abs(vals - vals_flipped)) > 1e-4 * np.max(np.abs(vals))
 
+    @given(st.data())
+    def test_random_line_matches_kron_oracle(self, data):
+        """A line of 1-3 modes with 2-4 levels each, 1-2 ports and drawn
+        port ZPFs, coupled capacitively to a transmon and both capacitively
+        and inductively to a one-mode line, has the spectrum of the ungauged
+        oracle to 1e-12 of its largest level."""
+        spec, modes, (transmon, aux) = oracle_parts()
+        n_modes = data.draw(st.integers(1, 3))
+        modes = modes[:n_modes]
+        levels = data.draw(st.lists(st.integers(2, 4), min_size=n_modes, max_size=n_modes))
+        ports = ("p0", "p1")[:data.draw(st.integers(1, 2))]
+        charge_zpf = [m.q0_zpf * data.draw(st.floats(0.5, 2.0)) for m in modes]
+        flux_zpf = [float(m.phi_zpf(0.0)) * data.draw(st.floats(0.5, 2.0)) for m in modes]
+        line = quantize_line(spec, modes, levels=levels, name="line", ports=ports,
+                             charge_zpf=charge_zpf, flux_zpf=flux_zpf)
+
+        def hbar_g():
+            return HBAR * 2 * np.pi * data.draw(st.floats(-300e6, 300e6))
+
+        q01 = abs(transmon.factors[0].charge[0, 1])
+        q_aux, phi_aux = aux.factors[0].charge_scale, aux.factors[0].flux[0, 1]
+        graph = CouplingGraph((
+            CouplingEdge("transmon", "junction", "line", ports[0],
+                         inv_c_eff=2 * hbar_g() / (q01 * charge_zpf[0])),
+            CouplingEdge("readout", "b1", "line", ports[-1],
+                         inv_c_eff=2 * hbar_g() / (q_aux * charge_zpf[0]),
+                         inv_l_eff=2 * hbar_g() / (phi_aux * flux_zpf[0])),
+        ))
+        subs = [transmon, line, aux]
+        h = build_full_hamiltonian(subs, graph)
+        assert np.array_equal(h, h.T)
+        oracle = np.linalg.eigvalsh(kron_hamiltonian(subs, graph))
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), oracle, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(oracle)))
+
     def test_operator_neither_real_nor_imaginary_rejected(self):
-        subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=2, readout_levels=2)
+        """Operators are stored in the real gauge: a complex charge matrix,
+        even a Hermitian one, is rejected when the factor is built."""
         mixed = 1e-18 * np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
-        odd = QuantizedSubsystem(name="odd", mode_dims=(2,), hamiltonian=np.diag([0.0, 1e-24]),
-                                 charge_ops={"p": mixed})
-        graph = CouplingGraph((CouplingEdge("transmon", "junction", "odd", "p", inv_c_eff=1e12),))
-        with pytest.raises(NotRealInGauge):
-            build_full_hamiltonian([subs[0], odd], graph)
+        with pytest.raises(ValidationError, match="charge operator is not real symmetric"):
+            ModeFactor(levels=np.array([0.0, 1e-24]), charge=mixed, charge_scale=1e-18)
 
     def test_real_times_imaginary_pair_rejected(self):
-        """An ungauged i(a^dag - a) (no harmonic mode frequency) against a
-        real transmon charge would make the pair term imaginary."""
-        subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=3)
+        """An ungauged line charge i(a^dag - a) is imaginary; its real part
+        stored as is would be antisymmetric and is rejected, as is a flux
+        stored ungauged as the symmetric a^dag + a."""
         a = np.diag(np.sqrt([1.0, 2.0]), k=1)
-        bare = QuantizedSubsystem(name="bare", mode_dims=(3,), hamiltonian=np.diag([0.0, 1e-24, 2e-24]),
-                                  charge_ops={"p": 1j * 1e-18 * (a.T - a)})
-        graph = CouplingGraph((CouplingEdge("transmon", "junction", "bare", "p", inv_c_eff=1e12),))
-        with pytest.raises(NotRealInGauge):
-            build_full_hamiltonian([subs[0], bare], graph)
+        levels = np.array([0.0, 1e-24, 2e-24])
+        with pytest.raises(ValidationError, match="charge operator is not real symmetric"):
+            ModeFactor(levels=levels, charge=1e-18 * (a.T - a), charge_scale=1e-18)
+        with pytest.raises(ValidationError, match="flux operator is not real antisymmetric"):
+            ModeFactor(levels=levels, charge=1e-18 * (a.T + a), charge_scale=1e-18,
+                       flux=1e-15 * (a.T + a))
 
 
 class TestLabeling:

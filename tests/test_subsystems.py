@@ -8,12 +8,13 @@ from scipy import constants
 
 from lumpedq.errors import TruncationNotConverged, ValidationError
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
+from lumpedq.composite import CouplingEdge, CouplingGraph, build_full_hamiltonian
 from lumpedq.subsystems import (
-    QuantizedSubsystem,
+    ModeFactor,
     TransmonSpec,
+    _charge_basis_levels,
     diagonalize_transmon,
     quantize_line,
-    scale_operators,
 )
 
 from conftest import mathieu_transmon_levels
@@ -105,8 +106,8 @@ class TestTransmon:
 
     def test_charge_operator_hermitian_and_scaled(self):
         sub = diagonalize_transmon(transmon_from_ratio(50.0))
-        q = sub.charge_ops["junction"]
-        np.testing.assert_allclose(q, q.conj().T, atol=1e-25)
+        q = sub.factors[0].charge
+        np.testing.assert_allclose(q, q.T, atol=1e-25)
         # off-diagonal 0-1 element of n is near (EJ/(8 EC))**0.25 / sqrt(2)
         spec = transmon_from_ratio(50.0)
         n01 = abs(q[0, 1]) / (2 * E)
@@ -136,7 +137,7 @@ class TestLineQuantization:
 
     def test_vacuum_charge_variance_is_zpf_squared(self):
         spec, modes, sub = single_mode_line()
-        q = sub.charge_ops["b1"]
+        q = sub.factors[0].charge
         vac = np.zeros(sub.dimension)
         vac[0] = 1.0
         variance = vac @ (q @ q) @ vac
@@ -146,8 +147,8 @@ class TestLineQuantization:
         spec, modes, sub = single_mode_line()
         q0 = modes[0].q0_zpf
         a = np.diag(np.sqrt(np.arange(1, 3, dtype=float)), k=1)
-        expected = 1j * q0 * (a.T - a)
-        np.testing.assert_allclose(sub.charge_ops["b1"], expected, atol=1e-30)
+        # i q0 (a^dag - a) in the real gauge
+        np.testing.assert_allclose(sub.factors[0].charge, q0 * (a.T + a), atol=1e-30)
 
     def test_two_mode_block_operators(self):
         spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
@@ -158,15 +159,18 @@ class TestLineQuantization:
         assert sub.mode_dims == (3, 2)
         e00 = 0.5 * constants.hbar * (modes[0].omega + modes[1].omega)
         assert sub.energies[0] == pytest.approx(e00, rel=1e-12)
-        assert sub.bare_labels[0] == (0, 0)
-        assert sub.bare_labels[1] == (0, 1)
+        # np.ndindex order: state 1 is (0, 1), state 2 is (1, 0)
+        hw = constants.hbar * np.array([modes[0].omega, modes[1].omega])
+        assert sub.energies[1] - sub.energies[0] == pytest.approx(hw[1], rel=1e-12)
+        assert sub.energies[2] - sub.energies[0] == pytest.approx(hw[0], rel=1e-12)
 
     def test_shared_ports_for_double_ended_bus(self):
         spec = LoadedLineSpec.from_wave_params(8e-3, 53.0, 0.403 * constants.c,
                                                c_load=100e-15)
         modes = solve_modes(spec, 1)
         sub = quantize_line(spec, modes, levels=3, name="bus", ports=("b2a", "b2b"))
-        np.testing.assert_allclose(sub.charge_ops["b2a"], sub.charge_ops["b2b"])
+        assert sub.ports == ("b2a", "b2b")
+        assert len(sub.factors) == 1
 
     def test_level_validation(self):
         spec, modes, _ = single_mode_line()
@@ -179,48 +183,76 @@ class TestLineQuantization:
 class TestScaleOperators:
     def test_harmonic_mode_dimensionless_form(self):
         spec, modes, sub = single_mode_line()
-        scaled = scale_operators(sub, "b1")
-        assert len(scaled) == 1
-        assert scaled[0].factor == pytest.approx(modes[0].q0_zpf, rel=1e-12)
+        (factor,) = sub.factors
+        assert factor.charge_scale == pytest.approx(modes[0].q0_zpf, rel=1e-12)
         a = np.diag(np.sqrt(np.arange(1, 3, dtype=float)), k=1)
-        np.testing.assert_allclose(scaled[0].matrix, 1j * (a.T - a), atol=1e-30)
+        np.testing.assert_allclose(factor.charge / factor.charge_scale, a.T + a, atol=1e-15)
 
     def test_transmon_scaling_is_cooper_pair_number(self):
-        sub = diagonalize_transmon(transmon_from_ratio(50.0))
-        scaled = scale_operators(sub, "junction")
-        assert len(scaled) == 1
-        assert scaled[0].factor == pytest.approx(2 * E, rel=1e-15)
-        np.testing.assert_allclose(
-            scaled[0].factor * scaled[0].matrix, sub.charge_ops["junction"], atol=1e-30)
+        spec = transmon_from_ratio(50.0)
+        sub = diagonalize_transmon(spec)
+        (factor,) = sub.factors
+        assert factor.charge_scale == pytest.approx(2 * E, rel=1e-15)
+        _, _, vecs = _charge_basis_levels(spec, spec.n_max, spec.levels)
+        n = np.arange(-spec.n_max, spec.n_max + 1, dtype=float)
+        np.testing.assert_allclose(factor.charge / factor.charge_scale,
+                                   vecs.T @ (n[:, None] * vecs), atol=1e-12)
 
     def test_reconstruction_identity_multimode(self):
-        """sum_m factor_m * dimensionless_m reproduces the raw port charge
-        operator entrywise."""
+        """Each mode factor carries its own charge scale times the
+        dimensionless a^dag + a, with its own flux amplitude, in mode order."""
         spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
                                                c_load=320e-15)
         modes = solve_modes(spec, 2)
-        sub = quantize_line(spec, modes, levels=(3, 3), name="readout", ports=("b1",))
-        scaled = scale_operators(sub, "b1")
-        total = sum(s.factor * s.matrix for s in scaled)
-        scale = np.max(np.abs(sub.charge_ops["b1"]))
-        np.testing.assert_allclose(total, sub.charge_ops["b1"], atol=1e-12 * scale)
+        sub = quantize_line(spec, modes, levels=(3, 4), name="readout", ports=("b1",))
+        assert sub.mode_dims == (3, 4)
+        for factor, mode, d in zip(sub.factors, modes, (3, 4)):
+            a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+            assert factor.charge_scale == mode.q0_zpf
+            np.testing.assert_array_equal(factor.charge, mode.q0_zpf * (a.T + a))
+            np.testing.assert_array_equal(factor.flux, float(mode.phi_zpf(0.0)) * (a - a.T))
 
     def test_unknown_port_rejected(self):
         sub = diagonalize_transmon(transmon_from_ratio(50.0))
-        with pytest.raises(ValidationError):
-            scale_operators(sub, "nope")
+        _, _, line = single_mode_line()
+        graph = CouplingGraph((CouplingEdge("transmon", "nope", "readout", "b1", inv_c_eff=1.0),))
+        with pytest.raises(ValidationError, match="no port 'nope'"):
+            build_full_hamiltonian([sub, line], graph)
 
 
 class TestHermiticity:
     def test_all_returned_operators_hermitian(self):
-        spec, modes, sub = single_mode_line()
-        for op in (*sub.charge_ops.values(), *sub.flux_ops.values()):
-            scale = np.max(np.abs(op)) or 1.0
-            np.testing.assert_allclose(op, op.conj().T, atol=1e-12 * scale)
+        """Charge operators are real symmetric and flux operators i times a
+        real antisymmetric matrix, so both are Hermitian."""
+        _, _, sub = single_mode_line()
+        transmon = diagonalize_transmon(transmon_from_ratio(50.0))
+        for factor in (*sub.factors, *transmon.factors):
+            assert factor.charge.dtype == np.float64
+            assert np.array_equal(factor.charge, factor.charge.T)
+        for factor in sub.factors:
+            assert factor.flux.dtype == np.float64
+            assert np.array_equal(factor.flux, -factor.flux.T)
+        assert transmon.factors[0].flux is None
 
     def test_non_hermitian_operator_rejected(self):
-        with pytest.raises(ValidationError):
-            QuantizedSubsystem(
-                name="bad", mode_dims=(2,), hamiltonian=np.eye(2),
-                charge_ops={"p": np.array([[0.0, 1.0], [0.0, 0.0]])},
-            )
+        with pytest.raises(ValidationError, match="charge operator is not real symmetric"):
+            ModeFactor(levels=np.array([0.0, 1.0]),
+                       charge=np.array([[0.0, 1.0], [0.0, 0.0]]), charge_scale=1.0)
+        with pytest.raises(ValidationError, match="flux operator is not real antisymmetric"):
+            ModeFactor(levels=np.array([0.0, 1.0]), charge=np.zeros((2, 2)), charge_scale=1.0,
+                       flux=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("what", ["charge", "flux"])
+    def test_operator_shape_must_match_levels(self, what):
+        ops = {"charge": np.zeros((2, 2)), "flux": np.zeros((2, 2))}
+        ops[what] = np.zeros((3, 3))
+        with pytest.raises(ValidationError, match=f"{what} operator shape"):
+            ModeFactor(levels=np.array([0.0, 1.0]), charge_scale=1.0, **ops)
+
+    def test_nearly_symmetric_operators_stored_exactly_symmetric(self):
+        charge = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
+        flux = np.array([[0.0, 1.0], [-1.0 - 1e-14, 0.0]])
+        factor = ModeFactor(levels=np.array([0.0, 1.0]), charge=charge, charge_scale=1.0,
+                            flux=flux)
+        assert np.array_equal(factor.charge, factor.charge.T)
+        assert np.array_equal(factor.flux, -factor.flux.T)

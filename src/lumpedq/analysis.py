@@ -189,17 +189,14 @@ def _transmon_subsystem(tc: TransmonConfig, reduced: ReducedCircuit,
     return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
 
 
-def _weak_coupling(netlist: CompositeNetlist, reduced: ReducedCircuit) -> tuple[
+def _weak_coupling(reduced: ReducedCircuit) -> tuple[
         Callable[[str], float], Callable[[str, str], float], Callable[[str, str], float]]:
     """Naive-mode (c_eff, inv_c, inv_l): the weak-coupling expansion of the
-    raw junction-basis capacitance matrix C = s_n.T @ C_node @ s_n, left
-    unsymmetrized, in place of the eliminated inverse. A junction's
-    capacitance is its diagonal entry C_jj, a pair reciprocal is
-    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms. Only
-    the entries of the retained (port) coordinates are formed."""
-    rotated_index = {label: i for i, label in enumerate(reduced.record.rotated_labels)}
-    s_ports = reduced.record.s_n[:, [rotated_index[label] for label in reduced.labels]]
-    rotated = s_ports.T @ netlist.c_mat @ s_ports
+    raw junction-basis capacitance matrix C = s_n.T @ C_node @ s_n on the
+    retained (port) coordinates, in place of the eliminated inverse. A
+    junction's capacitance is its diagonal entry C_jj, a pair reciprocal is
+    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms."""
+    rotated = reduced.record.c_rotated
     index = {label: i for i, label in enumerate(reduced.labels)}
 
     def c_eff(label: str) -> float:
@@ -284,7 +281,7 @@ def build_model(
     reduced = reduce_network(netlist)
     blocks = extract_blocks(reduced)
     if naive:
-        c_eff, inv_c, inv_l = _weak_coupling(netlist, reduced)
+        c_eff, inv_c, inv_l = _weak_coupling(reduced)
     else:
         c_eff, inv_c, inv_l = blocks.c_eff, blocks.inv_c_coupling, blocks.inv_l_coupling
 

@@ -293,8 +293,9 @@ class CompositeNetlist:
 class ReductionRecord:
     """Transformations applied on the way to the reduced basis."""
 
-    s_n: np.ndarray  # node basis -> rotated basis, phi_node = s_n @ phi_rotated
-    rotated_labels: tuple[str, ...]
+    # junction-basis capacitance before elimination, restricted to the
+    # retained coordinates in ReducedCircuit.labels order
+    c_rotated: np.ndarray
     eliminated: tuple[str, ...]  # coupler coordinates removed, first pass first
 
 
@@ -350,21 +351,6 @@ def reduce_maxwell(m: MaxwellMatrix, datum: str) -> CellMatrices:
     nodes = tuple(m.names[i] for i in keep)
     c = m.matrix[np.ix_(keep, keep)].copy()
     return CellMatrices(ident="maxwell", nodes=nodes, c_mat=c, l_inv=np.zeros_like(c))
-
-
-def embed_maxwell(cell: CellMatrices, datum: str, datum_mutuals: Sequence[float]) -> MaxwellMatrix:
-    """Inverse of :func:`reduce_maxwell` given the stored datum mutual
-    capacitances (positive values, one per cell node); the datum itself is
-    assumed to carry no self-capacitance to infinity."""
-    n = len(cell.nodes)
-    if len(datum_mutuals) != n:
-        raise DimensionMismatch("need one datum mutual capacitance per node")
-    full = np.zeros((n + 1, n + 1))
-    full[1:, 1:] = cell.c_mat
-    full[0, 1:] = -np.asarray(datum_mutuals, dtype=float)
-    full[1:, 0] = full[0, 1:]
-    full[0, 0] = -full[0, 1:].sum()  # zero self-capacitance to infinity for the ground
-    return MaxwellMatrix(names=(datum, *cell.nodes), matrix=full)
 
 
 def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> MaxwellMatrix:
@@ -688,7 +674,7 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
     """Rotate to the junction basis, then eliminate the coupler coordinates
     in two passes: those in ker(L_inv) by a Schur complement of C, then
     those in ker(C) by a Schur complement of L_inv."""
-    c, l_inv, labels, s_n = rotate_to_junction_basis(net)
+    c, l_inv, labels, _ = rotate_to_junction_basis(net)
     coupler_class_warnings(c, l_inv, labels, net.registry)
 
     first = coupler_kernel(l_inv, labels, net.registry)
@@ -721,7 +707,8 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
         k = junction_index[j.ident]
         l_prime[k, k] -= 1.0 / j.lj
 
-    record = ReductionRecord(s_n=s_n, rotated_labels=labels, eliminated=eliminated)
+    retained = [keep1[i] for i in keep2]
+    record = ReductionRecord(c_rotated=c[np.ix_(retained, retained)], eliminated=eliminated)
     return ReducedCircuit(
         labels=labels2, c_mat=c2, l_inv=l2, l_inv_prime=l_prime,
         block_index={k: tuple(v) for k, v in block_lists.items()},
@@ -770,10 +757,6 @@ class CircuitBlocks:
         if i == j:
             raise DimensionMismatch("pair coupling requires two distinct coordinates")
         return 2.0 * self.l_inv_prime[i, j]
-
-    def subsystem_c_inv(self, name: str) -> np.ndarray:
-        idx = np.asarray(self.block_index[name], dtype=int)
-        return self.c_inv[np.ix_(idx, idx)]
 
 
 def extract_blocks(rc: ReducedCircuit, c_inv: np.ndarray | None = None) -> CircuitBlocks:

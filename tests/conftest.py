@@ -5,7 +5,7 @@ from scipy import constants
 from scipy.special import mathieu_a, mathieu_b
 
 from lumpedq.composite import CouplingEdge, CouplingGraph
-from lumpedq.netlist import CellMatrices, NodeRegistry, compose_cells
+from lumpedq.netlist import CellMatrices, MaxwellMatrix, NodeRegistry, compose_cells
 from lumpedq.subsystems import TransmonSpec, diagonalize_transmon, quantize_line
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 
@@ -195,3 +195,22 @@ def kerr_readout_system(g01_hz, *, f_q=5.3e9, alpha=-330e6, f_r=7.0e9,
     graph = CouplingGraph((CouplingEdge("qubit", "p", "readout", "p",
                                         inv_c_eff=inv_c_eff),))
     return [qubit, readout], graph
+
+
+def embed_maxwell(cell, datum, datum_mutuals):
+    """Oracle inverse of ``reduce_maxwell`` given the stored datum mutual
+    capacitances (positive values, one per cell node); the datum itself is
+    assumed to carry no self-capacitance to infinity."""
+    n = len(cell.nodes)
+    full = np.zeros((n + 1, n + 1))
+    full[1:, 1:] = cell.c_mat
+    full[0, 1:] = -np.asarray(datum_mutuals, dtype=float)
+    full[1:, 0] = full[0, 1:]
+    full[0, 0] = -full[0, 1:].sum()  # zero self-capacitance to infinity for the ground
+    return MaxwellMatrix(names=(datum, *cell.nodes), matrix=full)
+
+
+def subsystem_c_inv(blocks, name):
+    """The diagonal block of ``blocks.c_inv`` that belongs to subsystem ``name``."""
+    idx = np.asarray(blocks.block_index[name], dtype=int)
+    return blocks.c_inv[np.ix_(idx, idx)]

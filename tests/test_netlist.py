@@ -27,7 +27,6 @@ from lumpedq.netlist import (
     check_psd,
     compose_cells,
     coupler_kernel,
-    embed_maxwell,
     extract_blocks,
     merge_maxwell_nodes,
     reduce_maxwell,
@@ -36,7 +35,7 @@ from lumpedq.netlist import (
     schur_eliminate,
 )
 
-from conftest import random_circuit
+from conftest import embed_maxwell, random_circuit, subsystem_c_inv
 
 fF = 1e-15
 nH = 1e-9
@@ -580,7 +579,7 @@ class TestBlocks:
         sizes = [len(idx) for idx in rc.block_index.values()]
         assert sum(sizes) == len(rc.labels)
         for name in rc.block_index:
-            sub = blocks.subsystem_c_inv(name)
+            sub = subsystem_c_inv(blocks, name)
             assert sub.shape == (len(rc.block_index[name]),) * 2
 
 

@@ -208,6 +208,6 @@ def quantize_line(
     for mode, d, q, phi in zip(modes, level_list, charge_zpf, flux_zpf):
         a = _destroy(d)
         factors.append(ModeFactor(
-            levels=mode.omega * constants.hbar * (np.diag(a.T @ a) + 0.5),
+            levels=mode.omega * constants.hbar * (np.arange(d) + 0.5),
             charge=q * (a.T + a), charge_scale=q, flux=phi * (a - a.T)))
     return QuantizedSubsystem(name=name, ports=tuple(ports), factors=tuple(factors))

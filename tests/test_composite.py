@@ -43,16 +43,17 @@ def harmonic_subsystem(name, f_hz, levels, q_zpf=1e-18, port="p"):
     return QuantizedSubsystem(name=name, ports=(port,), factors=(factor,))
 
 
-def kron_hamiltonian(subsystems, graph):
+def kron_hamiltonian(subsystems, graph, line_zpfs):
     """Oracle: the ungauged complex Hamiltonian from Kronecker products and
     matrix products of the raw port operators, one factor per mode.
 
-    A factor with a flux operator is a line mode: its raw charge
-    i q (a^dag - a) and flux Phi (a^dag + a) are built here from its charge
-    scale q and from Phi, the (0, 1) entry of the stored Phi (a - a^dag). A
-    factor without one is a transmon, whose charge is real as stored."""
+    ``line_zpfs`` maps each line subsystem to its per-mode (Q_zpf, Phi_zpf);
+    its raw charge i Q_zpf (a^dag - a) and flux Phi_zpf (a^dag + a) are
+    built here from them. Any other subsystem is a transmon, whose charge is
+    real as stored."""
     factors = [f for s in subsystems for f in s.factors]
     owners = [s.name for s in subsystems for _ in s.factors]
+    zpfs = [zpf for s in subsystems for zpf in line_zpfs.get(s.name, [None] * len(s.factors))]
     dims = [len(f.levels) for f in factors]
 
     def lift(op, i):
@@ -62,10 +63,10 @@ def kron_hamiltonian(subsystems, graph):
         return out
 
     charge, flux = [], []
-    for f in factors:
+    for f, zpf in zip(factors, zpfs):
         a = np.diag(np.sqrt(np.arange(1.0, len(f.levels))), k=1)
-        charge.append(f.charge if f.flux is None else 1j * f.charge_scale * (a.T - a))
-        flux.append(None if f.flux is None else f.flux[0, 1] * (a.T + a))
+        charge.append(f.charge if zpf is None else 1j * zpf[0] * (a.T - a))
+        flux.append(None if zpf is None else zpf[1] * (a.T + a))
     h = sum(lift(np.diag(f.levels), i) for i, f in enumerate(factors))
     for e in graph.edges:
         for ia in (i for i, name in enumerate(owners) if name == e.sub_a):
@@ -75,6 +76,11 @@ def kron_hamiltonian(subsystems, graph):
                 if e.inv_l_eff:
                     h = h + 0.5 * e.inv_l_eff * (lift(flux[ia], ia) @ lift(flux[ib], ib))
     return h
+
+
+def mode_zpfs(modes):
+    """Per-mode (Q_zpf, Phi_zpf) at the loaded end, as kron_hamiltonian takes them."""
+    return [(m.q0_zpf, float(m.phi_zpf(0.0))) for m in modes]
 
 
 def two_mode_line(name, target_hz, levels, port):
@@ -90,7 +96,8 @@ def two_mode_line(name, target_hz, levels, port):
 
 def gauge_oracle_system():
     """Transmon + two two-mode lines: the qubit couples capacitively to both
-    lines, and the lines to each other both capacitively and inductively."""
+    lines, and the lines to each other both capacitively and inductively.
+    Returns the subsystems, the named edges and the lines' mode ZPFs."""
     subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=4, readout_levels=2)
     qubit = subs[0]
     line_a, modes_a = two_mode_line("la", 6.3e9, (3, 2), "pa")
@@ -108,17 +115,18 @@ def gauge_oracle_system():
         "qubit-far-line capacitive": CouplingEdge("transmon", "junction", "lb", "pb",
                                                   inv_c_eff=1.5 * hbar_g / (q01 * qb)),
     }
-    return [qubit, line_a, line_b], edges
+    return [qubit, line_a, line_b], edges, {"la": mode_zpfs(modes_a), "lb": mode_zpfs(modes_b)}
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_parts():
-    """A loaded line with three solved modes, and a transmon with a one-mode
-    readout line (2 levels), for the random-line oracle test."""
+    """A loaded line with three solved modes, a transmon with a one-mode
+    readout line (2 levels), and that readout's mode, for the random-line
+    oracle test."""
     spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
                                            c_load=320e-15)
-    subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=2)
-    return spec, tuple(solve_modes(spec, 3)), tuple(subs)
+    subs, _, _, _, readout_mode = qubit_readout_system(0.0, qubit_levels=3, readout_levels=2)
+    return spec, tuple(solve_modes(spec, 3)), tuple(subs), readout_mode
 
 
 def pt2_energies(h0_diag, v):
@@ -232,24 +240,25 @@ class TestAssembly:
 class TestRealGauge:
     @pytest.mark.parametrize("case", ["qubit-line capacitive", "line-line inductive", "all"])
     def test_spectrum_matches_ungauged_kron_oracle(self, case):
-        subs, edges = gauge_oracle_system()
+        subs, edges, zpfs = gauge_oracle_system()
         graph = CouplingGraph(tuple(edges.values()) if case == "all" else (edges[case],))
         h = build_full_hamiltonian(subs, graph)
         assert h.dtype == np.float64
         assert np.array_equal(h, h.T)
-        oracle = kron_hamiltonian(subs, graph)
+        oracle = kron_hamiltonian(subs, graph, zpfs)
         np.testing.assert_allclose(np.linalg.eigvalsh(h), np.linalg.eigvalsh(oracle),
                                    rtol=1e-12)
 
     def test_oracle_resolves_the_flux_sign(self):
         """With a charge and a flux term on one edge, flipping the flux sign
         changes the spectrum, so the oracle above checks the gauge's -1."""
-        subs, edges = gauge_oracle_system()
+        subs, edges, zpfs = gauge_oracle_system()
         edge = edges["line-line inductive"]
         flipped = CouplingEdge(edge.sub_a, edge.port_a, edge.sub_b, edge.port_b,
                                inv_c_eff=edge.inv_c_eff, inv_l_eff=-edge.inv_l_eff)
-        vals = np.linalg.eigvalsh(kron_hamiltonian(subs, CouplingGraph((edge,))))
-        vals_flipped = np.linalg.eigvalsh(kron_hamiltonian(subs, CouplingGraph((flipped,))))
+        vals = np.linalg.eigvalsh(kron_hamiltonian(subs, CouplingGraph((edge,)), zpfs))
+        vals_flipped = np.linalg.eigvalsh(
+            kron_hamiltonian(subs, CouplingGraph((flipped,)), zpfs))
         assert np.max(np.abs(vals - vals_flipped)) > 1e-4 * np.max(np.abs(vals))
 
     @given(st.data())
@@ -258,7 +267,7 @@ class TestRealGauge:
         port ZPFs, coupled capacitively to a transmon and both capacitively
         and inductively to a one-mode line, has the spectrum of the ungauged
         oracle to 1e-12 of its largest level."""
-        spec, modes, (transmon, aux) = oracle_parts()
+        spec, modes, (transmon, aux), aux_mode = oracle_parts()
         n_modes = data.draw(st.integers(1, 3))
         modes = modes[:n_modes]
         levels = data.draw(st.lists(st.integers(2, 4), min_size=n_modes, max_size=n_modes))
@@ -272,7 +281,7 @@ class TestRealGauge:
             return HBAR * 2 * np.pi * data.draw(st.floats(-300e6, 300e6))
 
         q01 = abs(transmon.factors[0].charge[0, 1])
-        q_aux, phi_aux = aux.factors[0].charge_scale, aux.factors[0].flux[0, 1]
+        ((q_aux, phi_aux),) = mode_zpfs([aux_mode])
         graph = CouplingGraph((
             CouplingEdge("transmon", "junction", "line", ports[0],
                          inv_c_eff=2 * hbar_g() / (q01 * charge_zpf[0])),
@@ -283,7 +292,8 @@ class TestRealGauge:
         subs = [transmon, line, aux]
         h = build_full_hamiltonian(subs, graph)
         assert np.array_equal(h, h.T)
-        oracle = np.linalg.eigvalsh(kron_hamiltonian(subs, graph))
+        zpfs = {"line": list(zip(charge_zpf, flux_zpf)), "readout": mode_zpfs([aux_mode])}
+        oracle = np.linalg.eigvalsh(kron_hamiltonian(subs, graph, zpfs))
         np.testing.assert_allclose(np.linalg.eigvalsh(h), oracle, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(oracle)))
 
@@ -293,6 +303,10 @@ class TestRealGauge:
         mixed = 1e-18 * np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
         with pytest.raises(ValidationError, match="charge operator is not real symmetric"):
             ModeFactor(levels=np.array([0.0, 1e-24]), charge=mixed, charge_scale=1e-18)
+        # symmetric, but complex: written into the real H it would lose its phase
+        with pytest.raises(ValidationError, match="charge operator is not real symmetric"):
+            ModeFactor(levels=np.array([0.0, 1e-24]), charge=(1.0 + 1.0j) * mixed.real,
+                       charge_scale=1e-18)
 
     def test_real_times_imaginary_pair_rejected(self):
         """An ungauged line charge i(a^dag - a) is imaginary; its real part
@@ -326,7 +340,7 @@ class TestLabeling:
             (subs[0].energies[1] - subs[0].energies[0]) / H_PLANCK, rel=1e-12)
 
     def test_subset_matches_full_solve_of_three_subsystems(self):
-        subs, edges = gauge_oracle_system()
+        subs, edges, _ = gauge_oracle_system()
         h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges.values())))
         spec = diagonalize(subs, h)
         k = len(spec.energies)

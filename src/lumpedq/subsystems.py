@@ -205,7 +205,7 @@ def quantize_line(
         flux_zpf = [float(m.phi_zpf(0.0)) for m in modes]
 
     factors = []
-    for mode, d, q, phi in zip(modes, level_list, charge_zpf, flux_zpf):
+    for mode, d, q, phi in zip(modes, level_list, charge_zpf, flux_zpf, strict=True):
         a = _destroy(d)
         factors.append(ModeFactor(
             levels=mode.omega * constants.hbar * (np.arange(d) + 0.5),

@@ -178,6 +178,9 @@ class TestLineQuantization:
             quantize_line(spec, modes, levels=(3, 3), name="x", ports=("p",))
         with pytest.raises(ValidationError):
             quantize_line(spec, modes, levels=1, name="x", ports=("p",))
+        with pytest.raises(ValueError):  # one ZPF per mode, none dropped silently
+            quantize_line(spec, modes, levels=3, name="x", ports=("p",),
+                          charge_zpf=[1e-18, 1e-18])
 
 
 class TestScaleOperators:

@@ -104,11 +104,6 @@ def _occupations(mode_dims: Sequence[int]) -> np.ndarray:
     return np.indices(mode_dims).reshape(len(mode_dims), -1).T
 
 
-def _bare_energies(subsystems: Sequence[QuantizedSubsystem]) -> np.ndarray:
-    """Outer sum of the subsystem energies, in product basis order."""
-    return outer_sum([sub.energies for sub in subsystems])
-
-
 def _add_pair_term(h: np.ndarray, dims: Sequence[int], ia: int, a: np.ndarray,
                    ib: int, b: np.ndarray, coef: float) -> None:
     """h += coef * kron(I, a, I, b, I), with ``a`` on factor ``ia`` and ``b``
@@ -180,7 +175,7 @@ def build_full_hamiltonian(
             f"eigensolve, more than the {available / 1e9:.2f} GB available"
         )
     h = np.zeros((total, total))
-    h[np.diag_indices(total)] = _bare_energies(subsystems)
+    h[np.diag_indices(total)] = outer_sum([s.energies for s in subsystems])
     for term in terms:
         _add_pair_term(h, dims, *term)
     return h
@@ -261,7 +256,7 @@ def diagonalize(
     n = len(occupation)
     if hamiltonian.shape != (n, n):
         raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
-    bare = _bare_energies(subsystems)
+    bare = outer_sum([s.energies for s in subsystems])
     required = occupation.sum(axis=1) <= 2
     k = min(n, int(np.count_nonzero(bare <= bare[required].max())) + SUBSET_MARGIN)
     while True:

@@ -44,7 +44,7 @@ from .netlist import (
     MaxwellMatrix,
     NodeRegistry,
     ReducedCircuit,
-    _stamp_two_terminal,
+    _two_terminal_stamp,
     compose_cells,
     extract_blocks,
     merge_maxwell_nodes,
@@ -135,7 +135,8 @@ def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrice
 
 def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]],
                      lj_overrides: Mapping[str, float]) -> list[CellMatrices]:
-    """Junctions ride on the cell containing their nodes; explicit linear
+    """All junctions ride on the first cell: composition stamps them by node
+    name, so the cell that carries them does not matter. Explicit linear
     inductors are collected into one synthetic lumped cell."""
     junctions = []
     for jc in config.junctions:
@@ -160,7 +161,8 @@ def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]]
         index = {n: i for i, n in enumerate(nodes)}
         l_inv = np.zeros((len(nodes), len(nodes)))
         for ind in config.inductors:
-            _stamp_two_terminal(l_inv, index, config.datum, ind.node_a, ind.node_b, 1.0 / ind.l_h)
+            for i, k, sign in _two_terminal_stamp(index, config.datum, ind.node_a, ind.node_b):
+                l_inv[i, k] += sign * (1.0 / ind.l_h)
         out.append(CellMatrices(ident="__inductors__", nodes=tuple(nodes),
                                 c_mat=np.zeros_like(l_inv), l_inv=l_inv))
     return out

@@ -9,10 +9,14 @@ Everything here operates on node-to-datum generalized fluxes in SI units
     --coupler_kernel/schur_eliminate(L_inv, C)--> inductive couplers removed
     --extract_blocks--> dressed subsystem blocks and pairwise couplings
 
-``reduce_network`` runs the rotation and both elimination passes. Both use
-the sparsity that modular cells give the device matrices: the rotation is
-read off the junction forest and applied by index products, and each
-elimination solves the islands of its coupler block one at a time.
+Cells are small and stay dense. The device is their union, so its
+matrices are almost empty: from ``compose_cells`` through the rotation and
+both elimination passes, C and L_inv are ``scipy.sparse`` CSR arrays, and
+only the retained block is made dense when ``ReducedCircuit`` is built. The
+stages work on the (rows, cols, vals) index arrays of those matrices and
+build each result matrix once: the rotation is read off the junction forest
+and applied as a sparse congruence, and each elimination solves the islands
+of its coupler block one at a time, as small dense blocks.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -25,7 +29,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import constants
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DependentJunctionLoop,
@@ -57,27 +64,28 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
-    scale = np.max(np.abs(m)) or 1.0
-    asym = np.max(np.abs(m - m.T))
+def check_symmetric(m, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
+    """Raise unless the dense or sparse ``m`` is symmetric to ``rtol``."""
+    if sp.issparse(m):
+        rows, cols, vals = _coo(m)
+        diff = vals - _mirrored(rows, cols, vals, m.shape[0])[0]
+    else:
+        vals, diff = m, m - m.T
+    scale = np.abs(vals).max(initial=0.0) or 1.0
+    asym = np.abs(diff).max(initial=0.0)
     if asym > rtol * scale:
         raise MalformedMatrix(f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})")
 
 
-def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
-    """Raise unless ``m`` is positive semi-definite to ``rtol``. A Cholesky
-    factorization accepts a positive definite matrix at a fraction of an
-    eigensolve; only a matrix it rejects (singular or indefinite) pays for
-    ``eigvalsh``, which decides the case and words the error."""
-    if m.size == 0:
+def check_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
+    """Raise unless the dense or sparse ``m`` is positive semi-definite to
+    ``rtol``. A factorization that succeeds only on a positive definite
+    matrix accepts it at a fraction of an eigensolve; only a matrix it
+    rejects (singular or indefinite) pays for a dense ``eigvalsh``, which
+    decides the case and words the error."""
+    if m.shape[0] == 0 or _positive_definite(m):
         return
-    sym = _symmetrize(m)
-    try:
-        np.linalg.cholesky(sym)
-        return
-    except np.linalg.LinAlgError:
-        pass
-    w = np.linalg.eigvalsh(sym)
+    w = np.linalg.eigvalsh(_symmetrize(m.toarray() if sp.issparse(m) else m))
     largest = max(w[-1], 0.0) or 1.0
     if w[0] < -rtol * largest:
         raise MalformedMatrix(
@@ -85,8 +93,131 @@ def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> No
         )
 
 
+def _positive_definite(m) -> bool:
+    """Cholesky for a dense matrix. A sparse one is factored as P A P^T = L U
+    with diagonal pivots only; then U's diagonal is the D of an LDL^T
+    factorization, and by Sylvester's law of inertia A is positive definite
+    exactly when every pivot is positive."""
+    try:
+        if not sp.issparse(m):
+            np.linalg.cholesky(_symmetrize(m))
+            return True
+        # the CSC transpose of a symmetric CSR matrix is the matrix itself
+        lu = splu(m.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except (np.linalg.LinAlgError, RuntimeError):  # not positive definite / exactly singular
+        return False
+    return np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0))
+
+
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices as index arrays
+# ---------------------------------------------------------------------------
+
+def _as_csr(a) -> sp.csr_array:
+    """``a`` (dense or sparse) as a square float CSR array in canonical form:
+    sorted column indices and no duplicates."""
+    m = a if isinstance(a, sp.csr_array) else sp.csr_array(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MalformedMatrix(f"expected a square matrix, got shape {m.shape}")
+    if m.dtype != np.float64:
+        m = m.astype(np.float64)
+    m.sum_duplicates()
+    return m
+
+
+def _coo(m: sp.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the nonzero entries of a canonical CSR array,
+    in row-major order; stored zeros are skipped."""
+    rows = np.arange(m.shape[0]).repeat(m.indptr[1:] - m.indptr[:-1])
+    nonzero = m.data != 0
+    return rows[nonzero], m.indices[nonzero].astype(np.intp), m.data[nonzero]
+
+
+def _from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_array:
+    """The n x n CSR array of distinct (rows, cols, vals) entries listed in
+    row-major order."""
+    return sp.csr_array((vals, cols, rows.searchsorted(np.arange(n + 1))), shape=(n, n))
+
+
+def _add_up(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (rows, cols, sums) in row-major order of the n x n matrix
+    whose entries are the sums of the (rows, cols, vals) triplets;
+    duplicates add in the order listed, as a dense scatter-add would."""
+    keys = rows.astype(np.int64) * n + cols
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    sums = np.bincount(first.cumsum() - 1, weights=vals[order])
+    keys = keys[first]
+    return keys // n, keys % n, sums
+
+
+def _mirrored(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For distinct entries in row-major order: the value stored at each
+    entry's mirror across the diagonal (0 where none is stored), and
+    whether one is stored."""
+    keys = np.append(rows.astype(np.int64) * n + cols, np.iinfo(np.int64).max)
+    mirror = cols.astype(np.int64) * n + rows
+    at = keys.searchsorted(mirror)
+    found = keys[at] == mirror
+    return np.where(found, np.append(vals, 0.0)[at], 0.0), found
+
+
+def _symmetric_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_array:
+    """The symmetric part 0.5 (M + M^T), as CSR, of the n x n matrix M whose
+    entries are the sums of the (rows, cols, vals) triplets; entries that
+    add to zero are dropped."""
+    rows, cols, vals = _add_up(rows, cols, vals, n)
+    mirrored, found = _mirrored(rows, cols, vals, n)
+    sym = 0.5 * (vals + mirrored)
+    if not found.all():  # an entry whose mirror is not stored gains one
+        lone = ~found
+        rows, cols, sym = _add_up(np.concatenate((rows, cols[lone])),
+                                  np.concatenate((cols, rows[lone])),
+                                  np.concatenate((sym, 0.5 * vals[lone])), n)
+    nonzero = sym != 0
+    return _from_coo(rows[nonzero], cols[nonzero], sym[nonzero], n)
+
+
+def _times(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+           s: sp.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsummed triplets of A @ s for the A with entries (rows, cols, vals):
+    entry A[i, j] contributes A[i, j] s[j, b] to (i, b) for each nonzero of
+    row j of s, listed in A's order."""
+    count = (s.indptr[1:] - s.indptr[:-1])[cols]
+    entry = np.arange(rows.size).repeat(count)
+    at = s.indptr[cols[entry]] + np.arange(entry.size) - (count.cumsum() - count).repeat(count)
+    return rows[entry], s.indices[at].astype(np.intp), vals[entry] * s.data[at]
+
+
+def _dense_block(m: sp.csr_array, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """m[np.ix_(rows, cols)] as a dense array, for distinct rows and cols."""
+    row_at = np.zeros(m.shape[0], dtype=np.intp) - 1
+    col_at = np.zeros(m.shape[1], dtype=np.intp) - 1
+    row_at[rows] = np.arange(len(rows))
+    col_at[cols] = np.arange(len(cols))
+    r, c, vals = _coo(m)
+    r, c = row_at[r], col_at[c]
+    inside = (r >= 0) & (c >= 0)
+    out = np.zeros((len(rows), len(cols)))
+    out[r[inside], c[inside]] = vals[inside]
+    return out
+
+
+def _restrict(m: sp.csr_array, keep: np.ndarray) -> sp.csr_array:
+    """m restricted to the rows and columns where the mask ``keep`` holds."""
+    rows, cols, vals = _coo(m)
+    inside = keep[rows] & keep[cols]
+    new = keep.cumsum() - 1
+    return _from_coo(new[rows[inside]], new[cols[inside]], vals[inside], int(new[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +403,17 @@ class CellMatrices:
 
 @dataclass(frozen=True)
 class CompositeNetlist:
-    """Assembled device-level matrices in the node-to-datum flux basis."""
+    """Assembled device-level matrices in the node-to-datum flux basis, held
+    as sparse CSR arrays (dense input is converted)."""
 
     registry: NodeRegistry
-    c_mat: np.ndarray
-    l_inv: np.ndarray
+    c_mat: sp.csr_array
+    l_inv: sp.csr_array
     junctions: tuple[JunctionElement, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "c_mat", _as_csr(self.c_mat))
+        object.__setattr__(self, "l_inv", _as_csr(self.l_inv))
         check_symmetric(self.c_mat, "composite capacitance")
         check_symmetric(self.l_inv, "composite inverse inductance")
         check_psd(self.c_mat, "composite capacitance")
@@ -373,50 +507,54 @@ def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> Ma
     return MaxwellMatrix(names=tuple(keep), matrix=_symmetrize(out), display_units=m.display_units)
 
 
-def _stamp_two_terminal(mat: np.ndarray, index: Mapping[str, int], datum: str,
-                        n1: str, n2: str, value: float) -> None:
-    """Add a two-terminal element of nodal value ``value`` across (n1, n2);
-    a datum terminal contributes only to the other node's diagonal."""
+def _two_terminal_stamp(index: Mapping[str, int], datum: str,
+                        n1: str, n2: str) -> list[tuple[int, int, float]]:
+    """(row, col, sign) entries of the nodal stamp of a two-terminal element
+    across (n1, n2): +1 on both diagonals and -1 off them; a datum terminal
+    leaves only the other node's diagonal."""
     for n in (n1, n2):
         if n != datum and n not in index:
             raise UnknownNode(f"element terminal {n!r} is not a registry node")
     if n1 != datum and n2 != datum:
         i, j = index[n1], index[n2]
-        mat[i, i] += value
-        mat[j, j] += value
-        mat[i, j] -= value
-        mat[j, i] -= value
-    elif n1 != datum:
-        mat[index[n1], index[n1]] += value
-    elif n2 != datum:
-        mat[index[n2], index[n2]] += value
+        return [(i, i, 1.0), (j, j, 1.0), (i, j, -1.0), (j, i, -1.0)]
+    node = n1 if n1 != datum else n2
+    return [(index[node], index[node], 1.0)] if node != datum else []
 
 
 def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> CompositeNetlist:
     """Scatter-add cell matrices into the global node order and stamp each
     junction's intrinsic capacitance and linear inductance across its
-    terminal pair."""
+    terminal pair. Each device matrix is built once, as sparse CSR, from the
+    entries of all cells and stamps."""
     nodes = registry.nodes
     index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    c = np.zeros((n, n))
-    l_inv = np.zeros((n, n))
+    rows, cols, c_vals, l_vals = [], [], [], []
     junctions: list[JunctionElement] = []
     for cell in cells:
-        rows = []
         for node in cell.nodes:
             if node not in index:
                 raise UnknownNode(f"cell {cell.ident!r} node {node!r} not in registry")
-            rows.append(index[node])
-        ij = np.ix_(rows, rows)
-        c[ij] += cell.c_mat
-        l_inv[ij] += cell.l_inv
+        at = np.array([index[node] for node in cell.nodes], dtype=np.intp)
+        r, k = np.nonzero((cell.c_mat != 0) | (cell.l_inv != 0))
+        rows.append(at[r])
+        cols.append(at[k])
+        c_vals.append(cell.c_mat[r, k])
+        l_vals.append(cell.l_inv[r, k])
         junctions.extend(cell.junctions)
-    for j in junctions:
-        _stamp_two_terminal(c, index, registry.datum, j.node_neg, j.node_pos, j.cj)
-        _stamp_two_terminal(l_inv, index, registry.datum, j.node_neg, j.node_pos, 1.0 / j.lj)
-    return CompositeNetlist(registry=registry, c_mat=_symmetrize(c),
-                            l_inv=_symmetrize(l_inv), junctions=tuple(junctions))
+    stamps = np.array([(i, k, sign * j.cj, sign * (1.0 / j.lj))
+                       for j in junctions
+                       for i, k, sign in _two_terminal_stamp(index, registry.datum,
+                                                             j.node_neg, j.node_pos)]).reshape(-1, 4)
+    rows = np.concatenate([*rows, stamps[:, 0].astype(np.intp)])
+    cols = np.concatenate([*cols, stamps[:, 1].astype(np.intp)])
+    n = len(nodes)
+    return CompositeNetlist(
+        registry=registry,
+        c_mat=_symmetric_csr(rows, cols, np.concatenate([*c_vals, stamps[:, 2]]), n),
+        l_inv=_symmetric_csr(rows, cols, np.concatenate([*l_vals, stamps[:, 3]]), n),
+        junctions=tuple(junctions),
+    )
 
 
 def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
@@ -481,38 +619,25 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
     return pivots
 
 
-def _congruence(m: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> np.ndarray:
-    """s.T @ m @ s for a symmetric m and the s with entries s[rows, cols] =
-    vals, sorted by column with every column occupied.
-
-    A column of s with one nonzero (nearly all of them) makes its row and
-    column of the result a signed gather of m; only the few deeper columns
-    are summed over their nonzeros.
-    """
-    counts = np.bincount(cols, minlength=m.shape[0])
-    first = np.cumsum(counts) - counts
-    sign, pick = vals[first], rows[first]
-    out = sign[:, None] * m[np.ix_(pick, pick)] * sign
-    deep = np.flatnonzero(counts > 1)
-    if deep.size:
-        spans = [slice(first[k], first[k] + counts[k]) for k in deep]
-        ms = np.stack([(m[:, rows[g]] * vals[g]).sum(axis=1) for g in spans], axis=1)
-        block = sign[:, None] * ms[pick]  # s.T @ m @ s[:, deep]
-        block[deep] = [(vals[g, None] * ms[rows[g]]).sum(axis=0) for g in spans]
-        out[:, deep] = block
-        out[deep, :] = block.T
-    return _symmetrize(out)
+def _sparse_congruence(m: sp.csr_array, s: sp.csr_array) -> sp.csr_array:
+    """s.T @ m @ s for a symmetric m, as two products on index arrays: t =
+    m @ s, then (s.T @ t).T = t.T @ s, each entry summed over rising node
+    index. A row of s with one nonzero (nearly all of them) makes this a
+    signed gather of m."""
+    n = s.shape[1]
+    rows, cols, vals = _add_up(*_times(*_coo(m), s), n)
+    return _symmetric_csr(*_times(cols, rows, vals, s), n)
 
 
 def rotate_to_junction_basis(
     net: CompositeNetlist,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
+) -> tuple[sp.csr_array, sp.csr_array, tuple[str, ...], sp.csr_array]:
     """Rotate the node-flux basis so every junction flux phi_j = phi(n2) -
     phi(n1) is an explicit coordinate, listed first.
 
     Returns (C, L_inv, labels, s_n) with C = s_n.T @ C_n @ s_n and
-    L_inv = s_n.T @ L_inv_n @ s_n; s_n is integer-valued and invertible.
+    L_inv = s_n.T @ L_inv_n @ s_n, all sparse CSR; s_n is integer-valued and
+    invertible.
 
     s_n is read off the junction forest: a node that keeps its own
     coordinate has a unit row, and each pivot node's row is its parent's row
@@ -545,21 +670,18 @@ def rotate_to_junction_basis(
             raise DependentJunctionLoop("junction basis transformation is not invertible")
 
     node_index = {node: i for i, node in enumerate(nodes)}
-    entries = sorted((col, node_index[node], v)
+    entries = sorted((node_index[node], col, v)
                      for node in nodes for col, v in s_rows[node].items())
-    cols, rows, vals = np.array(entries, dtype=int).reshape(-1, 3).T
-    vals = vals.astype(float)
-    n = len(nodes)
-    s_n = np.zeros((n, n))
-    s_n[rows, cols] = vals
-    c = _congruence(net.c_mat, rows, cols, vals)
-    l_inv = _congruence(net.l_inv, rows, cols, vals)
+    rows, cols, vals = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    s_n = _from_coo(rows, cols, vals.astype(float), len(nodes))
+    c = _sparse_congruence(net.c_mat, s_n)
+    l_inv = _sparse_congruence(net.l_inv, s_n)
     return c, l_inv, tuple(labels), s_n
 
 
 def coupler_class_warnings(
-    c_mat: np.ndarray,
-    l_inv: np.ndarray,
+    c_mat: sp.csr_array,
+    l_inv: sp.csr_array,
     labels: Sequence[str],
     registry: NodeRegistry,
 ) -> list[str]:
@@ -567,16 +689,19 @@ def coupler_class_warnings(
     coupler coordinate (touched by one element class only) and warn on
     failures. Runs in the junction basis: a junction's inductance belongs to
     its own flux coordinate, not to the terminal pads it spans."""
+    def touched(m) -> np.ndarray:
+        rows, _, vals = _coo(_as_csr(m))
+        vals = np.abs(vals)
+        hit = np.zeros(len(labels), dtype=bool)
+        hit[rows[vals > 1e-14 * (vals.max(initial=0.0) or 1.0)]] = True
+        return hit
+
     messages = []
     index = {lab: i for i, lab in enumerate(labels)}
-    c_scale = np.max(np.abs(c_mat)) or 1.0
-    l_scale = np.max(np.abs(l_inv)) or 1.0
     # couplers consumed by a junction pivot have no coordinate left
     present = [node for node in sorted(registry.couplers) if node in index]
     idx = [index[node] for node in present]
-    touched_c = np.max(np.abs(c_mat[idx]), axis=1, initial=0.0) > 1e-14 * c_scale
-    touched_l = np.max(np.abs(l_inv[idx]), axis=1, initial=0.0) > 1e-14 * l_scale
-    for node, both in zip(present, touched_c & touched_l):
+    for node, both in zip(present, (touched(c_mat) & touched(l_inv))[idx]):
         if not both:
             continue
         msg = (
@@ -588,74 +713,80 @@ def coupler_class_warnings(
     return messages
 
 
-def coupler_kernel(mat: np.ndarray, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
-    """Indices of the declared coupler coordinates that lie in ker(mat).
+def coupler_kernel(mat, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
+    """Indices of the declared coupler coordinates that lie in ker(mat), for
+    a dense or sparse ``mat``.
 
     Subsystem-owned kernel directions (for instance the uniform mode of an
     open-ended line) are never candidates.
     """
     candidates = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)]
-    # ||mat||_2 equals the 2-norm of its block on the nonzero rows and columns
-    rows = np.flatnonzero(np.any(mat, axis=1))
-    cols = np.flatnonzero(np.any(mat, axis=0))
-    scale = np.linalg.norm(mat[np.ix_(rows, cols)], 2) if rows.size else 0.0
-    if scale == 0.0:
+    m = _as_csr(mat)
+    rows, cols, vals = _coo(m)
+    if not candidates or not vals.size:
         return candidates
-    norms = np.linalg.norm(mat[:, candidates], axis=0)
-    return [i for i, norm in zip(candidates, norms) if norm <= KERNEL_RTOL * scale]
-
-
-def _islands(block: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern of a square block, each in
-    ascending index order, listed by their smallest index."""
-    n = block.shape[0]
-    rows, cols = np.nonzero((block != 0) | (block.T != 0))
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
-    island_of = [-1] * n
-    islands = []
-    for seed in range(n):
-        if island_of[seed] >= 0:
-            continue
-        island_of[seed] = len(islands)
-        members, stack = [seed], [seed]
-        while stack:
-            u = stack.pop()
-            for v in cols[starts[u]:starts[u + 1]]:
-                if island_of[v] < 0:
-                    island_of[v] = island_of[seed]
-                    members.append(v)
-                    stack.append(v)
-        islands.append(np.sort(members))
-    return islands
+    # ||mat||_2, the largest singular value, equals that of its block on the
+    # nonzero rows and columns
+    occupied = np.zeros((2, m.shape[0]), dtype=bool)
+    occupied[0, rows] = occupied[1, cols] = True
+    block = _dense_block(m, occupied[0].nonzero()[0], occupied[1].nonzero()[0])
+    scale = np.linalg.svd(block, compute_uv=False)[0]
+    norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=m.shape[1]))
+    return [i for i in candidates if norms[i] <= KERNEL_RTOL * scale]
 
 
 def schur_eliminate(
-    schur: np.ndarray,
-    other: np.ndarray,
+    schur,
+    other,
     eliminate: Sequence[int],
     block: str,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[sp.csr_array, sp.csr_array, list[int]]:
     """Eliminate the ``eliminate`` coordinates: take the Schur complement of
     the ``schur`` quadratic form onto the kept coordinates and restrict
-    ``other`` to them. ``block`` names the Schur block in the error raised
-    when it is singular.
+    ``other`` to them. Both matrices may be dense or sparse; the results are
+    sparse CSR. ``block`` names the Schur block in the error raised when it
+    is singular.
 
     The eliminated block is split into the islands of its nonzero pattern
     (couplers of different cells share no entries); each island is tested
-    and solved on its own, and the singularity test compares the smallest
+    and solved on its own as a dense block, and its update reaches only the
+    kept rows that touch it. The singularity test compares the smallest
     eigenvalue of all islands with the largest.
 
     Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
-    r = np.asarray(eliminate, dtype=int)
-    dropped = set(eliminate)
-    keep = [i for i in range(schur.shape[0]) if i not in dropped]
-    kk = np.ix_(keep, keep)
-    if r.size == 0:
-        return schur[kk], other[kk], keep
-    islands = [r[island] for island in _islands(schur[np.ix_(r, r)])]
-    spectra = [np.linalg.eigvalsh(_symmetrize(schur[np.ix_(rc, rc)])) for rc in islands]
+    schur, other = _as_csr(schur), _as_csr(other)
+    n = schur.shape[0]
+    dropped = np.zeros(n, dtype=bool)
+    dropped[np.asarray(eliminate, dtype=np.intp)] = True
+    if not dropped.any():
+        return schur, other, list(range(n))
+    keep = ~dropped
+    rows, cols, vals = _coo(schur)
+    local = dropped.cumsum() - 1  # position among the eliminated coordinates
+    new = keep.cumsum() - 1  # position among the kept coordinates
+    n_r, n_k = int(local[-1]) + 1, int(new[-1]) + 1
+    inner = dropped[rows] & dropped[cols]
+    edge = keep[rows] & dropped[cols]
+    a, b = local[rows[inner]], local[cols[inner]]
+
+    # islands of the symmetric pattern of the eliminated block, which scipy
+    # numbers in the order of their smallest member
+    links = _add_up(np.concatenate((a, b)), np.concatenate((b, a)), np.ones(2 * a.size), n_r)
+    count, island = connected_components(_from_coo(*links, n_r), connection="strong")
+    members, first = _grouped(island, count)
+    slot = np.empty(n_r, dtype=np.intp)  # position within its island
+    slot[members] = np.arange(n_r) - first[island[members]]
+
+    # each island's block, and its couplings to the kept rows that touch it
+    order, start = _grouped(island[a], count)
+    a, b, v = slot[a[order]], slot[b[order]], vals[inner][order]
+    blocks = []
+    for k in range(count):
+        rr = np.zeros((first[k + 1] - first[k],) * 2)
+        rr[a[start[k]:start[k + 1]], b[start[k]:start[k + 1]]] = v[start[k]:start[k + 1]]
+        blocks.append(rr)
+    spectra = [np.linalg.eigvalsh(_symmetrize(rr)) for rr in blocks]
     lowest = min(w[0] for w in spectra)
     highest = max(w[-1] for w in spectra)
     if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
@@ -663,17 +794,37 @@ def schur_eliminate(
             f"coupler {block} block is numerically singular; an eliminated "
             f"coupler island is not connected through the {block} matrix"
         )
-    reduced = schur[kk]
-    for rc in islands:
-        kr = schur[np.ix_(keep, rc)]
-        reduced -= kr @ np.linalg.solve(schur[np.ix_(rc, rc)], kr.T)
-    return _symmetrize(reduced), other[kk], keep
+
+    kept_rows, c = rows[edge], local[cols[edge]]
+    order, start = _grouped(island[c], count)
+    kept_rows, c, v = kept_rows[order], slot[c[order]], vals[edge][order]
+    outer = keep[rows] & keep[cols]
+    parts = [(new[rows[outer]], new[cols[outer]], vals[outer])]
+    for k, rr in enumerate(blocks):
+        seg = slice(start[k], start[k + 1])
+        touching, at = np.unique(kept_rows[seg], return_inverse=True)
+        kr = np.zeros((touching.size, rr.shape[0]))
+        kr[at, c[seg]] = v[seg]
+        update = kr @ np.linalg.solve(rr, kr.T)
+        parts.append((new[touching].repeat(touching.size),
+                      np.tile(new[touching], touching.size), -update.ravel()))
+    reduced = _symmetric_csr(*(np.concatenate(p) for p in zip(*parts)), n_k)
+    return reduced, _restrict(other, keep), keep.nonzero()[0].tolist()
+
+
+def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts an integer key in [0, count), and where
+    each key's run starts in it (count + 1 bounds)."""
+    bounds = np.zeros(count + 1, dtype=np.intp)
+    bounds[1:] = np.bincount(key, minlength=count).cumsum()
+    return key.argsort(kind="stable"), bounds
 
 
 def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
     """Rotate to the junction basis, then eliminate the coupler coordinates
     in two passes: those in ker(L_inv) by a Schur complement of C, then
-    those in ker(C) by a Schur complement of L_inv."""
+    those in ker(C) by a Schur complement of L_inv. The matrices stay sparse
+    throughout; only the retained block is made dense."""
     c, l_inv, labels, _ = rotate_to_junction_basis(net)
     coupler_class_warnings(c, l_inv, labels, net.registry)
 
@@ -702,13 +853,14 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
         else:
             block_lists[net.registry.subsystem_of(lab)].append(i)
 
+    c2, l2 = c2.toarray(), l2.toarray()
     l_prime = l2.copy()
     for j in net.junctions:
         k = junction_index[j.ident]
         l_prime[k, k] -= 1.0 / j.lj
 
     retained = [keep1[i] for i in keep2]
-    record = ReductionRecord(c_rotated=c[np.ix_(retained, retained)], eliminated=eliminated)
+    record = ReductionRecord(c_rotated=_dense_block(c, retained, retained), eliminated=eliminated)
     return ReducedCircuit(
         labels=labels2, c_mat=c2, l_inv=l2, l_inv_prime=l_prime,
         block_index={k: tuple(v) for k, v in block_lists.items()},

@@ -1,7 +1,10 @@
 """Circuit data model and the matrix reduction pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -19,8 +22,10 @@ from lumpedq.errors import (
 )
 from lumpedq.loadedline import LoadedLineSpec
 from lumpedq.netlist import (
+    KERNEL_RTOL,
     PHI_0,
     CellMatrices,
+    CompositeNetlist,
     JunctionElement,
     MaxwellMatrix,
     NodeRegistry,
@@ -192,14 +197,14 @@ class TestCompose:
             CellMatrices("c2", ("x",), np.array([[1.0 * fF]]), np.zeros((1, 1))),
         ]
         net = compose_cells(cells, reg)
-        np.testing.assert_allclose(net.c_mat, [[2.0 * fF]])
+        np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
 
     def test_junction_to_datum_stamp(self):
         j = JunctionElement.from_inductance("j1", "gnd", "a", "s0", lj=10 * nH, cj=2 * fF)
         cell = CellMatrices("c1", ("a",), np.zeros((1, 1)), np.zeros((1, 1)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["a"]}))
-        np.testing.assert_allclose(net.c_mat, [[2.0 * fF]])
-        np.testing.assert_allclose(net.l_inv, [[0.1 / nH]])
+        np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
+        np.testing.assert_allclose(net.l_inv.toarray(), [[0.1 / nH]])
 
     def test_junction_pair_stamp_matches_nodal_analysis(self):
         """Two-terminal inductor stamp: +1/L on both diagonals, -1/L off."""
@@ -208,12 +213,22 @@ class TestCompose:
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p0", "p1"]}))
         y = 0.1 / nH
-        np.testing.assert_allclose(net.l_inv, [[y, -y], [-y, y]])
+        np.testing.assert_allclose(net.l_inv.toarray(), [[y, -y], [-y, y]])
+
+    def test_one_sided_entry_is_symmetrized(self):
+        """The composite is the symmetric part of the scatter-added cells,
+        also where a cell stores an entry on one side of the diagonal only."""
+        c = np.diag([30.0, 40.0, 50.0]) * fF
+        c[0, 2] = -1e-14 * fF  # within the cell's symmetry tolerance
+        cell = CellMatrices("c1", ("a", "b", "c"), c, np.zeros((3, 3)))
+        net = compose_cells([cell], simple_registry({"s0": ["a", "b", "c"]}))
+        np.testing.assert_array_equal(net.c_mat.toarray(), 0.5 * (c + c.T))
 
     def test_rank_bounded_by_element_count(self, rng):
         net = random_circuit(rng)
-        assert np.linalg.matrix_rank(net.l_inv, tol=1e-9 * np.linalg.norm(net.l_inv, 2) or None) \
-            <= np.count_nonzero(np.triu(net.l_inv))
+        l_inv = net.l_inv.toarray()
+        assert np.linalg.matrix_rank(l_inv, tol=1e-9 * np.linalg.norm(l_inv, 2) or None) \
+            <= np.count_nonzero(np.triu(l_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +243,8 @@ class TestRotation:
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1",)
-        np.testing.assert_allclose(s_n, [[1.0]])
-        np.testing.assert_allclose(c, net.c_mat)
+        np.testing.assert_allclose(s_n.toarray(), [[1.0]])
+        np.testing.assert_allclose(c.toarray(), net.c_mat.toarray())
 
     def test_pair_junction_new_basis(self):
         j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
@@ -239,7 +254,7 @@ class TestRotation:
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "p0")
         # junction inductance lands purely on the junction coordinate
-        np.testing.assert_allclose(l_inv, np.diag([0.1 / nH, 0.0]), atol=1e-20)
+        np.testing.assert_allclose(l_inv.toarray(), np.diag([0.1 / nH, 0.0]), atol=1e-20)
 
     def test_quadratic_form_invariance(self, rng):
         j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
@@ -284,7 +299,7 @@ class TestRotation:
         net = compose_cells([cell], simple_registry({"s0": ["a", "b"]}))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "j2")
-        np.testing.assert_allclose(l_inv, np.diag([0.1 / nH, 1.0 / (12 * nH)]), atol=1e-16)
+        np.testing.assert_allclose(l_inv.toarray(), np.diag([0.1 / nH, 1.0 / (12 * nH)]), atol=1e-16)
 
 
 class TestJunctionElement:
@@ -334,7 +349,7 @@ class TestElimination:
         assert eliminate == []
         c_k, _, keep = schur_eliminate(c, np.zeros((2, 2)), eliminate, "capacitance")
         assert keep == [0, 1]
-        np.testing.assert_allclose(c_k, c)
+        np.testing.assert_allclose(c_k.toarray(), c)
 
     def test_subsystem_kernel_direction_not_selected(self):
         # open-ended ladder: the uniform flux vector spans ker(L^-1) but is
@@ -343,7 +358,8 @@ class TestElimination:
         net = ladder_netlist(spec, 20)
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
         uniform = np.ones(len(labels))
-        assert np.linalg.norm(net.l_inv @ uniform) < 1e-9 * np.linalg.norm(net.l_inv, 2)
+        l_inv_n = net.l_inv.toarray()
+        assert np.linalg.norm(l_inv_n @ uniform) < 1e-9 * np.linalg.norm(l_inv_n, 2)
         assert coupler_kernel(l_inv, labels, net.registry) == []
 
     def test_series_capacitors_through_coupler(self):
@@ -361,7 +377,7 @@ class TestElimination:
         c_k, l_k, _ = schur_eliminate(c, l_inv, coupler_kernel(l_inv, labels, reg), "capacitance")
         expected = c1 * c2 / (c1 + c2)
         np.testing.assert_allclose(
-            c_k, [[expected, -expected], [-expected, expected]], rtol=1e-12
+            c_k.toarray(), [[expected, -expected], [-expected, expected]], rtol=1e-12
         )
 
     def test_empty_sr_is_permutation(self, rng):
@@ -369,8 +385,8 @@ class TestElimination:
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
         c_k, l_k, keep = schur_eliminate(c, l_inv, [], "capacitance")
         assert keep == list(range(len(labels)))
-        np.testing.assert_allclose(c_k, c)
-        np.testing.assert_allclose(l_k, l_inv)
+        np.testing.assert_allclose(c_k.toarray(), c.toarray())
+        np.testing.assert_allclose(l_k.toarray(), l_inv.toarray())
 
     def test_coupler_island_without_capacitive_path(self):
         reg = simple_registry({"s0": ["a"]}, couplers=["p"])
@@ -397,8 +413,8 @@ class TestElimination:
         labels2 = tuple(labels[i] for i in keep)
         assert labels2 == ("a", "b")
         y = 1.0 / (l1 + l2)
-        np.testing.assert_allclose(li2, [[y, -y], [-y, y]], rtol=1e-12)
-        np.testing.assert_allclose(c2, np.diag([50 * fF, 50 * fF]))
+        np.testing.assert_allclose(li2.toarray(), [[y, -y], [-y, y]], rtol=1e-12)
+        np.testing.assert_allclose(c2.toarray(), np.diag([50 * fF, 50 * fF]))
 
     def test_second_pass_identity_when_purely_capacitive(self, rng):
         net = random_circuit(rng)
@@ -410,8 +426,8 @@ class TestElimination:
                                         "inverse inductance")
         labels2 = tuple(labels1[i] for i in keep2)
         assert labels2 == labels1
-        np.testing.assert_allclose(c2, c1)
-        np.testing.assert_allclose(l2, l1)
+        np.testing.assert_allclose(c2.toarray(), c1.toarray())
+        np.testing.assert_allclose(l2.toarray(), l1.toarray())
 
     def test_compose_unknown_node(self):
         cell = CellMatrices("c1", ("zz",), np.array([[1.0 * fF]]), np.zeros((1, 1)))
@@ -475,7 +491,7 @@ class TestReduceNetwork:
             net = random_circuit(rng)
             rc = reduce_network(net)
             reduced = normal_mode_frequencies(rc.c_mat, rc.l_inv)
-            full = normal_mode_frequencies(net.c_mat, net.l_inv)
+            full = normal_mode_frequencies(net.c_mat.toarray(), net.l_inv.toarray())
             np.testing.assert_allclose(reduced, full, rtol=1e-8)
 
     def test_time_domain_oracle(self, rng):
@@ -485,6 +501,7 @@ class TestReduceNetwork:
         rc = reduce_network(net)
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         eliminate = coupler_kernel(l_inv, labels, net.registry)
+        c, l_inv = c.toarray(), l_inv.toarray()
         identity = np.eye(len(labels))
         s_r = identity[:, eliminate]
         s_k = np.delete(identity, eliminate, axis=1)
@@ -694,11 +711,12 @@ def test_sparse_rotation_matches_dense_inverse(net):
     c, l_inv, labels, s_n = rotate_to_junction_basis(net)
     assert labels[:len(net.junctions)] == tuple(j.ident for j in net.junctions)
     s_ref = dense_junction_inverse(net, labels)
-    assert np.array_equal(s_n, s_ref)
+    assert np.array_equal(s_n.toarray(), s_ref)
     for got, node_matrix in ((c, net.c_mat), (l_inv, net.l_inv)):
-        ref = s_ref.T @ node_matrix @ s_ref
+        ref = s_ref.T @ node_matrix.toarray() @ s_ref
         ref = 0.5 * (ref + ref.T)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        np.testing.assert_allclose(got.toarray(), ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
 
 
 def coupler_islands(rng, sizes, n_keep=3, scales=None):
@@ -742,8 +760,9 @@ class TestIslandSchur:
             kk, kr, rr = np.ix_(keep, keep), np.ix_(keep, r), np.ix_(r, r)
             ref = m[kk] - m[kr] @ np.linalg.solve(m[rr], m[kr].T)
             ref = 0.5 * (ref + ref.T)
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
-            np.testing.assert_array_equal(other_kept, other[kk])
+            np.testing.assert_allclose(got.toarray(), ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+            np.testing.assert_array_equal(other_kept.toarray(), other[kk])
 
     def test_one_singular_island_raises(self, rng):
         m, islands = coupler_islands(rng, [3, 2, 4])
@@ -779,3 +798,208 @@ class TestPsdCheck:
         check_psd(floating - 1e-14 * y * np.eye(3), "inverse inductance")  # within PSD_RTOL
         with pytest.raises(MalformedMatrix, match="inverse inductance"):
             check_psd(floating - 1e-10 * y * np.eye(3), "inverse inductance")
+
+
+class TestCompositeChecks:
+    """A composite C is checked on its sparse form: symmetry on the stored
+    entries, then positive semi-definiteness by a sparse factorization that
+    accepts only a positive definite matrix, with a dense eigenvalue
+    fallback that decides the rest and words the error."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return calls
+
+    @staticmethod
+    def composite(c):
+        n = c.shape[0]
+        registry = simple_registry({"s0": [f"n{i}" for i in range(n)]})
+        return CompositeNetlist(registry, sp.csr_array(c), sp.csr_array((n, n)), ())
+
+    def test_positive_definite_accepted_by_factorization(self, eigvalsh_calls):
+        c = np.array([[3.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 3.0]]) * fF
+        net = self.composite(c)
+        assert isinstance(net.c_mat, sp.csr_array)
+        assert eigvalsh_calls == []
+
+    def test_singular_psd_accepted_through_fallback(self, eigvalsh_calls):
+        floating = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]) * fF
+        self.composite(floating)
+        assert [call.shape for call in eigvalsh_calls] == [(3, 3)]
+
+    @pytest.mark.parametrize("c", [
+        np.array([[1.0, 1.5, 0.0], [1.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+        # a zero diagonal forces an off-diagonal pivot, whose U diagonal is positive
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    ])
+    def test_indefinite_rejected(self, c):
+        w = np.linalg.eigvalsh(c * fF)
+        with pytest.raises(MalformedMatrix) as err:
+            self.composite(c * fF)
+        assert str(err.value) == (
+            f"composite capacitance is not positive semi-definite "
+            f"(min/max eigenvalue {w[0]:.3e}/{w[-1]:.3e})"
+        )
+
+    def test_asymmetric_rejected(self):
+        c = np.diag([3.0, 3.0, 3.0]) * fF
+        c[0, 1] = -1e-3 * fF  # stored on one side only
+        with pytest.raises(MalformedMatrix, match="composite capacitance is not symmetric"):
+            self.composite(c)
+
+    def test_all_zero_matrix_is_checked(self, eigvalsh_calls):
+        # a sparse matrix's .size counts stored entries, which is 0 here
+        net = self.composite(np.zeros((3, 3)))
+        assert net.c_mat.size == 0
+        assert [call.shape for call in eigvalsh_calls] == [(3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# sparse reduction against a dense oracle, and its memory at scale
+# ---------------------------------------------------------------------------
+
+@st.composite
+def modular_devices(draw):
+    """Cell matrices of a random device of 2-4 cells that share a bus node.
+    Each cell has a qubit pad pair with a junction to ground or across the
+    pair, 1-4 capacitive coupler pads (grounded, randomly coupled, so they
+    form one or more islands) and, optionally, an inductive coupler that
+    joins a qubit pad to the bus through two inductors and carries no
+    capacitance. Every cell enters as a Maxwell matrix. Returns (cells,
+    registry)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells, subsystems, couplers = [], {"bus": ["bus"]}, []
+    for k in range(draw(st.integers(2, 4))):
+        pads = [f"q{k}a", f"q{k}b"]
+        caps = [f"c{k}_{i}" for i in range(draw(st.integers(1, 4)))]
+        inductive = [f"m{k}"] if draw(st.booleans()) else []
+        nodes = ["bus", *pads, *caps, *inductive]
+        subsystems[f"q{k}"] = pads
+        couplers += caps + inductive
+        n = len(nodes)
+        ground = np.array([0.0 if node in inductive else rng.uniform(20.0, 100.0)
+                           for node in nodes])
+        c = np.diag(ground)
+        for a in range(n - len(inductive)):
+            for b in range(a + 1, n - len(inductive)):
+                if rng.uniform() < 0.5:
+                    mutual = rng.uniform(0.5, 20.0)
+                    c[[a, b], [a, b]] += mutual
+                    c[[a, b], [b, a]] -= mutual
+        l_inv = np.zeros((n, n))
+        for m in inductive:
+            for pad in ("bus", pads[1]):
+                i, j = nodes.index(m), nodes.index(pad)
+                y = 1.0 / rng.uniform(1.0, 20.0)
+                l_inv[[i, j], [i, j]] += y
+                l_inv[[i, j], [j, i]] -= y
+        ends = ["gnd", pads[0]] if draw(st.booleans()) else pads
+        junction = JunctionElement.from_inductance(
+            f"j{k}", *ends, f"q{k}", lj=rng.uniform(5.0, 20.0) * nH,
+            cj=rng.uniform(0.0, 3.0) * fF)
+        maxwell = embed_maxwell(CellMatrices(f"cell{k}", tuple(nodes), c * fF, l_inv / nH),
+                                "gnd", ground * fF)
+        node_cell = reduce_maxwell(maxwell, "gnd")
+        cells.append(CellMatrices(f"cell{k}", node_cell.nodes, node_cell.c_mat, l_inv / nH,
+                                  junctions=(junction,)))
+    return cells, simple_registry(subsystems, couplers=couplers)
+
+
+def dense_reduction(cells, registry, labels):
+    """Reference reduction on dense arrays: compose by 0/1 selection
+    matrices and junction stamps, rotate by the dense inverse of the
+    node-to-rotated transform, and eliminate each pass's kernel couplers by
+    a single-block Schur complement. Returns (C, L_inv, labels, eliminated)."""
+    nodes = registry.nodes
+    n = len(nodes)
+    c, l_inv = np.zeros((n, n)), np.zeros((n, n))
+    junctions = [j for cell in cells for j in cell.junctions]
+    for cell in cells:
+        select = np.zeros((len(cell.nodes), n))
+        select[np.arange(len(cell.nodes)), [nodes.index(node) for node in cell.nodes]] = 1.0
+        c += select.T @ cell.c_mat @ select
+        l_inv += select.T @ cell.l_inv @ select
+    for j in junctions:
+        e = np.array([(node == j.node_pos) - (node == j.node_neg) for node in nodes], dtype=float)
+        c += j.cj * np.outer(e, e)
+        l_inv += np.outer(e, e) / j.lj
+    net = CompositeNetlist(registry, c, l_inv, tuple(junctions))
+    s_n = dense_junction_inverse(net, labels)
+    schur, other = s_n.T @ c @ s_n, s_n.T @ l_inv @ s_n
+    labels, eliminated = list(labels), []
+    for _ in range(2):  # C by ker(L_inv), then L_inv by ker(C)
+        other, schur = 0.5 * (other + other.T), 0.5 * (schur + schur.T)
+        scale = np.linalg.norm(other, 2)
+        r = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)
+             and np.linalg.norm(other[:, i]) <= KERNEL_RTOL * scale]
+        k = [i for i in range(len(labels)) if i not in r]
+        reduced = schur[np.ix_(k, k)]
+        if r:
+            kr = schur[np.ix_(k, r)]
+            reduced = reduced - kr @ np.linalg.solve(schur[np.ix_(r, r)], kr.T)
+        eliminated += [labels[i] for i in r]
+        labels = [labels[i] for i in k]
+        schur, other = other[np.ix_(k, k)], reduced
+    return schur, other, tuple(labels), tuple(eliminated)
+
+
+@given(modular_devices())
+def test_sparse_reduction_matches_dense_oracle(device):
+    cells, registry = device
+    net = compose_cells(cells, registry)
+    rc = reduce_network(net)
+    _, _, labels, _ = rotate_to_junction_basis(net)
+    c, l_inv, ref_labels, ref_eliminated = dense_reduction(cells, registry, labels)
+    assert rc.labels == ref_labels
+    assert rc.record.eliminated == ref_eliminated
+    for got, ref in ((rc.c_mat, c), (rc.l_inv, l_inv)):
+        ref = 0.5 * (ref + ref.T)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def spectator_chip(n_cells, pads_per_cell=99, seed=5):
+    """A qubit cell and ``n_cells`` cells of grounded capacitive-only coupler
+    pads in a chain, each chain tied to a shared bus; returns (cells,
+    registry)."""
+    rng = np.random.default_rng(seed)
+    junction = JunctionElement.from_inductance("j1", "gnd", "q", "qubit", lj=12 * nH, cj=2 * fF)
+    cells = [CellMatrices("qubit", ("bus", "q"), np.array([[75.0, -5.0], [-5.0, 65.0]]) * fF,
+                          np.array([[1.0 / (8 * nH), 0.0], [0.0, 0.0]]), junctions=(junction,))]
+    pads = []
+    for k in range(n_cells):
+        names = [f"s{k:03d}_{i:03d}" for i in range(pads_per_cell)]
+        pads += names
+        n = pads_per_cell + 1  # the bus is node 0
+        c = np.diag(np.concatenate(([0.0], rng.uniform(20.0, 60.0, pads_per_cell))))
+        for a, b, mutual in [(0, 1, 0.1)] + [
+                (i, i + step, rng.uniform(0.1, 5.0))
+                for step in (1, 2) for i in range(1, n - step)]:
+            c[[a, b], [a, b]] += mutual
+            c[[a, b], [b, a]] -= mutual
+        cells.append(CellMatrices(f"spectator{k}", ("bus", *names), c * fF, np.zeros((n, n))))
+    registry = simple_registry({"qubit": ["q"], "bus": ["bus"]}, couplers=pads)
+    return cells, registry
+
+
+def test_spectator_chip_reduces_without_dense_matrices():
+    """About 4000 nodes: one dense n x n float64 array would be 128 MB, and
+    composing and reducing the chip peaks far below it."""
+    cells, registry = spectator_chip(40)
+    assert len(registry.nodes) == 3962
+    tracemalloc.start()
+    try:
+        rc = reduce_network(compose_cells(cells, registry))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert rc.labels == ("j1", "bus")
+    assert len(rc.record.eliminated) == 3960

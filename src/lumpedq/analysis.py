@@ -100,7 +100,7 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> list[tuple[
     cells = []
     for cc in config.cells:
         maxwell = parse_maxwell_file(cc.maxwell_file)
-        if config.merge_ground_nets and cc.ground_nets:
+        if cc.ground_nets:
             maxwell = merge_maxwell_nodes(maxwell, cc.ground_nets, config.datum)
         if cell_hook is not None:
             maxwell = cell_hook(cc.ident, maxwell)

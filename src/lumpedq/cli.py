@@ -70,7 +70,9 @@ def _cmd_budget(args) -> None:
 def _cmd_modes(args) -> None:
     import numpy as np
 
-    from .config import load_yaml
+    from scipy import constants
+
+    from .config import load_yaml, parse_termination
     from .loadedline import LoadedLineSpec, solve_modes
 
     raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
@@ -81,9 +83,9 @@ def _cmd_modes(args) -> None:
             length=float(raw["length_mm"]) * 1e-3,
             z0=float(raw["z0_ohm"]),
             v_p=float(raw["vp_m_per_s"]) if "vp_m_per_s" in raw
-            else float(raw["vp_fraction_c"]) * 299792458.0,
+            else float(raw["vp_fraction_c"]) * constants.c,
             c_load=float(raw.get("c_load_ff", 0.0)) * 1e-15,
-            shorted_end=str(raw.get("termination", "open")) == "short",
+            shorted_end=parse_termination(raw, args.line_spec),
         )
     except KeyError as exc:
         raise ValidationError(f"{args.line_spec}: missing line parameter {exc}") from exc

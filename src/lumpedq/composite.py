@@ -36,6 +36,8 @@ from .errors import (
 from .subsystems import QuantizedSubsystem, outer_sum
 
 DEFAULT_DIMENSION_CAP = 20_000
+# squared overlap with a bare state that a dressed state needs to take its label
+DEFAULT_MIN_OVERLAP = 0.5
 # eigenpairs solved for beyond the bare states up to the highest required one
 SUBSET_MARGIN = 8
 # dense float64 N x N arrays alive during the eigensolve: H, the solver's
@@ -218,7 +220,7 @@ class DressedSpectrum:
     subsystem_names: tuple[str, ...]
     mode_dims: tuple[tuple[int, ...], ...]
     unlabeled: tuple[int, ...] = ()
-    min_overlap: float = 0.5
+    min_overlap: float = DEFAULT_MIN_OVERLAP
 
     def energy_of(self, label: tuple[int, ...]) -> float:
         if label not in self.labels:
@@ -238,7 +240,7 @@ class DressedSpectrum:
 def diagonalize(
     subsystems: Sequence[QuantizedSubsystem],
     hamiltonian: np.ndarray,
-    min_overlap: float = 0.5,
+    min_overlap: float = DEFAULT_MIN_OVERLAP,
 ) -> DressedSpectrum:
     """Lowest-subset eigensolve plus maximum-overlap labeling.
 

@@ -16,9 +16,19 @@ from typing import Any, Mapping
 import yaml
 from scipy import constants
 
+from .composite import DEFAULT_DIMENSION_CAP, DEFAULT_MIN_OVERLAP
 from .errors import ConfigError
 
 _TERMINATIONS = {"open": False, "short": True}
+
+
+def parse_termination(entry: Mapping[str, Any], where: str) -> bool:
+    """Whether the line described by ``entry`` has a shorted far end; its
+    ``termination`` is open (the default) or short."""
+    termination = str(entry.get("termination", "open"))
+    if termination not in _TERMINATIONS:
+        raise ConfigError(f"{where}: termination must be open or short")
+    return _TERMINATIONS[termination]
 
 
 def load_yaml(text: str) -> Any:
@@ -93,8 +103,8 @@ class InductorConfig:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    dimension_cap: int = 20_000
-    min_overlap: float = 0.5
+    dimension_cap: int = DEFAULT_DIMENSION_CAP
+    min_overlap: float = DEFAULT_MIN_OVERLAP
     qubit: str = ""
     readout: str = ""
 
@@ -117,7 +127,6 @@ class DeviceConfig:
     couplers: tuple[str, ...]
     junctions: tuple[JunctionConfig, ...]
     inductors: tuple[InductorConfig, ...] = ()
-    merge_ground_nets: bool = True
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     raw: Mapping[str, Any] = field(default_factory=dict, compare=False)
     base_dir: Path = Path(".")
@@ -203,9 +212,6 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
             levels = entry.get("levels", 5)
             levels = tuple([int(levels)] * modes) if isinstance(levels, int) \
                 else tuple(int(v) for v in levels)
-            termination = str(entry.get("termination", "open"))
-            if termination not in _TERMINATIONS:
-                raise ConfigError(f"line {sname!r}: termination must be open or short")
             length = entry.get("length_mm")
             target = entry.get("target_ghz")
             lines.append(LineConfig(
@@ -213,7 +219,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
                 nodes=nodes,
                 z0_ohm=float(_require(entry, "z0_ohm", f"line {sname!r}")),
                 vp_m_per_s=float(vp),
-                shorted_end=_TERMINATIONS[termination],
+                shorted_end=parse_termination(entry, f"line {sname!r}"),
                 modes=modes,
                 levels=levels,
                 length_m=None if length is None else float(length) * 1e-3,
@@ -269,8 +275,8 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         if lines:
             default_readout = lines[0].name
     analysis = AnalysisOptions(
-        dimension_cap=int(ana.get("dimension_cap", 20_000)),
-        min_overlap=float(ana.get("min_overlap", 0.5)),
+        dimension_cap=int(ana.get("dimension_cap", DEFAULT_DIMENSION_CAP)),
+        min_overlap=float(ana.get("min_overlap", DEFAULT_MIN_OVERLAP)),
         qubit=str(ana.get("qubit", default_qubit)),
         readout=str(ana.get("readout", default_readout)),
     )
@@ -284,7 +290,6 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         couplers=tuple(str(n) for n in raw.get("couplers", ())),
         junctions=tuple(junctions),
         inductors=tuple(inductors),
-        merge_ground_nets=bool(raw.get("merge_ground_nets", True)),
         analysis=analysis,
         raw=raw,
         base_dir=base_dir,

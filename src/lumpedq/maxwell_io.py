@@ -9,7 +9,6 @@ CSV export.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from pathlib import Path
 
@@ -17,8 +16,6 @@ import numpy as np
 
 from .errors import AsymmetryError, ParseError, SignError
 from .netlist import MaxwellMatrix
-
-log = logging.getLogger(__name__)
 
 UNIT_SCALES = {"F": 1.0, "pF": 1e-12, "fF": 1e-15}
 

@@ -10,13 +10,15 @@ Everything here operates on node-to-datum generalized fluxes in SI units
     --extract_blocks--> dressed subsystem blocks and pairwise couplings
 
 Cells are small and stay dense. The device is their union, so its
-matrices are almost empty: from ``compose_cells`` through the rotation and
-both elimination passes, C and L_inv are ``scipy.sparse`` CSR arrays, and
-only the retained block is made dense when ``ReducedCircuit`` is built. The
-stages work on the (rows, cols, vals) index arrays of those matrices and
-build each result matrix once: the rotation is read off the junction forest
-and applied as a sparse congruence, and each elimination solves the islands
-of its coupler block one at a time, as small dense blocks.
+matrices are almost empty: from ``compose_cells`` through the rotation to
+the first elimination pass, C and L_inv are ``scipy.sparse`` CSR arrays.
+That pass keeps only the few subsystem coordinates, so it returns them as
+small dense arrays, and the second pass and ``ReducedCircuit`` work on
+those. Every stage reads a matrix, dense or CSR, as the (rows, cols, vals)
+index arrays of its nonzero entries and builds each result matrix once: the
+rotation is read off the junction forest and applied as a sparse
+congruence, and each elimination solves the islands of its coupler block
+one at a time, as small dense blocks.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -68,7 +70,8 @@ def check_symmetric(m, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> Non
     """Raise unless the dense or sparse ``m`` is symmetric to ``rtol``."""
     if sp.issparse(m):
         rows, cols, vals = _coo(m)
-        diff = vals - _mirrored(rows, cols, vals, m.shape[0])[0]
+        diff = _add_up(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                       np.concatenate((vals, -vals)), m.shape[0])[2]
     else:
         vals, diff = m, m - m.T
     scale = np.abs(vals).max(initial=0.0) or 1.0
@@ -115,24 +118,15 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices as index arrays
+# matrices as index arrays
 # ---------------------------------------------------------------------------
 
-def _as_csr(a) -> sp.csr_array:
-    """``a`` (dense or sparse) as a square float CSR array in canonical form:
-    sorted column indices and no duplicates."""
-    m = a if isinstance(a, sp.csr_array) else sp.csr_array(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise MalformedMatrix(f"expected a square matrix, got shape {m.shape}")
-    if m.dtype != np.float64:
-        m = m.astype(np.float64)
-    m.sum_duplicates()
-    return m
-
-
-def _coo(m: sp.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the nonzero entries of a canonical CSR array,
-    in row-major order; stored zeros are skipped."""
+def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of the nonzero entries of a dense array or a
+    canonical CSR array, in row-major order; stored zeros are skipped."""
+    if not sp.issparse(m):
+        rows, cols = np.nonzero(m)
+        return rows, cols, m[rows, cols]
     rows = np.arange(m.shape[0]).repeat(m.indptr[1:] - m.indptr[:-1])
     nonzero = m.data != 0
     return rows[nonzero], m.indices[nonzero].astype(np.intp), m.data[nonzero]
@@ -159,30 +153,15 @@ def _add_up(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return keys // n, keys % n, sums
 
 
-def _mirrored(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For distinct entries in row-major order: the value stored at each
-    entry's mirror across the diagonal (0 where none is stored), and
-    whether one is stored."""
-    keys = np.append(rows.astype(np.int64) * n + cols, np.iinfo(np.int64).max)
-    mirror = cols.astype(np.int64) * n + rows
-    at = keys.searchsorted(mirror)
-    found = keys[at] == mirror
-    return np.where(found, np.append(vals, 0.0)[at], 0.0), found
-
-
 def _symmetric_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_array:
     """The symmetric part 0.5 (M + M^T), as CSR, of the n x n matrix M whose
     entries are the sums of the (rows, cols, vals) triplets; entries that
-    add to zero are dropped."""
+    add to zero are dropped. Halving is exact, so 0.5 M[i, j] + 0.5 M[j, i]
+    equals 0.5 (M[i, j] + M[j, i]) bit for bit."""
     rows, cols, vals = _add_up(rows, cols, vals, n)
-    mirrored, found = _mirrored(rows, cols, vals, n)
-    sym = 0.5 * (vals + mirrored)
-    if not found.all():  # an entry whose mirror is not stored gains one
-        lone = ~found
-        rows, cols, sym = _add_up(np.concatenate((rows, cols[lone])),
-                                  np.concatenate((cols, rows[lone])),
-                                  np.concatenate((sym, 0.5 * vals[lone])), n)
+    half = 0.5 * vals
+    rows, cols, sym = _add_up(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                              np.concatenate((half, half)), n)
     nonzero = sym != 0
     return _from_coo(rows[nonzero], cols[nonzero], sym[nonzero], n)
 
@@ -198,8 +177,9 @@ def _times(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return rows[entry], s.indices[at].astype(np.intp), vals[entry] * s.data[at]
 
 
-def _dense_block(m: sp.csr_array, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """m[np.ix_(rows, cols)] as a dense array, for distinct rows and cols."""
+def _dense_block(m, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """m[np.ix_(rows, cols)] of a dense or CSR ``m`` as a dense array, for
+    distinct rows and cols."""
     row_at = np.zeros(m.shape[0], dtype=np.intp) - 1
     col_at = np.zeros(m.shape[1], dtype=np.intp) - 1
     row_at[rows] = np.arange(len(rows))
@@ -210,14 +190,6 @@ def _dense_block(m: sp.csr_array, rows: Sequence[int], cols: Sequence[int]) -> n
     out = np.zeros((len(rows), len(cols)))
     out[r[inside], c[inside]] = vals[inside]
     return out
-
-
-def _restrict(m: sp.csr_array, keep: np.ndarray) -> sp.csr_array:
-    """m restricted to the rows and columns where the mask ``keep`` holds."""
-    rows, cols, vals = _coo(m)
-    inside = keep[rows] & keep[cols]
-    new = keep.cumsum() - 1
-    return _from_coo(new[rows[inside]], new[cols[inside]], vals[inside], int(new[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +339,6 @@ class JunctionElement:
         x = np.pi * self.phi_ext / (2 * np.pi * PHI_0)  # phi_ext / flux quantum
         return self.ej * float(np.sqrt(np.cos(x) ** 2 + self.asymmetry**2 * np.sin(x) ** 2))
 
-    def energy(self, phi: float) -> float:
-        """Inductive energy at junction flux ``phi`` (Wb)."""
-        return -self.effective_ej() * float(np.cos(phi / PHI_0))
-
     @classmethod
     def from_inductance(cls, ident, node_neg, node_pos, subsystem, lj, cj=0.0):
         return cls(ident, node_neg, node_pos, subsystem, ej=PHI_0**2 / lj, cj=cj)
@@ -412,8 +380,14 @@ class CompositeNetlist:
     junctions: tuple[JunctionElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c_mat", _as_csr(self.c_mat))
-        object.__setattr__(self, "l_inv", _as_csr(self.l_inv))
+        for name in ("c_mat", "l_inv"):
+            m = getattr(self, name)
+            if not isinstance(m, sp.csr_array) or m.dtype != np.float64:
+                m = sp.csr_array(m, dtype=np.float64)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise MalformedMatrix(f"expected a square matrix, got shape {m.shape}")
+            m.sum_duplicates()  # canonical form: sorted column indices, no duplicates
+            object.__setattr__(self, name, m)
         check_symmetric(self.c_mat, "composite capacitance")
         check_symmetric(self.l_inv, "composite inverse inductance")
         check_psd(self.c_mat, "composite capacitance")
@@ -448,7 +422,6 @@ class ReducedCircuit:
     l_inv: np.ndarray
     l_inv_prime: np.ndarray
     block_index: Mapping[str, tuple[int, ...]]
-    junction_index: Mapping[str, int]
     junctions: tuple[JunctionElement, ...]
     record: ReductionRecord
 
@@ -503,7 +476,6 @@ def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> Ma
     for a, ga in enumerate(groups):
         for b, gb in enumerate(groups):
             out[a, b] = m.matrix[np.ix_(ga, gb)].sum()
-    np.fill_diagonal(out, np.diag(out))
     return MaxwellMatrix(names=tuple(keep), matrix=_symmetrize(out), display_units=m.display_units)
 
 
@@ -560,11 +532,13 @@ def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> Comp
 def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
     """Assign each junction the node coordinate its flux will replace.
 
-    The junction graph must be a forest (no flux loops). Each tree is rooted
-    at the datum when present, else at a coupler node, else at the
-    lexicographically smallest node, and every edge consumes its endpoint
-    farther from the root. Rooting away from couplers keeps coupler node
-    fluxes available for the later constraint elimination.
+    The junction graph must be a forest (no flux loops). It is walked once,
+    breadth first from each root not yet reached, taking roots in order of
+    preference: the datum, then coupler nodes by name, then the other nodes
+    by name. So each tree is rooted at the datum when present, else at its
+    first coupler node, else at its first node, and every edge consumes its
+    endpoint farther from the root. Rooting away from couplers keeps coupler
+    node fluxes available for the later constraint elimination.
 
     Returns {junction: (parent, pivot)} in breadth-first order, so every
     parent is settled before the pivot node below it.
@@ -576,31 +550,12 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
         adjacency.setdefault(j.node_pos, []).append((j.node_neg, j.ident))
 
     pivots: dict[str, tuple[str, str]] = {}
-    visited: set[str] = set()
-    components: list[list[str]] = []
-    for start in sorted(adjacency):
-        if start in visited:
+    seen_edges: set[str] = set()
+    seen_nodes: set[str] = set()
+    for root in sorted(adjacency, key=lambda n: (n != datum, not net.registry.is_coupler(n), n)):
+        if root in seen_nodes:
             continue
-        comp = [start]
-        visited.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v, _ in adjacency[u]:
-                if v not in visited:
-                    visited.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        components.append(sorted(comp))
-
-    for comp in components:
-        if datum in comp:
-            root = datum
-        else:
-            coupler = [n for n in comp if net.registry.is_coupler(n)]
-            root = coupler[0] if coupler else comp[0]
-        seen_edges: set[str] = set()
-        seen_nodes = {root}
+        seen_nodes.add(root)
         queue = [root]
         while queue:
             u = queue.pop(0)
@@ -679,18 +634,15 @@ def rotate_to_junction_basis(
     return c, l_inv, tuple(labels), s_n
 
 
-def coupler_class_warnings(
-    c_mat: sp.csr_array,
-    l_inv: sp.csr_array,
-    labels: Sequence[str],
-    registry: NodeRegistry,
-) -> list[str]:
+def coupler_class_warnings(c_mat, l_inv, labels: Sequence[str],
+                           registry: NodeRegistry) -> list[str]:
     """Check the non-dynamical sufficiency condition for every declared
     coupler coordinate (touched by one element class only) and warn on
     failures. Runs in the junction basis: a junction's inductance belongs to
-    its own flux coordinate, not to the terminal pads it spans."""
+    its own flux coordinate, not to the terminal pads it spans. The matrices
+    may be dense or CSR."""
     def touched(m) -> np.ndarray:
-        rows, _, vals = _coo(_as_csr(m))
+        rows, _, vals = _coo(m)
         vals = np.abs(vals)
         hit = np.zeros(len(labels), dtype=bool)
         hit[rows[vals > 1e-14 * (vals.max(initial=0.0) or 1.0)]] = True
@@ -715,23 +667,22 @@ def coupler_class_warnings(
 
 def coupler_kernel(mat, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
     """Indices of the declared coupler coordinates that lie in ker(mat), for
-    a dense or sparse ``mat``.
+    a dense or CSR ``mat``.
 
     Subsystem-owned kernel directions (for instance the uniform mode of an
     open-ended line) are never candidates.
     """
     candidates = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)]
-    m = _as_csr(mat)
-    rows, cols, vals = _coo(m)
+    rows, cols, vals = _coo(mat)
     if not candidates or not vals.size:
         return candidates
     # ||mat||_2, the largest singular value, equals that of its block on the
     # nonzero rows and columns
-    occupied = np.zeros((2, m.shape[0]), dtype=bool)
+    occupied = np.zeros((2, mat.shape[0]), dtype=bool)
     occupied[0, rows] = occupied[1, cols] = True
-    block = _dense_block(m, occupied[0].nonzero()[0], occupied[1].nonzero()[0])
+    block = _dense_block(mat, occupied[0].nonzero()[0], occupied[1].nonzero()[0])
     scale = np.linalg.svd(block, compute_uv=False)[0]
-    norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=m.shape[1]))
+    norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=mat.shape[1]))
     return [i for i in candidates if norms[i] <= KERNEL_RTOL * scale]
 
 
@@ -740,32 +691,32 @@ def schur_eliminate(
     other,
     eliminate: Sequence[int],
     block: str,
-) -> tuple[sp.csr_array, sp.csr_array, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Eliminate the ``eliminate`` coordinates: take the Schur complement of
     the ``schur`` quadratic form onto the kept coordinates and restrict
-    ``other`` to them. Both matrices may be dense or sparse; the results are
-    sparse CSR. ``block`` names the Schur block in the error raised when it
-    is singular.
+    ``other`` to them. Both matrices may be dense or CSR; the results are
+    dense, since few coordinates are kept. ``block`` names the Schur block
+    in the error raised when it is singular.
 
     The eliminated block is split into the islands of its nonzero pattern
     (couplers of different cells share no entries); each island is tested
     and solved on its own as a dense block, and its update reaches only the
-    kept rows that touch it. The singularity test compares the smallest
-    eigenvalue of all islands with the largest.
+    kept rows that touch it; the updates are subtracted in island order.
+    The singularity test compares the smallest eigenvalue of all islands
+    with the largest.
 
     Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
-    schur, other = _as_csr(schur), _as_csr(other)
-    n = schur.shape[0]
-    dropped = np.zeros(n, dtype=bool)
+    dropped = np.zeros(schur.shape[0], dtype=bool)
     dropped[np.asarray(eliminate, dtype=np.intp)] = True
-    if not dropped.any():
-        return schur, other, list(range(n))
     keep = ~dropped
+    kept = keep.nonzero()[0]
+    if not dropped.any():
+        return _dense_block(schur, kept, kept), _dense_block(other, kept, kept), kept.tolist()
     rows, cols, vals = _coo(schur)
     local = dropped.cumsum() - 1  # position among the eliminated coordinates
     new = keep.cumsum() - 1  # position among the kept coordinates
-    n_r, n_k = int(local[-1]) + 1, int(new[-1]) + 1
+    n_r = int(local[-1]) + 1
     inner = dropped[rows] & dropped[cols]
     edge = keep[rows] & dropped[cols]
     a, b = local[rows[inner]], local[cols[inner]]
@@ -798,18 +749,14 @@ def schur_eliminate(
     kept_rows, c = rows[edge], local[cols[edge]]
     order, start = _grouped(island[c], count)
     kept_rows, c, v = kept_rows[order], slot[c[order]], vals[edge][order]
-    outer = keep[rows] & keep[cols]
-    parts = [(new[rows[outer]], new[cols[outer]], vals[outer])]
+    reduced = _dense_block(schur, kept, kept)
     for k, rr in enumerate(blocks):
         seg = slice(start[k], start[k + 1])
         touching, at = np.unique(kept_rows[seg], return_inverse=True)
         kr = np.zeros((touching.size, rr.shape[0]))
         kr[at, c[seg]] = v[seg]
-        update = kr @ np.linalg.solve(rr, kr.T)
-        parts.append((new[touching].repeat(touching.size),
-                      np.tile(new[touching], touching.size), -update.ravel()))
-    reduced = _symmetric_csr(*(np.concatenate(p) for p in zip(*parts)), n_k)
-    return reduced, _restrict(other, keep), keep.nonzero()[0].tolist()
+        reduced[np.ix_(new[touching], new[touching])] -= kr @ np.linalg.solve(rr, kr.T)
+    return _symmetrize(reduced), _dense_block(other, kept, kept), kept.tolist()
 
 
 def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -823,8 +770,8 @@ def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
     """Rotate to the junction basis, then eliminate the coupler coordinates
     in two passes: those in ker(L_inv) by a Schur complement of C, then
-    those in ker(C) by a Schur complement of L_inv. The matrices stay sparse
-    throughout; only the retained block is made dense."""
+    those in ker(C) by a Schur complement of L_inv. The matrices are sparse
+    until the first pass, which returns the small retained block dense."""
     c, l_inv, labels, _ = rotate_to_junction_basis(net)
     coupler_class_warnings(c, l_inv, labels, net.registry)
 
@@ -853,7 +800,6 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
         else:
             block_lists[net.registry.subsystem_of(lab)].append(i)
 
-    c2, l2 = c2.toarray(), l2.toarray()
     l_prime = l2.copy()
     for j in net.junctions:
         k = junction_index[j.ident]
@@ -864,7 +810,7 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
     return ReducedCircuit(
         labels=labels2, c_mat=c2, l_inv=l2, l_inv_prime=l_prime,
         block_index={k: tuple(v) for k, v in block_lists.items()},
-        junction_index=junction_index, junctions=net.junctions, record=record,
+        junctions=net.junctions, record=record,
     )
 
 
@@ -911,15 +857,10 @@ class CircuitBlocks:
         return 2.0 * self.l_inv_prime[i, j]
 
 
-def extract_blocks(rc: ReducedCircuit, c_inv: np.ndarray | None = None) -> CircuitBlocks:
+def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:
     """Partition the inverted capacitance and reduced inverse inductance into
     per-subsystem diagonal blocks and scaled pairwise couplings."""
-    if c_inv is None:
-        c_inv = np.linalg.inv(rc.c_mat)
-    c_inv = _symmetrize(np.asarray(c_inv, dtype=float))
-    if c_inv.shape != rc.c_mat.shape:
-        raise DimensionMismatch("inverted matrix shape does not match the reduced circuit")
     return CircuitBlocks(
-        labels=rc.labels, c_inv=c_inv, l_inv_prime=rc.l_inv_prime,
+        labels=rc.labels, c_inv=_symmetrize(np.linalg.inv(rc.c_mat)), l_inv_prime=rc.l_inv_prime,
         block_index=rc.block_index,
     )

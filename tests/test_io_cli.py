@@ -241,6 +241,13 @@ class TestCli:
         assert len(doc["modes"]) == 2
         assert len(doc["modes"][0]["field"]["z_m"]) == 11
 
+    def test_modes_rejects_misspelled_termination(self, line_spec, tmp_path, capsys):
+        raw = yaml.safe_load(line_spec.read_text(encoding="utf-8"))
+        path = tmp_path / "shrot.yaml"
+        path.write_text(yaml.safe_dump({**raw, "termination": "shrot"}), encoding="utf-8")
+        assert run_cli("modes", str(path)) == 2
+        assert "termination must be open or short" in capsys.readouterr().err
+
     def test_sweep_subcommand(self, device_dir, tmp_path):
         out = tmp_path / "sweep.json"
         code = run_cli("sweep", str(device_dir / "device.yaml"),

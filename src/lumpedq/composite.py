@@ -14,8 +14,16 @@ operators i times a real antisymmetric matrix, so a charge-charge term is
 real and a flux-flux term is real with a factor -1. The Hamiltonian is
 therefore assembled as a dense real-symmetric matrix over the flattened
 factors, one term per coupled mode pair written at the indices the tensor
-strides give, and only its lowest eigenpairs, the ones that hold the bare
-labels of total occupation <= 2 the observables read, are solved for.
+strides give.
+
+Each term moves the occupation of each of its two modes by +-1, and the
+port operators connect only levels of opposite parity (see ``subsystems``),
+so H conserves the parity of the total occupation and splits into an even
+and an odd sector. ``diagonalize`` checks that split exactly on H, falls
+back to the whole basis as one sector when any entry joins the two (a
+transmon at nonzero offset charge), and in each sector solves only for the
+lowest eigenpairs, the ones that hold the bare labels of total occupation
+<= 2 the observables read.
 """
 
 from __future__ import annotations
@@ -206,15 +214,18 @@ def coupling_rates(
 
 @dataclass(frozen=True)
 class DressedSpectrum:
-    """Lowest eigenenergies of the composite Hamiltonian with dressed states
-    labeled by their dominant bare product state.
+    """Lowest eigenenergies of each parity sector of the composite
+    Hamiltonian (see ``diagonalize``), merged in ascending order, with
+    dressed states labeled by their dominant bare product state.
 
     Labels are occupation tuples flattened across every mode of every
     subsystem, in subsystem order; a label is only reported when the squared
     overlap with the bare state is at least ``min_overlap``.
     """
 
-    energies: np.ndarray  # J, ascending; the levels that were solved for
+    # J, ascending: the union of each parity sector's lowest levels, the
+    # ones that were solved for; not the lowest len(energies) levels of H
+    energies: np.ndarray
     labels: Mapping[tuple[int, ...], int]
     overlaps: Mapping[tuple[int, ...], float]
     subsystem_names: tuple[str, ...]
@@ -237,32 +248,25 @@ class DressedSpectrum:
         return tuple(lab)
 
 
-def diagonalize(
-    subsystems: Sequence[QuantizedSubsystem],
-    hamiltonian: np.ndarray,
-    min_overlap: float = DEFAULT_MIN_OVERLAP,
-) -> DressedSpectrum:
-    """Lowest-subset eigensolve plus maximum-overlap labeling.
+def _parity_sectors(occupation: np.ndarray, hamiltonian: np.ndarray) -> list[np.ndarray]:
+    """The product basis split by total-occupation parity, when the two
+    halves share no nonzero entry of ``hamiltonian``; else the whole basis."""
+    odd = occupation.sum(axis=1) % 2 == 1
+    sectors = [np.flatnonzero(~odd), np.flatnonzero(odd)]
+    if np.any(hamiltonian[np.ix_(*sectors)]):
+        return [np.arange(len(occupation))]
+    return sectors
 
-    The k lowest eigenpairs are solved for, k being the number of bare
-    product energies up to the highest one of a label of total occupation
-    <= 2, plus SUBSET_MARGIN. While such a label is unassigned and a state
-    outside the subset could still carry it, k doubles, up to the full
-    dimension. With ``min_overlap`` >= 1/2 a bare label dominates at most one
-    dressed state, so each state takes its largest-overlap label when that
-    overlap reaches ``min_overlap``; at an exact 1/2 tie the lower energy wins.
-    """
-    if not 0.5 <= min_overlap <= 1.0:
-        raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
-    occupation = _occupations([d for s in subsystems for d in s.mode_dims])
-    n = len(occupation)
-    if hamiltonian.shape != (n, n):
-        raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
-    bare = outer_sum([s.energies for s in subsystems])
-    required = occupation.sum(axis=1) <= 2
+
+def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
+                  min_overlap: float):
+    """Lowest-subset eigensolve of one sector plus maximum-overlap labeling.
+    Returns (energies, labeled states, their sector basis indices, their
+    overlaps)."""
+    n = len(bare)
     k = min(n, int(np.count_nonzero(bare <= bare[required].max())) + SUBSET_MARGIN)
     while True:
-        vals, vecs = scipy.linalg.eigh(hamiltonian, subset_by_index=[0, k - 1])
+        vals, vecs = scipy.linalg.eigh(block, subset_by_index=[0, k - 1])
         overlap = np.abs(vecs) ** 2  # overlap[basis, state]
         basis = np.argmax(overlap, axis=0)
         states = np.flatnonzero(overlap[basis, np.arange(k)] >= min_overlap)
@@ -276,19 +280,63 @@ def diagonalize(
         if k == n or not np.any(required & ~labeled & reachable):
             break
         k = min(n, 2 * k)
-    labels: dict[tuple[int, ...], int] = {}
-    quality: dict[tuple[int, ...], float] = {}
-    for s in states.tolist():
-        label = tuple(occupation[basis[s]].tolist())
-        labels[label] = s
-        quality[label] = float(overlap[basis[s], s])
+    return vals, states, basis[states], overlap[basis[states], states]
+
+
+def diagonalize(
+    subsystems: Sequence[QuantizedSubsystem],
+    hamiltonian: np.ndarray,
+    min_overlap: float = DEFAULT_MIN_OVERLAP,
+) -> DressedSpectrum:
+    """Lowest-subset eigensolve per parity sector plus maximum-overlap labeling.
+
+    Every coupling term moves the occupation of each of its two modes by +-1,
+    so when the port operators obey the parity selection rule (see
+    ``subsystems``) H conserves the parity of the total occupation. The
+    product basis is then split into its even and odd sectors, checked
+    exactly: if H has any nonzero entry between them (a transmon at nonzero
+    offset charge), the whole basis is the only sector.
+
+    In each sector that holds a label of total occupation <= 2, the k lowest
+    eigenpairs are solved for, k being the number of the sector's bare
+    product energies up to the highest such label's, plus SUBSET_MARGIN.
+    While such a label is unassigned and a state outside the subset could
+    still carry it, k doubles, up to the sector's dimension. With
+    ``min_overlap`` >= 1/2 a bare label dominates at most one dressed state,
+    so each state takes its largest-overlap label when that overlap reaches
+    ``min_overlap``; at an exact 1/2 tie the lower energy wins. The sectors'
+    energies are merged in ascending order, and the labels index the merged
+    list.
+    """
+    if not 0.5 <= min_overlap <= 1.0:
+        raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
+    occupation = _occupations([d for s in subsystems for d in s.mode_dims])
+    n = len(occupation)
+    if hamiltonian.shape != (n, n):
+        raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
+    bare = outer_sum([s.energies for s in subsystems])
+    required = occupation.sum(axis=1) <= 2
+    energies, found = [], []  # found: (solved state, product basis index, overlap)
+    for sector in _parity_sectors(occupation, hamiltonian):
+        if not required[sector].any():
+            continue
+        # one sector is H itself: solved in place of a copy, as the memory guard assumes
+        block = hamiltonian if len(sector) == n else hamiltonian[np.ix_(sector, sector)]
+        vals, states, basis, quality = _solve_sector(block, bare[sector], required[sector],
+                                                     min_overlap)
+        offset = sum(len(e) for e in energies)
+        found.extend(zip(offset + states, sector[basis], quality.tolist()))
+        energies.append(vals)
+    merged = np.concatenate(energies)
+    position = np.argsort(np.argsort(merged, kind="stable"))  # place in ascending order
+    found = sorted((int(position[s]), tuple(occupation[b].tolist()), q) for s, b, q in found)
     return DressedSpectrum(
-        energies=vals,
-        labels=labels,
-        overlaps=quality,
+        energies=np.sort(merged),
+        labels={label: s for s, label, _ in found},
+        overlaps={label: q for _, label, q in found},
         subsystem_names=tuple(s.name for s in subsystems),
         mode_dims=tuple(s.mode_dims for s in subsystems),
-        unlabeled=tuple(sorted(set(range(k)) - set(labels.values()))),
+        unlabeled=tuple(sorted(set(range(len(merged))) - {s for s, _, _ in found})),
         min_overlap=min_overlap,
     )
 

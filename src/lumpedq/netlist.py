@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy import constants
 from scipy.sparse.csgraph import connected_components
@@ -88,7 +89,8 @@ def check_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
     decides the case and words the error."""
     if m.shape[0] == 0 or _positive_definite(m):
         return
-    w = np.linalg.eigvalsh(_symmetrize(m.toarray() if sp.issparse(m) else m))
+    # every full spectrum here is divide and conquer (dsyevd), as in numpy's eigvalsh
+    w = scipy.linalg.eigvalsh(_symmetrize(m.toarray() if sp.issparse(m) else m), driver="evd")
     largest = max(w[-1], 0.0) or 1.0
     if w[0] < -rtol * largest:
         raise MalformedMatrix(
@@ -103,7 +105,7 @@ def _positive_definite(m) -> bool:
     exactly when every pivot is positive."""
     try:
         if not sp.issparse(m):
-            np.linalg.cholesky(_symmetrize(m))
+            scipy.linalg.cholesky(_symmetrize(m), lower=True)
             return True
         # the CSC transpose of a symmetric CSR matrix is the matrix itself
         lu = splu(m.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -428,7 +430,7 @@ class ReducedCircuit:
     def __post_init__(self):
         check_symmetric(self.c_mat, "reduced capacitance")
         check_psd(self.c_mat, "reduced capacitance")
-        w = np.linalg.eigvalsh(self.c_mat)
+        w = scipy.linalg.eigvalsh(self.c_mat, driver="evd")
         if w[0] <= SINGULAR_RATIO * w[-1]:
             raise IllConditionedMatrix(
                 f"reduced capacitance matrix is numerically singular "
@@ -681,7 +683,7 @@ def coupler_kernel(mat, labels: Sequence[str], registry: NodeRegistry) -> list[i
     occupied = np.zeros((2, mat.shape[0]), dtype=bool)
     occupied[0, rows] = occupied[1, cols] = True
     block = _dense_block(mat, occupied[0].nonzero()[0], occupied[1].nonzero()[0])
-    scale = np.linalg.svd(block, compute_uv=False)[0]
+    scale = scipy.linalg.svdvals(block)[0]
     norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=mat.shape[1]))
     return [i for i in candidates if norms[i] <= KERNEL_RTOL * scale]
 
@@ -737,7 +739,7 @@ def schur_eliminate(
         rr = np.zeros((first[k + 1] - first[k],) * 2)
         rr[a[start[k]:start[k + 1]], b[start[k]:start[k + 1]]] = v[start[k]:start[k + 1]]
         blocks.append(rr)
-    spectra = [np.linalg.eigvalsh(_symmetrize(rr)) for rr in blocks]
+    spectra = [scipy.linalg.eigvalsh(_symmetrize(rr), driver="evd") for rr in blocks]
     lowest = min(w[0] for w in spectra)
     highest = max(w[-1] for w in spectra)
     if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
@@ -755,7 +757,8 @@ def schur_eliminate(
         touching, at = np.unique(kept_rows[seg], return_inverse=True)
         kr = np.zeros((touching.size, rr.shape[0]))
         kr[at, c[seg]] = v[seg]
-        reduced[np.ix_(new[touching], new[touching])] -= kr @ np.linalg.solve(rr, kr.T)
+        reduced[np.ix_(new[touching], new[touching])] -= (
+            kr @ scipy.linalg.solve(rr, kr.T, assume_a="gen"))
     return _symmetrize(reduced), _dense_block(other, kept, kept), kept.tolist()
 
 
@@ -861,6 +864,6 @@ def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:
     """Partition the inverted capacitance and reduced inverse inductance into
     per-subsystem diagonal blocks and scaled pairwise couplings."""
     return CircuitBlocks(
-        labels=rc.labels, c_inv=_symmetrize(np.linalg.inv(rc.c_mat)), l_inv_prime=rc.l_inv_prime,
-        block_index=rc.block_index,
+        labels=rc.labels, c_inv=_symmetrize(scipy.linalg.inv(rc.c_mat)),
+        l_inv_prime=rc.l_inv_prime, block_index=rc.block_index,
     )

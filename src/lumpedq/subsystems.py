@@ -12,6 +12,16 @@ squared overlap with a bare product state unchanged. In it the line charge
 i Q (a^dag - a) is the real symmetric Q (a^dag + a), and the line flux
 Phi (a^dag + a) is i times the real antisymmetric Phi (a - a^dag). Transmon
 eigenvectors are real, so their charge operator is real as it stands.
+
+Port operators obey a level-parity selection rule: they connect only levels
+of opposite index parity. A line quadrature moves the occupation by +-1, and
+at zero offset charge the transmon's levels alternate in parity under
+n -> -n, which 2e*n reverses (Koch et al., PRA 76, 042319 (2007)). A factor
+stores the entries between levels of equal parity as exact zeros when all of
+them are rounding noise, within OPERATOR_RTOL of the largest entry; at a
+nonzero offset charge they are not small and stay as they are. The composite
+diagonalization splits the product basis by total-occupation parity on
+exactly these zeros (see ``composite``).
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ from .errors import TruncationNotConverged, ValidationError
 from .loadedline import LineMode, LoadedLineSpec
 
 _E = constants.e
+# relative tolerance, against an operator's largest entry, to which a mode
+# operator is accepted as (anti)symmetric and its equal-parity entries as zero
+OPERATOR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,9 +87,11 @@ class ModeFactor:
     charge operator (real symmetric) and, for a harmonic mode, the real
     antisymmetric matrix that is its port flux operator divided by i.
 
-    Operators symmetric (or antisymmetric) to 1e-12 relative are accepted and
+    Operators symmetric (or antisymmetric) to OPERATOR_RTOL are accepted and
     stored exactly so, which keeps the assembled Hamiltonian exactly
-    symmetric.
+    symmetric. When every entry between two levels of equal index parity is
+    within OPERATOR_RTOL of the largest entry, those entries are stored as
+    exact zeros, so the operator exactly obeys the parity selection rule.
     """
 
     levels: np.ndarray  # J, 1-D
@@ -95,10 +110,14 @@ class ModeFactor:
             if op.shape != (dim, dim):
                 raise ValidationError(f"mode {what} operator shape {op.shape} does not match "
                                       f"{dim} levels")
-            if (op.dtype.kind != "f"
-                    or np.max(np.abs(op - sign * op.T)) > 1e-12 * (np.max(np.abs(op)) or 1.0)):
+            bound = OPERATOR_RTOL * (np.max(np.abs(op)) or 1.0)
+            if op.dtype.kind != "f" or np.max(np.abs(op - sign * op.T)) > bound:
                 raise ValidationError(f"mode {what} operator is not real {kind}")
-            object.__setattr__(self, what, 0.5 * (op + sign * op.T))
+            op = 0.5 * (op + sign * op.T)
+            same_parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
+            if np.max(np.abs(op[same_parity])) <= bound:
+                op = np.where(same_parity, 0.0, op)
+            object.__setattr__(self, what, op)
 
 
 @dataclass(frozen=True)

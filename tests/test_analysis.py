@@ -12,7 +12,7 @@ from lumpedq.errors import ConfigError, TargetOutOfRange
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.subsystems import quantize_line
 
-from conftest import greedy_labels
+from conftest import assert_matches_full_eigh
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +69,39 @@ class TestLowestSubset:
         subs = full_model.subsystems
         h = build_full_hamiltonian(subs, full_model.graph)
         spec = diagonalize(subs, h)
+        assert len(spec.energies) < h.shape[0]
+        assert spec.labels == full_model.spectrum.labels
+        assert_matches_full_eigh(spec, h)
+
+    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
+    def test_offset_charge_decides_the_sectors(self, bench, monkeypatch, q_offset_2e, sectors):
+        """At zero offset charge the product basis splits into its two
+        parity sectors of N/2. At a nonzero one the transmon's charge
+        operator breaks the selection rule, so the whole basis is one
+        sector and the solve keeps the full solve's lowest levels."""
+        import scipy.linalg
+
+        model = build_model(bench.with_override("subsystems.qubit.q_offset_2e", q_offset_2e))
+        subs = model.subsystems
+        h = build_full_hamiltonian(subs, model.graph)
+        shapes = []
+        real = scipy.linalg.eigh
+
+        def spy(a, **kwargs):
+            shapes.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        spec = diagonalize(subs, h)
+        assert len(shapes) >= sectors
+        assert set(shapes) == {(h.shape[0] // sectors,) * 2}
         k = len(spec.energies)
         assert k < h.shape[0]
-        assert spec.labels == full_model.spectrum.labels
-        vals, vecs = np.linalg.eigh(h)
-        full = greedy_labels(vals, vecs, list(np.ndindex(*[d for s in subs for d in s.mode_dims])))
-        assert spec.labels == {lab: s for lab, s in full.items() if s < k}
-        np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
-        # every label of total occupation <= 2 that the full solve assigns is present
-        assert all(lab in spec.labels for lab in full if sum(lab) <= 2)
+        assert spec.labels == model.spectrum.labels
+        vals, full = assert_matches_full_eigh(spec, h)
+        if sectors == 1:
+            assert spec.labels == {lab: s for lab, s in full.items() if s < k}
+            np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
 
 
 class TestNaiveComparison:

@@ -28,9 +28,20 @@ from lumpedq.errors import (
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
-from lumpedq.subsystems import ModeFactor, QuantizedSubsystem, quantize_line
+from lumpedq.subsystems import (
+    ModeFactor,
+    QuantizedSubsystem,
+    TransmonSpec,
+    diagonalize_transmon,
+    quantize_line,
+)
 
-from conftest import greedy_labels, kerr_readout_system, qubit_readout_system
+from conftest import (
+    assert_matches_full_eigh,
+    greedy_labels,
+    kerr_readout_system,
+    qubit_readout_system,
+)
 
 H_PLANCK = constants.h
 HBAR = constants.hbar
@@ -343,47 +354,94 @@ class TestLabeling:
         subs, edges, _ = gauge_oracle_system()
         h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges.values())))
         spec = diagonalize(subs, h)
-        k = len(spec.energies)
-        assert k < h.shape[0]
-        vals, vecs = np.linalg.eigh(h)
-        flat = list(np.ndindex(*[d for s in subs for d in s.mode_dims]))
-        full = greedy_labels(vals, vecs, flat)
-        assert spec.labels == {lab: s for lab, s in full.items() if s < k}
-        np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
+        assert len(spec.energies) < h.shape[0]
+        assert_matches_full_eigh(spec, h)
 
     def test_missing_label_widens_the_subset(self, monkeypatch):
-        """Two oscillators with a parity-forbidden crossing: coupling lifts
-        the bare (0, 2) state above the unrequired (3, 0), so a solve of the
-        six bare states up to (0, 2) misses it and must double."""
-        a = harmonic_subsystem("a", 4.7e9, 5, q_zpf=2e-18)
+        """Two oscillators with a crossing inside the even sector: coupling
+        lifts the bare (0, 2) state above the unrequired (4, 0), so a solve
+        of the four even bare states up to (0, 2) misses it and must double;
+        the odd sector needs its two states up to (0, 1) only."""
+        a = harmonic_subsystem("a", 3.52e9, 5, q_zpf=2e-18)
         b = harmonic_subsystem("b", 7.0e9, 4, q_zpf=3e-18)
         coef = 2.0 * HBAR * 2 * np.pi * 300e6 / (2e-18 * 3e-18)
         graph = CouplingGraph((CouplingEdge("a", "p", "b", "p", inv_c_eff=coef),))
         h = build_full_hamiltonian([a, b], graph)
         vals, vecs = np.linalg.eigh(h)
         full = greedy_labels(vals, vecs, list(np.ndindex(5, 4)))
-        assert full[(0, 2)] == 6 and full[(3, 0)] == 5  # the crossing happened
+        assert full[(0, 2)] == 8 and full[(4, 0)] == 6  # the crossing happened
 
         monkeypatch.setattr(composite, "SUBSET_MARGIN", 0)
         spec = diagonalize([a, b], h)
-        assert len(spec.energies) == 12  # 6, doubled once
-        assert spec.labels == {lab: s for lab, s in full.items() if s < 12}
-        assert spec.energy_of((0, 2)) == pytest.approx(vals[6], rel=1e-12)
+        assert len(spec.energies) == 10  # even: 4, doubled once; odd: 2
+        # the full solve's 8 lowest even and 2 lowest odd states, in energy order
+        odd = np.array([sum(lab) % 2 for lab in np.ndindex(5, 4)], dtype=bool)
+        odd_state = (vecs[odd] ** 2).sum(axis=0) > 0.5
+        kept = np.sort(np.concatenate((np.flatnonzero(~odd_state)[:8],
+                                       np.flatnonzero(odd_state)[:2])))
+        merged = {s: i for i, s in enumerate(kept.tolist())}
+        assert spec.labels == {lab: merged[s] for lab, s in full.items() if s in merged}
+        np.testing.assert_allclose(spec.energies, vals[kept], rtol=1e-12)
+        assert spec.energy_of((0, 2)) == pytest.approx(vals[8], rel=1e-12)
 
     def test_exact_half_tie_goes_to_the_lower_energy(self, monkeypatch):
-        """Both states put exactly 1/2 on bare state 0: the lower one gets
-        its label and the other stays unlabeled."""
+        """In each parity sector both states put exactly 1/2 on its lowest
+        bare state: the lower one gets its label and the other stays
+        unlabeled, with the sectors merged in energy order."""
         import scipy.linalg
 
         a = harmonic_subsystem("a", 5.0e9, 2)
+        b = harmonic_subsystem("b", 6.0e9, 2)
         s = np.sqrt(0.5)
         vecs = np.array([[s, s], [s, -s]])
         assert vecs[0, 0] ** 2 >= 0.5
-        monkeypatch.setattr(scipy.linalg, "eigh",
-                            lambda h, subset_by_index: (np.array([1.0, 2.0]), vecs))
-        spec = diagonalize([a], np.zeros((2, 2)))
-        assert spec.labels == {(0,): 0}
-        assert spec.unlabeled == (1,)
+
+        def sector_eigh(h, subset_by_index):
+            assert h.shape == (2, 2) and list(subset_by_index) == [0, 1]
+            return np.array([1.0, 2.0]) + h[0, 0], vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh", sector_eigh)
+        # even sector (0, 0), (1, 1) offset by 0; odd sector (0, 1), (1, 0) by 10
+        spec = diagonalize([a, b], np.diag([0.0, 10.0, 10.0, 0.0]))
+        np.testing.assert_array_equal(spec.energies, [1.0, 2.0, 11.0, 12.0])
+        assert spec.labels == {(0, 0): 0, (0, 1): 2}
+        assert spec.unlabeled == (1, 3)
+
+    @given(data=st.data())
+    def test_random_transmon_oscillators_match_full_eigh(self, data):
+        """Random transmon + oscillator systems at zero and at a random
+        offset charge: the solve equals the full-eigh oracle label by label.
+        At zero offset H has no entry between the parity sectors; at a
+        nonzero one it has, and the one-sector solve keeps the full solve's
+        lowest levels."""
+        ec = data.draw(st.floats(200e6, 350e6)) * H_PLANCK
+        n_g = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 0.45)))
+        transmon = diagonalize_transmon(TransmonSpec(
+            c_eff=constants.e**2 / (2 * ec), ej=data.draw(st.floats(20.0, 80.0)) * ec,
+            q_offset=2 * constants.e * n_g, levels=data.draw(st.integers(3, 5))))
+        q01 = abs(transmon.factors[0].charge[0, 1])
+        f_r = data.draw(st.floats(4e9, 9e9))
+        subs, edges = [transmon], []
+        for k in range(data.draw(st.integers(1, 2))):
+            if k:  # keep the oscillators apart, so no two levels are degenerate
+                f_r += data.draw(st.floats(0.3e9, 2e9))
+            osc = harmonic_subsystem(f"r{k}", f_r, data.draw(st.integers(3, 4)), q_zpf=2e-18)
+            g = HBAR * 2 * np.pi * data.draw(st.floats(10e6, 250e6))
+            edges.append(CouplingEdge("transmon", "junction", osc.name, "p",
+                                      inv_c_eff=2 * g / (q01 * 2e-18)))
+            subs.append(osc)
+        h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges)))
+        spec = diagonalize(subs, h)
+        vals, full = assert_matches_full_eigh(
+            spec, h, atol=1e-12 * np.max(np.abs(np.linalg.eigvalsh(h))))
+        dims = [d for sub in subs for d in sub.mode_dims]
+        odd = np.array([sum(lab) % 2 for lab in np.ndindex(*dims)], dtype=bool)
+        assert np.any(h[np.ix_(~odd, odd)]) == (n_g != 0.0)
+        if n_g != 0.0:
+            k = len(spec.energies)
+            assert spec.labels == {lab: s for lab, s in full.items() if s < k}
+            np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(vals)))
 
     def test_unreachable_label_does_not_widen(self):
         """When no state outside the subset can still reach ``min_overlap``

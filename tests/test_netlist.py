@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
@@ -850,13 +851,13 @@ class TestCompositeChecks:
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
         calls = []
-        real = np.linalg.eigvalsh
+        real = scipy.linalg.eigvalsh
 
         def spy(a, *args, **kwargs):
             calls.append(np.array(a))
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", spy)
         return calls
 
     @staticmethod

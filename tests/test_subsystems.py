@@ -10,6 +10,7 @@ from lumpedq.errors import TruncationNotConverged, ValidationError
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.composite import CouplingEdge, CouplingGraph, build_full_hamiltonian
 from lumpedq.subsystems import (
+    OPERATOR_RTOL,
     ModeFactor,
     TransmonSpec,
     _charge_basis_levels,
@@ -112,6 +113,26 @@ class TestTransmon:
         spec = transmon_from_ratio(50.0)
         n01 = abs(q[0, 1]) / (2 * E)
         assert n01 == pytest.approx((50.0 / 8.0) ** 0.25 / math.sqrt(2), rel=0.05)
+
+    def test_charge_operator_parity_zeros(self):
+        """At n_g = 0 the levels alternate in parity under n -> -n, so 2e*n
+        vanishes between levels of equal index parity: stored as exact zeros
+        where the charge-basis product leaves rounding noise. At n_g = 0.25
+        those entries are not small and are kept."""
+        levels = 5
+        same = np.add.outer(np.arange(levels), np.arange(levels)) % 2 == 0
+        for n_g in (0.0, 0.25):
+            spec = transmon_from_ratio(50.0, q_offset=n_g * 2 * E, levels=levels)
+            n, _, vecs = _charge_basis_levels(spec, spec.n_max, levels)
+            raw = 2 * E * (vecs.T @ (n[:, None] * vecs))
+            q = diagonalize_transmon(spec).factors[0].charge
+            np.testing.assert_allclose(q[~same], raw[~same], rtol=1e-12)
+            if n_g == 0.0:
+                assert np.all(q[same] == 0.0)
+                assert np.max(np.abs(raw[same])) <= 1e-12 * np.max(np.abs(raw))
+            else:
+                np.testing.assert_allclose(q[same], raw[same], rtol=1e-12)
+                assert np.max(np.abs(q[same])) > 1e-2 * np.max(np.abs(q))
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -251,6 +272,21 @@ class TestHermiticity:
         ops[what] = np.zeros((3, 3))
         with pytest.raises(ValidationError, match=f"{what} operator shape"):
             ModeFactor(levels=np.array([0.0, 1.0]), charge_scale=1.0, **ops)
+
+    @pytest.mark.parametrize("ratio, zeroed", [(0.1, True), (10.0, False)])
+    def test_equal_parity_entries_zeroed_only_within_tolerance(self, ratio, zeroed):
+        """Entries between levels of equal index parity become exact zeros
+        only when all of them are within OPERATOR_RTOL of the largest entry
+        (here sqrt(2))."""
+        noise = ratio * OPERATOR_RTOL
+        a = np.diag(np.sqrt([1.0, 2.0]), k=1)
+        same = np.add.outer(np.arange(3), np.arange(3)) % 2 == 0
+        charge = a.T + a + noise * same
+        flux = a - a.T + noise * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        factor = ModeFactor(levels=np.array([0.0, 1.0, 2.0]), charge=charge,
+                            charge_scale=1.0, flux=flux)
+        np.testing.assert_array_equal(factor.charge, a.T + a if zeroed else charge)
+        np.testing.assert_array_equal(factor.flux, a - a.T if zeroed else flux)
 
     def test_nearly_symmetric_operators_stored_exactly_symmetric(self):
         charge = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])

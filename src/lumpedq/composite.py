@@ -329,14 +329,14 @@ def diagonalize(
         energies.append(vals)
     merged = np.concatenate(energies)
     position = np.argsort(np.argsort(merged, kind="stable"))  # place in ascending order
-    found = sorted((int(position[s]), tuple(occupation[b].tolist()), q) for s, b, q in found)
+    picked = sorted((int(position[s]), tuple(occupation[b].tolist()), q) for s, b, q in found)
     return DressedSpectrum(
         energies=np.sort(merged),
-        labels={label: s for s, label, _ in found},
-        overlaps={label: q for _, label, q in found},
+        labels={label: s for s, label, _ in picked},
+        overlaps={label: q for _, label, q in picked},
         subsystem_names=tuple(s.name for s in subsystems),
         mode_dims=tuple(s.mode_dims for s in subsystems),
-        unlabeled=tuple(sorted(set(range(len(merged))) - {s for s, _, _ in found})),
+        unlabeled=tuple(sorted(set(range(len(merged))) - {s for s, _, _ in picked})),
         min_overlap=min_overlap,
     )
 

@@ -103,6 +103,7 @@ class ModeFactor:
         if np.ndim(self.levels) != 1:
             raise ValidationError("mode levels must be a 1-D array of energies")
         dim = len(self.levels)
+        same_parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
         for what, op, sign, kind in (("charge", self.charge, 1.0, "symmetric"),
                                      ("flux", self.flux, -1.0, "antisymmetric")):
             if op is None:
@@ -114,7 +115,6 @@ class ModeFactor:
             if op.dtype.kind != "f" or np.max(np.abs(op - sign * op.T)) > bound:
                 raise ValidationError(f"mode {what} operator is not real {kind}")
             op = 0.5 * (op + sign * op.T)
-            same_parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
             if np.max(np.abs(op[same_parity])) <= bound:
                 op = np.where(same_parity, 0.0, op)
             object.__setattr__(self, what, op)

@@ -401,10 +401,10 @@ class TestLabeling:
             return np.array([1.0, 2.0]) + h[0, 0], vecs
 
         monkeypatch.setattr(scipy.linalg, "eigh", sector_eigh)
-        # even sector (0, 0), (1, 1) offset by 0; odd sector (0, 1), (1, 0) by 10
-        spec = diagonalize([a, b], np.diag([0.0, 10.0, 10.0, 0.0]))
+        # even sector (0, 0), (1, 1) offset by 10, solved first; odd (0, 1), (1, 0) by 0
+        spec = diagonalize([a, b], np.diag([10.0, 0.0, 0.0, 10.0]))
         np.testing.assert_array_equal(spec.energies, [1.0, 2.0, 11.0, 12.0])
-        assert spec.labels == {(0, 0): 0, (0, 1): 2}
+        assert spec.labels == {(0, 1): 0, (0, 0): 2}
         assert spec.unlabeled == (1, 3)
 
     @given(data=st.data())

@@ -4,9 +4,12 @@
 With no config arguments, writes the shipped benchmark device to a
 temporary directory and prints the digest of the machine report of each of
 ``analyze --naive``, ``budget`` and a 3-point ``sweep`` of the junction
-inductance. Given device config paths, prints the ``analyze`` and the
-``analyze --naive`` digest of each. Run it from each checkout and compare
-the lines:
+inductance; it then writes the two seed-0 ``wide-chip`` devices of the
+benchmark (798 nodes each, made by ``wide_chip`` of ``perfbench/inputs.py``,
+which it imports and does not change) and prints their ``analyze`` and
+``analyze --naive`` digests. Given device config paths, prints the
+``analyze`` and the ``analyze --naive`` digest of each instead. Run it from
+each checkout and compare the lines:
 
     PYTHONPATH=src python scripts/report_digests.py [config ...]
 
@@ -42,10 +45,26 @@ SHIPPED_RUNS = {
     "sweep": ["sweep", "--param", "junctions.j1.lj_nh", "--values", "11,12,13"],
 }
 HZ_BOUND = 1e-3  # largest change in Hz a summation reorder may cause
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WIDE_CHIP_SEED = 0
 
 
 class ReportMismatch(Exception):
     """Two reports differ in something other than a numeric value."""
+
+
+def wide_chip_configs(directory: Path) -> list[Path]:
+    """Write the benchmark's seed-0 wide-chip devices into ``directory`` with
+    its own generator and return their config paths. The import leaves
+    ``perfbench/`` as it is: no bytecode is written there."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        from inputs import wide_chip
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+    return [op.config for op in wide_chip(WIDE_CHIP_SEED, directory)]
 
 
 def run_report(args: list[str], config: Path, out: Path) -> bytes:
@@ -119,6 +138,10 @@ def main() -> int:
             config = write_benchmark(Path(tmp) / "device")
             runs = [(f"{name} (shipped device)", f"shipped-{name}", run, config)
                     for name, run in SHIPPED_RUNS.items()]
+            runs += [(f"{name} (wide-chip seed {WIDE_CHIP_SEED} device {d})",
+                      f"wide{d}-{name}", run, config)
+                     for d, config in enumerate(wide_chip_configs(Path(tmp) / "wide-chip"))
+                     for name, run in CONFIG_RUNS.items()]
         if args.save:
             args.save.mkdir(parents=True, exist_ok=True)
         for title, key, run, config in runs:

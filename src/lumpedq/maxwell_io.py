@@ -42,33 +42,36 @@ def _raise_first_bad_row(rows: list[tuple[int, str]], width: int, source: str) -
             )
 
 
-def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> np.ndarray:
-    """The value fields of the data rows, parsed by numpy in one call; a
-    failure is located by a row-by-row pass."""
+def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> tuple[list[str], np.ndarray]:
+    """The row names and the value fields of the data rows; the values are
+    parsed by numpy in one call. A failure, or a matrix of the wrong shape,
+    is located by a row-by-row pass."""
+    names, values = [], []
+    for _, line in rows:
+        name, _, fields = line.partition(",")
+        names.append(name.strip())
+        values.append(fields)
     try:
-        if any(line.count(",") != width for _, line in rows):
-            raise ValueError("rows of unequal length")
-        return np.loadtxt([line.partition(",")[2] for _, line in rows],
-                          delimiter=",", comments=None, ndmin=2)
+        display = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+        if display.shape != (len(rows), width):
+            raise ValueError(f"{display.shape} values for {len(rows)} rows of {width} nodes")
     except ValueError as exc:
         _raise_first_bad_row(rows, width, source)
         raise ParseError(f"{source}: cannot parse the matrix values ({exc})") from None
+    return names, display
 
 
 def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
     units = None
     header: list[str] | None = None
     rows: list[tuple[int, str]] = []  # (line number, data line)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                if key.strip() == "units":
-                    units = value.strip()
+        if line[0] == "#":
+            key, colon, value = line[1:].partition(":")
+            if colon and key.strip() == "units":
+                units = value.strip()
             continue
         if header is None:
             fields = [f.strip() for f in line.split(",")]
@@ -79,7 +82,8 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
                 raise ParseError(f"{source}: duplicate node names in header", line=lineno)
             continue
         rows.append((lineno, line))
-    display = _parse_values(rows, len(header), source) if rows else None
+    if rows:
+        names, display = _parse_values(rows, len(header), source)
 
     if units is None:
         raise ParseError(f"{source}: missing mandatory '# units:' header")
@@ -87,7 +91,6 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
         raise ParseError(f"{source}: unsupported units {units!r}; use one of {sorted(UNIT_SCALES)}")
     if header is None or not rows:
         raise ParseError(f"{source}: no matrix data found")
-    names = [line.partition(",")[0].strip() for _, line in rows]
     if names != header:
         raise ParseError(f"{source}: row order {names} does not match header order {header}")
 
@@ -106,7 +109,8 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
         )
         display = 0.5 * (display + display.T)
 
-    off = display - np.diag(np.diag(display))
+    off = display.copy()
+    np.fill_diagonal(off, 0.0)
     if np.any(off > 1e-12 * magnitude):
         i, j = np.unravel_index(np.argmax(off), off.shape)
         raise SignError(
@@ -124,9 +128,11 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
 
 def parse_maxwell_file(path: str | Path) -> MaxwellMatrix:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"Maxwell matrix file not found: {path}")
-    return parse_maxwell_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"Maxwell matrix file not found: {path}") from None
+    return parse_maxwell_text(text, source=str(path))
 
 
 def serialize_maxwell(m: MaxwellMatrix) -> str:

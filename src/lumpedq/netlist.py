@@ -18,7 +18,9 @@ those. Every stage reads a matrix, dense or CSR, as the (rows, cols, vals)
 index arrays of its nonzero entries and builds each result matrix once: the
 rotation is read off the junction forest and applied as a sparse
 congruence, and each elimination solves the islands of its coupler block
-one at a time, as small dense blocks.
+one at a time, as small dense blocks. Whether a coupler block is singular
+is decided from its Gershgorin bounds where they suffice, and from the
+spectra of its islands only where they do not.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -56,8 +58,11 @@ PSD_RTOL = 1e-12
 # Input matrices carry ~1e-3 relative extraction noise, so rank decisions
 # must sit far above machine epsilon but far below physical couplings.
 KERNEL_RTOL = 1e-9
-# smallest/largest eigenvalue ratio below which a block is treated as singular
-SINGULAR_RATIO = 1e-18
+# smallest/largest eigenvalue ratio below which a block is treated as
+# singular. eigvalsh finds the smallest eigenvalue of an exactly singular
+# n x n block only to about n * eps of the largest (eps = 2.2e-16), so the
+# ratio sits well above that rounding floor for blocks of a few hundred rows.
+SINGULAR_RATIO = 1e-12
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -274,7 +279,8 @@ class MaxwellMatrix:
             raise MalformedMatrix("duplicate node names")
         check_symmetric(m, "Maxwell matrix")
         scale = np.max(np.abs(m)) or 1.0
-        off = m - np.diag(np.diag(m))
+        off = m.copy()
+        np.fill_diagonal(off, 0.0)
         if np.any(off > 1e-12 * scale):
             i, j = np.unravel_index(np.argmax(off), off.shape)
             raise MalformedMatrix(
@@ -464,20 +470,21 @@ def reduce_maxwell(m: MaxwellMatrix, datum: str) -> CellMatrices:
 
 def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> MaxwellMatrix:
     """Merge grounded islands into a single net by summing their rows and
-    columns; mutuals internal to the merged group vanish."""
+    columns; mutuals internal to the merged group vanish. Each entry is
+    scatter-added to the entry of its row's and its column's groups."""
     merge = [n for n in merge if n != into]
     for n in merge:
         if n not in m.names:
             raise UnknownNode(f"cannot merge unknown node {n!r}")
     if into not in m.names:
         raise UnknownNode(f"merge target {into!r} not present")
-    keep = [n for n in m.names if n not in merge]
-    idx = {n: i for i, n in enumerate(m.names)}
-    groups = [[idx[n]] + ([idx[g] for g in merge] if n == into else []) for n in keep]
-    out = np.zeros((len(keep), len(keep)))
-    for a, ga in enumerate(groups):
-        for b, gb in enumerate(groups):
-            out[a, b] = m.matrix[np.ix_(ga, gb)].sum()
+    merged = set(merge)
+    keep = [n for n in m.names if n not in merged]
+    position = {n: a for a, n in enumerate(keep)}
+    group = np.array([position[into if n in merged else n] for n in m.names], dtype=np.intp)
+    k = len(keep)
+    out = np.bincount((group[:, None] * k + group).ravel(), weights=m.matrix.ravel(),
+                      minlength=k * k).reshape(k, k)
     return MaxwellMatrix(names=tuple(keep), matrix=_symmetrize(out), display_units=m.display_units)
 
 
@@ -598,39 +605,53 @@ def rotate_to_junction_basis(
 
     s_n is read off the junction forest: a node that keeps its own
     coordinate has a unit row, and each pivot node's row is its parent's row
-    plus or minus its junction's coordinate (the datum's row is zero).
+    plus or minus its junction's coordinate (the datum's row is zero). The
+    unit rows are index arrays; only the pivot rows are built one by one.
     """
     nodes = net.labels
     datum = net.registry.datum
+    index = {node: i for i, node in enumerate(nodes)}
     pivots = _junction_pivots(net)
-    consumed = {pivot for _, pivot in pivots.values()}
-    labels = [j.ident for j in net.junctions] + [n for n in nodes if n not in consumed]
-    column = {label: k for k, label in enumerate(labels)}
+    kept = np.ones(len(nodes), dtype=bool)
+    kept[[index[pivot] for _, pivot in pivots.values()]] = False
+    kept_rows = kept.nonzero()[0]
+    unit_column = len(net.junctions) + kept.cumsum() - 1  # column of a kept node's unit row
+    labels = [j.ident for j in net.junctions] + [nodes[i] for i in kept_rows]
 
-    # rows of s_n as {column: +-1}
-    s_rows: dict[str, dict[int, int]] = {datum: {}}
-    s_rows.update((n, {column[n]: 1}) for n in nodes if n not in consumed)
+    # the pivot rows of s_n, as {column: +-1}
+    pivot_rows: dict[str, dict[int, int]] = {}
+
+    def s_row(node: str) -> dict[int, int]:
+        if node == datum:
+            return {}
+        if node in pivot_rows:
+            return pivot_rows[node]
+        return {int(unit_column[index[node]]): 1}
+
     junction_by_id = {j.ident: j for j in net.junctions}
+    column = {j.ident: k for k, j in enumerate(net.junctions)}
     for ident, (parent, pivot) in pivots.items():
         sign = 1 if pivot == junction_by_id[ident].node_pos else -1
-        s_rows[pivot] = {**s_rows[parent], column[ident]: sign}
+        pivot_rows[pivot] = {**s_row(parent), column[ident]: sign}
 
     # t, the inverse of s_n, maps node fluxes to the rotated coordinates:
-    # its row k is e_pos - e_neg for a junction and e_node for a kept node
-    t_rows = [(j.node_pos, j.node_neg) for j in net.junctions]
-    t_rows += [(n, datum) for n in labels[len(net.junctions):]]
-    for k, (pos, neg) in enumerate(t_rows):
-        product = dict(s_rows[pos])
-        for col, v in s_rows[neg].items():
+    # its row k is e_pos - e_neg for a junction and e_node for a kept node.
+    # (t s_n) is the identity on a kept node's row by construction, so only
+    # the junction rows are checked.
+    for k, j in enumerate(net.junctions):
+        product = dict(s_row(j.node_pos))
+        for col, v in s_row(j.node_neg).items():
             product[col] = product.get(col, 0) - v
         if {col: v for col, v in product.items() if v} != {k: 1}:
             raise DependentJunctionLoop("junction basis transformation is not invertible")
 
-    node_index = {node: i for i, node in enumerate(nodes)}
-    entries = sorted((node_index[node], col, v)
-                     for node in nodes for col, v in s_rows[node].items())
+    entries = [(index[node], col, v) for node, row in pivot_rows.items() for col, v in row.items()]
     rows, cols, vals = np.array(entries, dtype=np.intp).reshape(-1, 3).T
-    s_n = _from_coo(rows, cols, vals.astype(float), len(nodes))
+    rows = np.concatenate((rows, kept_rows))
+    cols = np.concatenate((cols, unit_column[kept_rows]))
+    vals = np.concatenate((vals, np.ones(kept_rows.size, dtype=np.intp)))
+    order = np.lexsort((cols, rows))  # row-major
+    s_n = _from_coo(rows[order], cols[order], vals[order].astype(float), len(nodes))
     c = _sparse_congruence(net.c_mat, s_n)
     l_inv = _sparse_congruence(net.l_inv, s_n)
     return c, l_inv, tuple(labels), s_n
@@ -701,11 +722,19 @@ def schur_eliminate(
     in the error raised when it is singular.
 
     The eliminated block is split into the islands of its nonzero pattern
-    (couplers of different cells share no entries); each island is tested
-    and solved on its own as a dense block, and its update reaches only the
-    kept rows that touch it; the updates are subtracted in island order.
-    The singularity test compares the smallest eigenvalue of all islands
-    with the largest.
+    (couplers of different cells share no entries); each island is solved
+    on its own as a dense block, and its update reaches only the kept rows
+    that touch it; the updates are subtracted in island order.
+
+    The block is singular when its smallest eigenvalue, over all islands,
+    is at most ``SINGULAR_RATIO`` times its largest. Gershgorin bounds,
+    taken in one pass over the block's entries, decide most blocks: when
+    the lower bound is positive and above ``SINGULAR_RATIO`` times the
+    upper one, the exact rule accepts the block too, and no spectrum is
+    computed. This holds for grounded coupler pads, whose rows are
+    diagonally dominant. Otherwise (a floating island, a zero row, islands
+    of very different scales, or a block that is not diagonally dominant)
+    the full spectrum of every island decides the case and words the error.
 
     Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
@@ -732,21 +761,25 @@ def schur_eliminate(
     slot[members] = np.arange(n_r) - first[island[members]]
 
     # each island's block, and its couplings to the kept rows that touch it
+    v = vals[inner]
+    lower, upper = _gershgorin_bounds(a, b, v, n_r)
     order, start = _grouped(island[a], count)
-    a, b, v = slot[a[order]], slot[b[order]], vals[inner][order]
+    a, b, v = slot[a[order]], slot[b[order]], v[order]
     blocks = []
     for k in range(count):
         rr = np.zeros((first[k + 1] - first[k],) * 2)
         rr[a[start[k]:start[k + 1]], b[start[k]:start[k + 1]]] = v[start[k]:start[k + 1]]
         blocks.append(rr)
-    spectra = [scipy.linalg.eigvalsh(_symmetrize(rr), driver="evd") for rr in blocks]
-    lowest = min(w[0] for w in spectra)
-    highest = max(w[-1] for w in spectra)
-    if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
-        raise SingularCouplerBlock(
-            f"coupler {block} block is numerically singular; an eliminated "
-            f"coupler island is not connected through the {block} matrix"
-        )
+    if not (lower > 0.0 and lower > SINGULAR_RATIO * upper):
+        # the bounds cannot decide; the extreme eigenvalues of the islands do
+        spectra = [scipy.linalg.eigvalsh(_symmetrize(rr), driver="evd") for rr in blocks]
+        lowest = min(w[0] for w in spectra)
+        highest = max(w[-1] for w in spectra)
+        if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
+            raise SingularCouplerBlock(
+                f"coupler {block} block is numerically singular; an eliminated "
+                f"coupler island is not connected through the {block} matrix"
+            )
 
     kept_rows, c = rows[edge], local[cols[edge]]
     order, start = _grouped(island[c], count)
@@ -760,6 +793,23 @@ def schur_eliminate(
         reduced[np.ix_(new[touching], new[touching])] -= (
             kr @ scipy.linalg.solve(rr, kr.T, assume_a="gen"))
     return _symmetrize(reduced), _dense_block(other, kept, kept), kept.tolist()
+
+
+def _gershgorin_bounds(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                       n: int) -> tuple[float, float]:
+    """Bounds (lower, upper) on the spectrum of the symmetric part of the
+    n x n matrix with distinct entries (rows, cols, vals), by Gershgorin's
+    circle theorem (Golub & Van Loan, *Matrix Computations*): lower is the
+    least a_ii - r_i and upper the largest |a_ii| + r_i. The radius r_i of
+    row i is half the off-diagonal magnitudes of its row and its column,
+    which bounds the sum of |a_ij + a_ji| / 2 and equals it for a symmetric
+    matrix."""
+    on = rows == cols
+    diag = np.bincount(rows[on], weights=vals[on], minlength=n)
+    size = np.abs(vals[~on])
+    radius = 0.5 * (np.bincount(rows[~on], weights=size, minlength=n)
+                    + np.bincount(cols[~on], weights=size, minlength=n))
+    return float((diag - radius).min()), float((np.abs(diag) + radius).max())
 
 
 def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

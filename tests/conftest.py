@@ -234,3 +234,18 @@ def subsystem_c_inv(blocks, name):
     """The diagonal block of ``blocks.c_inv`` that belongs to subsystem ``name``."""
     idx = np.asarray(blocks.block_index[name], dtype=int)
     return blocks.c_inv[np.ix_(idx, idx)]
+
+
+def merge_maxwell_oracle(m, merge, into):
+    """Double-loop reference for ``merge_maxwell_nodes``: each entry of the
+    merged matrix is the sum of the block of the original between the two
+    groups of nodes it stands for."""
+    merge = [n for n in merge if n != into]
+    keep = [n for n in m.names if n not in merge]
+    idx = {n: i for i, n in enumerate(m.names)}
+    groups = [[idx[n]] + ([idx[g] for g in merge] if n == into else []) for n in keep]
+    out = np.zeros((len(keep), len(keep)))
+    for a, ga in enumerate(groups):
+        for b, gb in enumerate(groups):
+            out[a, b] = m.matrix[np.ix_(ga, gb)].sum()
+    return tuple(keep), 0.5 * (out + out.T)

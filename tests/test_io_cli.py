@@ -86,6 +86,24 @@ class TestMaxwellFormat:
             parse_maxwell_text(CANONICAL.replace("a,-2.0,6.0,-4.0", "a,-2.0,six"))
         assert (err.value.line, err.value.column) == (4, 3)
 
+    def test_error_locations_in_last_row_of_large_file(self):
+        names = ("g", *(f"p{i:03d}" for i in range(100)))
+        chain = np.arange(100)
+        display = np.zeros((101, 101))
+        display[chain, chain + 1] = display[chain + 1, chain] = -(1.0 + chain)
+        np.fill_diagonal(display, 2.0 - display.sum(axis=1))
+        text = serialize_maxwell(netlist.MaxwellMatrix(names, display * 1e-15, "fF", display))
+        lines = text.splitlines()
+        last = lines[-1].split(",")
+        assert len(lines) == 103 and last[0] == "p099"
+        bad = [*last[:51], "1.0e", *last[52:]]  # the 51st value, in column 52
+        with pytest.raises(ParseError, match="'1.0e'") as err:
+            parse_maxwell_text("\n".join([*lines[:-1], ",".join(bad)]) + "\n")
+        assert (err.value.line, err.value.column) == (103, 52)
+        with pytest.raises(ParseError, match="100 values for 101 nodes") as err:
+            parse_maxwell_text("\n".join([*lines[:-1], ",".join(last[:-1])]) + "\n")
+        assert err.value.line == 103
+
     def test_values_parse_as_python_floats(self):
         fields = [[" 5.25e0", "-2", "-3.25 "], ["-2.0", "+6.5", "-4.5E-0"],
                   ["-3.25", "-4.5", "8.000000000000001"]]

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from lumpedq.errors import (
     UnknownDatum,
     UnknownNode,
 )
+from lumpedq import netlist
 from lumpedq.loadedline import LoadedLineSpec
 from lumpedq.netlist import (
     KERNEL_RTOL,
     PHI_0,
+    SINGULAR_RATIO,
     CellMatrices,
     CompositeNetlist,
     JunctionElement,
@@ -42,7 +45,7 @@ from lumpedq.netlist import (
     schur_eliminate,
 )
 
-from conftest import embed_maxwell, random_circuit, subsystem_c_inv
+from conftest import embed_maxwell, merge_maxwell_oracle, random_circuit, subsystem_c_inv
 
 fF = 1e-15
 nH = 1e-9
@@ -131,6 +134,16 @@ class TestMaxwell:
         assert merged.names == ("g", "a")
         # mutuals to the merged island add; the internal g-g2 mutual vanishes
         np.testing.assert_allclose(merged.matrix, np.array([[8.0, -5.0], [-5.0, 5.0]]) * fF)
+
+    def test_merge_matches_double_loop_oracle(self, rng):
+        names = [f"n{i:02d}" for i in range(60)]
+        m = _random_maxwell(rng, 60, names=names)
+        merge = [names[i] for i in rng.choice(np.arange(1, 60), size=3, replace=False)]
+        merged = merge_maxwell_nodes(m, merge, names[0])
+        ref_names, ref = merge_maxwell_oracle(m, merge, names[0])
+        assert merged.names == ref_names
+        assert len(merged.names) == 57
+        np.testing.assert_allclose(merged.matrix, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_star_mesh_oracle_for_qubit_cell(self, rng):
         """Effective port-to-datum capacitance of a fully connected 6-node
@@ -761,6 +774,20 @@ def test_sparse_rotation_matches_dense_inverse(net):
                                    atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Every matrix handed to ``scipy.linalg.eigvalsh`` during the test."""
+    calls = []
+    real = scipy.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy)
+    return calls
+
+
 def coupler_islands(rng, sizes, n_keep=3, scales=None):
     """Random symmetric matrix whose eliminated coordinates form dense
     islands of the given sizes with no entries between islands, each island
@@ -821,6 +848,100 @@ class TestIslandSchur:
             schur_eliminate(m, np.zeros_like(m), eliminated(islands), "capacitance")
 
 
+def pad_islands(rng, kinds, sizes=None, n_keep=2):
+    """Capacitance matrix (F) of ``n_keep`` grounded kept pads plus one
+    island of coupler pads per entry of ``kinds``, with indices shuffled.
+    Each island is a random connected web of mutuals among its pads (3-12,
+    or ``sizes``). A "grounded" island has every pad grounded and its first
+    pad coupled to a kept pad; "scaled" is a grounded island scaled by
+    1e-20; a "floating" island touches nothing outside itself, so its block
+    is exactly singular; a "dense" island is positive definite but far from
+    diagonally dominant. Returns the matrix and the eliminated indices."""
+    sizes = sizes or [int(rng.integers(3, 13)) for _ in kinds]
+    n = n_keep + sum(sizes)
+    c = np.diag(np.concatenate((rng.uniform(20.0, 60.0, n_keep), np.zeros(n - n_keep))))
+
+    def add_mutual(a, b, mutual):
+        c[[a, b], [a, b]] += mutual
+        c[[a, b], [b, a]] -= mutual
+
+    start = n_keep
+    for kind, size in zip(kinds, sizes):
+        pads = np.arange(start, start + size)
+        start += size
+        if kind == "dense":
+            b = rng.normal(size=(size, size))
+            c[np.ix_(pads, pads)] = b @ b.T + 0.5 * np.eye(size)
+            c[pads[0], pads[0]] += 1.0
+            add_mutual(int(rng.integers(n_keep)), pads[0], 1.0)
+            continue
+        scale = 1e-20 if kind == "scaled" else 1.0
+        for i in range(size):
+            for k in range(i + 1, size):
+                if k == i + 1 or rng.uniform() < 0.3:
+                    add_mutual(pads[i], pads[k], scale * rng.uniform(0.5, 5.0))
+        if kind != "floating":
+            c[pads, pads] += scale * rng.uniform(20.0, 60.0, size)
+            add_mutual(int(rng.integers(n_keep)), pads[0], scale * rng.uniform(0.1, 1.0))
+    perm = rng.permutation(n)
+    return c[np.ix_(perm, perm)] * fF, np.nonzero(perm >= n_keep)[0].tolist()
+
+
+def all_spectra_rule(m, eliminated):
+    """The exact singularity rule on the whole eliminated block: raise when
+    its smallest eigenvalue is at most SINGULAR_RATIO times its largest."""
+    w = np.linalg.eigvalsh(m[np.ix_(eliminated, eliminated)])
+    return w[0] <= SINGULAR_RATIO * max(w[-1], 0.0) or w[-1] <= 0.0
+
+
+class TestSingularityDecision:
+    """``schur_eliminate`` accepts a block from its Gershgorin bounds when
+    they prove it regular, and otherwise decides from the island spectra."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["grounded", "floating", "scaled", "dense"]),
+                    min_size=1, max_size=4))
+    def test_matches_all_spectra_rule(self, seed, kinds):
+        m, r = pad_islands(np.random.default_rng(seed), kinds)
+        other = np.eye(len(m))
+        if all_spectra_rule(m, r):
+            with pytest.raises(SingularCouplerBlock):
+                schur_eliminate(m, other, r, "capacitance")
+            return
+        got = schur_eliminate(m, other, r, "capacitance")
+        # the result is the one the island spectra alone would accept
+        with mock.patch.object(netlist, "_gershgorin_bounds", return_value=(0.0, 0.0)):
+            spectra = schur_eliminate(m, other, r, "capacitance")
+        for a, b in zip(got, spectra):
+            np.testing.assert_array_equal(a, b)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 39))
+    def test_floating_island_always_raises(self, seed, size):
+        m, r = pad_islands(np.random.default_rng(seed), ["floating"], sizes=[size])
+        with pytest.raises(SingularCouplerBlock, match="capacitance block"):
+            schur_eliminate(m, np.eye(len(m)), r, "capacitance")
+
+    def test_grounded_pad_chip_runs_no_island_eigensolve(self, eigvalsh_calls):
+        cells, registry = spectator_chip(3)
+        rc = reduce_network(compose_cells(cells, registry))
+        assert len(rc.record.eliminated) == 297
+        # the one spectrum left is ReducedCircuit's check of its capacitance
+        assert [call.shape for call in eigvalsh_calls] == [(2, 2)]
+
+    def test_floating_island_takes_the_fallback(self, rng, eigvalsh_calls):
+        m, r = pad_islands(rng, ["grounded", "floating"], sizes=[4, 5])
+        with pytest.raises(SingularCouplerBlock, match="capacitance block"):
+            schur_eliminate(m, np.eye(len(m)), r, "capacitance")
+        assert sorted(call.shape for call in eigvalsh_calls) == [(4, 4), (5, 5)]
+
+    def test_regular_island_the_bounds_cannot_prove_is_accepted(self, rng, eigvalsh_calls):
+        m, r = pad_islands(rng, ["dense"], sizes=[6])
+        block = np.abs(m[np.ix_(r, r)])
+        assert np.any(2 * block.diagonal() < block.sum(axis=1))  # not diagonally dominant
+        schur_eliminate(m, np.eye(len(m)), r, "capacitance")
+        assert [call.shape for call in eigvalsh_calls] == [(6, 6)]
+
+
 class TestPsdCheck:
     def test_indefinite_message(self):
         with pytest.raises(MalformedMatrix) as err:
@@ -847,18 +968,6 @@ class TestCompositeChecks:
     entries, then positive semi-definiteness by a sparse factorization that
     accepts only a positive definite matrix, with a dense eigenvalue
     fallback that decides the rest and words the error."""
-
-    @pytest.fixture
-    def eigvalsh_calls(self, monkeypatch):
-        calls = []
-        real = scipy.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            calls.append(np.array(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh", spy)
-        return calls
 
     @staticmethod
     def composite(c):

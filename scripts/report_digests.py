@@ -3,11 +3,12 @@
 
 With no config arguments, writes the shipped benchmark device to a
 temporary directory and prints the digest of the machine report of each of
-``analyze --naive``, ``budget`` and a 3-point ``sweep`` of the junction
-inductance; it then writes the two seed-0 ``wide-chip`` devices of the
-benchmark (798 nodes each, made by ``wide_chip`` of ``perfbench/inputs.py``,
-which it imports and does not change) and prints their ``analyze`` and
-``analyze --naive`` digests. Given device config paths, prints the
+``analyze --naive``, ``budget``, a 3-point ``sweep`` of the junction
+inductance and ``analysis.calibrate_junction`` of that junction to a fixed
+f_q within fixed bounds; it then writes the two seed-0 ``wide-chip``
+devices of the benchmark (798 nodes each, made by ``wide_chip`` of
+``perfbench/inputs.py``, which it imports and does not change) and prints
+their ``analyze`` and ``analyze --naive`` digests. Given device config paths, prints the
 ``analyze`` and the ``analyze --naive`` digest of each instead. Run it from
 each checkout and compare the lines:
 
@@ -26,14 +27,18 @@ any numeric field, and it exits 1 when a field in Hz moved by more than
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+from lumpedq.analysis import calibrate_junction
 from lumpedq.benchmark import write_benchmark
 from lumpedq.cli import main as lumpedq_main
+from lumpedq.config import load_device_config
+from lumpedq.report import to_machine
 
 CONFIG_RUNS = {
     "analyze": ["analyze"],
@@ -44,6 +49,8 @@ SHIPPED_RUNS = {
     "budget": ["budget"],
     "sweep": ["sweep", "--param", "junctions.j1.lj_nh", "--values", "11,12,13"],
 }
+# junction, target f_q (Hz) and L_j bounds (H) of the shipped-device calibration
+CALIBRATION = ("j1", 5.3e9, (10e-9, 14e-9))
 HZ_BOUND = 1e-3  # largest change in Hz a summation reorder may cause
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WIDE_CHIP_SEED = 0
@@ -73,6 +80,13 @@ def run_report(args: list[str], config: Path, out: Path) -> bytes:
     if code != 0:
         raise SystemExit(f"lumpedq {' '.join(args)} {config} exited with code {code}")
     return out.read_bytes()
+
+
+def calibration_report(config: Path) -> bytes:
+    """The machine report of the CALIBRATION of the device at ``config``."""
+    junction, target_hz, bounds_h = CALIBRATION
+    _, report = calibrate_junction(load_device_config(config), junction, target_hz, bounds_h)
+    return to_machine(report).encode("utf-8")
 
 
 def numeric_changes(old, new, path: str = ""):
@@ -130,22 +144,27 @@ def main() -> int:
     within = True
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
+        # (title, report file key, function producing the report)
         if args.configs:
-            runs = [(f"{name} {config}", f"config{k}-{name}", run, config)
+            runs = [(f"{name} {config}", f"config{k}-{name}",
+                     functools.partial(run_report, run, config, out))
                     for k, config in enumerate(args.configs)
                     for name, run in CONFIG_RUNS.items()]
         else:
             config = write_benchmark(Path(tmp) / "device")
-            runs = [(f"{name} (shipped device)", f"shipped-{name}", run, config)
+            runs = [(f"{name} (shipped device)", f"shipped-{name}",
+                     functools.partial(run_report, run, config, out))
                     for name, run in SHIPPED_RUNS.items()]
+            runs.append(("calibrate (shipped device)", "shipped-calibrate",
+                         functools.partial(calibration_report, config)))
             runs += [(f"{name} (wide-chip seed {WIDE_CHIP_SEED} device {d})",
-                      f"wide{d}-{name}", run, config)
+                      f"wide{d}-{name}", functools.partial(run_report, run, config, out))
                      for d, config in enumerate(wide_chip_configs(Path(tmp) / "wide-chip"))
                      for name, run in CONFIG_RUNS.items()]
         if args.save:
             args.save.mkdir(parents=True, exist_ok=True)
-        for title, key, run, config in runs:
-            report = run_report(run, config, out)
+        for title, key, produce in runs:
+            report = produce()
             print(f"{hashlib.sha256(report).hexdigest()}  {title}")
             filename = key.replace(" --", "-") + ".json"
             if args.save:

@@ -31,6 +31,7 @@ from .composite import (
     diagonalize,
     extract_dispersive,
     mode_frequencies,
+    observable_labels,
 )
 from .config import DeviceConfig, LineConfig, TransmonConfig
 from .errors import ConfigError
@@ -85,6 +86,8 @@ class DeviceModel:
     port_coord: Mapping[str, tuple[str, str]]  # reduced label -> (subsystem, port)
     # one name per flattened mode: the subsystem's, indexed when it has several
     flat_mode_names: tuple[str, ...]
+    # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
+    input_sha256: Mapping[str, str]
 
     def dressed_mode_frequencies(self) -> list[float]:
         return mode_frequencies(self.spectrum)
@@ -96,16 +99,19 @@ class DeviceModel:
         return coupling_rates(self.subsystems, self.graph)
 
 
-def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> list[tuple[str, CellMatrices]]:
-    cells = []
+def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
+        list[tuple[str, CellMatrices]], dict[str, str]]:
+    """The reduced cells, and the sha256 of each Maxwell file as parsed."""
+    cells, digests = [], {}
     for cc in config.cells:
         maxwell = parse_maxwell_file(cc.maxwell_file)
+        digests[cc.maxwell_entry] = maxwell.source_sha256
         if cc.ground_nets:
             maxwell = merge_maxwell_nodes(maxwell, cc.ground_nets, config.datum)
         if cell_hook is not None:
             maxwell = cell_hook(cc.ident, maxwell)
         cells.append((cc.ident, reduce_maxwell(maxwell, config.datum)))
-    return cells
+    return cells, digests
 
 
 def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]]) -> NodeRegistry:
@@ -277,7 +283,7 @@ def build_model(
     junction-basis capacitance matrix instead of the eliminated inverse.
     """
     lj_overrides = dict(lj_overrides or {})
-    loaded = _load_cells(config, cell_hook)
+    loaded, input_sha256 = _load_cells(config, cell_hook)
     registry = _build_registry(config, loaded)
     netlist = compose_cells(_attach_elements(config, loaded, lj_overrides), registry)
     reduced = reduce_network(netlist)
@@ -316,26 +322,30 @@ def build_model(
     if graph_hook is not None:
         graph = graph_hook(graph)
 
-    h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
-    spectrum = diagonalize(subsystems, h, min_overlap=config.analysis.min_overlap)
-
     flat_mode_names = tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
                             for sub in subsystems for m in range(len(sub.factors)))
 
     def first_mode(name: str) -> int:
         return flat_mode_names.index(name if name in flat_mode_names else f"{name}[0]")
 
-    dispersive = None
+    qubit_mode = readout_mode = None
     if config.analysis.qubit and config.analysis.readout:
-        dispersive = extract_dispersive(spectrum, first_mode(config.analysis.qubit),
-                                        first_mode(config.analysis.readout))
+        qubit_mode = first_mode(config.analysis.qubit)
+        readout_mode = first_mode(config.analysis.readout)
+
+    h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
+    spectrum = diagonalize(subsystems, h, observable_labels(subsystems, qubit_mode),
+                           min_overlap=config.analysis.min_overlap)
+    dispersive = None
+    if qubit_mode is not None:
+        dispersive = extract_dispersive(spectrum, qubit_mode, readout_mode)
 
     return DeviceModel(
         config=config, naive=naive, registry=registry, netlist=netlist,
         reduced=reduced, blocks=blocks, subsystems=tuple(subsystems),
         transmon_specs=transmon_specs, lines=lines, graph=graph,
         spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
-        flat_mode_names=flat_mode_names,
+        flat_mode_names=flat_mode_names, input_sha256=input_sha256,
     )
 
 

@@ -22,14 +22,15 @@ so H conserves the parity of the total occupation and splits into an even
 and an odd sector. ``diagonalize`` checks that split exactly on H, falls
 back to the whole basis as one sector when any entry joins the two (a
 transmon at nonzero offset charge), and in each sector solves only for the
-lowest eigenpairs, the ones that hold the bare labels of total occupation
-<= 2 the observables read.
+lowest eigenpairs, the ones that hold the bare labels it is asked for:
+``observable_labels``, the labels the observables read.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +48,7 @@ DEFAULT_DIMENSION_CAP = 20_000
 # squared overlap with a bare state that a dressed state needs to take its label
 DEFAULT_MIN_OVERLAP = 0.5
 # eigenpairs solved for beyond the bare states up to the highest required one
-SUBSET_MARGIN = 8
+SUBSET_MARGIN = 4
 # dense float64 N x N arrays alive during the eigensolve: H, the solver's
 # working copy and up to N eigenvectors
 EIGENSOLVE_COPIES = 3
@@ -236,16 +237,13 @@ class DressedSpectrum:
     def energy_of(self, label: tuple[int, ...]) -> float:
         if label not in self.labels:
             raise UnlabeledState(
-                f"no dressed state labeled {label}; best overlaps fell below "
-                f"{self.min_overlap} or the state count was insufficient"
+                f"no dressed state labeled {label}; it was not solved for, or "
+                f"its best overlap fell below {self.min_overlap}"
             )
         return float(self.energies[self.labels[label]])
 
     def single_excitation(self, flat_mode: int) -> tuple[int, ...]:
-        n_modes = sum(len(d) for d in self.mode_dims)
-        lab = [0] * n_modes
-        lab[flat_mode] = 1
-        return tuple(lab)
+        return _excitation(sum(len(d) for d in self.mode_dims), flat_mode)
 
 
 def _parity_sectors(occupation: np.ndarray, hamiltonian: np.ndarray) -> list[np.ndarray]:
@@ -286,6 +284,7 @@ def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
 def diagonalize(
     subsystems: Sequence[QuantizedSubsystem],
     hamiltonian: np.ndarray,
+    required: Iterable[tuple[int, ...]],
     min_overlap: float = DEFAULT_MIN_OVERLAP,
 ) -> DressedSpectrum:
     """Lowest-subset eigensolve per parity sector plus maximum-overlap labeling.
@@ -297,32 +296,41 @@ def diagonalize(
     exactly: if H has any nonzero entry between them (a transmon at nonzero
     offset charge), the whole basis is the only sector.
 
-    In each sector that holds a label of total occupation <= 2, the k lowest
-    eigenpairs are solved for, k being the number of the sector's bare
-    product energies up to the highest such label's, plus SUBSET_MARGIN.
-    While such a label is unassigned and a state outside the subset could
-    still carry it, k doubles, up to the sector's dimension. With
-    ``min_overlap`` >= 1/2 a bare label dominates at most one dressed state,
-    so each state takes its largest-overlap label when that overlap reaches
-    ``min_overlap``; at an exact 1/2 tie the lower energy wins. The sectors'
-    energies are merged in ascending order, and the labels index the merged
-    list.
+    ``required`` holds the bare labels to solve for, flattened occupation
+    tuples such as ``observable_labels`` gives. In each sector that holds
+    one, the k lowest eigenpairs are solved for, k being the number of the
+    sector's bare product energies up to its highest required label's, plus
+    SUBSET_MARGIN. While a required label is unassigned and a state outside
+    the subset could still carry it, k doubles, up to the sector's
+    dimension. With ``min_overlap`` >= 1/2 a bare label dominates at most one
+    dressed state, so each solved state takes its largest-overlap label when
+    that overlap reaches ``min_overlap``; at an exact 1/2 tie the lower
+    energy wins. The sectors' energies are merged in ascending order, and
+    the labels index the merged list.
     """
     if not 0.5 <= min_overlap <= 1.0:
         raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
-    occupation = _occupations([d for s in subsystems for d in s.mode_dims])
+    dims = [d for s in subsystems for d in s.mode_dims]
+    occupation = _occupations(dims)
     n = len(occupation)
     if hamiltonian.shape != (n, n):
         raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
+    wanted = np.zeros(n, dtype=bool)
+    try:
+        wanted[np.ravel_multi_index(np.array(list(required)).T, dims)] = True
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"required labels must be a nonempty set of occupation tuples of the "
+            f"product basis {tuple(dims)}"
+        ) from None
     bare = outer_sum([s.energies for s in subsystems])
-    required = occupation.sum(axis=1) <= 2
     energies, found = [], []  # found: (solved state, product basis index, overlap)
     for sector in _parity_sectors(occupation, hamiltonian):
-        if not required[sector].any():
+        if not wanted[sector].any():
             continue
         # one sector is H itself: solved in place of a copy, as the memory guard assumes
         block = hamiltonian if len(sector) == n else hamiltonian[np.ix_(sector, sector)]
-        vals, states, basis, quality = _solve_sector(block, bare[sector], required[sector],
+        vals, states, basis, quality = _solve_sector(block, bare[sector], wanted[sector],
                                                      min_overlap)
         offset = sum(len(e) for e in energies)
         found.extend(zip(offset + states, sector[basis], quality.tolist()))
@@ -357,6 +365,33 @@ class DispersiveObservables:
     chi_qr: float
 
 
+def _excitation(n_modes: int, *modes: int) -> tuple[int, ...]:
+    """The bare label with one quantum in each listed flattened mode; a mode
+    listed twice holds two."""
+    label = [0] * n_modes
+    for m in modes:
+        label[m] += 1
+    return tuple(label)
+
+
+def observable_labels(
+    subsystems: Sequence[QuantizedSubsystem],
+    qubit_mode: int | None,
+) -> tuple[tuple[int, ...], ...]:
+    """The bare labels that ``extract_dispersive`` (with its qubit at
+    flattened mode ``qubit_mode``; None when it is not read),
+    ``mode_frequencies`` and ``cross_kerr_matrix`` read: the ground state,
+    every single excitation, every pair of distinct modes and the double
+    excitation of the qubit, less those beyond a mode's truncation."""
+    dims = [d for s in subsystems for d in s.mode_dims]
+    n = len(dims)
+    labels = [_excitation(n, *modes) for k in (0, 1, 2)
+              for modes in itertools.combinations(range(n), k)]
+    if qubit_mode is not None:
+        labels.append(_excitation(n, qubit_mode, qubit_mode))
+    return tuple(lab for lab in labels if all(o < d for o, d in zip(lab, dims)))
+
+
 def extract_dispersive(
     spectrum: DressedSpectrum,
     qubit_mode: int = 0,
@@ -364,18 +399,12 @@ def extract_dispersive(
 ) -> DispersiveObservables:
     """Qubit/readout observables from the labeled dressed energies."""
     n_modes = sum(len(d) for d in spectrum.mode_dims)
-
-    def lab(*occ: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * n_modes
-        for mode, count in occ:
-            out[mode] = count
-        return tuple(out)
-
-    e00 = spectrum.energy_of(lab())
-    e10 = spectrum.energy_of(lab((qubit_mode, 1)))
-    e01 = spectrum.energy_of(lab((readout_mode, 1)))
-    e20 = spectrum.energy_of(lab((qubit_mode, 2)))
-    e11 = spectrum.energy_of(lab((qubit_mode, 1), (readout_mode, 1)))
+    q, r = qubit_mode, readout_mode
+    e00 = spectrum.energy_of(_excitation(n_modes))
+    e10 = spectrum.energy_of(_excitation(n_modes, q))
+    e01 = spectrum.energy_of(_excitation(n_modes, r))
+    e20 = spectrum.energy_of(_excitation(n_modes, q, q))
+    e11 = spectrum.energy_of(_excitation(n_modes, q, r))
     h = constants.h
     return DispersiveObservables(
         f_qubit=(e10 - e00) / h,
@@ -388,7 +417,7 @@ def extract_dispersive(
 def mode_frequencies(spectrum: DressedSpectrum) -> list[float]:
     """Dressed single-excitation frequency (Hz) of every flattened mode."""
     n_modes = sum(len(d) for d in spectrum.mode_dims)
-    e0 = spectrum.energy_of(tuple([0] * n_modes))
+    e0 = spectrum.energy_of(_excitation(n_modes))
     out = []
     for m in range(n_modes):
         out.append((spectrum.energy_of(spectrum.single_excitation(m)) - e0) / constants.h)
@@ -399,19 +428,16 @@ def cross_kerr_matrix(spectrum: DressedSpectrum) -> np.ndarray:
     """Pairwise cross-Kerr chi_ab (Hz) for all flattened mode pairs with the
     required labels present; NaN where a two-excitation label is unresolved."""
     n_modes = sum(len(d) for d in spectrum.mode_dims)
-    e0 = spectrum.energy_of(tuple([0] * n_modes))
+    e0 = spectrum.energy_of(_excitation(n_modes))
     chi = np.full((n_modes, n_modes), np.nan)
-    for a in range(n_modes):
-        for b in range(a + 1, n_modes):
-            la = spectrum.single_excitation(a)
-            lb = spectrum.single_excitation(b)
-            lab_ab = tuple(x + y for x, y in zip(la, lb))
-            try:
-                val = (spectrum.energy_of(lab_ab) - spectrum.energy_of(la)
-                       - spectrum.energy_of(lb) + e0) / constants.h
-            except UnlabeledState:
-                continue
-            chi[a, b] = chi[b, a] = val
+    for a, b in itertools.combinations(range(n_modes), 2):
+        try:
+            val = (spectrum.energy_of(_excitation(n_modes, a, b))
+                   - spectrum.energy_of(_excitation(n_modes, a))
+                   - spectrum.energy_of(_excitation(n_modes, b)) + e0) / constants.h
+        except UnlabeledState:
+            continue
+        chi[a, b] = chi[b, a] = val
     return chi
 
 

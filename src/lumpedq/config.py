@@ -41,6 +41,7 @@ def load_yaml(text: str) -> Any:
 class CellConfig:
     ident: str
     maxwell_file: Path
+    maxwell_entry: str  # maxwell_file as written in the config
     ground_nets: tuple[str, ...] = ()
 
 
@@ -180,9 +181,11 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
 
     cells = []
     for entry in _require(raw, "cells", "config"):
+        maxwell_entry = str(_require(entry, "maxwell_file", "cell"))
         cells.append(CellConfig(
             ident=str(_require(entry, "id", "cell")),
-            maxwell_file=base_dir / str(_require(entry, "maxwell_file", "cell")),
+            maxwell_file=base_dir / maxwell_entry,
+            maxwell_entry=maxwell_entry,
             ground_nets=tuple(entry.get("ground_nets", ())),
         ))
     if len({c.ident for c in cells}) != len(cells):

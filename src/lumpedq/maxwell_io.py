@@ -9,6 +9,7 @@ CSV export.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> tuple
     return names, display
 
 
-def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
+def parse_maxwell_text(text: str, source: str = "<string>",
+                       source_sha256: str | None = None) -> MaxwellMatrix:
     units = None
     header: list[str] | None = None
     rows: list[tuple[int, str]] = []  # (line number, data line)
@@ -123,16 +125,20 @@ def parse_maxwell_text(text: str, source: str = "<string>") -> MaxwellMatrix:
         matrix=display * scale,
         display_units=units,
         display_matrix=display,
+        source_sha256=source_sha256,
     )
 
 
 def parse_maxwell_file(path: str | Path) -> MaxwellMatrix:
+    """Parse a Maxwell file, read once; the result carries the sha256 of
+    the bytes parsed."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise ParseError(f"Maxwell matrix file not found: {path}") from None
-    return parse_maxwell_text(text, source=str(path))
+    return parse_maxwell_text(data.decode("utf-8"), source=str(path),
+                              source_sha256=hashlib.sha256(data).hexdigest())
 
 
 def serialize_maxwell(m: MaxwellMatrix) -> str:

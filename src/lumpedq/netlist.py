@@ -216,6 +216,8 @@ class NodeRegistry:
     subsystem_nodes: tuple[frozenset[str], ...]
     couplers: frozenset[str]
     cell_of: Mapping[str, str]
+    # all non-datum nodes, lexicographically ordered
+    nodes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.subsystem_names) != len(self.subsystem_nodes):
@@ -237,12 +239,7 @@ class NodeRegistry:
         extra = [n for n in self.cell_of if n != self.datum and n not in seen]
         if extra:
             raise MalformedPartition(f"cell nodes not covered by any partition set: {sorted(extra)}")
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        """All non-datum nodes, lexicographically ordered."""
-        named = set().union(*self.subsystem_nodes) if self.subsystem_nodes else set()
-        return tuple(sorted(named | self.couplers))
+        object.__setattr__(self, "nodes", tuple(sorted(seen)))
 
     def subsystem_of(self, node: str) -> str | None:
         for name, nodes in zip(self.subsystem_names, self.subsystem_nodes):
@@ -267,6 +264,8 @@ class MaxwellMatrix:
     # Values exactly as read from file, used to make serialize(parse(f))
     # byte-identical; recomputing matrix/scale can flip the last bit.
     display_matrix: np.ndarray | None = field(default=None, compare=False)
+    # sha256 of the file bytes it was parsed from, for the report's provenance
+    source_sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix)

@@ -56,22 +56,14 @@ class AnalysisReport:
     warnings_: Sequence[str] = ()
 
 
-def _hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def make_provenance(config) -> dict:
-    inputs = {}
-    for cell in config.cells:
-        try:
-            inputs[cell.maxwell_file.name] = _hash_bytes(cell.maxwell_file.read_bytes())
-        except OSError:
-            inputs[cell.maxwell_file.name] = "unreadable"
+def make_provenance(config, input_sha256: Mapping[str, str]) -> dict:
+    """Tool version, config hash, the sha256 of each input file as parsed
+    (keyed by its config entry) and the advertised tolerances."""
     canonical_cfg = json.dumps(config.raw, sort_keys=True, default=str)
     return {
         "tool_version": __version__,
-        "config_sha256": _hash_bytes(canonical_cfg.encode()),
-        "input_sha256": inputs,
+        "config_sha256": hashlib.sha256(canonical_cfg.encode()).hexdigest(),
+        "input_sha256": dict(input_sha256),
         "tolerances": TOLERANCES,
     }
 
@@ -127,7 +119,7 @@ def build_report(model, naive_model=None, swept=None, calibrated=None) -> Analys
     naive_block = _observable_block(naive_model) if naive_model is not None else None
     return AnalysisReport(
         device=model.config.name,
-        provenance=make_provenance(model.config),
+        provenance=make_provenance(model.config, model.input_sha256),
         observables=_observable_block(model),
         naive=naive_block,
         swept=dict(swept or {}),

@@ -17,7 +17,12 @@ from scipy.integrate import quad
 
 from lumpedq.analysis import build_model, calibrate_junction, run_analysis, run_budget
 from lumpedq.benchmark import benchmark_config
-from lumpedq.composite import build_full_hamiltonian, diagonalize, extract_dispersive
+from lumpedq.composite import (
+    build_full_hamiltonian,
+    diagonalize,
+    extract_dispersive,
+    observable_labels,
+)
 from lumpedq.discretize import ladder_netlist, normal_mode_frequencies
 from lumpedq.loadedline import LoadedLineSpec, calibrate_length, solve_modes
 from lumpedq.maxwell_io import parse_maxwell_text, serialize_maxwell
@@ -217,7 +222,8 @@ def test_criterion_7_dispersive_limit(bench):
 
     def chi_pair(g_hz):
         subs, graph = kerr_readout_system(g_hz, f_q=f_q, alpha=alpha, f_r=f_r)
-        obs = extract_dispersive(diagonalize(subs, build_full_hamiltonian(subs, graph)))
+        obs = extract_dispersive(diagonalize(subs, build_full_hamiltonian(subs, graph),
+                                             observable_labels(subs, 0)))
         pert = 2.0 * g_hz**2 * alpha * (
             1.0 / (delta * (delta + alpha)) + 1.0 / (total * (total + alpha)))
         return obs.chi_qr, pert

@@ -6,9 +6,14 @@ import pytest
 from lumpedq import analysis
 from lumpedq.analysis import build_model, calibrate_junction, run_analysis, run_budget, run_sweep
 from lumpedq.benchmark import benchmark_config
-from lumpedq.composite import build_full_hamiltonian, diagonalize
+from lumpedq.composite import (
+    DressedSpectrum,
+    build_full_hamiltonian,
+    diagonalize,
+    observable_labels,
+)
 from lumpedq.config import parse_device_config
-from lumpedq.errors import ConfigError, TargetOutOfRange
+from lumpedq.errors import ConfigError, TargetOutOfRange, UnlabeledState
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.subsystems import quantize_line
 
@@ -65,13 +70,16 @@ class TestFullModel:
 class TestLowestSubset:
     def test_subset_matches_full_eigh_on_benchmark_device(self, full_model):
         """The partial solve's labels and energies equal those of a full
-        np.linalg.eigh labeled by the greedy maximum-overlap oracle."""
+        np.linalg.eigh labeled by the greedy maximum-overlap oracle, and it
+        holds every label the observables read."""
         subs = full_model.subsystems
         h = build_full_hamiltonian(subs, full_model.graph)
-        spec = diagonalize(subs, h)
+        required = observable_labels(subs, full_model.flat_mode_names.index("qubit"))
+        spec = diagonalize(subs, h, required)
         assert len(spec.energies) < h.shape[0]
         assert spec.labels == full_model.spectrum.labels
-        assert_matches_full_eigh(spec, h)
+        assert_matches_full_eigh(spec, h, required)
+        assert set(required) <= set(spec.labels)
 
     @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
     def test_offset_charge_decides_the_sectors(self, bench, monkeypatch, q_offset_2e, sectors):
@@ -91,17 +99,54 @@ class TestLowestSubset:
             shapes.append(a.shape)
             return real(a, **kwargs)
 
+        required = observable_labels(subs, model.flat_mode_names.index("qubit"))
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        spec = diagonalize(subs, h)
+        spec = diagonalize(subs, h, required)
         assert len(shapes) >= sectors
         assert set(shapes) == {(h.shape[0] // sectors,) * 2}
         k = len(spec.energies)
         assert k < h.shape[0]
         assert spec.labels == model.spectrum.labels
-        vals, full = assert_matches_full_eigh(spec, h)
+        vals, full = assert_matches_full_eigh(spec, h, required)
+        assert set(required) <= set(spec.labels)
         if sectors == 1:
             assert spec.labels == {lab: s for lab, s in full.items() if s < k}
             np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
+
+
+class TestRequiredLabels:
+    def test_observables_read_only_required_labels(self, bench, monkeypatch):
+        """Every label that analyze (full and naive), budget, a 3-point sweep
+        and a junction calibration of the shipped device read is one that
+        build_model asked diagonalize to solve for, and every read finds
+        its state."""
+        required = {}  # id(spectrum) -> (spectrum, its required labels)
+        reads, missed = [], []
+        solve, energy_of = analysis.diagonalize, DressedSpectrum.energy_of
+
+        def spy_diagonalize(subsystems, h, labels, **kwargs):
+            spectrum = solve(subsystems, h, labels, **kwargs)
+            required[id(spectrum)] = (spectrum, set(labels))
+            return spectrum
+
+        def spy_energy_of(spectrum, label):
+            reads.append((id(spectrum), label))
+            try:
+                return energy_of(spectrum, label)
+            except UnlabeledState:
+                missed.append(label)
+                raise
+
+        monkeypatch.setattr(analysis, "diagonalize", spy_diagonalize)
+        monkeypatch.setattr(DressedSpectrum, "energy_of", spy_energy_of)
+        run_analysis(bench, naive=True)
+        run_budget(bench)
+        run_sweep(bench, "junctions.j1.lj_nh", [11.0, 12.0, 13.0])
+        calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
+        assert not missed
+        assert {s for s, _ in reads} == set(required)
+        assert len(required) > 2 + 8 + 3  # analyze, budget and sweep builds, then brentq's
+        assert all(label in required[s][1] for s, label in reads)
 
 
 class TestNaiveComparison:

@@ -20,6 +20,7 @@ from lumpedq.composite import (
     diagonalize,
     extract_dispersive,
     mode_frequencies,
+    observable_labels,
 )
 from lumpedq.errors import (
     DimensionOverflow,
@@ -39,6 +40,7 @@ from lumpedq.subsystems import (
 from conftest import (
     assert_matches_full_eigh,
     greedy_labels,
+    kerr_oscillator,
     kerr_readout_system,
     qubit_readout_system,
 )
@@ -336,7 +338,7 @@ class TestLabeling:
     def test_ground_label_and_injectivity(self):
         subs, graph, _, _, _ = qubit_readout_system(120e6)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h)
+        spec = diagonalize(subs, h, observable_labels(subs, 0))
         assert spec.labels[(0, 0)] == 0
         states = list(spec.labels.values())
         assert len(states) == len(set(states))
@@ -345,7 +347,7 @@ class TestLabeling:
     def test_multimode_flat_labels(self):
         subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=3)
         h = build_full_hamiltonian(subs, CouplingGraph(()))
-        spec = diagonalize(subs, h)
+        spec = diagonalize(subs, h, observable_labels(subs, 0))
         freqs = mode_frequencies(spec)
         assert freqs[0] == pytest.approx(
             (subs[0].energies[1] - subs[0].energies[0]) / H_PLANCK, rel=1e-12)
@@ -353,36 +355,40 @@ class TestLabeling:
     def test_subset_matches_full_solve_of_three_subsystems(self):
         subs, edges, _ = gauge_oracle_system()
         h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges.values())))
-        spec = diagonalize(subs, h)
+        required = observable_labels(subs, 0)
+        spec = diagonalize(subs, h, required)
         assert len(spec.energies) < h.shape[0]
-        assert_matches_full_eigh(spec, h)
+        assert_matches_full_eigh(spec, h, required)
 
     def test_missing_label_widens_the_subset(self, monkeypatch):
-        """Two oscillators with a crossing inside the even sector: coupling
-        lifts the bare (0, 2) state above the unrequired (4, 0), so a solve
-        of the four even bare states up to (0, 2) misses it and must double;
-        the odd sector needs its two states up to (0, 1) only."""
-        a = harmonic_subsystem("a", 3.52e9, 5, q_zpf=2e-18)
-        b = harmonic_subsystem("b", 7.0e9, 4, q_zpf=3e-18)
+        """A Kerr qubit and an oscillator with a crossing inside the even
+        sector: coupling lifts the required pair state (1, 1) above the
+        unrequired (4, 0), so a solve of the three even bare states up to
+        (1, 1) misses it and must double; the odd sector needs its two
+        states up to (0, 1) only."""
+        a = kerr_oscillator("a", 3.5e9, -300e6, 5, 2e-18)
+        b = kerr_oscillator("b", 8.68e9, 0.0, 3, 3e-18)
         coef = 2.0 * HBAR * 2 * np.pi * 300e6 / (2e-18 * 3e-18)
         graph = CouplingGraph((CouplingEdge("a", "p", "b", "p", inv_c_eff=coef),))
         h = build_full_hamiltonian([a, b], graph)
         vals, vecs = np.linalg.eigh(h)
-        full = greedy_labels(vals, vecs, list(np.ndindex(5, 4)))
-        assert full[(0, 2)] == 8 and full[(4, 0)] == 6  # the crossing happened
+        full = greedy_labels(vals, vecs, list(np.ndindex(5, 3)))
+        assert full[(1, 1)] == 6 and full[(4, 0)] == 5  # the crossing happened
 
         monkeypatch.setattr(composite, "SUBSET_MARGIN", 0)
-        spec = diagonalize([a, b], h)
-        assert len(spec.energies) == 10  # even: 4, doubled once; odd: 2
-        # the full solve's 8 lowest even and 2 lowest odd states, in energy order
-        odd = np.array([sum(lab) % 2 for lab in np.ndindex(5, 4)], dtype=bool)
+        required = observable_labels([a, b], 0)
+        assert (1, 1) in required and (4, 0) not in required
+        spec = diagonalize([a, b], h, required)
+        assert len(spec.energies) == 8  # even: 3, doubled once; odd: 2
+        # the full solve's 6 lowest even and 2 lowest odd states, in energy order
+        odd = np.array([sum(lab) % 2 for lab in np.ndindex(5, 3)], dtype=bool)
         odd_state = (vecs[odd] ** 2).sum(axis=0) > 0.5
-        kept = np.sort(np.concatenate((np.flatnonzero(~odd_state)[:8],
+        kept = np.sort(np.concatenate((np.flatnonzero(~odd_state)[:6],
                                        np.flatnonzero(odd_state)[:2])))
         merged = {s: i for i, s in enumerate(kept.tolist())}
         assert spec.labels == {lab: merged[s] for lab, s in full.items() if s in merged}
         np.testing.assert_allclose(spec.energies, vals[kept], rtol=1e-12)
-        assert spec.energy_of((0, 2)) == pytest.approx(vals[8], rel=1e-12)
+        assert spec.energy_of((1, 1)) == pytest.approx(vals[6], rel=1e-12)
 
     def test_exact_half_tie_goes_to_the_lower_energy(self, monkeypatch):
         """In each parity sector both states put exactly 1/2 on its lowest
@@ -402,7 +408,8 @@ class TestLabeling:
 
         monkeypatch.setattr(scipy.linalg, "eigh", sector_eigh)
         # even sector (0, 0), (1, 1) offset by 10, solved first; odd (0, 1), (1, 0) by 0
-        spec = diagonalize([a, b], np.diag([10.0, 0.0, 0.0, 10.0]))
+        spec = diagonalize([a, b], np.diag([10.0, 0.0, 0.0, 10.0]),
+                           observable_labels([a, b], 0))
         np.testing.assert_array_equal(spec.energies, [1.0, 2.0, 11.0, 12.0])
         assert spec.labels == {(0, 1): 0, (0, 0): 2}
         assert spec.unlabeled == (1, 3)
@@ -431,9 +438,10 @@ class TestLabeling:
                                       inv_c_eff=2 * g / (q01 * 2e-18)))
             subs.append(osc)
         h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges)))
-        spec = diagonalize(subs, h)
+        required = observable_labels(subs, 0)
+        spec = diagonalize(subs, h, required)
         vals, full = assert_matches_full_eigh(
-            spec, h, atol=1e-12 * np.max(np.abs(np.linalg.eigvalsh(h))))
+            spec, h, required, atol=1e-12 * np.max(np.abs(np.linalg.eigvalsh(h))))
         dims = [d for sub in subs for d in sub.mode_dims]
         odd = np.array([sum(lab) % 2 for lab in np.ndindex(*dims)], dtype=bool)
         assert np.any(h[np.ix_(~odd, odd)]) == (n_g != 0.0)
@@ -448,20 +456,37 @@ class TestLabeling:
         for a missing label, the solve is not repeated."""
         subs, graph, _, _, _ = qubit_readout_system(150e6)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h, min_overlap=1.0)
+        spec = diagonalize(subs, h, observable_labels(subs, 0), min_overlap=1.0)
         assert (0, 0) not in spec.labels
         assert len(spec.energies) < h.shape[0]
 
     def test_min_overlap_below_half_rejected(self):
         subs, graph, _, _, _ = qubit_readout_system(50e6)
         with pytest.raises(ValidationError):
-            diagonalize(subs, build_full_hamiltonian(subs, graph), min_overlap=0.4)
+            diagonalize(subs, build_full_hamiltonian(subs, graph), observable_labels(subs, 0),
+                        min_overlap=0.4)
+
+    def test_observable_labels(self):
+        """The ground state, the single excitations, the distinct pair and
+        the qubit's double excitation, less labels beyond a truncation."""
+        subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=2)
+        common = {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert set(observable_labels(subs, 0)) == common | {(2, 0)}
+        assert set(observable_labels(subs, 1)) == common  # (0, 2) is beyond 2 levels
+        assert set(observable_labels(subs, None)) == common
+
+    def test_required_labels_outside_the_basis_rejected(self):
+        subs, graph, _, _, _ = qubit_readout_system(50e6, qubit_levels=3, readout_levels=3)
+        h = build_full_hamiltonian(subs, graph)
+        for required in ([], [(3, 0)], [(0, -1)], [(0, 0, 0)]):
+            with pytest.raises(ValidationError, match="required labels"):
+                diagonalize(subs, h, required)
 
     def test_unlabeled_state_raises(self):
         subs, graph, _, _, _ = qubit_readout_system(30e6,
                                                     qubit_levels=3, readout_levels=3)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h)
+        spec = diagonalize(subs, h, observable_labels(subs, 0))
         with pytest.raises(UnlabeledState):
             spec.energy_of((3, 0))  # beyond the retained qubit levels
 
@@ -470,7 +495,7 @@ class TestDispersive:
     def test_uncoupled_chi_is_zero(self):
         subs, _, _, _, _ = qubit_readout_system(0.0)
         h = build_full_hamiltonian(subs, CouplingGraph(()))
-        obs = extract_dispersive(diagonalize(subs, h))
+        obs = extract_dispersive(diagonalize(subs, h, observable_labels(subs, 0)))
         assert obs.chi_qr == pytest.approx(0.0, abs=1e-6)
 
     def test_linear_systems_have_no_cross_kerr(self):
@@ -479,7 +504,7 @@ class TestDispersive:
         coef = 2.0 * HBAR * 2 * np.pi * 100e6 / (2e-18 * 3e-18)
         graph = CouplingGraph((CouplingEdge("a", "p", "b", "p", inv_c_eff=coef),))
         h = build_full_hamiltonian([a, b], graph)
-        obs = extract_dispersive(diagonalize([a, b], h))
+        obs = extract_dispersive(diagonalize([a, b], h, observable_labels([a, b], 0)))
         # zero up to the eigensolver floor, ~1e-12 of the GHz energy scale
         assert abs(obs.chi_qr) < 1e-10 * obs.f_readout
 
@@ -490,8 +515,8 @@ class TestDispersive:
         h_bare = build_full_hamiltonian(subs, CouplingGraph(()))
         h_full = build_full_hamiltonian(subs, graph)
         v = h_full - h_bare
-        spec = diagonalize(subs, h_full)
-        spec0 = diagonalize(subs, h_bare)
+        spec = diagonalize(subs, h_full, observable_labels(subs, 0))
+        spec0 = diagonalize(subs, h_bare, observable_labels(subs, 0))
 
         # map bare product labels to bare-order indices for the PT oracle
         h0 = np.real(np.diag(h_bare))
@@ -527,7 +552,8 @@ class TestDispersive:
         def chi_pair(g_hz):
             subs, graph = kerr_readout_system(g_hz, f_q=f_q, alpha=alpha, f_r=f_r)
             obs = extract_dispersive(
-                diagonalize(subs, build_full_hamiltonian(subs, graph)))
+                diagonalize(subs, build_full_hamiltonian(subs, graph),
+                            observable_labels(subs, 0)))
             chi_pert = 2.0 * g_hz**2 * alpha * (
                 1.0 / (delta * (delta + alpha)) + 1.0 / (total * (total + alpha)))
             return obs.chi_qr, chi_pert
@@ -552,7 +578,8 @@ class TestDispersive:
             subs, graph, _, _, _ = qubit_readout_system(
                 150e6, qubit_levels=5 + extra, readout_levels=5 + extra)
             obs = extract_dispersive(
-                diagonalize(subs, build_full_hamiltonian(subs, graph)))
+                diagonalize(subs, build_full_hamiltonian(subs, graph),
+                            observable_labels(subs, 0)))
             chi[extra] = obs.chi_qr
         assert abs(chi[1] - chi[0]) / abs(chi[1]) < 5e-3
 
@@ -560,20 +587,21 @@ class TestDispersive:
         """Swapping the subsystem order leaves all observables unchanged."""
         subs, graph, _, _, _ = qubit_readout_system(150e6)
         h_ab = build_full_hamiltonian(subs, graph)
-        obs_ab = extract_dispersive(diagonalize(subs, h_ab), qubit_mode=0, readout_mode=1)
+        obs_ab = extract_dispersive(diagonalize(subs, h_ab, observable_labels(subs, 0)), qubit_mode=0, readout_mode=1)
         swapped = [subs[1], subs[0]]
         edge = graph.edges[0]
         graph_ba = CouplingGraph((CouplingEdge(edge.sub_b, edge.port_b, edge.sub_a,
                                                edge.port_a, inv_c_eff=edge.inv_c_eff),))
         h_ba = build_full_hamiltonian(swapped, graph_ba)
-        obs_ba = extract_dispersive(diagonalize(swapped, h_ba), qubit_mode=1, readout_mode=0)
+        obs_ba = extract_dispersive(diagonalize(swapped, h_ba, observable_labels(swapped, 1)), qubit_mode=1, readout_mode=0)
         assert obs_ab.f_qubit == pytest.approx(obs_ba.f_qubit, rel=1e-10)
         assert obs_ab.f_readout == pytest.approx(obs_ba.f_readout, rel=1e-10)
         assert obs_ab.chi_qr == pytest.approx(obs_ba.chi_qr, rel=1e-10)
 
     def test_cross_kerr_matrix_symmetric(self):
         subs, graph, _, _, _ = qubit_readout_system(150e6)
-        spec = diagonalize(subs, build_full_hamiltonian(subs, graph))
+        spec = diagonalize(subs, build_full_hamiltonian(subs, graph),
+                           observable_labels(subs, 0))
         kerr = cross_kerr_matrix(spec)
         assert kerr[0, 1] == kerr[1, 0]
         assert not np.isnan(kerr[0, 1])

@@ -1,5 +1,6 @@
 """File formats, configuration schema, report rendering, CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,12 +12,17 @@ import yaml
 import lumpedq
 from lumpedq import analysis, composite, loadedline, netlist
 from lumpedq.analysis import run_analysis, run_budget
-from lumpedq.benchmark import benchmark_config, benchmark_maxwell, write_benchmark
+from lumpedq.benchmark import (
+    benchmark_config,
+    benchmark_maxwell,
+    benchmark_raw_config,
+    write_benchmark,
+)
 from lumpedq.cli import main
 from lumpedq.config import load_device_config, parse_device_config
 from lumpedq.errors import AsymmetryError, ConfigError, ParseError, SignError
 from lumpedq.maxwell_io import parse_maxwell_file, parse_maxwell_text, serialize_maxwell
-from lumpedq.report import AnalysisReport, budget_to_dicts, to_machine, to_table
+from lumpedq.report import AnalysisReport, budget_to_dicts, build_report, to_machine, to_table
 
 CANONICAL = """# units: fF
 node,g,a,b
@@ -183,6 +189,27 @@ class TestReports:
         assert prov["tool_version"]
         assert "qubit_cell.csv" in prov["input_sha256"]
         assert len(prov["config_sha256"]) == 64
+
+    def test_provenance_keys_inputs_by_config_entry(self, tmp_path):
+        """Two cells with one basename in different directories keep one
+        entry each, keyed by the maxwell_file string of the config, and
+        each hashes the bytes that were parsed, even when the file changes
+        before the report is built."""
+        shipped = serialize_maxwell(benchmark_maxwell())
+        spectator = "# units: fF\nnode,g,b2,pad\ng,30.1,-0.1,-30.0\n" \
+                    "b2,-0.1,0.1,0.0\npad,-30.0,0.0,30.0\n"
+        for sub, text in (("a", shipped), ("b", spectator)):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "cell.csv").write_text(text, encoding="utf-8")
+        raw = benchmark_raw_config("a/cell.csv")
+        raw["cells"].append({"id": "cell1", "maxwell_file": "b/cell.csv"})
+        raw["couplers"].append("pad")
+        cfg = parse_device_config(raw, base_dir=tmp_path)
+        parsed = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("a/cell.csv", "b/cell.csv")}
+        model = analysis.build_model(cfg)
+        (tmp_path / "b" / "cell.csv").write_text(spectator + "\n", encoding="utf-8")
+        assert build_report(model).provenance["input_sha256"] == parsed
 
     def test_provenance_quotes_the_checked_constants(self, report):
         prov = report.provenance

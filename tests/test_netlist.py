@@ -676,6 +676,7 @@ class TestRegistry:
     def test_lexicographic_node_order(self):
         reg = simple_registry({"s0": ["zz", "aa"], "s1": ["mm"]}, couplers=["bb"])
         assert reg.nodes == ("aa", "bb", "mm", "zz")
+        assert reg.nodes is reg.nodes  # computed once, not on each access
 
 
 @given(

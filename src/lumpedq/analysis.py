@@ -1,11 +1,13 @@
 """End-to-end device analysis pipeline.
 
-Stitches the modules together: Maxwell ingestion -> cell composition ->
-constraint elimination -> dressed blocks -> subsystem quantization ->
-composite Hamiltonian -> dressed observables. Also provides the naive
-comparison mode, parameter sweeps, the sensitivity budget, and junction
-inductance calibration. Every run is a pure function of the configuration,
-so sweep points may execute in parallel.
+Stitches the modules together in two halves: ``build_circuit`` runs Maxwell
+ingestion -> cell composition -> constraint elimination -> dressed blocks,
+reading no junction's L_j or E_J, and ``build_model`` runs subsystem
+quantization -> composite Hamiltonian -> dressed observables on a circuit.
+Also provides the naive comparison mode, parameter sweeps, the sensitivity
+budget, and junction inductance calibration, which quantize one circuit
+many times where their variations leave it unchanged. Every run is a pure
+function of the configuration, so sweep points may execute in parallel.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .netlist import (
     JunctionElement,
     MaxwellMatrix,
     NodeRegistry,
+    PHI_0,
     ReducedCircuit,
     _two_terminal_stamp,
     compose_cells,
@@ -68,15 +71,25 @@ class LineResult:
 
 
 @dataclass(frozen=True)
-class DeviceModel:
-    """Everything produced by one pipeline run."""
+class DeviceCircuit:
+    """Stages 1-5 of one configuration: the linear network, reduced and cut
+    into blocks. It holds no junction's L_j or E_J."""
 
     config: DeviceConfig
-    naive: bool
-    registry: NodeRegistry
     netlist: CompositeNetlist
     reduced: ReducedCircuit
     blocks: CircuitBlocks
+    # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
+    input_sha256: Mapping[str, str]
+
+
+@dataclass(frozen=True)
+class DeviceModel:
+    """Everything produced by one pipeline run: a circuit quantized at ``config``."""
+
+    config: DeviceConfig
+    naive: bool
+    circuit: DeviceCircuit
     subsystems: tuple[QuantizedSubsystem, ...]
     transmon_specs: Mapping[str, TransmonSpec]
     lines: Mapping[str, LineResult]
@@ -86,8 +99,6 @@ class DeviceModel:
     port_coord: Mapping[str, tuple[str, str]]  # reduced label -> (subsystem, port)
     # one name per flattened mode: the subsystem's, indexed when it has several
     flat_mode_names: tuple[str, ...]
-    # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
-    input_sha256: Mapping[str, str]
 
     def dressed_mode_frequencies(self) -> list[float]:
         return mode_frequencies(self.spectrum)
@@ -114,69 +125,38 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
     return cells, digests
 
 
-def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]]) -> NodeRegistry:
-    cell_of: dict[str, str] = {}
-    for ident, cell in cells:
-        for node in cell.nodes:
-            cell_of.setdefault(node, ident)
-    subsystem_names = []
-    subsystem_nodes = []
-    for t in config.transmons:
-        subsystem_names.append(t.name)
-        subsystem_nodes.append(frozenset(t.nodes))
-    for l in config.lines:
-        subsystem_names.append(l.name)
-        subsystem_nodes.append(frozenset(l.nodes))
-    declared = set().union(*subsystem_nodes, set(config.couplers)) if subsystem_nodes else set(config.couplers)
-    for node in declared:
+def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]],
+                    extra_couplers: Sequence[str]) -> NodeRegistry:
+    couplers = frozenset((*config.couplers, *extra_couplers))
+    subsystem_nodes = tuple(frozenset(s.nodes) for s in (*config.transmons, *config.lines))
+    cell_of = {node: ident for ident, cell in cells for node in cell.nodes}
+    for node in couplers.union(*subsystem_nodes):
         cell_of.setdefault(node, "__virtual__")
-    return NodeRegistry(
-        datum=config.datum,
-        subsystem_names=tuple(subsystem_names),
-        subsystem_nodes=tuple(subsystem_nodes),
-        couplers=frozenset(config.couplers),
-        cell_of=cell_of,
-    )
+    return NodeRegistry(datum=config.datum, subsystem_names=config.subsystem_names(),
+                        subsystem_nodes=subsystem_nodes, couplers=couplers, cell_of=cell_of)
 
 
-def _attach_elements(config: DeviceConfig, cells: list[tuple[str, CellMatrices]],
-                     lj_overrides: Mapping[str, float]) -> list[CellMatrices]:
-    """All junctions ride on the first cell: composition stamps them by node
-    name, so the cell that carries them does not matter. Explicit linear
-    inductors are collected into one synthetic lumped cell."""
-    junctions = []
-    for jc in config.junctions:
-        lj = lj_overrides.get(jc.ident, jc.lj_h)
-        if lj is not None:
-            j = JunctionElement.from_inductance(
-                jc.ident, jc.node_neg, jc.node_pos, jc.subsystem, lj=lj, cj=jc.cj_f)
-        else:
-            j = JunctionElement(jc.ident, jc.node_neg, jc.node_pos, jc.subsystem,
-                                ej=jc.ej_j, cj=jc.cj_f)
-        junctions.append(j)
-
-    out = [cell for _, cell in cells]
-    if junctions:
-        ident, holder = cells[0]
-        out[0] = CellMatrices(ident=ident, nodes=holder.nodes,
-                              c_mat=holder.c_mat, l_inv=holder.l_inv,
-                              junctions=tuple(junctions))
-    if config.inductors:
-        nodes = sorted({n for ind in config.inductors for n in (ind.node_a, ind.node_b)
-                        if n != config.datum})
-        index = {n: i for i, n in enumerate(nodes)}
-        l_inv = np.zeros((len(nodes), len(nodes)))
-        for ind in config.inductors:
-            for i, k, sign in _two_terminal_stamp(index, config.datum, ind.node_a, ind.node_b):
-                l_inv[i, k] += sign * (1.0 / ind.l_h)
-        out.append(CellMatrices(ident="__inductors__", nodes=tuple(nodes),
-                                c_mat=np.zeros_like(l_inv), l_inv=l_inv))
-    return out
+def _lumped_cell(config: DeviceConfig) -> CellMatrices:
+    """One synthetic cell of the explicit linear inductors, carrying every
+    junction: composition stamps their C_J by node name."""
+    nodes = sorted({n for ind in config.inductors for n in (ind.node_a, ind.node_b)
+                    if n != config.datum})
+    index = {n: i for i, n in enumerate(nodes)}
+    l_inv = np.zeros((len(nodes), len(nodes)))
+    for ind in config.inductors:
+        for i, k, sign in _two_terminal_stamp(index, config.datum, ind.node_a, ind.node_b):
+            l_inv[i, k] += sign * (1.0 / ind.l_h)
+    junctions = tuple(JunctionElement(jc.ident, jc.node_neg, jc.node_pos, jc.subsystem, cj=jc.cj_f)
+                      for jc in config.junctions)
+    return CellMatrices("__lumped__", tuple(nodes), np.zeros_like(l_inv), l_inv, junctions)
 
 
-def _transmon_subsystem(tc: TransmonConfig, reduced: ReducedCircuit,
-                        c_eff: Callable[[str], float]) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
-    owned = [j for j in reduced.junctions if j.subsystem == tc.name]
+def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig, reduced: ReducedCircuit,
+                        c_eff: Callable[[str], float], lj_overrides: Mapping[str, float],
+                        reuse: DeviceModel | None) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
+    """The transmon's spec, with E_J from its junction's config entry or
+    ``lj_overrides``, and its factor (that of ``reuse`` for an equal spec)."""
+    owned = [j for j in config.junctions if j.subsystem == tc.name]
     if len(owned) != 1:
         raise ConfigError(f"transmon {tc.name!r} must own exactly one junction, found {len(owned)}")
     junction = owned[0]
@@ -187,13 +167,16 @@ def _transmon_subsystem(tc: TransmonConfig, reduced: ReducedCircuit,
             f"transmon {tc.name!r} retains non-junction coordinates {extra}; "
             "declare pad nodes consumed by the rotation or mark them as couplers"
         )
+    lj = lj_overrides.get(junction.ident, junction.lj_h)
     spec = TransmonSpec(
         c_eff=c_eff(junction.ident),
-        ej=junction.effective_ej(),
+        ej=junction.ej_j if lj is None else PHI_0**2 / lj,
         q_offset=tc.q_offset_2e * 2.0 * constants.e,
         n_max=tc.n_max,
         levels=tc.levels,
     )
+    if reuse is not None and reuse.transmon_specs.get(tc.name) == spec:
+        return spec, next(s for s in reuse.subsystems if s.name == tc.name), junction.ident
     return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
 
 
@@ -232,10 +215,11 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks,
-                    naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
+def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks, naive: bool,
+                    reuse: DeviceModel | None) -> tuple[LineResult, QuantizedSubsystem]:
     """Solve and quantize one line, loaded by the larger of its dressed port
-    loadings; ``naive`` solves it unloaded with lumped-equivalent port ZPFs."""
+    loadings; ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
+    The line of ``reuse`` is kept when solved from the same inputs."""
     port_loadings = {node: blocks.c_eff(node) for node in lc.nodes}
     loading = 0.0
     if port_loadings and not naive:
@@ -246,6 +230,9 @@ def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks,
                 f"line {lc.name!r}: port loadings differ by {spread:.3e} F; "
                 "modeled as singly loaded with the larger value"
             )
+    old = reuse.lines.get(lc.name) if reuse is not None and reuse.naive == naive else None
+    if old is not None and old.config == lc and old.port_loadings == port_loadings:
+        return old, next(s for s in reuse.subsystems if s.name == lc.name)
 
     if lc.length_m is not None:
         length = lc.length_m
@@ -267,27 +254,49 @@ def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks,
                       port_loadings=port_loadings, modes=tuple(modes)), sub
 
 
+def _circuit_fields(config: DeviceConfig) -> tuple:
+    """What stages 1-5 read of a configuration."""
+    return (config.datum, config.cells, config.couplers, config.inductors,
+            [(s.name, s.nodes) for s in (*config.transmons, *config.lines)],
+            [(j.ident, j.node_neg, j.node_pos, j.subsystem, j.cj_f) for j in config.junctions])
+
+
+def build_circuit(config: DeviceConfig, cell_hook: CellHook | None = None,
+                  extra_couplers: Sequence[str] = ()) -> DeviceCircuit:
+    """Stages 1-5, with each cell passed through ``cell_hook`` and the nodes
+    it adds declared in ``extra_couplers``."""
+    loaded, input_sha256 = _load_cells(config, cell_hook)
+    registry = _build_registry(config, loaded, extra_couplers)
+    netlist = compose_cells([*(cell for _, cell in loaded), _lumped_cell(config)], registry)
+    reduced = reduce_network(netlist)
+    return DeviceCircuit(config, netlist, reduced, extract_blocks(reduced), input_sha256)
+
+
 def build_model(
     config: DeviceConfig,
     *,
+    circuit: DeviceCircuit | None = None,
     naive: bool = False,
-    cell_hook: CellHook | None = None,
     graph_hook: GraphHook | None = None,
     lj_overrides: Mapping[str, float] | None = None,
+    reuse: DeviceModel | None = None,
 ) -> DeviceModel:
-    """Run the pipeline once.
+    """Run the pipeline once: stages 6-7 of ``config`` on ``circuit``
+    (``build_circuit(config)`` when not given), which must come from a
+    config equal to ``config`` in every field stages 1-5 read. Each E_J is
+    set here, from the junction's config entry or ``lj_overrides`` (henries
+    by junction id). A subsystem of ``reuse`` with equal inputs is reused.
 
     ``naive`` recomputes under conventional approximations: line modes are
     solved without loading (undressed eigenfields, lumped-equivalent port
     ZPFs) and couplings come from the weak-coupling expansion of the raw
     junction-basis capacitance matrix instead of the eliminated inverse.
     """
-    lj_overrides = dict(lj_overrides or {})
-    loaded, input_sha256 = _load_cells(config, cell_hook)
-    registry = _build_registry(config, loaded)
-    netlist = compose_cells(_attach_elements(config, loaded, lj_overrides), registry)
-    reduced = reduce_network(netlist)
-    blocks = extract_blocks(reduced)
+    if circuit is None:
+        circuit = build_circuit(config)
+    elif _circuit_fields(config) != _circuit_fields(circuit.config):
+        raise ConfigError("configuration differs from its circuit's in a field stages 1-5 read")
+    reduced, blocks = circuit.reduced, circuit.blocks
     if naive:
         c_eff, inv_c, inv_l = _weak_coupling(reduced)
     else:
@@ -297,20 +306,21 @@ def build_model(
     transmon_specs = {}
     port_coord: dict[str, tuple[str, str]] = {}
     for tc in config.transmons:
-        spec, sub, junction_label = _transmon_subsystem(tc, reduced, c_eff)
+        spec, sub, junction_label = _transmon_subsystem(tc, config, reduced, c_eff,
+                                                        lj_overrides or {}, reuse)
         transmon_specs[tc.name] = spec
         subsystems.append(sub)
         port_coord[junction_label] = (tc.name, "junction")
 
     lines = {}
     for lc in config.lines:
-        lines[lc.name], sub = _line_subsystem(lc, blocks, naive)
+        lines[lc.name], sub = _line_subsystem(lc, blocks, naive, reuse)
         subsystems.append(sub)
         for node in lc.nodes:
             port_coord[node] = (lc.name, node)
 
     # every retained coordinate must carry a port operator
-    for name in registry.subsystem_names:
+    for name in circuit.netlist.registry.subsystem_names:
         for i in reduced.block_index.get(name, ()):
             label = reduced.labels[i]
             if label not in port_coord:
@@ -341,11 +351,10 @@ def build_model(
         dispersive = extract_dispersive(spectrum, qubit_mode, readout_mode)
 
     return DeviceModel(
-        config=config, naive=naive, registry=registry, netlist=netlist,
-        reduced=reduced, blocks=blocks, subsystems=tuple(subsystems),
+        config=config, naive=naive, circuit=circuit, subsystems=tuple(subsystems),
         transmon_specs=transmon_specs, lines=lines, graph=graph,
         spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
-        flat_mode_names=flat_mode_names, input_sha256=input_sha256,
+        flat_mode_names=flat_mode_names,
     )
 
 
@@ -379,21 +388,26 @@ def _coupling_graph(
 def run_analysis(config: DeviceConfig, naive: bool = False,
                  model: DeviceModel | None = None):
     """Full model (``model`` when it is already built), and the naive
-    comparison alongside when requested."""
+    comparison alongside when requested, quantized on the same circuit."""
     from .report import build_report
 
     if model is None:
         model = build_model(config)
-    naive_model = build_model(config, naive=True) if naive else None
+    naive_model = build_model(config, circuit=model.circuit, naive=True) if naive else None
     return build_report(model, naive_model=naive_model)
 
 
 def run_sweep(config: DeviceConfig, param_path: str, values: Sequence[float]):
+    """One report per value of ``param_path``. A point that leaves the
+    circuit unchanged (a junction's lj_nh, say) requantizes the last one."""
     from .report import build_report
 
-    reports = []
+    reports, model = [], None
     for value in values:
-        model = build_model(config.with_override(param_path, float(value)))
+        cfg = config.with_override(param_path, float(value))
+        if model is not None and _circuit_fields(cfg) != _circuit_fields(model.circuit.config):
+            model = None
+        model = build_model(cfg, circuit=model and model.circuit, reuse=model)
         reports.append(build_report(model, swept={param_path: float(value)}))
     return reports
 
@@ -409,7 +423,7 @@ class BudgetRow:
 def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[BudgetRow]:
     """Sensitivity budget: toggle each model feature / parameter and report
     the change of chi_qr against the full model (``base`` when it is
-    already built)."""
+    already built). Rows that keep the circuit requantize the base."""
     if base is None:
         base = build_model(config)
     if base.dispersive is None:
@@ -422,8 +436,11 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         chi = model.dispersive.chi_qr
         rows.append(BudgetRow(feature, variation, chi, 100.0 * (chi - chi0) / abs(chi0)))
 
+    def requantize(cfg: DeviceConfig, **kwargs) -> DeviceModel:
+        return build_model(cfg, circuit=base.circuit, reuse=base, **kwargs)
+
     add("coupling_hamiltonians", "qubit couplings only",
-        build_model(config, graph_hook=lambda g: g.restricted_to(qubit)))
+        requantize(config, graph_hook=lambda g: g.restricted_to(qubit)))
 
     readout = next((l for l in config.lines if l.name == config.analysis.readout), None)
     if readout is not None and readout.modes > 1:
@@ -431,22 +448,19 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
             f"subsystems.{readout.name}.modes": 1,
             f"subsystems.{readout.name}.levels": [readout.levels[0]],
         })
-        add("readout_first_harmonic", "excluded", build_model(cfg))
+        add("readout_first_harmonic", "excluded", requantize(cfg))
 
     if readout is not None:
         for sign in (+1, -1):
             cfg = config.with_override(
                 f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
-            add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", build_model(cfg))
+            add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", requantize(cfg))
 
-    def scale_cells(factor):
-        def hook(ident, maxwell):
-            return MaxwellMatrix(names=maxwell.names, matrix=maxwell.matrix * factor,
-                                 display_units=maxwell.display_units)
-        return hook
+    def scaled(ident, m):
+        return MaxwellMatrix(names=m.names, matrix=m.matrix * 1.02, display_units=m.display_units)
 
     add("substrate_permittivity", "+2% on cell capacitances",
-        build_model(config, cell_hook=scale_cells(1.02)))
+        build_model(config, circuit=build_circuit(config, scaled)))
 
     for jc in config.junctions:
         if jc.subsystem == qubit and jc.cj_f > 0.0:
@@ -454,32 +468,19 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
             add("junction_capacitance", f"+10% on {jc.ident}", build_model(cfg))
             break
 
-    def pad_hook(ident, maxwell):
-        n = maxwell.size
-        padded = np.zeros((n + 1, n + 1))
-        padded[:n, :n] = maxwell.matrix
-        spectator = 1e-18  # 1 aF to the local ground keeps the matrix regular
-        padded[n, n] = spectator
-        padded[n, 0] = padded[0, n] = -spectator
-        padded[0, 0] += spectator
-        return MaxwellMatrix(names=maxwell.names + (f"__pad_{ident}",), matrix=padded,
-                             display_units=maxwell.display_units)
+    def padded(ident, m):
+        # a spectator node; its 1 aF to the local ground keeps the matrix regular
+        matrix = np.pad(m.matrix, (0, 1))
+        matrix[[0, -1], [-1, 0]] = -1e-18
+        matrix[[0, -1], [0, -1]] += 1e-18
+        return MaxwellMatrix(names=(*m.names, f"__pad_{ident}"), matrix=matrix,
+                             display_units=m.display_units)
 
-    pad_cfg_raw = dict(config.raw)
-    pad_cfg_raw = copy_with_extra_coupler(pad_cfg_raw, [f"__pad_{c.ident}" for c in config.cells])
-    from .config import parse_device_config
-    pad_cfg = parse_device_config(pad_cfg_raw, base_dir=config.base_dir)
-    add("cell_padding", "spectator node added", build_model(pad_cfg, cell_hook=pad_hook))
+    pads = [f"__pad_{c.ident}" for c in config.cells]
+    add("cell_padding", "spectator node added",
+        build_model(config, circuit=build_circuit(config, padded, pads)))
 
     return rows
-
-
-def copy_with_extra_coupler(raw: Mapping, names: Sequence[str]) -> dict:
-    import copy as _copy
-
-    out = _copy.deepcopy(dict(raw))
-    out["couplers"] = list(out.get("couplers", ())) + list(names)
-    return out
 
 
 def calibrate_junction(
@@ -491,15 +492,18 @@ def calibrate_junction(
     """Root-solve the full-pipeline qubit frequency against the junction
     inductance to 2e-12 H (see ``calibrate_scalar``). The response is
     verified to bracket the target at the endpoints (f_q decreases as L_j
-    grows); returns (lj, report)."""
+    grows); returns (lj, report). Every L_j is quantized on one circuit with
+    the same line factors: line loading does not depend on L_j."""
     from .report import build_report
 
+    circuit = build_circuit(config)
     models: dict[float, DeviceModel] = {}
 
     def model_at(lj: float) -> DeviceModel:
         # brentq revisits the endpoints and returns a point it evaluated
         if lj not in models:
-            models[lj] = build_model(config, lj_overrides={junction: lj})
+            models[lj] = build_model(config, circuit=circuit, lj_overrides={junction: lj},
+                                     reuse=next(iter(models.values()), None))
         return models[lj]
 
     lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,

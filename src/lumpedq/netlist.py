@@ -1,7 +1,9 @@
 """Circuit network model and matrix reduction pipeline.
 
 Everything here operates on node-to-datum generalized fluxes in SI units
-(farads, henries). The pipeline is:
+(farads, henries), of the linear network only: a junction enters by its
+terminals and C_J; its L_j and E_J enter at subsystem quantization. The
+pipeline is:
 
     MaxwellMatrix --reduce_maxwell--> CellMatrices --compose_cells-->
     CompositeNetlist --rotate_to_junction_basis--> junction-flux basis
@@ -306,7 +308,8 @@ class JunctionElement:
     ``kind`` selects the energy function: plain cosine with fixed Josephson
     energy, or a flux-tunable squid cosine whose effective energy follows the
     bias ``phi_ext``. ``lj`` is the linear-response inductance at the bias
-    point and must satisfy lj = PHI_0**2 / ej_effective.
+    point and must satisfy lj = PHI_0**2 / ej_effective. With neither, it is
+    the junction as the linear network sees it: terminals and C_J.
     """
 
     ident: str
@@ -314,7 +317,7 @@ class JunctionElement:
     node_pos: str
     subsystem: str
     kind: str = "cosine"
-    ej: float = 0.0  # J; for kind="squid" this is the junction-sum energy
+    ej: float | None = None  # J; for kind="squid" this is the junction-sum energy
     asymmetry: float = 0.0  # squid junction asymmetry d in [0, 1)
     phi_ext: float = 0.0  # Wb
     cj: float = 0.0  # F
@@ -327,6 +330,10 @@ class JunctionElement:
             raise MalformedPartition(f"junction {self.ident!r} terminals coincide")
         if self.cj < 0:
             raise MalformedMatrix(f"junction {self.ident!r} has negative capacitance")
+        if self.ej is None:
+            if self.lj is not None:
+                raise MalformedMatrix(f"junction {self.ident!r}: lj given without ej")
+            return
         ej_eff = self.effective_ej()
         if ej_eff <= 0:
             raise MalformedMatrix(f"junction {self.ident!r} has non-positive Josephson energy")
@@ -419,15 +426,13 @@ class ReducedCircuit:
     """Constraint-eliminated circuit: retained coordinates, reduced matrices,
     and the subsystem block index maps.
 
-    ``l_inv_prime`` has every junction's linear inductance subtracted from its
-    diagonal entry, so the junction energy can enter through its full
-    non-linear form downstream.
+    ``l_inv`` holds no junction's L_j, so each junction energy enters in its
+    full non-linear form at subsystem quantization.
     """
 
     labels: tuple[str, ...]  # junction fluxes first
     c_mat: np.ndarray
     l_inv: np.ndarray
-    l_inv_prime: np.ndarray
     block_index: Mapping[str, tuple[int, ...]]
     junctions: tuple[JunctionElement, ...]
     record: ReductionRecord
@@ -504,9 +509,9 @@ def _two_terminal_stamp(index: Mapping[str, int], datum: str,
 
 def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> CompositeNetlist:
     """Scatter-add cell matrices into the global node order and stamp each
-    junction's intrinsic capacitance and linear inductance across its
-    terminal pair. Each device matrix is built once, as sparse CSR, from the
-    entries of all cells and stamps."""
+    junction's intrinsic capacitance C_J across its terminal pair; its L_j
+    stays out of L_inv. Each device matrix is built once, as sparse CSR,
+    from the entries of all cells and stamps."""
     nodes = registry.nodes
     index = {n: i for i, n in enumerate(nodes)}
     rows, cols, c_vals, l_vals = [], [], [], []
@@ -522,17 +527,17 @@ def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> Comp
         c_vals.append(cell.c_mat[r, k])
         l_vals.append(cell.l_inv[r, k])
         junctions.extend(cell.junctions)
-    stamps = np.array([(i, k, sign * j.cj, sign * (1.0 / j.lj))
+    stamps = np.array([(i, k, sign * j.cj)
                        for j in junctions
                        for i, k, sign in _two_terminal_stamp(index, registry.datum,
-                                                             j.node_neg, j.node_pos)]).reshape(-1, 4)
+                                                             j.node_neg, j.node_pos)]).reshape(-1, 3)
     rows = np.concatenate([*rows, stamps[:, 0].astype(np.intp)])
     cols = np.concatenate([*cols, stamps[:, 1].astype(np.intp)])
     n = len(nodes)
     return CompositeNetlist(
         registry=registry,
         c_mat=_symmetric_csr(rows, cols, np.concatenate([*c_vals, stamps[:, 2]]), n),
-        l_inv=_symmetric_csr(rows, cols, np.concatenate([*l_vals, stamps[:, 3]]), n),
+        l_inv=_symmetric_csr(rows, cols, np.concatenate([*l_vals, np.zeros(len(stamps))]), n),
         junctions=tuple(junctions),
     )
 
@@ -842,25 +847,18 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
             "declare them as subsystem nodes or fix the element classes touching them"
         )
 
-    junction_index = {}
     block_lists: dict[str, list[int]] = {name: [] for name in net.registry.subsystem_names}
     junction_by_id = {j.ident: j for j in net.junctions}
     for i, lab in enumerate(labels2):
         if lab in junction_by_id:
-            junction_index[lab] = i
             block_lists[junction_by_id[lab].subsystem].append(i)
         else:
             block_lists[net.registry.subsystem_of(lab)].append(i)
 
-    l_prime = l2.copy()
-    for j in net.junctions:
-        k = junction_index[j.ident]
-        l_prime[k, k] -= 1.0 / j.lj
-
     retained = [keep1[i] for i in keep2]
     record = ReductionRecord(c_rotated=_dense_block(c, retained, retained), eliminated=eliminated)
     return ReducedCircuit(
-        labels=labels2, c_mat=c2, l_inv=l2, l_inv_prime=l_prime,
+        labels=labels2, c_mat=c2, l_inv=l2,
         block_index={k: tuple(v) for k, v in block_lists.items()},
         junctions=net.junctions, record=record,
     )
@@ -883,7 +881,7 @@ class CircuitBlocks:
 
     labels: tuple[str, ...]
     c_inv: np.ndarray
-    l_inv_prime: np.ndarray
+    l_inv: np.ndarray  # the linear network's; no junction L_j
     block_index: Mapping[str, tuple[int, ...]]
 
     def index_of(self, label: str) -> int:
@@ -906,7 +904,7 @@ class CircuitBlocks:
         i, j = self.index_of(label_a), self.index_of(label_b)
         if i == j:
             raise DimensionMismatch("pair coupling requires two distinct coordinates")
-        return 2.0 * self.l_inv_prime[i, j]
+        return 2.0 * self.l_inv[i, j]
 
 
 def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:
@@ -914,5 +912,5 @@ def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:
     per-subsystem diagonal blocks and scaled pairwise couplings."""
     return CircuitBlocks(
         labels=rc.labels, c_inv=_symmetrize(scipy.linalg.inv(rc.c_mat)),
-        l_inv_prime=rc.l_inv_prime, block_index=rc.block_index,
+        l_inv=rc.l_inv, block_index=rc.block_index,
     )

@@ -119,7 +119,7 @@ def build_report(model, naive_model=None, swept=None, calibrated=None) -> Analys
     naive_block = _observable_block(naive_model) if naive_model is not None else None
     return AnalysisReport(
         device=model.config.name,
-        provenance=make_provenance(model.config, model.input_sha256),
+        provenance=make_provenance(model.config, model.circuit.input_sha256),
         observables=_observable_block(model),
         naive=naive_block,
         swept=dict(swept or {}),

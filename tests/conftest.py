@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 from scipy import constants
 from scipy.special import mathieu_a, mathieu_b
@@ -249,3 +250,22 @@ def merge_maxwell_oracle(m, merge, into):
         for b, gb in enumerate(groups):
             out[a, b] = m.matrix[np.ix_(ga, gb)].sum()
     return tuple(keep), 0.5 * (out + out.T)
+
+
+def with_junction_stamps(l_inv, junctions, labels, datum="gnd"):
+    """``l_inv`` (dense or CSR) as a dense array with each junction's linear
+    inductance added back, as the network would hold it if L_j were a linear
+    inductor: 1/L_j on the junction's own coordinate when ``labels`` hold it
+    (the junction basis), else the two-terminal stamp across its nodes."""
+    out = np.array(l_inv.toarray() if sp.issparse(l_inv) else l_inv, dtype=float)
+    index = {label: i for i, label in enumerate(labels)}
+    for j in junctions:
+        e = np.zeros(len(labels))
+        if j.ident in index:
+            e[index[j.ident]] = 1.0
+        else:
+            for node, sign in ((j.node_pos, 1.0), (j.node_neg, -1.0)):
+                if node != datum:
+                    e[index[node]] += sign
+        out += np.outer(e, e) / j.lj
+    return out

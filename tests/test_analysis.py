@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from lumpedq import analysis
-from lumpedq.analysis import build_model, calibrate_junction, run_analysis, run_budget, run_sweep
-from lumpedq.benchmark import benchmark_config
+from lumpedq.analysis import (
+    build_circuit,
+    build_model,
+    calibrate_junction,
+    run_analysis,
+    run_budget,
+    run_sweep,
+)
+from lumpedq.benchmark import benchmark_config, benchmark_raw_config
 from lumpedq.composite import (
     DressedSpectrum,
     build_full_hamiltonian,
@@ -13,8 +20,16 @@ from lumpedq.composite import (
     observable_labels,
 )
 from lumpedq.config import parse_device_config
-from lumpedq.errors import ConfigError, TargetOutOfRange, UnlabeledState
+from lumpedq.errors import (
+    ConfigError,
+    NonNullDirection,
+    TargetOutOfRange,
+    UnlabeledState,
+    ValidationError,
+)
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
+from lumpedq.netlist import KERNEL_RTOL
+from lumpedq.report import build_report, to_machine
 from lumpedq.subsystems import quantize_line
 
 from conftest import assert_matches_full_eigh
@@ -60,11 +75,11 @@ class TestFullModel:
         assert bare < 0.85 * f_unloaded  # strong loading renormalization
 
     def test_transmon_reduces_to_junction_coordinate(self, full_model):
-        assert full_model.reduced.block_index["qubit"] == (
-            full_model.reduced.index_of("j1"),)
+        assert full_model.circuit.reduced.block_index["qubit"] == (
+            full_model.circuit.reduced.index_of("j1"),)
 
     def test_every_retained_coordinate_has_port(self, full_model):
-        assert set(full_model.port_coord) == set(full_model.reduced.labels)
+        assert set(full_model.port_coord) == set(full_model.circuit.reduced.labels)
 
 
 class TestLowestSubset:
@@ -231,15 +246,23 @@ class TestSweepAndCalibration:
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))
 
     def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
-        built = []
+        """A calibration builds one circuit and quantizes it once per L_j."""
+        circuits, built = [], []
+        build_circuit = analysis.build_circuit
+
+        def counting_circuit(config, *args):
+            circuits.append(config)
+            return build_circuit(config, *args)
 
         def counting(config, **kwargs):
             built.append(kwargs["lj_overrides"]["j1"])
             return build_model(config, **kwargs)
 
+        monkeypatch.setattr(analysis, "build_circuit", counting_circuit)
         monkeypatch.setattr(analysis, "build_model", counting)
         lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                         (10e-9, 14e-9))
+        assert circuits == [bench]
         assert len(built) == len(set(built))
         assert lj in built
         assert report.calibrated["j1"] == lj
@@ -248,6 +271,123 @@ class TestSweepAndCalibration:
         lj, _ = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                    (11.8e-9, 12.2e-9))
         assert lj == pytest.approx(12.0e-9, rel=1e-6)
+
+
+class TestCircuitReuse:
+    def test_reused_circuits_report_as_fresh_builds(self, bench, monkeypatch):
+        """Every model a driver quantizes on a shared circuit, or with reused
+        factors, gives the machine report byte for byte of a model built
+        afresh from the same arguments: build_model on the overridden config,
+        through a new circuit, reusing nothing. Covers the calibration (both
+        bracket ends and the calibrated point), every budget row, a 3-point
+        lj_nh sweep and analyze --naive, and counts their circuit builds
+        and quantizations."""
+        fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
+        circuits, quantized = {}, []  # id(circuit) -> its build arguments; (config, kwargs, model)
+
+        def spy_circuit(*args):
+            circuit = fresh_circuit(*args)
+            circuits[id(circuit)] = args
+            return circuit
+
+        def spy_model(config, **kwargs):
+            model = fresh_model(config, **kwargs)
+            quantized.append((config, kwargs, model))
+            return model
+
+        monkeypatch.setattr(analysis, "build_circuit", spy_circuit)
+        monkeypatch.setattr(analysis, "build_model", spy_model)
+        counts = []
+
+        def count():
+            counts.append((len(circuits), len(quantized)))
+
+        lj, calibrated = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
+        count()
+        run_budget(bench)
+        count()
+        swept = run_sweep(bench, "junctions.j1.lj_nh", [11.0, 12.0, 13.0])
+        count()
+        naive = run_analysis(bench, naive=True)
+        count()
+        monkeypatch.undo()
+        steps = [(c1 - c0, q1 - q0) for (c0, q0), (c1, q1) in zip([(0, 0)] + counts, counts)]
+        assert steps == [(1, 6), (4, 8), (1, 3), (1, 2)]
+        assert {10e-9, 14e-9, lj} <= {kw["lj_overrides"]["j1"] for _, kw, _ in quantized[:6]}
+
+        for config, kwargs, model in quantized:
+            options = {k: v for k, v in kwargs.items() if k not in ("circuit", "reuse")}
+            args = circuits[id(model.circuit)]
+            fresh = (fresh_model(config, **options) if args == (config,) else
+                     fresh_model(config, circuit=fresh_circuit(*args), **options))
+            assert to_machine(build_report(model)) == to_machine(build_report(fresh))
+
+        assert to_machine(calibrated) == to_machine(build_report(
+            build_model(bench, lj_overrides={"j1": lj}), calibrated={"j1": lj}))
+        for value, report in zip([11.0, 12.0, 13.0], swept):
+            path = "junctions.j1.lj_nh"
+            fresh = build_model(bench.with_override(path, value))
+            assert to_machine(report) == to_machine(build_report(fresh, swept={path: value}))
+        assert to_machine(naive) == to_machine(build_report(
+            build_model(bench), naive_model=build_model(bench, naive=True)))
+
+    @pytest.mark.parametrize("path, value", [
+        ("datum", "b1"),
+        ("cells.cell0.maxwell_file", "other_cell.csv"),
+        ("couplers", ["p0"]),
+        ("subsystems.qubit.nodes", ["p1", "cl"]),
+        ("junctions.j1.nodes", ["p1", "p0"]),
+        ("junctions.j1.subsystem", "readout"),
+        ("junctions.j1.cj_ff", 2.5),
+        ("inductors", [{"nodes": ["g", "b2"], "l_nh": 10.0}]),
+    ])
+    def test_circuit_field_change_rejected(self, bench, path, value):
+        """The quantum half refuses a circuit built from a configuration that
+        differs in a field stages 1-5 read."""
+        circuit = build_circuit(bench)
+        with pytest.raises(ValidationError, match="stages 1-5"):
+            build_model(bench.with_override(path, value), circuit=circuit)
+
+    @pytest.mark.parametrize("path, value", [
+        ("junctions.j1.lj_nh", 11.0),
+        ("subsystems.readout.z0_ohm", 50.0),
+        ("subsystems.qubit.levels", 4),
+    ])
+    def test_quantum_field_change_accepted(self, bench, path, value):
+        cfg = bench.with_override(path, value)
+        reused = build_model(cfg, circuit=build_circuit(bench))
+        assert to_machine(build_report(reused)) == to_machine(build_report(build_model(cfg)))
+
+    @pytest.mark.filterwarnings("ignore:coupler node 'm'")
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_kernel_scale_ignores_the_junction(self, bench, tmp_path, factor):
+        """Coupler m is grounded through an inductor whose column sits at
+        ``factor`` times KERNEL_RTOL of the kernel scale, which a 100 nH
+        inductor on coupler m2 sets. The junction's 1/L_j, 7 to 10 times
+        larger, is not in the linear network, so m is eliminated at 0.5x and
+        left in neither kernel at 2x, at L_j = 10 and 14 nH alike, whether
+        the circuit is reused or built afresh."""
+        (tmp_path / "m_cell.csv").write_text(
+            "# units: fF\nnode,g,m\ng,30.0,-30.0\nm,-30.0,30.0\n", encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((bench.base_dir / "qubit_cell.csv").read_bytes())
+        raw = benchmark_raw_config()
+        raw["cells"].append({"id": "cell1", "maxwell_file": "m_cell.csv"})
+        raw["couplers"] += ["m", "m2"]
+        raw["inductors"] = [{"nodes": ["g", "m2"], "l_nh": 100.0},
+                            {"nodes": ["g", "m"], "l_nh": 100.0 / (factor * KERNEL_RTOL)}]
+        cfg = parse_device_config(raw, base_dir=tmp_path)
+        if factor > 1.0:
+            for lj in (10e-9, 14e-9):
+                with pytest.raises(NonNullDirection, match="'m'"):
+                    build_model(cfg, lj_overrides={"j1": lj})
+            return
+        circuit = build_circuit(cfg)
+        assert circuit.reduced.record.eliminated == ("cl", "m", "p0", "m2")
+        for lj in (10e-9, 14e-9):
+            fresh = build_model(cfg, lj_overrides={"j1": lj})
+            reused = build_model(cfg, circuit=circuit, lj_overrides={"j1": lj})
+            assert fresh.circuit.reduced.record.eliminated == circuit.reduced.record.eliminated
+            assert to_machine(build_report(reused)) == to_machine(build_report(fresh))
 
 
 class TestValidation:

@@ -328,8 +328,10 @@ class TestCli:
         assert run_cli("analyze", str(small)) == 3
 
     def test_budget_reuses_the_base_build(self, device_dir, tmp_path, monkeypatch):
-        """The budget builds its base model once, and its machine report is
-        byte-identical to one assembled from separate budget and analysis runs."""
+        """The budget quantizes its base model once, builds a circuit only for
+        the base and the rows that change it (substrate, junction capacitance,
+        cell padding), and its machine report is byte-identical to one
+        assembled from separate budget and analysis runs."""
         config = load_device_config(device_dir / "device.yaml")
         rows = run_budget(config)
         base = run_analysis(config)
@@ -337,19 +339,25 @@ class TestCli:
             device=base.device, provenance=base.provenance,
             observables=base.observables, budget=budget_to_dicts(rows)))
 
-        calls = []
-        build = analysis.build_model
+        calls, circuits = [], []
+        build, build_circuit = analysis.build_model, analysis.build_circuit
 
         def counting(*args, **kwargs):
             calls.append(kwargs)
             return build(*args, **kwargs)
 
+        def counting_circuit(*args, **kwargs):
+            circuits.append(args)
+            return build_circuit(*args, **kwargs)
+
         monkeypatch.setattr(analysis, "build_model", counting)
+        monkeypatch.setattr(analysis, "build_circuit", counting_circuit)
         out = tmp_path / "budget.json"
         assert run_cli("budget", str(device_dir / "device.yaml"),
                        "--format", "machine", "-o", str(out)) == 0
         assert out.read_text(encoding="utf-8") == separate
-        assert len(calls) == len(rows) + 1
+        assert len(calls) == len(rows) + 1 == 8
+        assert len(circuits) == 4
 
     def test_memory_guard_exit_code_3(self, device_dir, monkeypatch, capsys):
         monkeypatch.setattr(composite, "available_memory_bytes", lambda: 1 << 20)

@@ -45,7 +45,13 @@ from lumpedq.netlist import (
     schur_eliminate,
 )
 
-from conftest import embed_maxwell, merge_maxwell_oracle, random_circuit, subsystem_c_inv
+from conftest import (
+    embed_maxwell,
+    merge_maxwell_oracle,
+    random_circuit,
+    subsystem_c_inv,
+    with_junction_stamps,
+)
 
 fF = 1e-15
 nH = 1e-9
@@ -219,7 +225,9 @@ class TestCompose:
         cell = CellMatrices("c1", ("a",), np.zeros((1, 1)), np.zeros((1, 1)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["a"]}))
         np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
-        np.testing.assert_allclose(net.l_inv.toarray(), [[0.1 / nH]])
+        assert net.l_inv.nnz == 0  # L_j stays out of the linear network
+        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions, net.labels),
+                                   [[0.1 / nH]])
 
     def test_junction_pair_stamp_matches_nodal_analysis(self):
         """Two-terminal inductor stamp: +1/L on both diagonals, -1/L off."""
@@ -228,7 +236,8 @@ class TestCompose:
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p0", "p1"]}))
         y = 0.1 / nH
-        np.testing.assert_allclose(net.l_inv.toarray(), [[y, -y], [-y, y]])
+        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions, net.labels),
+                                   [[y, -y], [-y, y]])
 
     def test_one_sided_entry_is_symmetrized(self):
         """The composite is the symmetric part of the scatter-added cells,
@@ -269,7 +278,8 @@ class TestRotation:
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "p0")
         # junction inductance lands purely on the junction coordinate
-        np.testing.assert_allclose(l_inv.toarray(), np.diag([0.1 / nH, 0.0]), atol=1e-20)
+        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions, labels),
+                                   np.diag([0.1 / nH, 0.0]), atol=1e-20)
 
     def test_quadratic_form_invariance(self, rng):
         j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
@@ -314,7 +324,8 @@ class TestRotation:
         net = compose_cells([cell], simple_registry({"s0": ["a", "b"]}))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "j2")
-        np.testing.assert_allclose(l_inv.toarray(), np.diag([0.1 / nH, 1.0 / (12 * nH)]), atol=1e-16)
+        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions, labels),
+                                   np.diag([0.1 / nH, 1.0 / (12 * nH)]), atol=1e-16)
 
     def test_tree_roots_prefer_datum_then_couplers(self):
         # a tree that reaches the datum is rooted there: j2 consumes b and
@@ -593,13 +604,17 @@ class TestReduceNetwork:
         np.testing.assert_allclose(sol_red.y[:n_red], projected, atol=1e-8 * scale)
 
     def test_junction_subtraction_in_l_prime(self):
+        """The reduced L_inv holds no junction inductance, so nothing is left
+        to subtract before the junction energy enters in full; adding the
+        stamp back gives the junction's 1/L_j."""
         j = JunctionElement.from_inductance("j1", "gnd", "p1", "q", lj=12 * nH)
         cell = CellMatrices("c1", ("p1",), np.array([[60 * fF]]), np.zeros((1, 1)),
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"q": ["p1"]}))
         rc = reduce_network(net)
-        np.testing.assert_allclose(rc.l_inv, [[1.0 / (12 * nH)]])
-        np.testing.assert_allclose(rc.l_inv_prime, [[0.0]], atol=1e-12)
+        np.testing.assert_allclose(with_junction_stamps(rc.l_inv, rc.junctions, rc.labels),
+                                   [[1.0 / (12 * nH)]])
+        np.testing.assert_allclose(rc.l_inv, [[0.0]], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,7 +1127,8 @@ def test_sparse_reduction_matches_dense_oracle(device):
     c, l_inv, ref_labels, ref_eliminated = dense_reduction(cells, registry, labels)
     assert rc.labels == ref_labels
     assert rc.record.eliminated == ref_eliminated
-    for got, ref in ((rc.c_mat, c), (rc.l_inv, l_inv)):
+    stamped = with_junction_stamps(rc.l_inv, rc.junctions, rc.labels)
+    for got, ref in ((rc.c_mat, c), (stamped, l_inv)):
         ref = 0.5 * (ref + ref.T)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 

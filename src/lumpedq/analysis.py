@@ -82,6 +82,10 @@ class DeviceCircuit:
     # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
     input_sha256: Mapping[str, str]
 
+    def fits(self, config: DeviceConfig) -> bool:
+        """Whether ``config`` equals this circuit's in every field stages 1-5 read."""
+        return _circuit_fields(config) == _circuit_fields(self.config)
+
 
 @dataclass(frozen=True)
 class DeviceModel:
@@ -127,13 +131,29 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
 
 def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]],
                     extra_couplers: Sequence[str]) -> NodeRegistry:
+    cell_of: dict[str, str] = {}
+    for ident, cell in cells:
+        for node in cell.nodes:
+            cell_of.setdefault(node, ident)
+    subsystem_names = []
+    subsystem_nodes = []
+    for t in config.transmons:
+        subsystem_names.append(t.name)
+        subsystem_nodes.append(frozenset(t.nodes))
+    for l in config.lines:
+        subsystem_names.append(l.name)
+        subsystem_nodes.append(frozenset(l.nodes))
     couplers = frozenset((*config.couplers, *extra_couplers))
-    subsystem_nodes = tuple(frozenset(s.nodes) for s in (*config.transmons, *config.lines))
-    cell_of = {node: ident for ident, cell in cells for node in cell.nodes}
-    for node in couplers.union(*subsystem_nodes):
+    declared = set().union(*subsystem_nodes, couplers) if subsystem_nodes else set(couplers)
+    for node in declared:
         cell_of.setdefault(node, "__virtual__")
-    return NodeRegistry(datum=config.datum, subsystem_names=config.subsystem_names(),
-                        subsystem_nodes=subsystem_nodes, couplers=couplers, cell_of=cell_of)
+    return NodeRegistry(
+        datum=config.datum,
+        subsystem_names=tuple(subsystem_names),
+        subsystem_nodes=tuple(subsystem_nodes),
+        couplers=couplers,
+        cell_of=cell_of,
+    )
 
 
 def _lumped_cell(config: DeviceConfig) -> CellMatrices:
@@ -153,9 +173,9 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
 
 def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig, reduced: ReducedCircuit,
                         c_eff: Callable[[str], float], lj_overrides: Mapping[str, float],
-                        reuse: DeviceModel | None) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
+                        ) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
     """The transmon's spec, with E_J from its junction's config entry or
-    ``lj_overrides``, and its factor (that of ``reuse`` for an equal spec)."""
+    ``lj_overrides``, and its factor."""
     owned = [j for j in config.junctions if j.subsystem == tc.name]
     if len(owned) != 1:
         raise ConfigError(f"transmon {tc.name!r} must own exactly one junction, found {len(owned)}")
@@ -175,8 +195,6 @@ def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig, reduced: Reduc
         n_max=tc.n_max,
         levels=tc.levels,
     )
-    if reuse is not None and reuse.transmon_specs.get(tc.name) == spec:
-        return spec, next(s for s in reuse.subsystems if s.name == tc.name), junction.ident
     return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
 
 
@@ -285,7 +303,7 @@ def build_model(
     (``build_circuit(config)`` when not given), which must come from a
     config equal to ``config`` in every field stages 1-5 read. Each E_J is
     set here, from the junction's config entry or ``lj_overrides`` (henries
-    by junction id). A subsystem of ``reuse`` with equal inputs is reused.
+    by junction id). A line of ``reuse`` solved from equal inputs is reused.
 
     ``naive`` recomputes under conventional approximations: line modes are
     solved without loading (undressed eigenfields, lumped-equivalent port
@@ -294,7 +312,7 @@ def build_model(
     """
     if circuit is None:
         circuit = build_circuit(config)
-    elif _circuit_fields(config) != _circuit_fields(circuit.config):
+    elif not circuit.fits(config):
         raise ConfigError("configuration differs from its circuit's in a field stages 1-5 read")
     reduced, blocks = circuit.reduced, circuit.blocks
     if naive:
@@ -307,7 +325,7 @@ def build_model(
     port_coord: dict[str, tuple[str, str]] = {}
     for tc in config.transmons:
         spec, sub, junction_label = _transmon_subsystem(tc, config, reduced, c_eff,
-                                                        lj_overrides or {}, reuse)
+                                                        lj_overrides or {})
         transmon_specs[tc.name] = spec
         subsystems.append(sub)
         port_coord[junction_label] = (tc.name, "junction")
@@ -405,7 +423,7 @@ def run_sweep(config: DeviceConfig, param_path: str, values: Sequence[float]):
     reports, model = [], None
     for value in values:
         cfg = config.with_override(param_path, float(value))
-        if model is not None and _circuit_fields(cfg) != _circuit_fields(model.circuit.config):
+        if model is not None and not model.circuit.fits(cfg):
             model = None
         model = build_model(cfg, circuit=model and model.circuit, reuse=model)
         reports.append(build_report(model, swept={param_path: float(value)}))
@@ -456,11 +474,14 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
                 f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
             add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", requantize(cfg))
 
-    def scaled(ident, m):
-        return MaxwellMatrix(names=m.names, matrix=m.matrix * 1.02, display_units=m.display_units)
+    def scale_cells(factor):
+        def hook(ident, maxwell):
+            return MaxwellMatrix(names=maxwell.names, matrix=maxwell.matrix * factor,
+                                 display_units=maxwell.display_units)
+        return hook
 
     add("substrate_permittivity", "+2% on cell capacitances",
-        build_model(config, circuit=build_circuit(config, scaled)))
+        build_model(config, circuit=build_circuit(config, scale_cells(1.02))))
 
     for jc in config.junctions:
         if jc.subsystem == qubit and jc.cj_f > 0.0:
@@ -468,17 +489,20 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
             add("junction_capacitance", f"+10% on {jc.ident}", build_model(cfg))
             break
 
-    def padded(ident, m):
-        # a spectator node; its 1 aF to the local ground keeps the matrix regular
-        matrix = np.pad(m.matrix, (0, 1))
-        matrix[[0, -1], [-1, 0]] = -1e-18
-        matrix[[0, -1], [0, -1]] += 1e-18
-        return MaxwellMatrix(names=(*m.names, f"__pad_{ident}"), matrix=matrix,
-                             display_units=m.display_units)
+    def pad_hook(ident, maxwell):
+        n = maxwell.size
+        padded = np.zeros((n + 1, n + 1))
+        padded[:n, :n] = maxwell.matrix
+        spectator = 1e-18  # 1 aF to the local ground keeps the matrix regular
+        padded[n, n] = spectator
+        padded[n, 0] = padded[0, n] = -spectator
+        padded[0, 0] += spectator
+        return MaxwellMatrix(names=maxwell.names + (f"__pad_{ident}",), matrix=padded,
+                             display_units=maxwell.display_units)
 
     pads = [f"__pad_{c.ident}" for c in config.cells]
     add("cell_padding", "spectator node added",
-        build_model(config, circuit=build_circuit(config, padded, pads)))
+        build_model(config, circuit=build_circuit(config, pad_hook, pads)))
 
     return rows
 

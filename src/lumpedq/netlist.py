@@ -151,13 +151,14 @@ def _add_up(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (rows, cols, sums) in row-major order of the n x n matrix
     whose entries are the sums of the (rows, cols, vals) triplets;
-    duplicates add in the order listed, as a dense scatter-add would."""
+    duplicates add in the order listed, as a dense scatter-add would. The
+    sums are float even for no triplets, where ``bincount`` gives int64."""
     keys = rows.astype(np.int64) * n + cols
     order = keys.argsort(kind="stable")
     keys = keys[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    sums = np.bincount(first.cumsum() - 1, weights=vals[order])
+    sums = np.bincount(first.cumsum() - 1, weights=vals[order]).astype(float, copy=False)
     keys = keys[first]
     return keys // n, keys % n, sums
 

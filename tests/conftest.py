@@ -257,7 +257,7 @@ def with_junction_stamps(l_inv, junctions, labels, datum="gnd"):
     inductance added back, as the network would hold it if L_j were a linear
     inductor: 1/L_j on the junction's own coordinate when ``labels`` hold it
     (the junction basis), else the two-terminal stamp across its nodes."""
-    out = np.array(l_inv.toarray() if sp.issparse(l_inv) else l_inv, dtype=float)
+    out = np.array(l_inv.toarray() if sp.issparse(l_inv) else l_inv)
     index = {label: i for i, label in enumerate(labels)}
     for j in junctions:
         e = np.zeros(len(labels))

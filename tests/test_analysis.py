@@ -344,9 +344,10 @@ class TestCircuitReuse:
     def test_circuit_field_change_rejected(self, bench, path, value):
         """The quantum half refuses a circuit built from a configuration that
         differs in a field stages 1-5 read."""
-        circuit = build_circuit(bench)
+        circuit, cfg = build_circuit(bench), bench.with_override(path, value)
+        assert not circuit.fits(cfg)
         with pytest.raises(ValidationError, match="stages 1-5"):
-            build_model(bench.with_override(path, value), circuit=circuit)
+            build_model(cfg, circuit=circuit)
 
     @pytest.mark.parametrize("path, value", [
         ("junctions.j1.lj_nh", 11.0),
@@ -354,8 +355,9 @@ class TestCircuitReuse:
         ("subsystems.qubit.levels", 4),
     ])
     def test_quantum_field_change_accepted(self, bench, path, value):
-        cfg = bench.with_override(path, value)
-        reused = build_model(cfg, circuit=build_circuit(bench))
+        cfg, circuit = bench.with_override(path, value), build_circuit(bench)
+        assert circuit.fits(cfg)
+        reused = build_model(cfg, circuit=circuit)
         assert to_machine(build_report(reused)) == to_machine(build_report(build_model(cfg)))
 
     @pytest.mark.filterwarnings("ignore:coupler node 'm'")

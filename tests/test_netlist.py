@@ -277,6 +277,8 @@ class TestRotation:
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}, couplers=["p0"]))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "p0")
+        # no inductor: L_inv is empty, and still float
+        assert l_inv.nnz == 0 and l_inv.dtype == np.float64
         # junction inductance lands purely on the junction coordinate
         np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions, labels),
                                    np.diag([0.1 / nH, 0.0]), atol=1e-20)

@@ -171,9 +171,10 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
     return CellMatrices("__lumped__", tuple(nodes), np.zeros_like(l_inv), l_inv, junctions)
 
 
-def _transmon_subsystem(tc: TransmonConfig, config: DeviceConfig, reduced: ReducedCircuit,
-                        c_eff: Callable[[str], float], lj_overrides: Mapping[str, float],
-                        ) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
+def _transmon_subsystem(
+    tc: TransmonConfig, config: DeviceConfig, reduced: ReducedCircuit,
+    c_eff: Callable[[str], float], lj_overrides: Mapping[str, float],
+) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
     """The transmon's spec, with E_J from its junction's config entry or
     ``lj_overrides``, and its factor."""
     owned = [j for j in config.junctions if j.subsystem == tc.name]

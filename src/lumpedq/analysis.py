@@ -304,13 +304,17 @@ def build_model(
     (``build_circuit(config)`` when not given), which must come from a
     config equal to ``config`` in every field stages 1-5 read. Each E_J is
     set here, from the junction's config entry or ``lj_overrides`` (henries
-    by junction id). A line of ``reuse`` solved from equal inputs is reused.
+    by junction id; an id that is no junction of ``config`` is a ConfigError).
+    A line of ``reuse`` solved from equal inputs is reused.
 
     ``naive`` recomputes under conventional approximations: line modes are
     solved without loading (undressed eigenfields, lumped-equivalent port
     ZPFs) and couplings come from the weak-coupling expansion of the raw
     junction-basis capacitance matrix instead of the eliminated inverse.
     """
+    unknown = sorted(set(lj_overrides or {}) - {j.ident for j in config.junctions})
+    if unknown:
+        raise ConfigError(f"lj_overrides name no junction of the configuration: {unknown}")
     if circuit is None:
         circuit = build_circuit(config)
     elif not circuit.fits(config):

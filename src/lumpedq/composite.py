@@ -11,24 +11,27 @@ assembled with weight 1/2 so the total reproduces the quadratic form
 Every subsystem arrives as one real factor per mode, quantized in the real
 gauge (see ``subsystems``): charge operators are real symmetric and flux
 operators i times a real antisymmetric matrix, so a charge-charge term is
-real and a flux-flux term is real with a factor -1. The Hamiltonian is
-therefore assembled as a dense real-symmetric matrix over the flattened
-factors, one term per coupled mode pair written at the indices the tensor
-strides give.
+real and a flux-flux term is real with a factor -1.
 
 Each term moves the occupation of each of its two modes by +-1, and the
 port operators connect only levels of opposite parity (see ``subsystems``),
 so H conserves the parity of the total occupation and splits into an even
-and an odd sector. ``diagonalize`` checks that split exactly on H, falls
-back to the whole basis as one sector when any entry joins the two (a
-transmon at nonzero offset charge), and in each sector solves only for the
-lowest eigenpairs, the ones that hold the bare labels it is asked for:
-``observable_labels``, the labels the observables read.
+and an odd sector. The split is decided from the operators before anything
+is allocated: one ``ProductBasis`` table per quantization holds every
+product state's occupation, bare energy, sector and position in its
+sector, and the Hamiltonian is assembled as one dense real-symmetric block
+per sector, each term written at the sector positions of the product
+indices the tensor strides give. The N x N matrix is never formed. When an
+operator joins levels of equal parity (a transmon at nonzero offset
+charge) the whole basis is one sector. ``diagonalize`` solves each block
+only for the lowest eigenpairs, the ones that hold the bare labels it is
+asked for: ``observable_labels``, the labels the observables read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -49,9 +52,9 @@ DEFAULT_DIMENSION_CAP = 20_000
 DEFAULT_MIN_OVERLAP = 0.5
 # eigenpairs solved for beyond the bare states up to the highest required one
 SUBSET_MARGIN = 4
-# dense float64 N x N arrays alive during the eigensolve: H, the solver's
-# working copy and up to N eigenvectors
-EIGENSOLVE_COPIES = 3
+# dense float64 copies of the largest sector block the eigensolve adds to the
+# blocks themselves: the solver's working copy and up to a sector of eigenvectors
+EIGENSOLVE_COPIES = 2
 # brentq's relative tolerance in calibrate_scalar; see its docstring for the
 # bound that holds
 CALIBRATION_RTOL = 1e-6
@@ -109,54 +112,73 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def _occupations(mode_dims: Sequence[int]) -> np.ndarray:
-    """Per-mode occupation of every product basis state, in np.ndindex
-    order: shape (prod(mode_dims), len(mode_dims))."""
-    return np.indices(mode_dims).reshape(len(mode_dims), -1).T
+@dataclass(frozen=True)
+class ProductBasis:
+    """The product basis of one quantization: a row per state, in
+    np.ndindex order over the flattened modes, with its bare energy, its
+    sector and its position in that sector. With two sectors a state's
+    sector is the parity of its total occupation (even first); with one,
+    every state is in sector 0 at its own index."""
+
+    dims: tuple[int, ...]  # levels of each flattened mode
+    occupation: np.ndarray  # (states, modes)
+    energies: np.ndarray  # J, bare product energies
+    sector: np.ndarray
+    position: np.ndarray
+
+    def states(self, k: int) -> np.ndarray:
+        """Product indices of sector ``k``, in sector order."""
+        return np.flatnonzero(self.sector == k)
 
 
-def _add_pair_term(h: np.ndarray, dims: Sequence[int], ia: int, a: np.ndarray,
-                   ib: int, b: np.ndarray, coef: float) -> None:
-    """h += coef * kron(I, a, I, b, I), with ``a`` on factor ``ia`` and ``b``
-    on factor ``ib``, written at the indices the tensor strides give."""
-    strides = [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
-    rest = np.zeros(1, dtype=np.intp)
-    for k, d in enumerate(dims):
-        if k not in (ia, ib):
-            rest = (rest[:, None] + strides[k] * np.arange(d)).ravel()
-    ra, ca = np.nonzero(a)
-    rb, cb = np.nonzero(b)
-    rows = (strides[ia] * ra)[:, None] + (strides[ib] * rb)[None, :]
-    cols = (strides[ia] * ca)[:, None] + (strides[ib] * cb)[None, :]
-    values = (coef * a[ra, ca])[:, None] * b[rb, cb][None, :]
-    h[(rest[:, None] + rows.ravel()).ravel(), (rest[:, None] + cols.ravel()).ravel()] += (
-        np.broadcast_to(values.ravel(), (len(rest), values.size)).ravel())
+def product_basis(subsystems: Sequence[QuantizedSubsystem], split: bool) -> ProductBasis:
+    """The product basis of ``subsystems``, in two parity sectors when
+    ``split``, else in one."""
+    dims = tuple(d for s in subsystems for d in s.mode_dims)
+    occupation = np.indices(dims).reshape(len(dims), -1).T
+    sector = occupation.sum(axis=1) % 2 if split else np.zeros(len(occupation), dtype=np.intp)
+    position = np.empty_like(sector)
+    for k in range(int(sector.max()) + 1):
+        members = sector == k
+        position[members] = np.arange(np.count_nonzero(members))
+    return ProductBasis(dims, occupation, outer_sum([s.energies for s in subsystems]),
+                        sector, position)
 
 
-def build_full_hamiltonian(
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """The real-symmetric composite Hamiltonian as one dense block per
+    sector of ``basis``. Entries between sectors are exactly zero and are
+    not stored; ``shape`` and ``dtype`` are those of the whole H."""
+
+    basis: ProductBasis
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.basis.energies),) * 2
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.blocks[0].dtype
+
+
+def pair_terms(
     subsystems: Sequence[QuantizedSubsystem],
     graph: CouplingGraph,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> np.ndarray:
-    """Assemble the real-symmetric full Hamiltonian (float64) in the real
-    gauge of the product of the subsystem eigenbases. Fails fast with
-    DimensionOverflow beyond ``dimension_cap`` or when the eigensolve would
-    not fit in the available memory; no silent solver switch."""
+) -> list[tuple[int, np.ndarray, int, np.ndarray, float]]:
+    """The coupling as (factor a, operator a, factor b, operator b,
+    coefficient) terms, one per coupled mode pair and quadrature, in
+    assembly order; factors are numbered flat across the subsystems."""
     names = [s.name for s in subsystems]
     if len(set(names)) != len(names):
         raise ValidationError("subsystem names must be unique")
     factors = [f for s in subsystems for f in s.factors]
-    dims = [len(f.levels) for f in factors]
-    total = int(np.prod(dims))
-    if total > dimension_cap:
-        raise DimensionOverflow(
-            f"product dimension {total} exceeds the configured cap {dimension_cap}"
-        )
     offsets = np.cumsum([0] + [len(s.factors) for s in subsystems]).tolist()
     slots = {s.name: range(o, o + len(s.factors)) for s, o in zip(subsystems, offsets)}
     ports = {s.name: s.ports for s in subsystems}
 
-    terms = []  # (factor a, operator a, factor b, operator b, coefficient)
+    terms = []
     for edge in graph.edges:
         ends = ((edge.sub_a, edge.port_a), (edge.sub_b, edge.port_b))
         for sub_name, port in ends:
@@ -177,19 +199,78 @@ def build_full_hamiltonian(
                     )
             terms.extend((ia, getattr(factors[ia], kind), ib, getattr(factors[ib], kind), coef)
                          for ia in slots[edge.sub_a] for ib in slots[edge.sub_b])
+    return terms
 
-    needed = EIGENSOLVE_COPIES * 8 * total**2
+
+def _flips_parity(op: np.ndarray) -> bool:
+    """Whether ``op`` connects only levels of opposite index parity."""
+    rows, cols = np.nonzero(op)
+    return bool(np.all((rows + cols) % 2 == 1))
+
+
+def _pair_term_entries(dims: Sequence[int], ia: int, a: np.ndarray, ib: int, b: np.ndarray,
+                       coef: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of coef * kron(I, a, I, b, I), with ``a`` on
+    factor ``ia`` and ``b`` on factor ``ib``: their product-basis rows and
+    columns, as the tensor strides give them, and their values."""
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    rest = np.zeros(1, dtype=np.intp)
+    for k, d in enumerate(dims):
+        if k not in (ia, ib):
+            rest = (rest[:, None] + strides[k] * np.arange(d)).ravel()
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    rows = (strides[ia] * ra)[:, None] + (strides[ib] * rb)[None, :]
+    cols = (strides[ia] * ca)[:, None] + (strides[ib] * cb)[None, :]
+    values = (coef * a[ra, ca])[:, None] * b[rb, cb][None, :]
+    return ((rest[:, None] + rows.ravel()).ravel(), (rest[:, None] + cols.ravel()).ravel(),
+            np.broadcast_to(values.ravel(), (len(rest), values.size)).ravel())
+
+
+def build_full_hamiltonian(
+    subsystems: Sequence[QuantizedSubsystem],
+    graph: CouplingGraph,
+    dimension_cap: int = DEFAULT_DIMENSION_CAP,
+) -> SectorHamiltonian:
+    """Assemble the real-symmetric Hamiltonian (float64) in the real gauge
+    of the product of the subsystem eigenbases, one dense block per parity
+    sector. Fails fast with DimensionOverflow beyond ``dimension_cap`` or
+    when the eigensolve would not fit in the available memory; no silent
+    solver switch.
+
+    Every term moves the occupation of each of its two modes by +-1. When
+    every operator of every term connects only levels of opposite parity
+    (the exact zeros ``ModeFactor`` stores), H conserves the parity of the
+    total occupation and has two sectors; otherwise (a transmon at nonzero
+    offset charge) the whole basis is one sector."""
+    terms = pair_terms(subsystems, graph)
+    total = int(np.prod([d for s in subsystems for d in s.mode_dims]))
+    if total > dimension_cap:
+        raise DimensionOverflow(
+            f"product dimension {total} exceeds the configured cap {dimension_cap}"
+        )
+    basis = product_basis(subsystems, all(_flips_parity(a) and _flips_parity(b)
+                                          for _, a, _, b, _ in terms))
+    sizes = np.bincount(basis.sector)
+    areas = sizes**2
+    needed = 8 * (int(areas.sum()) + EIGENSOLVE_COPIES * int(areas.max()))
     available = available_memory_bytes()
     if available is not None and needed > available:
         raise DimensionOverflow(
             f"product dimension {total} needs about {needed / 1e9:.2f} GB for the "
             f"eigensolve, more than the {available / 1e9:.2f} GB available"
         )
-    h = np.zeros((total, total))
-    h[np.diag_indices(total)] = outer_sum([s.energies for s in subsystems])
+    # the blocks lie one after another in ``flat``, where entry (i, j) of H
+    # with i and j in one sector sits at row_start[i] + position[j]
+    starts = np.cumsum(areas) - areas
+    flat = np.zeros(int(areas.sum()))
+    row_start = starts[basis.sector] + sizes[basis.sector] * basis.position
+    flat[row_start + basis.position] = basis.energies
     for term in terms:
-        _add_pair_term(h, dims, *term)
-    return h
+        rows, cols, values = _pair_term_entries(basis.dims, *term)
+        flat[row_start[rows] + basis.position[cols]] += values
+    return SectorHamiltonian(basis, tuple(flat[start:start + n * n].reshape(n, n)
+                                          for start, n in zip(starts, sizes)))
 
 
 def coupling_rates(
@@ -246,16 +327,6 @@ class DressedSpectrum:
         return _excitation(sum(len(d) for d in self.mode_dims), flat_mode)
 
 
-def _parity_sectors(occupation: np.ndarray, hamiltonian: np.ndarray) -> list[np.ndarray]:
-    """The product basis split by total-occupation parity, when the two
-    halves share no nonzero entry of ``hamiltonian``; else the whole basis."""
-    odd = occupation.sum(axis=1) % 2 == 1
-    sectors = [np.flatnonzero(~odd), np.flatnonzero(odd)]
-    if np.any(hamiltonian[np.ix_(*sectors)]):
-        return [np.arange(len(occupation))]
-    return sectors
-
-
 def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
                   min_overlap: float):
     """Lowest-subset eigensolve of one sector plus maximum-overlap labeling.
@@ -283,18 +354,12 @@ def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
 
 def diagonalize(
     subsystems: Sequence[QuantizedSubsystem],
-    hamiltonian: np.ndarray,
+    hamiltonian: SectorHamiltonian,
     required: Iterable[tuple[int, ...]],
     min_overlap: float = DEFAULT_MIN_OVERLAP,
 ) -> DressedSpectrum:
-    """Lowest-subset eigensolve per parity sector plus maximum-overlap labeling.
-
-    Every coupling term moves the occupation of each of its two modes by +-1,
-    so when the port operators obey the parity selection rule (see
-    ``subsystems``) H conserves the parity of the total occupation. The
-    product basis is then split into its even and odd sectors, checked
-    exactly: if H has any nonzero entry between them (a transmon at nonzero
-    offset charge), the whole basis is the only sector.
+    """Lowest-subset eigensolve of each sector block of ``hamiltonian`` (see
+    ``build_full_hamiltonian``) plus maximum-overlap labeling.
 
     ``required`` holds the bare labels to solve for, flattened occupation
     tuples such as ``observable_labels`` gives. In each sector that holds
@@ -310,34 +375,31 @@ def diagonalize(
     """
     if not 0.5 <= min_overlap <= 1.0:
         raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
-    dims = [d for s in subsystems for d in s.mode_dims]
-    occupation = _occupations(dims)
-    n = len(occupation)
-    if hamiltonian.shape != (n, n):
-        raise ValidationError("Hamiltonian shape does not match the subsystem dimensions")
-    wanted = np.zeros(n, dtype=bool)
+    basis = hamiltonian.basis
+    if basis.dims != tuple(d for s in subsystems for d in s.mode_dims):
+        raise ValidationError("Hamiltonian basis does not match the subsystem dimensions")
+    wanted = np.zeros(len(basis.energies), dtype=bool)
     try:
-        wanted[np.ravel_multi_index(np.array(list(required)).T, dims)] = True
+        wanted[np.ravel_multi_index(np.array(list(required)).T, basis.dims)] = True
     except (TypeError, ValueError):
         raise ValidationError(
             f"required labels must be a nonempty set of occupation tuples of the "
-            f"product basis {tuple(dims)}"
+            f"product basis {basis.dims}"
         ) from None
-    bare = outer_sum([s.energies for s in subsystems])
     energies, found = [], []  # found: (solved state, product basis index, overlap)
-    for sector in _parity_sectors(occupation, hamiltonian):
+    for k, block in enumerate(hamiltonian.blocks):
+        sector = basis.states(k)
         if not wanted[sector].any():
             continue
-        # one sector is H itself: solved in place of a copy, as the memory guard assumes
-        block = hamiltonian if len(sector) == n else hamiltonian[np.ix_(sector, sector)]
-        vals, states, basis, quality = _solve_sector(block, bare[sector], wanted[sector],
-                                                     min_overlap)
+        vals, states, labeled, quality = _solve_sector(block, basis.energies[sector],
+                                                       wanted[sector], min_overlap)
         offset = sum(len(e) for e in energies)
-        found.extend(zip(offset + states, sector[basis], quality.tolist()))
+        found.extend(zip(offset + states, sector[labeled], quality.tolist()))
         energies.append(vals)
     merged = np.concatenate(energies)
     position = np.argsort(np.argsort(merged, kind="stable"))  # place in ascending order
-    picked = sorted((int(position[s]), tuple(occupation[b].tolist()), q) for s, b, q in found)
+    picked = sorted((int(position[s]), tuple(basis.occupation[b].tolist()), q)
+                    for s, b, q in found)
     return DressedSpectrum(
         energies=np.sort(merged),
         labels={label: s for s, label, _ in picked},

@@ -304,59 +304,20 @@ class MaxwellMatrix:
 
 @dataclass(frozen=True)
 class JunctionElement:
-    """Non-linear inductive dipole across two nodes.
-
-    ``kind`` selects the energy function: plain cosine with fixed Josephson
-    energy, or a flux-tunable squid cosine whose effective energy follows the
-    bias ``phi_ext``. ``lj`` is the linear-response inductance at the bias
-    point and must satisfy lj = PHI_0**2 / ej_effective. With neither, it is
-    the junction as the linear network sees it: terminals and C_J.
-    """
+    """A junction as the linear network sees it: its terminals and C_J. Its
+    L_j and E_J enter only at quantization, from the configuration."""
 
     ident: str
     node_neg: str  # flux convention: phi_j = phi(node_pos) - phi(node_neg)
     node_pos: str
     subsystem: str
-    kind: str = "cosine"
-    ej: float | None = None  # J; for kind="squid" this is the junction-sum energy
-    asymmetry: float = 0.0  # squid junction asymmetry d in [0, 1)
-    phi_ext: float = 0.0  # Wb
     cj: float = 0.0  # F
-    lj: float | None = None  # H; derived from ej when omitted
 
     def __post_init__(self):
-        if self.kind not in ("cosine", "squid"):
-            raise MalformedPartition(f"unsupported junction kind {self.kind!r}")
         if self.node_neg == self.node_pos:
             raise MalformedPartition(f"junction {self.ident!r} terminals coincide")
         if self.cj < 0:
             raise MalformedMatrix(f"junction {self.ident!r} has negative capacitance")
-        if self.ej is None:
-            if self.lj is not None:
-                raise MalformedMatrix(f"junction {self.ident!r}: lj given without ej")
-            return
-        ej_eff = self.effective_ej()
-        if ej_eff <= 0:
-            raise MalformedMatrix(f"junction {self.ident!r} has non-positive Josephson energy")
-        derived = PHI_0**2 / ej_eff
-        if self.lj is None:
-            object.__setattr__(self, "lj", derived)
-        elif abs(self.lj - derived) > 1e-9 * derived:
-            raise MalformedMatrix(
-                f"junction {self.ident!r}: lj={self.lj:.12e} inconsistent with "
-                f"energy function (expected {derived:.12e})"
-            )
-
-    def effective_ej(self) -> float:
-        """Josephson energy at the bias point, joules."""
-        if self.kind == "cosine":
-            return self.ej
-        x = np.pi * self.phi_ext / (2 * np.pi * PHI_0)  # phi_ext / flux quantum
-        return self.ej * float(np.sqrt(np.cos(x) ** 2 + self.asymmetry**2 * np.sin(x) ** 2))
-
-    @classmethod
-    def from_inductance(cls, ident, node_neg, node_pos, subsystem, lj, cj=0.0):
-        return cls(ident, node_neg, node_pos, subsystem, ej=PHI_0**2 / lj, cj=cj)
 
 
 @dataclass(frozen=True)

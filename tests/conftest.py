@@ -5,9 +5,15 @@ from hypothesis import HealthCheck, settings
 from scipy import constants
 from scipy.special import mathieu_a, mathieu_b
 
-from lumpedq.composite import CouplingEdge, CouplingGraph
+from lumpedq.composite import (
+    CouplingEdge,
+    CouplingGraph,
+    SectorHamiltonian,
+    pair_terms,
+    product_basis,
+)
 from lumpedq.netlist import CellMatrices, MaxwellMatrix, NodeRegistry, compose_cells
-from lumpedq.subsystems import TransmonSpec, diagonalize_transmon, quantize_line
+from lumpedq.subsystems import TransmonSpec, diagonalize_transmon, outer_sum, quantize_line
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 
 settings.register_profile(
@@ -155,6 +161,52 @@ def assert_matches_full_eigh(spec, h, required, atol=0.0):
     return vals, full
 
 
+def stride_hamiltonian(subsystems, graph):
+    """Oracle: the whole N x N real-gauge Hamiltonian. The bare diagonal is
+    written first, then each term of ``pair_terms`` in order, h += coef *
+    kron(I, a, I, b, I) at the product indices the tensor strides give."""
+    dims = [d for s in subsystems for d in s.mode_dims]
+    total = int(np.prod(dims))
+    strides = [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
+    h = np.zeros((total, total))
+    h[np.diag_indices(total)] = outer_sum([s.energies for s in subsystems])
+    for ia, a, ib, b, coef in pair_terms(subsystems, graph):
+        rest = np.zeros(1, dtype=np.intp)
+        for k, d in enumerate(dims):
+            if k not in (ia, ib):
+                rest = (rest[:, None] + strides[k] * np.arange(d)).ravel()
+        ra, ca = np.nonzero(a)
+        rb, cb = np.nonzero(b)
+        rows = (strides[ia] * ra)[:, None] + (strides[ib] * rb)[None, :]
+        cols = (strides[ia] * ca)[:, None] + (strides[ib] * cb)[None, :]
+        values = (coef * a[ra, ca])[:, None] * b[rb, cb][None, :]
+        h[(rest[:, None] + rows.ravel()).ravel(), (rest[:, None] + cols.ravel()).ravel()] += (
+            np.broadcast_to(values.ravel(), (len(rest), values.size)).ravel())
+    return h
+
+
+def dense_hamiltonian(h):
+    """The N x N array of a ``SectorHamiltonian``: each block scattered back
+    to its sector's product indices, zero between sectors."""
+    out = np.zeros(h.shape)
+    for k, block in enumerate(h.blocks):
+        sector = h.basis.states(k)
+        out[np.ix_(sector, sector)] = block
+    return out
+
+
+def split_hamiltonian(subsystems, matrix):
+    """A dense N x N ``matrix`` over the product basis of ``subsystems`` as
+    a ``SectorHamiltonian``: its two parity-sector blocks when it has no
+    entry between them, else the whole matrix as one block."""
+    basis = product_basis(subsystems, split=True)
+    sectors = [basis.states(0), basis.states(1)]
+    if np.any(matrix[np.ix_(*sectors)]):
+        basis = product_basis(subsystems, split=False)
+        sectors = [basis.states(0)]
+    return SectorHamiltonian(basis, tuple(matrix[np.ix_(s, s)] for s in sectors))
+
+
 def qubit_readout_system(g01_hz, *, f_r=7.0e9, ec_hz=287e6, ej_over_ec=None,
                          qubit_levels=6, readout_levels=6):
     """Transmon + one harmonic readout mode with the 0-1 coupling matrix
@@ -252,11 +304,12 @@ def merge_maxwell_oracle(m, merge, into):
     return tuple(keep), 0.5 * (out + out.T)
 
 
-def with_junction_stamps(l_inv, junctions, labels, datum="gnd"):
+def with_junction_stamps(l_inv, junctions, lj, labels, datum="gnd"):
     """``l_inv`` (dense or CSR) as a dense array with each junction's linear
-    inductance added back, as the network would hold it if L_j were a linear
-    inductor: 1/L_j on the junction's own coordinate when ``labels`` hold it
-    (the junction basis), else the two-terminal stamp across its nodes."""
+    inductance ``lj[ident]`` added back, as the network would hold it if L_j
+    were a linear inductor: 1/L_j on the junction's own coordinate when
+    ``labels`` hold it (the junction basis), else the two-terminal stamp
+    across its nodes."""
     out = np.array(l_inv.toarray() if sp.issparse(l_inv) else l_inv)
     index = {label: i for i, label in enumerate(labels)}
     for j in junctions:
@@ -267,5 +320,5 @@ def with_junction_stamps(l_inv, junctions, labels, datum="gnd"):
             for node, sign in ((j.node_pos, 1.0), (j.node_neg, -1.0)):
                 if node != datum:
                     e[index[node]] += sign
-        out += np.outer(e, e) / j.lj
+        out += np.outer(e, e) / lj[j.ident]
     return out

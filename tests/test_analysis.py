@@ -32,7 +32,7 @@ from lumpedq.netlist import KERNEL_RTOL
 from lumpedq.report import build_report, to_machine
 from lumpedq.subsystems import quantize_line
 
-from conftest import assert_matches_full_eigh
+from conftest import assert_matches_full_eigh, dense_hamiltonian, stride_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestLowestSubset:
         spec = diagonalize(subs, h, required)
         assert len(spec.energies) < h.shape[0]
         assert spec.labels == full_model.spectrum.labels
-        assert_matches_full_eigh(spec, h, required)
+        assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
         assert set(required) <= set(spec.labels)
 
     @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
@@ -122,11 +122,44 @@ class TestLowestSubset:
         k = len(spec.energies)
         assert k < h.shape[0]
         assert spec.labels == model.spectrum.labels
-        vals, full = assert_matches_full_eigh(spec, h, required)
+        vals, full = assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
         assert set(required) <= set(spec.labels)
         if sectors == 1:
             assert spec.labels == {lab: s for lab, s in full.items() if s < k}
             np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
+
+    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
+    def test_blocks_equal_the_stride_oracle(self, bench, q_offset_2e, sectors):
+        """On the shipped device each sector block equals the whole-H stride
+        oracle on its sector, bit for bit; at a nonzero offset charge the one
+        block is the oracle itself."""
+        model = build_model(bench.with_override("subsystems.qubit.q_offset_2e", q_offset_2e))
+        h = build_full_hamiltonian(model.subsystems, model.graph)
+        oracle = stride_hamiltonian(model.subsystems, model.graph)
+        assert h.shape == oracle.shape and len(h.blocks) == sectors
+        for k, block in enumerate(h.blocks):
+            sector = h.basis.states(k)
+            assert np.array_equal(block, oracle[np.ix_(sector, sector)])
+
+    def test_assembly_and_solve_peak_below_one_dense_h(self, bench):
+        """At dimension 1920 (levels 6, [5, 4], 4, 4) assembling and
+        solving the sectors allocates at most the 8 N^2 bytes of one dense
+        N x N float64 H, as traced by tracemalloc."""
+        import tracemalloc
+
+        model = build_model(bench.with_overrides({
+            "subsystems.qubit.levels": 6, "subsystems.readout.levels": [5, 4],
+            "subsystems.bus2.levels": 4, "subsystems.bus3.levels": 4}))
+        subs, required = model.subsystems, observable_labels(model.subsystems, 0)
+        n = int(np.prod([d for sub in subs for d in sub.mode_dims]))
+        assert n == 1920
+        tracemalloc.start()
+        try:
+            diagonalize(subs, build_full_hamiltonian(subs, model.graph), required)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n**2
 
 
 class TestRequiredLabels:
@@ -240,6 +273,12 @@ class TestSweepAndCalibration:
         lj, report = calibrate_junction(perturbed, "j1", target, (9e-9, 16e-9))
         assert lj == pytest.approx(12.0e-9, rel=1e-3)
         assert report.calibrated["j1"] == lj
+
+    def test_unknown_junction_rejected(self, bench):
+        """A junction id the config does not have is a configuration error
+        naming it, not a calibration that never moves f_q."""
+        with pytest.raises(ConfigError, match="'jX'"):
+            calibrate_junction(bench, "jX", 5.3e9, (10e-9, 14e-9))
 
     def test_calibrate_target_out_of_range(self, bench):
         with pytest.raises(TargetOutOfRange, match=r"target 20\.0000 GHz"):

@@ -39,10 +39,13 @@ from lumpedq.subsystems import (
 
 from conftest import (
     assert_matches_full_eigh,
+    dense_hamiltonian,
     greedy_labels,
     kerr_oscillator,
     kerr_readout_system,
     qubit_readout_system,
+    split_hamiltonian,
+    stride_hamiltonian,
 )
 
 H_PLANCK = constants.h
@@ -142,6 +145,28 @@ def oracle_parts():
     return spec, tuple(solve_modes(spec, 3)), tuple(subs), readout_mode
 
 
+def draw_transmon_oscillators(data):
+    """A transmon at zero or at a drawn offset charge, coupled capacitively
+    to 1-2 harmonic oscillators. Returns (subsystems, graph, offset n_g)."""
+    ec = data.draw(st.floats(200e6, 350e6)) * H_PLANCK
+    n_g = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 0.45)))
+    transmon = diagonalize_transmon(TransmonSpec(
+        c_eff=constants.e**2 / (2 * ec), ej=data.draw(st.floats(20.0, 80.0)) * ec,
+        q_offset=2 * constants.e * n_g, levels=data.draw(st.integers(3, 5))))
+    q01 = abs(transmon.factors[0].charge[0, 1])
+    f_r = data.draw(st.floats(4e9, 9e9))
+    subs, edges = [transmon], []
+    for k in range(data.draw(st.integers(1, 2))):
+        if k:  # keep the oscillators apart, so no two levels are degenerate
+            f_r += data.draw(st.floats(0.3e9, 2e9))
+        osc = harmonic_subsystem(f"r{k}", f_r, data.draw(st.integers(3, 4)), q_zpf=2e-18)
+        g = HBAR * 2 * np.pi * data.draw(st.floats(10e6, 250e6))
+        edges.append(CouplingEdge("transmon", "junction", osc.name, "p",
+                                  inv_c_eff=2 * g / (q01 * 2e-18)))
+        subs.append(osc)
+    return subs, CouplingGraph(tuple(edges)), n_g
+
+
 def pt2_energies(h0_diag, v):
     """Second-order perturbation theory on a diagonal H0 with coupling v."""
     out = []
@@ -158,7 +183,7 @@ def pt2_energies(h0_diag, v):
 class TestAssembly:
     def test_zero_couplings_spectrum_is_bare_sums(self):
         subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=4, readout_levels=3)
-        h = build_full_hamiltonian(subs, CouplingGraph(()))
+        h = dense_hamiltonian(build_full_hamiltonian(subs, CouplingGraph(())))
         vals = np.linalg.eigvalsh(h)
         sums = sorted(
             ea + eb for ea in subs[0].energies for eb in subs[1].energies
@@ -173,7 +198,7 @@ class TestAssembly:
 
     def test_hermitian(self):
         subs, graph, _, _, _ = qubit_readout_system(80e6)
-        h = build_full_hamiltonian(subs, graph)
+        h = dense_hamiltonian(build_full_hamiltonian(subs, graph))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12 * np.max(np.abs(h)))
 
     def test_nearly_hermitian_operator_gives_exactly_symmetric_h(self):
@@ -185,7 +210,7 @@ class TestAssembly:
         charge[0, 1] *= 1.0 + 1e-13
         skewed = QuantizedSubsystem(name="transmon", ports=("junction",), factors=(
             ModeFactor(levels=factor.levels, charge=charge, charge_scale=factor.charge_scale),))
-        h = build_full_hamiltonian([skewed, subs[1]], graph)
+        h = dense_hamiltonian(build_full_hamiltonian([skewed, subs[1]], graph))
         assert np.array_equal(h, h.T)
 
     def test_dimension_overflow(self):
@@ -198,8 +223,8 @@ class TestAssembly:
         bare = CouplingGraph(())
         with_zero = CouplingGraph(
             (CouplingEdge("transmon", "junction", "readout", "b1", inv_c_eff=0.0),))
-        h1 = build_full_hamiltonian(subs, bare)
-        h2 = build_full_hamiltonian(subs, with_zero)
+        h1 = dense_hamiltonian(build_full_hamiltonian(subs, bare))
+        h2 = dense_hamiltonian(build_full_hamiltonian(subs, with_zero))
         assert np.array_equal(h1, h2)
         assert np.array_equal(np.linalg.eigvalsh(h1), np.linalg.eigvalsh(h2))
 
@@ -208,8 +233,8 @@ class TestAssembly:
         operator product in the real gauge, entrywise: the readout charge is
         its scale times the real a^dag + a, the transmon's 2e times n."""
         subs, graph, g01, _, mode = qubit_readout_system(50e6)
-        h_coupled = build_full_hamiltonian(subs, graph)
-        h_bare = build_full_hamiltonian(subs, CouplingGraph(()))
+        h_coupled = dense_hamiltonian(build_full_hamiltonian(subs, graph))
+        h_bare = dense_hamiltonian(build_full_hamiltonian(subs, CouplingGraph(())))
         coupling_term = h_coupled - h_bare
         rates = coupling_rates(subs, graph)
         ((_, _, _, _), g_rad), = rates.items()
@@ -222,14 +247,31 @@ class TestAssembly:
                                    atol=1e-12 * np.max(np.abs(expected)))
 
     def test_memory_guard_raises_before_allocating(self, monkeypatch):
+        """The guard counts the two N/2 sector blocks, the solver's copy of
+        one and a sector of eigenvectors: one byte short of that fails."""
         subs, graph, _, _, _ = qubit_readout_system(80e6)
         dim = subs[0].dimension * subs[1].dimension
-        needed = composite.EIGENSOLVE_COPIES * 8 * dim**2
+        half = dim // 2
+        needed = 8 * (2 * half**2 + 2 * half**2)  # blocks; solver copy and eigenvectors
         monkeypatch.setattr(composite, "available_memory_bytes", lambda: needed - 1)
         with pytest.raises(DimensionOverflow, match="available"):
             build_full_hamiltonian(subs, graph)
         monkeypatch.setattr(composite, "available_memory_bytes", lambda: needed)
         assert build_full_hamiltonian(subs, graph).shape == (dim, dim)
+
+    @given(data=st.data())
+    def test_blocks_equal_the_stride_oracle(self, data):
+        """Each sector block equals the whole-H stride oracle on its sector,
+        bit for bit: two parity blocks at zero offset charge, one block of
+        the whole basis at a nonzero one."""
+        subs, graph, n_g = draw_transmon_oscillators(data)
+        h = build_full_hamiltonian(subs, graph)
+        oracle = stride_hamiltonian(subs, graph)
+        assert len(h.blocks) == (1 if n_g else 2)
+        for k, block in enumerate(h.blocks):
+            sector = h.basis.states(k)
+            assert np.array_equal(block, oracle[np.ix_(sector, sector)])
+        assert sum(len(block) for block in h.blocks) == len(oracle)
 
     def test_available_memory_is_positive_where_readable(self):
         available = composite.available_memory_bytes()
@@ -255,8 +297,9 @@ class TestRealGauge:
     def test_spectrum_matches_ungauged_kron_oracle(self, case):
         subs, edges, zpfs = gauge_oracle_system()
         graph = CouplingGraph(tuple(edges.values()) if case == "all" else (edges[case],))
-        h = build_full_hamiltonian(subs, graph)
-        assert h.dtype == np.float64
+        sectors = build_full_hamiltonian(subs, graph)
+        assert sectors.dtype == np.float64
+        h = dense_hamiltonian(sectors)
         assert np.array_equal(h, h.T)
         oracle = kron_hamiltonian(subs, graph, zpfs)
         np.testing.assert_allclose(np.linalg.eigvalsh(h), np.linalg.eigvalsh(oracle),
@@ -303,7 +346,7 @@ class TestRealGauge:
                          inv_l_eff=2 * hbar_g() / (phi_aux * flux_zpf[0])),
         ))
         subs = [transmon, line, aux]
-        h = build_full_hamiltonian(subs, graph)
+        h = dense_hamiltonian(build_full_hamiltonian(subs, graph))
         assert np.array_equal(h, h.T)
         zpfs = {"line": list(zip(charge_zpf, flux_zpf)), "readout": mode_zpfs([aux_mode])}
         oracle = np.linalg.eigvalsh(kron_hamiltonian(subs, graph, zpfs))
@@ -358,7 +401,7 @@ class TestLabeling:
         required = observable_labels(subs, 0)
         spec = diagonalize(subs, h, required)
         assert len(spec.energies) < h.shape[0]
-        assert_matches_full_eigh(spec, h, required)
+        assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
 
     def test_missing_label_widens_the_subset(self, monkeypatch):
         """A Kerr qubit and an oscillator with a crossing inside the even
@@ -371,7 +414,7 @@ class TestLabeling:
         coef = 2.0 * HBAR * 2 * np.pi * 300e6 / (2e-18 * 3e-18)
         graph = CouplingGraph((CouplingEdge("a", "p", "b", "p", inv_c_eff=coef),))
         h = build_full_hamiltonian([a, b], graph)
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(dense_hamiltonian(h))
         full = greedy_labels(vals, vecs, list(np.ndindex(5, 3)))
         assert full[(1, 1)] == 6 and full[(4, 0)] == 5  # the crossing happened
 
@@ -408,7 +451,7 @@ class TestLabeling:
 
         monkeypatch.setattr(scipy.linalg, "eigh", sector_eigh)
         # even sector (0, 0), (1, 1) offset by 10, solved first; odd (0, 1), (1, 0) by 0
-        spec = diagonalize([a, b], np.diag([10.0, 0.0, 0.0, 10.0]),
+        spec = diagonalize([a, b], split_hamiltonian([a, b], np.diag([10.0, 0.0, 0.0, 10.0])),
                            observable_labels([a, b], 0))
         np.testing.assert_array_equal(spec.energies, [1.0, 2.0, 11.0, 12.0])
         assert spec.labels == {(0, 1): 0, (0, 0): 2}
@@ -421,25 +464,11 @@ class TestLabeling:
         At zero offset H has no entry between the parity sectors; at a
         nonzero one it has, and the one-sector solve keeps the full solve's
         lowest levels."""
-        ec = data.draw(st.floats(200e6, 350e6)) * H_PLANCK
-        n_g = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 0.45)))
-        transmon = diagonalize_transmon(TransmonSpec(
-            c_eff=constants.e**2 / (2 * ec), ej=data.draw(st.floats(20.0, 80.0)) * ec,
-            q_offset=2 * constants.e * n_g, levels=data.draw(st.integers(3, 5))))
-        q01 = abs(transmon.factors[0].charge[0, 1])
-        f_r = data.draw(st.floats(4e9, 9e9))
-        subs, edges = [transmon], []
-        for k in range(data.draw(st.integers(1, 2))):
-            if k:  # keep the oscillators apart, so no two levels are degenerate
-                f_r += data.draw(st.floats(0.3e9, 2e9))
-            osc = harmonic_subsystem(f"r{k}", f_r, data.draw(st.integers(3, 4)), q_zpf=2e-18)
-            g = HBAR * 2 * np.pi * data.draw(st.floats(10e6, 250e6))
-            edges.append(CouplingEdge("transmon", "junction", osc.name, "p",
-                                      inv_c_eff=2 * g / (q01 * 2e-18)))
-            subs.append(osc)
-        h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges)))
+        subs, graph, n_g = draw_transmon_oscillators(data)
+        sectors = build_full_hamiltonian(subs, graph)
+        h = dense_hamiltonian(sectors)
         required = observable_labels(subs, 0)
-        spec = diagonalize(subs, h, required)
+        spec = diagonalize(subs, sectors, required)
         vals, full = assert_matches_full_eigh(
             spec, h, required, atol=1e-12 * np.max(np.abs(np.linalg.eigvalsh(h))))
         dims = [d for sub in subs for d in sub.mode_dims]
@@ -514,12 +543,12 @@ class TestDispersive:
         subs, graph, _, _, _ = qubit_readout_system(68e6)
         h_bare = build_full_hamiltonian(subs, CouplingGraph(()))
         h_full = build_full_hamiltonian(subs, graph)
-        v = h_full - h_bare
+        v = dense_hamiltonian(h_full) - dense_hamiltonian(h_bare)
         spec = diagonalize(subs, h_full, observable_labels(subs, 0))
         spec0 = diagonalize(subs, h_bare, observable_labels(subs, 0))
 
         # map bare product labels to bare-order indices for the PT oracle
-        h0 = np.real(np.diag(h_bare))
+        h0 = np.real(np.diag(dense_hamiltonian(h_bare)))
         pt = pt2_energies(h0, v)
         dims = [s.dimension for s in subs]
         flat = {}

@@ -27,7 +27,6 @@ from lumpedq import netlist
 from lumpedq.loadedline import LoadedLineSpec
 from lumpedq.netlist import (
     KERNEL_RTOL,
-    PHI_0,
     SINGULAR_RATIO,
     CellMatrices,
     CompositeNetlist,
@@ -221,22 +220,24 @@ class TestCompose:
         np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
 
     def test_junction_to_datum_stamp(self):
-        j = JunctionElement.from_inductance("j1", "gnd", "a", "s0", lj=10 * nH, cj=2 * fF)
+        j = JunctionElement("j1", "gnd", "a", "s0", cj=2 * fF)
         cell = CellMatrices("c1", ("a",), np.zeros((1, 1)), np.zeros((1, 1)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["a"]}))
         np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
         assert net.l_inv.nnz == 0  # L_j stays out of the linear network
-        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions, net.labels),
+        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions,
+                                                        {"j1": 10 * nH}, net.labels),
                                    [[0.1 / nH]])
 
     def test_junction_pair_stamp_matches_nodal_analysis(self):
         """Two-terminal inductor stamp: +1/L on both diagonals, -1/L off."""
-        j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
+        j = JunctionElement("j1", "p0", "p1", "s0")
         cell = CellMatrices("c1", ("p0", "p1"), np.eye(2) * 50 * fF, np.zeros((2, 2)),
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p0", "p1"]}))
         y = 0.1 / nH
-        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions, net.labels),
+        np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions,
+                                                        {"j1": 10 * nH}, net.labels),
                                    [[y, -y], [-y, y]])
 
     def test_one_sided_entry_is_symmetrized(self):
@@ -261,7 +262,7 @@ class TestCompose:
 
 class TestRotation:
     def test_junction_to_datum_is_identity(self):
-        j = JunctionElement.from_inductance("j1", "gnd", "p1", "s0", lj=10 * nH)
+        j = JunctionElement("j1", "gnd", "p1", "s0")
         cell = CellMatrices("c1", ("p1",), np.array([[60 * fF]]), np.zeros((1, 1)),
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}))
@@ -271,7 +272,7 @@ class TestRotation:
         np.testing.assert_allclose(c.toarray(), net.c_mat.toarray())
 
     def test_pair_junction_new_basis(self):
-        j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
+        j = JunctionElement("j1", "p0", "p1", "s0")
         cell = CellMatrices("c1", ("p0", "p1"), np.diag([30.0, 60.0]) * fF,
                             np.zeros((2, 2)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}, couplers=["p0"]))
@@ -280,11 +281,12 @@ class TestRotation:
         # no inductor: L_inv is empty, and still float
         assert l_inv.nnz == 0 and l_inv.dtype == np.float64
         # junction inductance lands purely on the junction coordinate
-        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions, labels),
+        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions,
+                                                        {"j1": 10 * nH}, labels),
                                    np.diag([0.1 / nH, 0.0]), atol=1e-20)
 
     def test_quadratic_form_invariance(self, rng):
-        j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
+        j = JunctionElement("j1", "p0", "p1", "s0")
         c_n = np.array([[40.0, -5.0], [-5.0, 70.0]]) * fF
         cell = CellMatrices("c1", ("p0", "p1"), c_n, np.zeros((2, 2)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}, couplers=["p0"]))
@@ -296,8 +298,8 @@ class TestRotation:
             assert energy_rotated == pytest.approx(energy_node, rel=1e-12)
 
     def test_loop_of_two_junctions_rejected(self):
-        j1 = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=10 * nH)
-        j2 = JunctionElement.from_inductance("j2", "p0", "p1", "s0", lj=12 * nH)
+        j1 = JunctionElement("j1", "p0", "p1", "s0")
+        j2 = JunctionElement("j2", "p0", "p1", "s0")
         cell = CellMatrices("c1", ("p0", "p1"), np.diag([30.0, 60.0]) * fF,
                             np.zeros((2, 2)), junctions=(j1, j2))
         net = compose_cells([cell], simple_registry({"s0": ["p0", "p1"]}))
@@ -306,9 +308,9 @@ class TestRotation:
 
     def test_three_junction_cycle_rejected(self):
         js = (
-            JunctionElement.from_inductance("j1", "a", "b", "s0", lj=10 * nH),
-            JunctionElement.from_inductance("j2", "b", "c", "s0", lj=10 * nH),
-            JunctionElement.from_inductance("j3", "c", "a", "s0", lj=10 * nH),
+            JunctionElement("j1", "a", "b", "s0"),
+            JunctionElement("j2", "b", "c", "s0"),
+            JunctionElement("j3", "c", "a", "s0"),
         )
         cell = CellMatrices("c1", ("a", "b", "c"), np.eye(3) * 50 * fF,
                             np.zeros((3, 3)), junctions=js)
@@ -318,15 +320,16 @@ class TestRotation:
 
     def test_junction_chain_keeps_all_fluxes(self):
         js = (
-            JunctionElement.from_inductance("j1", "gnd", "a", "s0", lj=10 * nH),
-            JunctionElement.from_inductance("j2", "a", "b", "s0", lj=12 * nH),
+            JunctionElement("j1", "gnd", "a", "s0"),
+            JunctionElement("j2", "a", "b", "s0"),
         )
         cell = CellMatrices("c1", ("a", "b"), np.eye(2) * 50 * fF,
                             np.zeros((2, 2)), junctions=js)
         net = compose_cells([cell], simple_registry({"s0": ["a", "b"]}))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "j2")
-        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions, labels),
+        np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions,
+                                                        {"j1": 10 * nH, "j2": 12 * nH}, labels),
                                    np.diag([0.1 / nH, 1.0 / (12 * nH)]), atol=1e-16)
 
     def test_tree_roots_prefer_datum_then_couplers(self):
@@ -335,9 +338,9 @@ class TestRotation:
         # its plain node c but is still its root, so j3 consumes c and z
         # keeps its coordinate.
         js = (
-            JunctionElement.from_inductance("j1", "a", "b", "s0", lj=10 * nH),
-            JunctionElement.from_inductance("j2", "b", "gnd", "s0", lj=12 * nH),
-            JunctionElement.from_inductance("j3", "c", "z", "s1", lj=14 * nH),
+            JunctionElement("j1", "a", "b", "s0"),
+            JunctionElement("j2", "b", "gnd", "s0"),
+            JunctionElement("j3", "c", "z", "s1"),
         )
         nodes = ("a", "b", "c", "d", "z")
         cell = CellMatrices("c1", nodes, np.eye(5) * 50 * fF, np.zeros((5, 5)), junctions=js)
@@ -358,8 +361,8 @@ class TestRotation:
         # two junctions named j1 close no loop; only the check that the
         # rotation inverts the node-to-junction map catches them
         js = (
-            JunctionElement.from_inductance("j1", "gnd", "a", "s0", lj=10 * nH),
-            JunctionElement.from_inductance("j1", "gnd", "b", "s0", lj=12 * nH),
+            JunctionElement("j1", "gnd", "a", "s0"),
+            JunctionElement("j1", "gnd", "b", "s0"),
         )
         net = CompositeNetlist(simple_registry({"s0": ["a", "b"]}), np.eye(2) * 50 * fF,
                                np.diag([1.0 / (10 * nH), 1.0 / (12 * nH)]), js)
@@ -369,27 +372,9 @@ class TestRotation:
 
 
 class TestJunctionElement:
-    def test_inductance_energy_consistency(self):
-        ej = PHI_0**2 / (10 * nH)
-        j = JunctionElement("j1", "a", "b", "s0", ej=ej)
-        assert j.lj == pytest.approx(10 * nH, rel=1e-12)
-
-    def test_inconsistent_lj_rejected(self):
-        ej = PHI_0**2 / (10 * nH)
-        with pytest.raises(MalformedMatrix):
-            JunctionElement("j1", "a", "b", "s0", ej=ej, lj=11 * nH)
-
-    def test_squid_bias_tunes_inductance(self):
-        flux_quantum = 2 * np.pi * PHI_0
-        j0 = JunctionElement("j1", "a", "b", "s0", kind="squid", ej=1e-23, phi_ext=0.0)
-        j1 = JunctionElement("j2", "a", "b", "s0", kind="squid", ej=1e-23,
-                             phi_ext=0.25 * flux_quantum, asymmetry=0.1)
-        assert j1.effective_ej() < j0.effective_ej()
-        assert j1.lj > j0.lj
-
     def test_negative_cj_rejected(self):
         with pytest.raises(MalformedMatrix):
-            JunctionElement("j1", "a", "b", "s0", ej=1e-23, cj=-1e-15)
+            JunctionElement("j1", "a", "b", "s0", cj=-1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +490,7 @@ class TestElimination:
             CellMatrices("c1", ("a", "b"), np.array([[1.0 * fF]]), np.zeros((1, 1)))
 
     def test_mixed_class_coupler_warns_and_raises(self):
-        j = JunctionElement.from_inductance("j1", "gnd", "a", "s0", lj=10 * nH)
+        j = JunctionElement("j1", "gnd", "a", "s0")
         cell = CellMatrices(
             "c1", ("a", "p"),
             np.array([[60.0, -5.0], [-5.0, 20.0]]) * fF,
@@ -534,7 +519,7 @@ class TestReduceNetwork:
             assert w[0] >= -1e-12 * w[-1]
 
     def test_junction_fluxes_retained_and_first(self):
-        j = JunctionElement.from_inductance("j1", "p0", "p1", "q", lj=12 * nH, cj=2 * fF)
+        j = JunctionElement("j1", "p0", "p1", "q", cj=2 * fF)
         cell = CellMatrices(
             "c1", ("b1", "p0", "p1"),
             np.array([
@@ -609,12 +594,13 @@ class TestReduceNetwork:
         """The reduced L_inv holds no junction inductance, so nothing is left
         to subtract before the junction energy enters in full; adding the
         stamp back gives the junction's 1/L_j."""
-        j = JunctionElement.from_inductance("j1", "gnd", "p1", "q", lj=12 * nH)
+        j = JunctionElement("j1", "gnd", "p1", "q")
         cell = CellMatrices("c1", ("p1",), np.array([[60 * fF]]), np.zeros((1, 1)),
                             junctions=(j,))
         net = compose_cells([cell], simple_registry({"q": ["p1"]}))
         rc = reduce_network(net)
-        np.testing.assert_allclose(with_junction_stamps(rc.l_inv, rc.junctions, rc.labels),
+        np.testing.assert_allclose(with_junction_stamps(rc.l_inv, rc.junctions,
+                                                        {"j1": 12 * nH}, rc.labels),
                                    [[1.0 / (12 * nH)]])
         np.testing.assert_allclose(rc.l_inv, [[0.0]], atol=1e-12)
 
@@ -625,7 +611,7 @@ class TestReduceNetwork:
 
 class TestBlocks:
     def test_diagonal_reduced_matrix_gives_zero_couplings(self):
-        j = JunctionElement.from_inductance("j1", "gnd", "a", "q", lj=10 * nH)
+        j = JunctionElement("j1", "gnd", "a", "q")
         cell = CellMatrices("c1", ("a", "b"), np.diag([50.0, 80.0]) * fF,
                             np.zeros((2, 2)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"q": ["a"], "r": ["b"]}))
@@ -635,7 +621,7 @@ class TestBlocks:
 
     def test_two_by_two_pair_coupling_formula(self):
         a, b, d = 50 * fF, -4 * fF, 90 * fF
-        j = JunctionElement.from_inductance("j1", "gnd", "x", "q", lj=10 * nH)
+        j = JunctionElement("j1", "gnd", "x", "q")
         cell = CellMatrices("c1", ("x", "y"), np.array([[a, b], [b, d]]),
                             np.zeros((2, 2)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"q": ["x"], "r": ["y"]}))
@@ -648,7 +634,7 @@ class TestBlocks:
         """The dressed junction capacitance depends on coupler and loading
         entries well away from the junction itself."""
         def build(b1_ground):
-            j = JunctionElement.from_inductance("j1", "p0", "p1", "q", lj=12 * nH, cj=2 * fF)
+            j = JunctionElement("j1", "p0", "p1", "q", cj=2 * fF)
             c = np.array([
                 [b1_ground, -30.0, -2.0],
                 [-30.0, 90.0, -45.0],
@@ -699,11 +685,10 @@ class TestRegistry:
 @given(
     c_ground=st.floats(min_value=1.0, max_value=100.0),
     mutual=st.floats(min_value=0.1, max_value=40.0),
-    lj=st.floats(min_value=1.0, max_value=50.0),
 )
-def test_energy_invariance_under_rotation(c_ground, mutual, lj):
+def test_energy_invariance_under_rotation(c_ground, mutual):
     """Cell energy 0.5 * v^T C v agrees in node and junction bases."""
-    j = JunctionElement.from_inductance("j1", "p0", "p1", "s0", lj=lj * nH)
+    j = JunctionElement("j1", "p0", "p1", "s0")
     c_n = np.array([
         [c_ground + mutual, -mutual],
         [-mutual, 2.0 * c_ground + mutual],
@@ -771,8 +756,8 @@ def junction_forests(draw):
         ends = ["gnd" if parent == -1 else names[parent], names[k]]
         if flips[k]:
             ends.reverse()
-        junctions.append(JunctionElement.from_inductance(
-            f"j{k}", *ends, "s0", lj=rng.uniform(5.0, 20.0) * nH, cj=rng.uniform(0.0, 3.0) * fF))
+        junctions.append(JunctionElement(
+            f"j{k}", *ends, "s0", cj=rng.uniform(0.0, 3.0) * fF))
     cell = CellMatrices("c1", tuple(names), c * fF, l_inv / nH, junctions=tuple(junctions))
     coupler_names = [name for name, flag in zip(names, couplers) if flag]
     system = [name for name, flag in zip(names, couplers) if not flag]
@@ -1043,9 +1028,9 @@ def modular_devices(draw):
     form one or more islands) and, optionally, an inductive coupler that
     joins a qubit pad to the bus through two inductors and carries no
     capacitance. Every cell enters as a Maxwell matrix. Returns (cells,
-    registry)."""
+    registry, L_j by junction id)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cells, subsystems, couplers = [], {"bus": ["bus"]}, []
+    cells, subsystems, couplers, lj = [], {"bus": ["bus"]}, [], {}
     for k in range(draw(st.integers(2, 4))):
         pads = [f"q{k}a", f"q{k}b"]
         caps = [f"c{k}_{i}" for i in range(draw(st.integers(1, 4)))]
@@ -1071,18 +1056,17 @@ def modular_devices(draw):
                 l_inv[[i, j], [i, j]] += y
                 l_inv[[i, j], [j, i]] -= y
         ends = ["gnd", pads[0]] if draw(st.booleans()) else pads
-        junction = JunctionElement.from_inductance(
-            f"j{k}", *ends, f"q{k}", lj=rng.uniform(5.0, 20.0) * nH,
-            cj=rng.uniform(0.0, 3.0) * fF)
+        lj[f"j{k}"] = rng.uniform(5.0, 20.0) * nH
+        junction = JunctionElement(f"j{k}", *ends, f"q{k}", cj=rng.uniform(0.0, 3.0) * fF)
         maxwell = embed_maxwell(CellMatrices(f"cell{k}", tuple(nodes), c * fF, l_inv / nH),
                                 "gnd", ground * fF)
         node_cell = reduce_maxwell(maxwell, "gnd")
         cells.append(CellMatrices(f"cell{k}", node_cell.nodes, node_cell.c_mat, l_inv / nH,
                                   junctions=(junction,)))
-    return cells, simple_registry(subsystems, couplers=couplers)
+    return cells, simple_registry(subsystems, couplers=couplers), lj
 
 
-def dense_reduction(cells, registry, labels):
+def dense_reduction(cells, registry, lj, labels):
     """Reference reduction on dense arrays: compose by 0/1 selection
     matrices and junction stamps, rotate by the dense inverse of the
     node-to-rotated transform, and eliminate each pass's kernel couplers by
@@ -1099,7 +1083,7 @@ def dense_reduction(cells, registry, labels):
     for j in junctions:
         e = np.array([(node == j.node_pos) - (node == j.node_neg) for node in nodes], dtype=float)
         c += j.cj * np.outer(e, e)
-        l_inv += np.outer(e, e) / j.lj
+        l_inv += np.outer(e, e) / lj[j.ident]
     net = CompositeNetlist(registry, c, l_inv, tuple(junctions))
     s_n = dense_junction_inverse(net, labels)
     schur, other = s_n.T @ c @ s_n, s_n.T @ l_inv @ s_n
@@ -1122,14 +1106,14 @@ def dense_reduction(cells, registry, labels):
 
 @given(modular_devices())
 def test_sparse_reduction_matches_dense_oracle(device):
-    cells, registry = device
+    cells, registry, lj = device
     net = compose_cells(cells, registry)
     rc = reduce_network(net)
     _, _, labels, _ = rotate_to_junction_basis(net)
-    c, l_inv, ref_labels, ref_eliminated = dense_reduction(cells, registry, labels)
+    c, l_inv, ref_labels, ref_eliminated = dense_reduction(cells, registry, lj, labels)
     assert rc.labels == ref_labels
     assert rc.record.eliminated == ref_eliminated
-    stamped = with_junction_stamps(rc.l_inv, rc.junctions, rc.labels)
+    stamped = with_junction_stamps(rc.l_inv, rc.junctions, lj, rc.labels)
     for got, ref in ((rc.c_mat, c), (stamped, l_inv)):
         ref = 0.5 * (ref + ref.T)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
@@ -1140,7 +1124,7 @@ def spectator_chip(n_cells, pads_per_cell=99, seed=5):
     pads in a chain, each chain tied to a shared bus; returns (cells,
     registry)."""
     rng = np.random.default_rng(seed)
-    junction = JunctionElement.from_inductance("j1", "gnd", "q", "qubit", lj=12 * nH, cj=2 * fF)
+    junction = JunctionElement("j1", "gnd", "q", "qubit", cj=2 * fF)
     cells = [CellMatrices("qubit", ("bus", "q"), np.array([[75.0, -5.0], [-5.0, 65.0]]) * fF,
                           np.array([[1.0 / (8 * nH), 0.0], [0.0, 0.0]]), junctions=(junction,))]
     pads = []

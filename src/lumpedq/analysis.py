@@ -6,8 +6,11 @@ reading no junction's L_j or E_J, and ``build_model`` runs subsystem
 quantization -> composite Hamiltonian -> dressed observables on a circuit.
 Also provides the naive comparison mode, parameter sweeps, the sensitivity
 budget, and junction inductance calibration, which quantize one circuit
-many times where their variations leave it unchanged. Every run is a pure
-function of the configuration, so sweep points may execute in parallel.
+many times where their variations leave it unchanged. A circuit keeps each
+line it solved, so a line whose config is unchanged is solved once per
+circuit. Every run is a pure function of the configuration, so sweep points
+may execute in parallel; two threads that share a circuit may both solve
+and store a line, and they store equal values.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -54,6 +57,7 @@ from .netlist import (
     merge_maxwell_nodes,
     reduce_maxwell,
     reduce_network,
+    weak_coupling_blocks,
 )
 from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, quantize_line
 
@@ -73,7 +77,12 @@ class LineResult:
 @dataclass(frozen=True)
 class DeviceCircuit:
     """Stages 1-5 of one configuration: the linear network, reduced and cut
-    into blocks. It holds no junction's L_j or E_J."""
+    into blocks. It holds no junction's L_j or E_J.
+
+    ``lines`` keeps each line solved on this circuit, keyed by its config and
+    the naive flag: its port loadings depend only on the circuit and the
+    line's nodes. Two threads that share a circuit may both fill an entry;
+    they store equal values."""
 
     config: DeviceConfig
     netlist: CompositeNetlist
@@ -81,6 +90,8 @@ class DeviceCircuit:
     blocks: CircuitBlocks
     # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
     input_sha256: Mapping[str, str]
+    lines: dict[tuple[LineConfig, bool], tuple[LineResult, QuantizedSubsystem]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def fits(self, config: DeviceConfig) -> bool:
         """Whether ``config`` equals this circuit's in every field stages 1-5 read."""
@@ -92,7 +103,6 @@ class DeviceModel:
     """Everything produced by one pipeline run: a circuit quantized at ``config``."""
 
     config: DeviceConfig
-    naive: bool
     circuit: DeviceCircuit
     subsystems: tuple[QuantizedSubsystem, ...]
     transmon_specs: Mapping[str, TransmonSpec]
@@ -131,27 +141,18 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
 
 def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]],
                     extra_couplers: Sequence[str]) -> NodeRegistry:
+    """The partition of the config over the nodes of ``cells``: a declared
+    node in no cell is a MalformedPartition."""
     cell_of: dict[str, str] = {}
     for ident, cell in cells:
         for node in cell.nodes:
             cell_of.setdefault(node, ident)
-    subsystem_names = []
-    subsystem_nodes = []
-    for t in config.transmons:
-        subsystem_names.append(t.name)
-        subsystem_nodes.append(frozenset(t.nodes))
-    for l in config.lines:
-        subsystem_names.append(l.name)
-        subsystem_nodes.append(frozenset(l.nodes))
-    couplers = frozenset((*config.couplers, *extra_couplers))
-    declared = set().union(*subsystem_nodes, couplers) if subsystem_nodes else set(couplers)
-    for node in declared:
-        cell_of.setdefault(node, "__virtual__")
+    subsystems = (*config.transmons, *config.lines)
     return NodeRegistry(
         datum=config.datum,
-        subsystem_names=tuple(subsystem_names),
-        subsystem_nodes=tuple(subsystem_nodes),
-        couplers=couplers,
+        subsystem_names=tuple(s.name for s in subsystems),
+        subsystem_nodes=tuple(frozenset(s.nodes) for s in subsystems),
+        couplers=frozenset((*config.couplers, *extra_couplers)),
         cell_of=cell_of,
     )
 
@@ -172,8 +173,8 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
 
 
 def _transmon_subsystem(
-    tc: TransmonConfig, config: DeviceConfig, reduced: ReducedCircuit,
-    c_eff: Callable[[str], float], lj_overrides: Mapping[str, float],
+    tc: TransmonConfig, config: DeviceConfig, blocks: CircuitBlocks,
+    lj_overrides: Mapping[str, float],
 ) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
     """The transmon's spec, with E_J from its junction's config entry or
     ``lj_overrides``, and its factor."""
@@ -181,45 +182,22 @@ def _transmon_subsystem(
     if len(owned) != 1:
         raise ConfigError(f"transmon {tc.name!r} must own exactly one junction, found {len(owned)}")
     junction = owned[0]
-    coords = reduced.block_index[tc.name]
-    if list(coords) != [reduced.index_of(junction.ident)]:
-        extra = [reduced.labels[i] for i in coords if reduced.labels[i] != junction.ident]
+    coords = blocks.block_index[tc.name]
+    if list(coords) != [blocks.index_of(junction.ident)]:
+        extra = [blocks.labels[i] for i in coords if blocks.labels[i] != junction.ident]
         raise ConfigError(
             f"transmon {tc.name!r} retains non-junction coordinates {extra}; "
             "declare pad nodes consumed by the rotation or mark them as couplers"
         )
     lj = lj_overrides.get(junction.ident, junction.lj_h)
     spec = TransmonSpec(
-        c_eff=c_eff(junction.ident),
+        c_eff=blocks.c_eff(junction.ident),
         ej=junction.ej_j if lj is None else PHI_0**2 / lj,
         q_offset=tc.q_offset_2e * 2.0 * constants.e,
         n_max=tc.n_max,
         levels=tc.levels,
     )
     return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
-
-
-def _weak_coupling(reduced: ReducedCircuit) -> tuple[
-        Callable[[str], float], Callable[[str, str], float], Callable[[str, str], float]]:
-    """Naive-mode (c_eff, inv_c, inv_l): the weak-coupling expansion of the
-    raw junction-basis capacitance matrix C = s_n.T @ C_node @ s_n on the
-    retained (port) coordinates, in place of the eliminated inverse. A
-    junction's capacitance is its diagonal entry C_jj, a pair reciprocal is
-    2 * (-C_ab / (C_aa C_bb)), and there are no inductive pair terms."""
-    rotated = reduced.record.c_rotated
-    index = {label: i for i, label in enumerate(reduced.labels)}
-
-    def c_eff(label: str) -> float:
-        return rotated[index[label], index[label]]
-
-    def inv_c(label_a: str, label_b: str) -> float:
-        a, b = index[label_a], index[label_b]
-        return 2.0 * (-rotated[a, b] / (rotated[a, a] * rotated[b, b]))
-
-    def inv_l(label_a: str, label_b: str) -> float:
-        return 0.0
-
-    return c_eff, inv_c, inv_l
 
 
 def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float]]:
@@ -234,12 +212,15 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks, naive: bool,
-                    reuse: DeviceModel | None) -> tuple[LineResult, QuantizedSubsystem]:
+def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit,
+                    naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
     """Solve and quantize one line, loaded by the larger of its dressed port
     loadings; ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
-    The line of ``reuse`` is kept when solved from the same inputs."""
-    port_loadings = {node: blocks.c_eff(node) for node in lc.nodes}
+    A line solved on ``circuit`` before is taken from ``circuit.lines``."""
+    solved = circuit.lines.get((lc, naive))
+    if solved is not None:
+        return solved
+    port_loadings = {node: circuit.blocks.c_eff(node) for node in lc.nodes}
     loading = 0.0
     if port_loadings and not naive:
         loading = max(port_loadings.values())
@@ -249,9 +230,6 @@ def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks, naive: bool,
                 f"line {lc.name!r}: port loadings differ by {spread:.3e} F; "
                 "modeled as singly loaded with the larger value"
             )
-    old = reuse.lines.get(lc.name) if reuse is not None and reuse.naive == naive else None
-    if old is not None and old.config == lc and old.port_loadings == port_loadings:
-        return old, next(s for s in reuse.subsystems if s.name == lc.name)
 
     if lc.length_m is not None:
         length = lc.length_m
@@ -269,8 +247,10 @@ def _line_subsystem(lc: LineConfig, blocks: CircuitBlocks, naive: bool,
     charge_zpf, flux_zpf = _naive_port_zpfs(modes) if naive else (None, None)
     sub = quantize_line(spec, modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
                         charge_zpf=charge_zpf, flux_zpf=flux_zpf)
-    return LineResult(config=lc, spec=spec, dressed_loading=loading,
-                      port_loadings=port_loadings, modes=tuple(modes)), sub
+    solved = circuit.lines[lc, naive] = (
+        LineResult(config=lc, spec=spec, dressed_loading=loading,
+                   port_loadings=port_loadings, modes=tuple(modes)), sub)
+    return solved
 
 
 def _circuit_fields(config: DeviceConfig) -> tuple:
@@ -285,8 +265,9 @@ def build_circuit(config: DeviceConfig, cell_hook: CellHook | None = None,
     """Stages 1-5, with each cell passed through ``cell_hook`` and the nodes
     it adds declared in ``extra_couplers``."""
     loaded, input_sha256 = _load_cells(config, cell_hook)
+    loaded.append(("__lumped__", _lumped_cell(config)))
     registry = _build_registry(config, loaded, extra_couplers)
-    netlist = compose_cells([*(cell for _, cell in loaded), _lumped_cell(config)], registry)
+    netlist = compose_cells([cell for _, cell in loaded], registry)
     reduced = reduce_network(netlist)
     return DeviceCircuit(config, netlist, reduced, extract_blocks(reduced), input_sha256)
 
@@ -298,19 +279,18 @@ def build_model(
     naive: bool = False,
     graph_hook: GraphHook | None = None,
     lj_overrides: Mapping[str, float] | None = None,
-    reuse: DeviceModel | None = None,
 ) -> DeviceModel:
     """Run the pipeline once: stages 6-7 of ``config`` on ``circuit``
     (``build_circuit(config)`` when not given), which must come from a
     config equal to ``config`` in every field stages 1-5 read. Each E_J is
     set here, from the junction's config entry or ``lj_overrides`` (henries
     by junction id; an id that is no junction of ``config`` is a ConfigError).
-    A line of ``reuse`` solved from equal inputs is reused.
+    Lines come from ``circuit.lines`` where solved there before.
 
     ``naive`` recomputes under conventional approximations: line modes are
     solved without loading (undressed eigenfields, lumped-equivalent port
-    ZPFs) and couplings come from the weak-coupling expansion of the raw
-    junction-basis capacitance matrix instead of the eliminated inverse.
+    ZPFs), and the transmons and couplings read ``weak_coupling_blocks``
+    in place of the eliminated inverse.
     """
     unknown = sorted(set(lj_overrides or {}) - {j.ident for j in config.junctions})
     if unknown:
@@ -319,39 +299,34 @@ def build_model(
         circuit = build_circuit(config)
     elif not circuit.fits(config):
         raise ConfigError("configuration differs from its circuit's in a field stages 1-5 read")
-    reduced, blocks = circuit.reduced, circuit.blocks
-    if naive:
-        c_eff, inv_c, inv_l = _weak_coupling(reduced)
-    else:
-        c_eff, inv_c, inv_l = blocks.c_eff, blocks.inv_c_coupling, blocks.inv_l_coupling
+    blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
     subsystems: list[QuantizedSubsystem] = []
     transmon_specs = {}
     port_coord: dict[str, tuple[str, str]] = {}
     for tc in config.transmons:
-        spec, sub, junction_label = _transmon_subsystem(tc, config, reduced, c_eff,
-                                                        lj_overrides or {})
+        spec, sub, junction_label = _transmon_subsystem(tc, config, blocks, lj_overrides or {})
         transmon_specs[tc.name] = spec
         subsystems.append(sub)
         port_coord[junction_label] = (tc.name, "junction")
 
     lines = {}
     for lc in config.lines:
-        lines[lc.name], sub = _line_subsystem(lc, blocks, naive, reuse)
+        lines[lc.name], sub = _line_subsystem(lc, circuit, naive)
         subsystems.append(sub)
         for node in lc.nodes:
             port_coord[node] = (lc.name, node)
 
     # every retained coordinate must carry a port operator
-    for name in circuit.netlist.registry.subsystem_names:
-        for i in reduced.block_index.get(name, ()):
-            label = reduced.labels[i]
+    for name, coords in blocks.block_index.items():
+        for i in coords:
+            label = blocks.labels[i]
             if label not in port_coord:
                 raise ConfigError(
                     f"retained coordinate {label!r} of subsystem {name!r} has no port operator"
                 )
 
-    graph = _coupling_graph(port_coord, inv_c, inv_l)
+    graph = _coupling_graph(port_coord, blocks)
     if graph_hook is not None:
         graph = graph_hook(graph)
 
@@ -374,18 +349,15 @@ def build_model(
         dispersive = extract_dispersive(spectrum, qubit_mode, readout_mode)
 
     return DeviceModel(
-        config=config, naive=naive, circuit=circuit, subsystems=tuple(subsystems),
+        config=config, circuit=circuit, subsystems=tuple(subsystems),
         transmon_specs=transmon_specs, lines=lines, graph=graph,
         spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
         flat_mode_names=flat_mode_names,
     )
 
 
-def _coupling_graph(
-    port_coord: Mapping[str, tuple[str, str]],
-    inv_c: Callable[[str, str], float],
-    inv_l: Callable[[str, str], float],
-) -> CouplingGraph:
+def _coupling_graph(port_coord: Mapping[str, tuple[str, str]],
+                    blocks: CircuitBlocks) -> CouplingGraph:
     """One edge per pair of ports in different subsystems with a nonzero
     capacitive or inductive coupling reciprocal."""
     labels = list(port_coord)
@@ -397,7 +369,7 @@ def _coupling_graph(
             sub_b, p_b = port_coord[lb]
             if sub_a == sub_b:
                 continue
-            c_ab, l_ab = inv_c(la, lb), inv_l(la, lb)
+            c_ab, l_ab = blocks.inv_c_coupling(la, lb), blocks.inv_l_coupling(la, lb)
             if c_ab == 0.0 and l_ab == 0.0:
                 continue
             edges.append(CouplingEdge(sub_a, p_a, sub_b, p_b, inv_c_eff=c_ab, inv_l_eff=l_ab))
@@ -430,7 +402,7 @@ def run_sweep(config: DeviceConfig, param_path: str, values: Sequence[float]):
         cfg = config.with_override(param_path, float(value))
         if model is not None and not model.circuit.fits(cfg):
             model = None
-        model = build_model(cfg, circuit=model and model.circuit, reuse=model)
+        model = build_model(cfg, circuit=model and model.circuit)
         reports.append(build_report(model, swept={param_path: float(value)}))
     return reports
 
@@ -460,7 +432,7 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         rows.append(BudgetRow(feature, variation, chi, 100.0 * (chi - chi0) / abs(chi0)))
 
     def requantize(cfg: DeviceConfig, **kwargs) -> DeviceModel:
-        return build_model(cfg, circuit=base.circuit, reuse=base, **kwargs)
+        return build_model(cfg, circuit=base.circuit, **kwargs)
 
     add("coupling_hamiltonians", "qubit couplings only",
         requantize(config, graph_hook=lambda g: g.restricted_to(qubit)))
@@ -521,8 +493,8 @@ def calibrate_junction(
     """Root-solve the full-pipeline qubit frequency against the junction
     inductance to 2e-12 H (see ``calibrate_scalar``). The response is
     verified to bracket the target at the endpoints (f_q decreases as L_j
-    grows); returns (lj, report). Every L_j is quantized on one circuit with
-    the same line factors: line loading does not depend on L_j."""
+    grows); returns (lj, report). Every L_j is quantized on one circuit, so
+    the lines are solved once: line loading does not depend on L_j."""
     from .report import build_report
 
     circuit = build_circuit(config)
@@ -531,8 +503,7 @@ def calibrate_junction(
     def model_at(lj: float) -> DeviceModel:
         # brentq revisits the endpoints and returns a point it evaluated
         if lj not in models:
-            models[lj] = build_model(config, circuit=circuit, lj_overrides={junction: lj},
-                                     reuse=next(iter(models.values()), None))
+            models[lj] = build_model(config, circuit=circuit, lj_overrides={junction: lj})
         return models[lj]
 
     lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,

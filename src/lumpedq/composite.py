@@ -278,7 +278,8 @@ def coupling_rates(
     graph: CouplingGraph,
 ) -> dict[tuple[str, int, str, int], float]:
     """Linear coupling rates g (rad/s) per mode pair, from the charge scales
-    of the mode factors: hbar g = A_n B_m [C_k^-1]_nm."""
+    of the mode factors: hbar g = A_n B_m [C_k^-1]_nm, summed over the edges
+    between the pair's subsystems as the Hamiltonian sums them."""
     by_name = {s.name: s for s in subsystems}
     out: dict[tuple[str, int, str, int], float] = {}
     for edge in graph.edges:
@@ -290,7 +291,7 @@ def coupling_rates(
                 key = (edge.sub_a, ma, edge.sub_b, mb)
                 if key[:2] > key[2:]:
                     key = (edge.sub_b, mb, edge.sub_a, ma)
-                out[key] = g
+                out[key] = out.get(key, 0.0) + g
     return out
 
 

@@ -876,3 +876,16 @@ def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:
         labels=rc.labels, c_inv=_symmetrize(scipy.linalg.inv(rc.c_mat)),
         l_inv=rc.l_inv, block_index=rc.block_index,
     )
+
+
+def weak_coupling_blocks(rc: ReducedCircuit) -> CircuitBlocks:
+    """The standard weak-coupling approximation of ``extract_blocks``: the
+    first-order expansion D^-1 - D^-1 C' D^-1 of the inverse of the
+    junction-basis capacitance ``rc.record.c_rotated`` before elimination,
+    with D its diagonal and C' the rest, and no inductive coupling."""
+    c = rc.record.c_rotated
+    d = np.diag(c)
+    c_inv = -c / np.outer(d, d)
+    np.fill_diagonal(c_inv, 1.0 / d)
+    return CircuitBlocks(labels=rc.labels, c_inv=c_inv, l_inv=np.zeros_like(c),
+                         block_index=rc.block_index)

@@ -1,7 +1,12 @@
 """Full device pipeline: dressing, naive comparison, budget, calibration."""
 
+import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy import constants
 
 from lumpedq import analysis
 from lumpedq.analysis import (
@@ -81,6 +86,24 @@ class TestFullModel:
     def test_every_retained_coordinate_has_port(self, full_model):
         assert set(full_model.port_coord) == set(full_model.circuit.reduced.labels)
 
+
+    @pytest.mark.filterwarnings("ignore:line 'bus2'")
+    def test_rates_sum_over_port_pairs(self, bench):
+        """A bus on two ports couples to the qubit through two edges; its g
+        is their sum, as in the Hamiltonian, not the last edge's rate."""
+        raw = copy.deepcopy(dict(bench.raw))
+        raw["subsystems"] = [s for s in raw["subsystems"] if s["name"] != "bus3"]
+        next(s for s in raw["subsystems"] if s["name"] == "bus2")["nodes"] = ["b2", "b3"]
+        model = build_model(parse_device_config(raw, base_dir=bench.base_dir))
+        bus, qubit = (next(s for s in model.subsystems if s.name == name)
+                      for name in ("bus2", "qubit"))
+        edges = [e for e in model.graph.edges if {e.sub_a, e.sub_b} == {"bus2", "qubit"}]
+        assert len(edges) == 2
+        per_edge = [bus.factors[0].charge_scale * qubit.factors[0].charge_scale
+                    * 0.5 * e.inv_c_eff / constants.hbar for e in edges]
+        g = model.coupling_rates()[("bus2", 0, "qubit", 0)]
+        assert g == pytest.approx(sum(per_edge), rel=1e-12)
+        assert abs(g) > 1.5 * max(abs(r) for r in per_edge)
 
 class TestLowestSubset:
     def test_subset_matches_full_eigh_on_benchmark_device(self, full_model):
@@ -314,15 +337,17 @@ class TestSweepAndCalibration:
 
 class TestCircuitReuse:
     def test_reused_circuits_report_as_fresh_builds(self, bench, monkeypatch):
-        """Every model a driver quantizes on a shared circuit, or with reused
-        factors, gives the machine report byte for byte of a model built
+        """Every model a driver quantizes on a shared circuit, with the lines
+        that circuit keeps, gives the machine report byte for byte of a model built
         afresh from the same arguments: build_model on the overridden config,
         through a new circuit, reusing nothing. Covers the calibration (both
         bracket ends and the calibrated point), every budget row, a 3-point
-        lj_nh sweep and analyze --naive, and counts their circuit builds
-        and quantizations."""
+        lj_nh sweep and analyze --naive, and counts their circuit builds,
+        quantizations and line solves."""
         fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
+        fresh_solve = analysis.solve_modes
         circuits, quantized = {}, []  # id(circuit) -> its build arguments; (config, kwargs, model)
+        solves = []
 
         def spy_circuit(*args):
             circuit = fresh_circuit(*args)
@@ -334,12 +359,17 @@ class TestCircuitReuse:
             quantized.append((config, kwargs, model))
             return model
 
+        def spy_solve(*args):
+            solves.append(args)
+            return fresh_solve(*args)
+
         monkeypatch.setattr(analysis, "build_circuit", spy_circuit)
         monkeypatch.setattr(analysis, "build_model", spy_model)
+        monkeypatch.setattr(analysis, "solve_modes", spy_solve)
         counts = []
 
         def count():
-            counts.append((len(circuits), len(quantized)))
+            counts.append((len(circuits), len(quantized), len(solves)))
 
         lj, calibrated = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         count()
@@ -350,12 +380,13 @@ class TestCircuitReuse:
         naive = run_analysis(bench, naive=True)
         count()
         monkeypatch.undo()
-        steps = [(c1 - c0, q1 - q0) for (c0, q0), (c1, q1) in zip([(0, 0)] + counts, counts)]
-        assert steps == [(1, 6), (4, 8), (1, 3), (1, 2)]
+        steps = [tuple(b - a for a, b in zip(before, after))
+                 for before, after in zip([(0, 0, 0)] + counts, counts)]
+        assert steps == [(1, 6, 3), (4, 8, 15), (1, 3, 3), (1, 2, 6)]
         assert {10e-9, 14e-9, lj} <= {kw["lj_overrides"]["j1"] for _, kw, _ in quantized[:6]}
 
         for config, kwargs, model in quantized:
-            options = {k: v for k, v in kwargs.items() if k not in ("circuit", "reuse")}
+            options = {k: v for k, v in kwargs.items() if k != "circuit"}
             args = circuits[id(model.circuit)]
             fresh = (fresh_model(config, **options) if args == (config,) else
                      fresh_model(config, circuit=fresh_circuit(*args), **options))
@@ -369,6 +400,26 @@ class TestCircuitReuse:
             assert to_machine(report) == to_machine(build_report(fresh, swept={path: value}))
         assert to_machine(naive) == to_machine(build_report(
             build_model(bench), naive_model=build_model(bench, naive=True)))
+
+    def test_threads_sharing_a_circuit_keep_one_line_each(self, bench):
+        """Threads that quantize one circuit at once may each solve a line
+        and store it; each model still reports as a fresh build, and the
+        circuit keeps one entry per line."""
+        circuit = build_circuit(bench)
+        ljs = [10e-9 + 0.5e-9 * k for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_model, bench, circuit=circuit,
+                                       lj_overrides={"j1": lj}) for lj in ljs]
+                models = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(circuit.lines) == {(lc, False) for lc in bench.lines}
+        for lj, model in zip(ljs, models):
+            fresh = build_model(bench, lj_overrides={"j1": lj})
+            assert to_machine(build_report(model)) == to_machine(build_report(fresh))
 
     @pytest.mark.parametrize("path, value", [
         ("datum", "b1"),
@@ -433,8 +484,7 @@ class TestCircuitReuse:
 
 class TestValidation:
     def test_transmon_with_two_junctions_rejected(self, bench):
-        raw = dict(bench.raw)
-        raw = __import__("copy").deepcopy(raw)
+        raw = copy.deepcopy(dict(bench.raw))
         raw["junctions"].append({
             "id": "j2", "nodes": ["g", "p1"], "subsystem": "qubit", "lj_nh": 10.0})
         cfg = parse_device_config(raw, base_dir=bench.base_dir)
@@ -443,7 +493,7 @@ class TestValidation:
 
     def test_orphan_subsystem_coordinate_rejected(self, bench):
         # declare the charge line stub as a subsystem node without any port
-        raw = __import__("copy").deepcopy(dict(bench.raw))
+        raw = copy.deepcopy(dict(bench.raw))
         raw["couplers"] = ["p0"]
         raw["subsystems"][0]["nodes"] = ["p1", "cl"]
         cfg = parse_device_config(raw, base_dir=bench.base_dir)

@@ -20,7 +20,13 @@ from lumpedq.benchmark import (
 )
 from lumpedq.cli import main
 from lumpedq.config import load_device_config, parse_device_config
-from lumpedq.errors import AsymmetryError, ConfigError, ParseError, SignError
+from lumpedq.errors import (
+    AsymmetryError,
+    ConfigError,
+    MalformedPartition,
+    ParseError,
+    SignError,
+)
 from lumpedq.maxwell_io import parse_maxwell_file, parse_maxwell_text, serialize_maxwell
 from lumpedq.report import AnalysisReport, budget_to_dicts, build_report, to_machine, to_table
 
@@ -316,6 +322,22 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("datum: g\n", encoding="utf-8")
         assert run_cli("analyze", str(bad)) == 2
+
+    @pytest.mark.parametrize("path, value", [
+        ("couplers", ["p0", "cl", "zz"]),
+        ("subsystems.bus2.nodes", ["b2", "zz"]),
+    ])
+    def test_misspelled_node_exit_code_2(self, device_dir, tmp_path, capsys, path, value):
+        """A declared node that lies in no Maxwell cell and on no inductor is
+        a partition error naming it, not a singular matrix later on."""
+        cfg = load_device_config(device_dir / "device.yaml").with_override(path, value)
+        with pytest.raises(MalformedPartition, match="'zz'"):
+            analysis.build_circuit(cfg)
+        misspelled = tmp_path / "misspelled.yaml"
+        misspelled.write_text(yaml.safe_dump(cfg.raw), encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
+        assert run_cli("analyze", str(misspelled)) == 2
+        assert "'zz'" in capsys.readouterr().err
 
     def test_numerical_error_exit_code_3(self, device_dir, tmp_path):
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text())

@@ -42,6 +42,7 @@ from lumpedq.netlist import (
     reduce_network,
     rotate_to_junction_basis,
     schur_eliminate,
+    weak_coupling_blocks,
 )
 
 from conftest import (
@@ -620,6 +621,9 @@ class TestBlocks:
         assert blocks.inv_c_coupling("j1", "b") == 0.0
 
     def test_two_by_two_pair_coupling_formula(self):
+        """The exact pair reciprocal, and the naive blocks' first-order one,
+        which loses the b^2; a naive junction keeps its diagonal capacitance
+        and nothing couples inductively."""
         a, b, d = 50 * fF, -4 * fF, 90 * fF
         j = JunctionElement("j1", "gnd", "x", "q")
         cell = CellMatrices("c1", ("x", "y"), np.array([[a, b], [b, d]]),
@@ -629,6 +633,10 @@ class TestBlocks:
         blocks = extract_blocks(rc)
         expected = 2.0 * (-b) / (a * d - b * b)
         assert blocks.inv_c_coupling("j1", "y") == pytest.approx(expected, rel=1e-12)
+        naive = weak_coupling_blocks(rc)
+        assert naive.inv_c_coupling("j1", "y") == pytest.approx(2.0 * (-b) / (a * d), rel=1e-12)
+        assert naive.c_eff("j1") == pytest.approx(a, rel=1e-15)
+        assert naive.inv_l_coupling("j1", "y") == 0.0
 
     def test_far_coupler_perturbation_moves_dressed_capacitance(self):
         """The dressed junction capacitance depends on coupler and loading

@@ -212,15 +212,16 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit,
+def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit, blocks: CircuitBlocks,
                     naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
-    """Solve and quantize one line, loaded by the larger of its dressed port
-    loadings; ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
+    """Solve and quantize one line, loaded by the larger of its port loadings
+    in ``blocks`` (the circuit's blocks, or their weak-coupling form when
+    ``naive``); ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
     A line solved on ``circuit`` before is taken from ``circuit.lines``."""
     solved = circuit.lines.get((lc, naive))
     if solved is not None:
         return solved
-    port_loadings = {node: circuit.blocks.c_eff(node) for node in lc.nodes}
+    port_loadings = {node: blocks.c_eff(node) for node in lc.nodes}
     loading = 0.0
     if port_loadings and not naive:
         loading = max(port_loadings.values())
@@ -312,7 +313,7 @@ def build_model(
 
     lines = {}
     for lc in config.lines:
-        lines[lc.name], sub = _line_subsystem(lc, circuit, naive)
+        lines[lc.name], sub = _line_subsystem(lc, circuit, blocks, naive)
         subsystems.append(sub)
         for node in lc.nodes:
             port_coord[node] = (lc.name, node)
@@ -491,17 +492,19 @@ def calibrate_junction(
     lj_bounds_h: tuple[float, float],
 ):
     """Root-solve the full-pipeline qubit frequency against the junction
-    inductance to 2e-12 H (see ``calibrate_scalar``). The response is
-    verified to bracket the target at the endpoints (f_q decreases as L_j
-    grows); returns (lj, report). Every L_j is quantized on one circuit, so
-    the lines are solved once: line loading does not depend on L_j."""
+    inductance to 2e-12 H (see ``calibrate_scalar``), building one model per
+    L_j tried. The response is verified to bracket the target at the
+    endpoints (f_q decreases as L_j grows); a NaN f_q or a solve that does
+    not converge raises NumericalError. Returns (lj, report). Every L_j is
+    quantized on one circuit, so the lines are solved once: line loading
+    does not depend on L_j."""
     from .report import build_report
 
     circuit = build_circuit(config)
     models: dict[float, DeviceModel] = {}
 
     def model_at(lj: float) -> DeviceModel:
-        # brentq revisits the endpoints and returns a point it evaluated
+        # the root is an L_j already built; keep each model to report it
         if lj not in models:
             models[lj] = build_model(config, circuit=circuit, lj_overrides={junction: lj})
         return models[lj]

@@ -33,7 +33,7 @@ from lumpedq.errors import (
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
-from lumpedq.netlist import KERNEL_RTOL
+from lumpedq.netlist import KERNEL_RTOL, weak_coupling_blocks
 from lumpedq.report import build_report, to_machine
 from lumpedq.subsystems import quantize_line
 
@@ -216,7 +216,7 @@ class TestRequiredLabels:
         calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         assert not missed
         assert {s for s, _ in reads} == set(required)
-        assert len(required) > 2 + 8 + 3  # analyze, budget and sweep builds, then brentq's
+        assert len(required) > 2 + 8 + 3  # analyze, budget and sweep builds, then the calibration's
         assert all(label in required[s][1] for s, label in reads)
 
 
@@ -255,6 +255,22 @@ class TestNaiveComparison:
         report = run_analysis(bench, naive=True)
         assert report.naive is not None
         assert "dispersive" in report.naive
+
+    def test_naive_port_loadings_read_the_naive_blocks(self, bench):
+        """A naive line reports the loadings of the weak-coupling blocks the
+        naive model uses, and the full model keeps the eliminated ones, also
+        when both quantize one circuit."""
+        circuit = build_circuit(bench)
+        full = build_model(bench, circuit=circuit)
+        naive = build_model(bench, circuit=circuit, naive=True)
+        weak = weak_coupling_blocks(circuit.reduced)
+        for lc in bench.lines:
+            assert naive.lines[lc.name].port_loadings == {
+                node: weak.c_eff(node) for node in lc.nodes}
+            assert full.lines[lc.name].port_loadings == {
+                node: circuit.blocks.c_eff(node) for node in lc.nodes}
+        assert naive.lines["readout"].port_loadings["b1"] == pytest.approx(265.20e-15, abs=5e-18)
+        assert full.lines["readout"].port_loadings["b1"] == pytest.approx(261.17e-15, abs=5e-18)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Composite Hamiltonian assembly, labeling, and dispersive observables."""
 
+import collections
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from lumpedq.composite import (
 )
 from lumpedq.errors import (
     DimensionOverflow,
+    NumericalError,
     TargetOutOfRange,
     UnlabeledState,
     ValidationError,
@@ -636,6 +639,23 @@ class TestDispersive:
         assert not np.isnan(kerr[0, 1])
 
 
+def monotone_function(seed):
+    """A seeded monotone function with a root inside (-1, 1): a line, a
+    cubic, a saturating step or a flat-bottomed square root, scaled by up to
+    1e8 or down to 1e-300, where the solver's secant slopes underflow to 0."""
+    rng = np.random.default_rng(seed)
+    root = float(rng.uniform(-0.9, 0.9))
+    scale = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 8.0))
+    shapes = (
+        lambda t: t,
+        lambda t: t ** 3 + 1e-3 * t,
+        lambda t: math.tanh(20.0 * t),
+        lambda t: math.copysign(math.sqrt(max(abs(t) - 1e-3, 0.0)), t),
+    )
+    shape = shapes[seed % len(shapes)]
+    return lambda x: scale * shape(x - root)
+
+
 class TestCalibrateScalar:
     def test_fixed_point(self):
         assert calibrate_scalar(lambda x: x, 0.7, (0.0, 1.0)) == pytest.approx(0.7)
@@ -643,3 +663,75 @@ class TestCalibrateScalar:
     def test_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             calibrate_scalar(lambda x: x, 2.0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("xtol, rtol", [
+        (composite.CALIBRATION_XTOL, composite.CALIBRATION_RTOL),
+        (5e-324, 4 * np.finfo(float).eps),
+        (1e-3, 1e-3),
+    ])
+    def test_solver_equals_brentq_bit_for_bit(self, xtol, rtol):
+        """Every x evaluated and the root equal scipy's brentq, which gets the
+        same tolerances and evaluates both endpoints itself first."""
+        from scipy.optimize import brentq
+
+        for seed in range(400):
+            f = monotone_function(seed)
+            a, b = (-1.0, 1.0) if seed % 3 else (1.0, -1.0)
+            ours, theirs = [], []
+            root = composite._brent_root(lambda x: ours.append(x) or f(x), a, b, f(a), f(b),
+                                         xtol=xtol, rtol=rtol)
+            oracle = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, rtol=rtol,
+                            maxiter=composite.CALIBRATION_MAXITER)
+            assert theirs[:2] == [a, b]
+            assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]], seed
+            assert root.hex() == oracle.hex(), seed
+
+    def test_calibrate_junction_equals_brentq(self, tmp_path, monkeypatch):
+        """The shipped device calibrates to the same L_j and the same report
+        as with scipy's brentq in place of the solver."""
+        from scipy.optimize import brentq
+
+        from lumpedq.analysis import calibrate_junction
+        from lumpedq.benchmark import benchmark_config
+        from lumpedq.report import to_machine
+
+        bench = benchmark_config(tmp_path)
+        lj, report = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
+        monkeypatch.setattr(composite, "_brent_root", lambda f, a, b, fa, fb: brentq(
+            f, a, b, xtol=composite.CALIBRATION_XTOL, rtol=composite.CALIBRATION_RTOL,
+            maxiter=composite.CALIBRATION_MAXITER))
+        lj_oracle, report_oracle = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
+        assert lj.hex() == lj_oracle.hex()
+        assert to_machine(report) == to_machine(report_oracle)
+
+    def test_response_runs_once_per_x(self):
+        calls = collections.Counter()
+
+        def response(x):
+            calls[x] += 1
+            return math.exp(-x)
+
+        calibrate_scalar(response, 0.5, (0.0, 2.0))
+        assert len(calls) > 2
+        assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("nan_from, nan_to, x", [(0.3, 0.7, "0.5"), (0.9, 2.0, "1.0")])
+    def test_nan_response_is_a_numerical_error_naming_x(self, nan_from, nan_to, x):
+        """The secant step from the endpoints lands on 0.5: a NaN there would
+        otherwise send the solve on to a wrong root. A NaN at an endpoint is
+        named too, not reported as a target out of range."""
+        with pytest.raises(NumericalError, match=rf"x={x} is NaN"):
+            calibrate_scalar(lambda t: math.nan if nan_from < t < nan_to else t, 0.5, (0.0, 1.0))
+
+    def test_solver_iteration_cap(self):
+        def f(x):
+            return x ** 3 - 0.2
+
+        with pytest.raises(NumericalError, match="3 iterations"):
+            composite._brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=3)
+        assert composite._brent_root(f, 0.0, 1.0, f(0.0), f(1.0)) == pytest.approx(
+            0.2 ** (1 / 3), rel=composite.CALIBRATION_RTOL)
+
+    def test_solver_needs_a_sign_change(self):
+        with pytest.raises(TargetOutOfRange, match="same sign"):
+            composite._brent_root(math.exp, 0.0, 1.0, 1.0, math.e)

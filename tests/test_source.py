@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lumpedq
@@ -44,3 +47,57 @@ def test_dense_linear_algebra_uses_one_lapack():
         if name != "LinAlgError"
     }
     assert not offenders, sorted(offenders)
+
+
+def scipy_optimize_imports(tree: ast.AST) -> list[str]:
+    """Modules under scipy.optimize that a parsed module imports, with
+    ``from scipy import optimize`` counted as scipy.optimize."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names
+                         if alias.name.startswith("scipy.optimize"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.optimize"):
+                found.append(node.module)
+            elif node.module == "scipy":
+                found.extend("scipy.optimize" for alias in node.names
+                             if alias.name == "optimize")
+    return found
+
+
+def test_scipy_optimize_imports_are_seen():
+    tree = ast.parse("import scipy.optimize\nfrom scipy.optimize import brentq\n"
+                     "from scipy import optimize, linalg\ndef f():\n"
+                     "    from scipy.optimize._zeros_py import brentq\n")
+    assert scipy_optimize_imports(tree) == [
+        "scipy.optimize", "scipy.optimize", "scipy.optimize", "scipy.optimize._zeros_py"]
+
+
+def test_no_scipy_optimize_import():
+    """scipy.optimize costs about 15 MB of resident memory to import, and the
+    one root solve lumpedq needs is its own (``composite._brent_root``)."""
+    offenders = {
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in scipy_optimize_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert not offenders, sorted(offenders)
+
+
+def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
+    """A junction calibration of the shipped device, in a fresh interpreter,
+    loads no module of scipy.optimize."""
+    script = (
+        "import sys\n"
+        "from lumpedq.analysis import calibrate_junction\n"
+        "from lumpedq.benchmark import benchmark_config\n"
+        f"config = benchmark_config({str(tmp_path)!r})\n"
+        "calibrate_junction(config, 'j1', 5.3e9, (10e-9, 14e-9))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -30,7 +30,6 @@ from .composite import (
     DispersiveObservables,
     DressedSpectrum,
     build_full_hamiltonian,
-    calibrate_scalar,
     coupling_rates,
     cross_kerr_matrix,
     diagonalize,
@@ -59,6 +58,7 @@ from .netlist import (
     reduce_network,
     weak_coupling_blocks,
 )
+from .roots import calibrate_scalar
 from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, quantize_line
 
 CellHook = Callable[[str, MaxwellMatrix], MaxwellMatrix]

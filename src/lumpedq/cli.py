@@ -70,25 +70,20 @@ def _cmd_budget(args) -> None:
 def _cmd_modes(args) -> None:
     import numpy as np
 
-    from scipy import constants
-
-    from .config import load_yaml, parse_termination
+    from .config import load_yaml, parse_number, parse_phase_velocity, parse_termination
     from .loadedline import LoadedLineSpec, solve_modes
 
     raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValidationError(f"{args.line_spec}: expected a mapping of line parameters")
-    try:
-        spec = LoadedLineSpec.from_wave_params(
-            length=float(raw["length_mm"]) * 1e-3,
-            z0=float(raw["z0_ohm"]),
-            v_p=float(raw["vp_m_per_s"]) if "vp_m_per_s" in raw
-            else float(raw["vp_fraction_c"]) * constants.c,
-            c_load=float(raw.get("c_load_ff", 0.0)) * 1e-15,
-            shorted_end=parse_termination(raw, args.line_spec),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{args.line_spec}: missing line parameter {exc}") from exc
+    where = args.line_spec
+    spec = LoadedLineSpec.from_wave_params(
+        length=parse_number(raw, "length_mm", where) * 1e-3,
+        z0=parse_number(raw, "z0_ohm", where),
+        v_p=parse_phase_velocity(raw, where),
+        c_load=parse_number(raw, "c_load_ff", where, 0.0) * 1e-15,
+        shorted_end=parse_termination(raw, where),
+    )
     modes = solve_modes(spec, args.count)
     z = np.linspace(0.0, spec.length, args.samples)
     if args.format == "machine":

@@ -9,6 +9,7 @@ dotted-path overrides.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -29,6 +30,41 @@ def parse_termination(entry: Mapping[str, Any], where: str) -> bool:
     if termination not in _TERMINATIONS:
         raise ConfigError(f"{where}: termination must be open or short")
     return _TERMINATIONS[termination]
+
+
+_REQUIRED = object()
+
+
+def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
+                 kind: type = float):
+    """``entry[key]`` as a finite ``kind`` (float or int), or ``default`` when
+    the field is absent or null; a field without a default is required. A
+    value that is not a finite number raises ConfigError naming the field."""
+    if entry.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+        return default
+    return _finite(entry[key], key, where, kind)
+
+
+def _finite(value: Any, key: str, where: str, kind: type = float):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+    return number
+
+
+def parse_phase_velocity(entry: Mapping[str, Any], where: str) -> float:
+    """Phase velocity in m/s of the line described by ``entry``, from its
+    ``vp_m_per_s`` or else its ``vp_fraction_c`` times c."""
+    if entry.get("vp_m_per_s") is not None:
+        return parse_number(entry, "vp_m_per_s", where)
+    if entry.get("vp_fraction_c") is not None:
+        return parse_number(entry, "vp_fraction_c", where) * constants.c
+    raise ConfigError(f"{where}: need vp_m_per_s or vp_fraction_c")
 
 
 def load_yaml(text: str) -> Any:
@@ -198,36 +234,34 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         sname = str(_require(entry, "name", "subsystem"))
         nodes = tuple(str(n) for n in _require(entry, "nodes", f"subsystem {sname!r}"))
         if kind == "transmon":
+            where = f"subsystem {sname!r}"
             transmons.append(TransmonConfig(
                 name=sname,
                 nodes=nodes,
-                levels=int(entry.get("levels", 5)),
-                n_max=int(entry.get("n_max", 30)),
-                q_offset_2e=float(entry.get("q_offset_2e", 0.0)),
+                levels=parse_number(entry, "levels", where, 5, int),
+                n_max=parse_number(entry, "n_max", where, 30, int),
+                q_offset_2e=parse_number(entry, "q_offset_2e", where, 0.0),
             ))
         elif kind == "loaded_line":
-            vp = entry.get("vp_m_per_s")
-            if vp is None and "vp_fraction_c" in entry:
-                vp = float(entry["vp_fraction_c"]) * constants.c
-            if vp is None:
-                raise ConfigError(f"line {sname!r}: need vp_m_per_s or vp_fraction_c")
-            modes = int(entry.get("modes", 1))
+            where = f"line {sname!r}"
+            modes = parse_number(entry, "modes", where, 1, int)
             levels = entry.get("levels", 5)
-            levels = tuple([int(levels)] * modes) if isinstance(levels, int) \
-                else tuple(int(v) for v in levels)
-            length = entry.get("length_mm")
-            target = entry.get("target_ghz")
+            levels = tuple(_finite(v, "levels", where, int) for v in levels) \
+                if isinstance(levels, (list, tuple)) \
+                else (parse_number(entry, "levels", where, 5, int),) * modes
+            length = parse_number(entry, "length_mm", where, None)
+            target = parse_number(entry, "target_ghz", where, None)
             lines.append(LineConfig(
                 name=sname,
                 nodes=nodes,
-                z0_ohm=float(_require(entry, "z0_ohm", f"line {sname!r}")),
-                vp_m_per_s=float(vp),
-                shorted_end=parse_termination(entry, f"line {sname!r}"),
+                z0_ohm=parse_number(entry, "z0_ohm", where),
+                vp_m_per_s=parse_phase_velocity(entry, where),
+                shorted_end=parse_termination(entry, where),
                 modes=modes,
                 levels=levels,
-                length_m=None if length is None else float(length) * 1e-3,
-                target_hz=None if target is None else float(target) * 1e9,
-                target_mode=int(entry.get("target_mode", 1)),
+                length_m=None if length is None else length * 1e-3,
+                target_hz=None if target is None else target * 1e9,
+                target_mode=parse_number(entry, "target_mode", where, 1, int),
                 target_loading=str(entry.get("target_loading", "unloaded")),
                 role=str(entry.get("role", "")),
             ))
@@ -240,19 +274,20 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     junctions = []
     for entry in raw.get("junctions", ()):
         ident = str(_require(entry, "id", "junction"))
-        nodes = _require(entry, "nodes", f"junction {ident!r}")
+        where = f"junction {ident!r}"
+        nodes = _require(entry, "nodes", where)
         if len(nodes) != 2:
-            raise ConfigError(f"junction {ident!r}: nodes must be a [neg, pos] pair")
-        lj = entry.get("lj_nh")
-        ej = entry.get("ej_ghz")
+            raise ConfigError(f"{where}: nodes must be a [neg, pos] pair")
+        lj = parse_number(entry, "lj_nh", where, None)
+        ej = parse_number(entry, "ej_ghz", where, None)
         junctions.append(JunctionConfig(
             ident=ident,
             node_neg=str(nodes[0]),
             node_pos=str(nodes[1]),
-            subsystem=str(_require(entry, "subsystem", f"junction {ident!r}")),
-            lj_h=None if lj is None else float(lj) * 1e-9,
-            ej_j=None if ej is None else float(ej) * 1e9 * constants.h,
-            cj_f=float(entry.get("cj_ff", 0.0)) * 1e-15,
+            subsystem=str(_require(entry, "subsystem", where)),
+            lj_h=None if lj is None else lj * 1e-9,
+            ej_j=None if ej is None else ej * 1e9 * constants.h,
+            cj_f=parse_number(entry, "cj_ff", where, 0.0) * 1e-15,
         ))
     if len({j.ident for j in junctions}) != len(junctions):
         raise ConfigError("duplicate junction ids")
@@ -264,7 +299,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
             raise ConfigError("inductor nodes must be a pair")
         inductors.append(InductorConfig(
             node_a=str(nodes[0]), node_b=str(nodes[1]),
-            l_h=float(_require(entry, "l_nh", "inductor")) * 1e-9,
+            l_h=parse_number(entry, "l_nh", "inductor") * 1e-9,
         ))
 
     ana = raw.get("analysis", {})
@@ -278,8 +313,8 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         if lines:
             default_readout = lines[0].name
     analysis = AnalysisOptions(
-        dimension_cap=int(ana.get("dimension_cap", DEFAULT_DIMENSION_CAP)),
-        min_overlap=float(ana.get("min_overlap", DEFAULT_MIN_OVERLAP)),
+        dimension_cap=parse_number(ana, "dimension_cap", "analysis", DEFAULT_DIMENSION_CAP, int),
+        min_overlap=parse_number(ana, "min_overlap", "analysis", DEFAULT_MIN_OVERLAP),
         qubit=str(ana.get("qubit", default_qubit)),
         readout=str(ana.get("readout", default_readout)),
     )

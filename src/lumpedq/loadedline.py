@@ -20,9 +20,12 @@ import numpy as np
 from scipy import constants
 
 from .errors import InvalidTarget, NumericalError, ValidationError
+from .roots import brent_root
 
-#: relative width at which bisection stops before Newton polishing
-_BISECT_RTOL = 1e-13
+#: stopping rule of each branch's root solve: 4 eps relative (brentq's floor)
+#: and an iteration cap
+BRANCH_RTOL = 4 * 2.0 ** -52
+BRANCH_MAXITER = 100
 #: largest accepted LineMode.residual() of a solved mode
 MODE_RESIDUAL_RTOL = 1e-12
 
@@ -145,38 +148,25 @@ def characteristic_lhs(omega: float, spec: LoadedLineSpec) -> float:
     return omega * spec.length / spec.v_p + math.atan(omega / spec.omega_knee)
 
 
-def _characteristic_dlhs(omega: float, spec: LoadedLineSpec) -> float:
-    knee = spec.omega_knee
-    if math.isinf(knee):
-        return spec.length / spec.v_p
-    return spec.length / spec.v_p + (1.0 / knee) / (1.0 + (omega / knee) ** 2)
-
-
 def _solve_branch(spec: LoadedLineSpec, m: int) -> float:
     """Root of the characteristic equation on its analytically guaranteed
-    bracket ((target - pi/2) v_p / L, target v_p / L]."""
+    bracket ((target - pi/2) v_p / L, target v_p / L]: the upper end for an
+    unloaded line, or where the left-hand side there rounds to the target or
+    below, and otherwise ``brent_root``'s root to BRANCH_RTOL relative."""
     target = m * math.pi + spec.b * math.pi / 2.0
     lo = max((target - math.pi / 2.0) * spec.v_p / spec.length, 0.0)
     hi = target * spec.v_p / spec.length
+    if spec.c_load == 0.0:
+        return hi
 
     def f(w):
         return characteristic_lhs(w, spec) - target
 
-    # bisection to 1e-13 relative, then two Newton polish steps
-    a, b = lo, hi
-    while (b - a) > _BISECT_RTOL * hi:
-        mid = 0.5 * (a + b)
-        if f(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    w = 0.5 * (a + b)
-    for _ in range(2):
-        step = f(w) / _characteristic_dlhs(w, spec)
-        w_new = w - step
-        if lo < w_new <= hi:
-            w = w_new
-    return w
+    f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    return brent_root(f, lo, hi, f(lo), f_hi, xtol=0.0, rtol=BRANCH_RTOL,
+                      maxiter=BRANCH_MAXITER)
 
 
 def _mode_from_omega(spec: LoadedLineSpec, m: int, omega: float) -> LineMode:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AsymmetryError, ParseError, SignError
-from .netlist import MaxwellMatrix
+from .netlist import POSITIVE_MUTUAL_RTOL, MaxwellMatrix
 
 UNIT_SCALES = {"F": 1.0, "pF": 1e-12, "fF": 1e-15}
 
@@ -46,7 +46,8 @@ def _raise_first_bad_row(rows: list[tuple[int, str]], width: int, source: str) -
 def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> tuple[list[str], np.ndarray]:
     """The row names and the value fields of the data rows; the values are
     parsed by numpy in one call. A failure, or a matrix of the wrong shape,
-    is located by a row-by-row pass."""
+    is located by a row-by-row pass; a NaN or infinite value is located
+    from the parsed matrix."""
     names, values = [], []
     for _, line in rows:
         name, _, fields = line.partition(",")
@@ -59,6 +60,11 @@ def _parse_values(rows: list[tuple[int, str]], width: int, source: str) -> tuple
     except ValueError as exc:
         _raise_first_bad_row(rows, width, source)
         raise ParseError(f"{source}: cannot parse the matrix values ({exc})") from None
+    finite = np.isfinite(display)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(f"{source}: value {display[row, col]} is not finite",
+                         line=rows[row][0], column=col + 2)
     return names, display
 
 
@@ -113,7 +119,7 @@ def parse_maxwell_text(text: str, source: str = "<string>",
 
     off = display.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(off > 1e-12 * magnitude):
+    if np.any(off > POSITIVE_MUTUAL_RTOL * magnitude):
         i, j = np.unravel_index(np.argmax(off), off.shape)
         raise SignError(
             f"{source}: positive off-diagonal capacitance entry at "

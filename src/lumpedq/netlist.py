@@ -57,6 +57,9 @@ PHI_0 = constants.hbar / (2.0 * constants.e)  # reduced flux quantum, Wb
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-12
+# largest positive off-diagonal entry of a Maxwell matrix, relative to its
+# largest magnitude, taken as rounding of a zero mutual capacitance
+POSITIVE_MUTUAL_RTOL = 1e-12
 # Input matrices carry ~1e-3 relative extraction noise, so rank decisions
 # must sit far above machine epsilon but far below physical couplings.
 KERNEL_RTOL = 1e-9
@@ -279,11 +282,17 @@ class MaxwellMatrix:
             )
         if len(set(self.names)) != len(self.names):
             raise MalformedMatrix("duplicate node names")
+        finite = np.isfinite(m)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise MalformedMatrix(
+                f"non-finite entry at ({self.names[i]}, {self.names[j]}): {m[i, j]}"
+            )
         check_symmetric(m, "Maxwell matrix")
         scale = np.max(np.abs(m)) or 1.0
         off = m.copy()
         np.fill_diagonal(off, 0.0)
-        if np.any(off > 1e-12 * scale):
+        if np.any(off > POSITIVE_MUTUAL_RTOL * scale):
             i, j = np.unravel_index(np.argmax(off), off.shape)
             raise MalformedMatrix(
                 f"positive off-diagonal entry at ({self.names[i]}, {self.names[j]}): {m[i, j]:.6g}"

@@ -11,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import constants
 
-from lumpedq import composite
+from lumpedq import composite, roots
 from lumpedq.composite import (
     CouplingEdge,
     CouplingGraph,
     build_full_hamiltonian,
-    calibrate_scalar,
     coupling_rates,
     cross_kerr_matrix,
     diagonalize,
@@ -32,6 +31,7 @@ from lumpedq.errors import (
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
+from lumpedq.roots import calibrate_scalar
 from lumpedq.subsystems import (
     ModeFactor,
     QuantizedSubsystem,
@@ -665,7 +665,7 @@ class TestCalibrateScalar:
             calibrate_scalar(lambda x: x, 2.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("xtol, rtol", [
-        (composite.CALIBRATION_XTOL, composite.CALIBRATION_RTOL),
+        (roots.CALIBRATION_XTOL, roots.CALIBRATION_RTOL),
         (5e-324, 4 * np.finfo(float).eps),
         (1e-3, 1e-3),
     ])
@@ -678,10 +678,10 @@ class TestCalibrateScalar:
             f = monotone_function(seed)
             a, b = (-1.0, 1.0) if seed % 3 else (1.0, -1.0)
             ours, theirs = [], []
-            root = composite._brent_root(lambda x: ours.append(x) or f(x), a, b, f(a), f(b),
-                                         xtol=xtol, rtol=rtol)
+            root = roots.brent_root(lambda x: ours.append(x) or f(x), a, b, f(a), f(b),
+                                    xtol=xtol, rtol=rtol, maxiter=roots.CALIBRATION_MAXITER)
             oracle = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, rtol=rtol,
-                            maxiter=composite.CALIBRATION_MAXITER)
+                            maxiter=roots.CALIBRATION_MAXITER)
             assert theirs[:2] == [a, b]
             assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]], seed
             assert root.hex() == oracle.hex(), seed
@@ -697,9 +697,8 @@ class TestCalibrateScalar:
 
         bench = benchmark_config(tmp_path)
         lj, report = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
-        monkeypatch.setattr(composite, "_brent_root", lambda f, a, b, fa, fb: brentq(
-            f, a, b, xtol=composite.CALIBRATION_XTOL, rtol=composite.CALIBRATION_RTOL,
-            maxiter=composite.CALIBRATION_MAXITER))
+        monkeypatch.setattr(roots, "brent_root", lambda f, a, b, fa, fb, *, xtol, rtol, maxiter:
+                            brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
         lj_oracle, report_oracle = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         assert lj.hex() == lj_oracle.hex()
         assert to_machine(report) == to_machine(report_oracle)
@@ -727,11 +726,14 @@ class TestCalibrateScalar:
         def f(x):
             return x ** 3 - 0.2
 
+        tolerances = dict(xtol=roots.CALIBRATION_XTOL, rtol=roots.CALIBRATION_RTOL)
         with pytest.raises(NumericalError, match="3 iterations"):
-            composite._brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=3)
-        assert composite._brent_root(f, 0.0, 1.0, f(0.0), f(1.0)) == pytest.approx(
-            0.2 ** (1 / 3), rel=composite.CALIBRATION_RTOL)
+            roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=3, **tolerances)
+        root = roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=roots.CALIBRATION_MAXITER,
+                                **tolerances)
+        assert root == pytest.approx(0.2 ** (1 / 3), rel=roots.CALIBRATION_RTOL)
 
     def test_solver_needs_a_sign_change(self):
         with pytest.raises(TargetOutOfRange, match="same sign"):
-            composite._brent_root(math.exp, 0.0, 1.0, 1.0, math.e)
+            roots.brent_root(math.exp, 0.0, 1.0, 1.0, math.e, xtol=roots.CALIBRATION_XTOL,
+                             rtol=roots.CALIBRATION_RTOL, maxiter=roots.CALIBRATION_MAXITER)

@@ -124,6 +124,17 @@ class TestMaxwellFormat:
         m = parse_maxwell_text(text)
         assert np.array_equal(m.display_matrix, [[float(v) for v in row] for row in fields])
 
+    @pytest.mark.parametrize("row, bad_row, line, column", [
+        ("a,-2.0,6.0,-4.0", "a,-2.0,nan,-4.0", 4, 3),
+        ("b,-3.0,-4.0,8.0", "b,-3.0,-inf,8.0", 5, 3),
+        ("g,5.0,-2.0,-3.0", "g,5.0,-2.0,NaN", 3, 4),
+        ("g,5.0,-2.0,-3.0", "g,inf,-2.0,-3.0", 3, 2),
+    ])
+    def test_non_finite_value_reports_location(self, row, bad_row, line, column):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_maxwell_text(CANONICAL.replace(row, bad_row))
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_header_row_order_mismatch(self):
         shuffled = CANONICAL.replace("node,g,a,b", "node,g,b,a")
         with pytest.raises(ParseError, match="order"):
@@ -161,6 +172,21 @@ class TestConfig:
         raw = __import__("copy").deepcopy(dict(benchmark_config(tmp_path).raw))
         raw["junctions"][0]["ej_ghz"] = 13.0
         with pytest.raises(ConfigError, match="exactly one"):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("section, index, key, value", [
+        ("subsystems", 1, "z0_ohm", "fifty"),
+        ("subsystems", 1, "z0_ohm", float("nan")),
+        ("subsystems", 2, "levels", [3, "three"]),
+        ("subsystems", 0, "levels", "five"),
+        ("subsystems", 0, "q_offset_2e", float("inf")),
+        ("junctions", 0, "lj_nh", float("-inf")),
+        ("junctions", 0, "cj_ff", "two"),
+    ])
+    def test_malformed_number_names_its_field(self, tmp_path, section, index, key, value):
+        raw = __import__("copy").deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw[section][index][key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
             parse_device_config(raw, base_dir=tmp_path)
 
     def test_override_unknown_path(self, tmp_path):
@@ -299,6 +325,24 @@ class TestCli:
         assert run_cli("modes", str(path)) == 2
         assert "termination must be open or short" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("z0_ohm", "fifty", "z0_ohm must be a finite number, got 'fifty'"),
+        ("c_load_ff", float("nan"), "c_load_ff must be a finite number, got nan"),
+        ("vp_fraction_c", None, "need vp_m_per_s or vp_fraction_c"),
+        ("length_mm", None, "missing required field 'length_mm'"),
+    ])
+    def test_modes_rejects_malformed_number(self, line_spec, tmp_path, capsys, field, value,
+                                            message):
+        raw = yaml.safe_load(line_spec.read_text(encoding="utf-8"))
+        if value is None:
+            del raw[field]
+        else:
+            raw[field] = value
+        path = tmp_path / "malformed.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert run_cli("modes", str(path)) == 2
+        assert message in capsys.readouterr().err
+
     def test_sweep_subcommand(self, device_dir, tmp_path):
         out = tmp_path / "sweep.json"
         code = run_cli("sweep", str(device_dir / "device.yaml"),
@@ -338,6 +382,31 @@ class TestCli:
         (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
         assert run_cli("analyze", str(misspelled)) == 2
         assert "'zz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("z0_ohm: 53.0", "z0_ohm: fifty", "z0_ohm must be a finite number, got 'fifty'"),
+        ("z0_ohm: 53.0", "z0_ohm: .nan", "z0_ohm must be a finite number, got nan"),
+        ("levels: 5", "levels: five", "levels must be a finite number, got 'five'"),
+    ])
+    def test_malformed_config_number_exit_code_2(self, device_dir, tmp_path, capsys, old, new,
+                                                  message):
+        text = (device_dir / "device.yaml").read_text(encoding="utf-8")
+        (tmp_path / "device.yaml").write_text(text.replace(old, new, 1), encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
+        assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_maxwell_value_exit_code_2(self, device_dir, tmp_path, capsys):
+        text = (device_dir / "qubit_cell.csv").read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("b1,"))
+        fields = lines[row].split(",")
+        fields[3] = "nan"  # the b1-b2 mutual
+        lines[row] = ",".join(fields)
+        (tmp_path / "qubit_cell.csv").write_text("".join(lines), encoding="utf-8")
+        (tmp_path / "device.yaml").write_bytes((device_dir / "device.yaml").read_bytes())
+        assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
+        assert f"line {row + 1}, column 4" in capsys.readouterr().err
 
     def test_numerical_error_exit_code_3(self, device_dir, tmp_path):
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text())

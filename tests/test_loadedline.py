@@ -95,11 +95,44 @@ class TestSolveModes:
 
     def test_perturbed_root_raises(self, monkeypatch):
         """A root 1e-9 off its branch misses the advertised residual bound."""
-        solve = loadedline._solve_branch
-        monkeypatch.setattr(loadedline, "_solve_branch",
-                            lambda spec, m: solve(spec, m) * (1.0 + 1e-9))
+        solve = loadedline.brent_root
+        monkeypatch.setattr(loadedline, "brent_root",
+                            lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-9))
         with pytest.raises(NumericalError, match="characteristic equation"):
             solve_modes(measured_scale_spec(), 3)
+
+    def test_unloaded_modes_are_the_closed_form(self):
+        """With no load, every mode is (m pi + b pi/2) v_p / L to the last bit."""
+        rng = np.random.default_rng(20)
+        for i in range(48):
+            spec = LoadedLineSpec.from_wave_params(
+                float(rng.uniform(1e-3, 2e-2)), float(rng.uniform(20.0, 200.0)),
+                float(rng.uniform(0.2, 0.8)) * C_LIGHT, shorted_end=bool(i % 2))
+            for mode in solve_modes(spec, 10):
+                closed = (mode.index * math.pi + spec.b * math.pi / 2.0) * spec.v_p / spec.length
+                assert mode.omega.hex() == closed.hex(), (i, mode.index)
+
+    def test_shipped_device_lines_take_few_evaluations(self, tmp_path, monkeypatch):
+        """Solving each line of the shipped device, residual check included,
+        evaluates the characteristic equation at most 12 times per mode."""
+        from lumpedq import analysis
+        from lumpedq.benchmark import benchmark_config
+
+        lines = []
+        solve = analysis.solve_modes
+        monkeypatch.setattr(analysis, "solve_modes",
+                            lambda spec, count: lines.append((spec, count)) or solve(spec, count))
+        analysis.build_model(benchmark_config(tmp_path))
+        assert lines and all(spec.c_load > 0.0 for spec, _ in lines)
+
+        calls = []
+        lhs = loadedline.characteristic_lhs
+        monkeypatch.setattr(loadedline, "characteristic_lhs",
+                            lambda omega, spec: calls.append(omega) or lhs(omega, spec))
+        for spec, count in lines:
+            calls.clear()
+            solve_modes(spec, count)
+            assert len(calls) <= 12 * count, (spec, len(calls))
 
     def test_frequencies_strictly_increasing(self):
         spec = measured_scale_spec()

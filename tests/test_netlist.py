@@ -98,6 +98,13 @@ class TestMaxwell:
         with pytest.raises(MalformedMatrix):
             MaxwellMatrix(names=("g", "a"), matrix=np.array([[1.0, 2.0], [2.0, 1.0]]) * fF)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        matrix = np.array([[3.0, -1.0, -2.0], [-1.0, 4.0, -3.0], [-2.0, -3.0, 5.0]]) * fF
+        matrix[2, 1] = bad
+        with pytest.raises(MalformedMatrix, match=r"non-finite entry at \(b, a\)"):
+            MaxwellMatrix(names=("g", "a", "b"), matrix=matrix)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(MalformedMatrix):
             MaxwellMatrix(names=("g", "a"), matrix=np.array([[1.0, -0.5], [-0.4, 1.0]]) * fF)

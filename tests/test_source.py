@@ -75,8 +75,8 @@ def test_scipy_optimize_imports_are_seen():
 
 
 def test_no_scipy_optimize_import():
-    """scipy.optimize costs about 15 MB of resident memory to import, and the
-    one root solve lumpedq needs is its own (``composite._brent_root``)."""
+    """scipy.optimize costs about 15 MB of resident memory to import, and
+    lumpedq solves every root with its own routine (``roots.brent_root``)."""
     offenders = {
         f"{path.name}: {name}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -87,17 +87,29 @@ def test_no_scipy_optimize_import():
 
 def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
     """A junction calibration of the shipped device, in a fresh interpreter,
-    loads no module of scipy.optimize."""
+    solves its loaded lines and its L_j with ``roots.brent_root`` and loads
+    no module of scipy.optimize."""
     script = (
         "import sys\n"
+        "from lumpedq import loadedline, roots\n"
         "from lumpedq.analysis import calibrate_junction\n"
         "from lumpedq.benchmark import benchmark_config\n"
+        "calls = {'loadedline': 0, 'roots': 0}\n"
+        "def spy(module):\n"
+        "    solve = module.brent_root\n"
+        "    def counted(*args, **kwargs):\n"
+        "        calls[module.__name__.split('.')[-1]] += 1\n"
+        "        return solve(*args, **kwargs)\n"
+        "    module.brent_root = counted\n"
+        "spy(loadedline)\n"
+        "spy(roots)\n"
         f"config = benchmark_config({str(tmp_path)!r})\n"
         "calibrate_junction(config, 'j1', 5.3e9, (10e-9, 14e-9))\n"
+        "print(calls['loadedline'] > 0, calls['roots'] > 0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["True True", "[]"]

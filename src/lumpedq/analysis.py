@@ -300,6 +300,12 @@ def build_model(
         circuit = build_circuit(config)
     elif not circuit.fits(config):
         raise ConfigError("configuration differs from its circuit's in a field stages 1-5 read")
+    # no subsystem models a linear inductance on its own coordinate: refuse it, not drop it
+    inductive = [label for label, y in zip(circuit.blocks.labels, np.diag(circuit.blocks.l_inv))
+                 if y != 0.0]
+    if inductive:
+        raise ConfigError(f"retained coordinates {inductive} carry a linear inductance "
+                          "(nonzero L^-1 diagonal), which the quantization would drop")
     blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
     subsystems: list[QuantizedSubsystem] = []

@@ -70,13 +70,14 @@ def _cmd_budget(args) -> None:
 def _cmd_modes(args) -> None:
     import numpy as np
 
-    from .config import load_yaml, parse_number, parse_phase_velocity, parse_termination
+    from .config import (check_fields, load_yaml, parse_number, parse_phase_velocity,
+                         parse_termination)
     from .loadedline import LoadedLineSpec, solve_modes
 
     raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{args.line_spec}: expected a mapping of line parameters")
     where = args.line_spec
+    check_fields(raw, ("length_mm", "z0_ohm", "vp_m_per_s", "vp_fraction_c", "c_load_ff",
+                       "termination"), where)
     spec = LoadedLineSpec.from_wave_params(
         length=parse_number(raw, "length_mm", where) * 1e-3,
         z0=parse_number(raw, "z0_ohm", where),

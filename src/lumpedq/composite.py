@@ -162,10 +162,11 @@ class SectorHamiltonian:
 def pair_terms(
     subsystems: Sequence[QuantizedSubsystem],
     graph: CouplingGraph,
-) -> list[tuple[int, np.ndarray, int, np.ndarray, float]]:
+) -> list[tuple[int, np.ndarray, int, np.ndarray, float, float]]:
     """The coupling as (factor a, operator a, factor b, operator b,
-    coefficient) terms, one per coupled mode pair and quadrature, in
-    assembly order; factors are numbered flat across the subsystems."""
+    coefficient, scale) terms, one per coupled mode pair and quadrature, in
+    assembly order; factors are numbered flat across the subsystems, and
+    scale * coefficient is the term's hbar g."""
     names = [s.name for s in subsystems]
     if len(set(names)) != len(names):
         raise ValidationError("subsystem names must be unique")
@@ -183,8 +184,10 @@ def pair_terms(
             if port not in ports[sub_name]:
                 raise ValidationError(f"subsystem {sub_name!r} has no port {port!r}")
         # half of the pair-reported reciprocal restores the raw quadratic-form
-        # coefficient; a flux operator is i times its stored matrix, i * i = -1
-        for kind, coef in (("charge", 0.5 * edge.inv_c_eff), ("flux", -0.5 * edge.inv_l_eff)):
+        # coefficient; a flux operator is i times its stored matrix, i * i = -1,
+        # and the flux scale -Phi_a Phi_b takes that sign back out of hbar g
+        for kind, coef, sign in (("charge", 0.5 * edge.inv_c_eff, 1.0),
+                                 ("flux", -0.5 * edge.inv_l_eff, -1.0)):
             if coef == 0.0:
                 continue
             for sub_name, port in ends:
@@ -193,7 +196,9 @@ def pair_terms(
                         f"inductive coupling needs a flux operator on {sub_name!r}:{port!r}; "
                         "discrete-charge subsystems only couple capacitively"
                     )
-            terms.extend((ia, getattr(factors[ia], kind), ib, getattr(factors[ib], kind), coef)
+            scale = f"{kind}_scale"
+            terms.extend((ia, getattr(factors[ia], kind), ib, getattr(factors[ib], kind), coef,
+                          sign * getattr(factors[ia], scale) * getattr(factors[ib], scale))
                          for ia in slots[edge.sub_a] for ib in slots[edge.sub_b])
     return terms
 
@@ -246,7 +251,7 @@ def build_full_hamiltonian(
             f"product dimension {total} exceeds the configured cap {dimension_cap}"
         )
     basis = product_basis(subsystems, all(_flips_parity(a) and _flips_parity(b)
-                                          for _, a, _, b, _ in terms))
+                                          for _, a, _, b, _, _ in terms))
     sizes = np.bincount(basis.sector)
     areas = sizes**2
     needed = 8 * (int(areas.sum()) + EIGENSOLVE_COPIES * int(areas.max()))
@@ -262,8 +267,8 @@ def build_full_hamiltonian(
     flat = np.zeros(int(areas.sum()))
     row_start = starts[basis.sector] + sizes[basis.sector] * basis.position
     flat[row_start + basis.position] = basis.energies
-    for term in terms:
-        rows, cols, values = _pair_term_entries(basis.dims, *term)
+    for ia, a, ib, b, coef, _ in terms:
+        rows, cols, values = _pair_term_entries(basis.dims, ia, a, ib, b, coef)
         flat[row_start[rows] + basis.position[cols]] += values
     return SectorHamiltonian(basis, tuple(flat[start:start + n * n].reshape(n, n)
                                           for start, n in zip(starts, sizes)))
@@ -273,21 +278,14 @@ def coupling_rates(
     subsystems: Sequence[QuantizedSubsystem],
     graph: CouplingGraph,
 ) -> dict[tuple[str, int, str, int], float]:
-    """Linear coupling rates g (rad/s) per mode pair, from the charge scales
-    of the mode factors: hbar g = A_n B_m [C_k^-1]_nm, summed over the edges
-    between the pair's subsystems as the Hamiltonian sums them."""
-    by_name = {s.name: s for s in subsystems}
+    """Linear coupling rates g (rad/s) per mode pair, summed over the terms
+    of ``pair_terms`` as the Hamiltonian sums them: hbar g = A_n B_m
+    [C_k^-1]_nm + Phi_n Phi_m [L_k^-1]_nm."""
+    modes = [(s.name, m) for s in subsystems for m in range(len(s.factors))]
     out: dict[tuple[str, int, str, int], float] = {}
-    for edge in graph.edges:
-        if edge.inv_c_eff == 0.0:
-            continue
-        for ma, fa in enumerate(by_name[edge.sub_a].factors):
-            for mb, fb in enumerate(by_name[edge.sub_b].factors):
-                g = fa.charge_scale * fb.charge_scale * (0.5 * edge.inv_c_eff) / constants.hbar
-                key = (edge.sub_a, ma, edge.sub_b, mb)
-                if key[:2] > key[2:]:
-                    key = (edge.sub_b, mb, edge.sub_a, ma)
-                out[key] = out.get(key, 0.0) + g
+    for ia, _, ib, _, coef, scale in pair_terms(subsystems, graph):
+        key = modes[ia] + modes[ib] if modes[ia] <= modes[ib] else modes[ib] + modes[ia]
+        out[key] = out.get(key, 0.0) + scale * coef / constants.hbar
     return out
 
 

@@ -39,7 +39,8 @@ def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = 
                  kind: type = float):
     """``entry[key]`` as a finite ``kind`` (float or int), or ``default`` when
     the field is absent or null; a field without a default is required. A
-    value that is not a finite number raises ConfigError naming the field."""
+    value that is not a finite number (a boolean is not one), or not a whole
+    number for an int field, raises ConfigError naming the field."""
     if entry.get(key) is None:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing required field {key!r}")
@@ -49,18 +50,34 @@ def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = 
 
 def _finite(value: Any, key: str, where: str, kind: type = float):
     try:
-        number = kind(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+    if kind is int:
+        if not number.is_integer():
+            raise ConfigError(f"{where}: {key} must be a whole number, got {value!r}")
+        return int(number)
     return number
+
+
+def check_fields(entry: Any, fields: tuple[str, ...], where: str) -> None:
+    """Raise ConfigError unless ``entry`` is a mapping whose every key is one
+    of the ``fields`` its parser reads; the error names each other key."""
+    if not isinstance(entry, Mapping):
+        raise ConfigError(f"{where}: expected a mapping")
+    unknown = [key for key in entry if key not in fields]
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def parse_phase_velocity(entry: Mapping[str, Any], where: str) -> float:
     """Phase velocity in m/s of the line described by ``entry``, from its
     ``vp_m_per_s`` or else its ``vp_fraction_c`` times c."""
     if entry.get("vp_m_per_s") is not None:
+        if entry.get("vp_fraction_c") is not None:
+            raise ConfigError(f"{where}: give one of vp_m_per_s or vp_fraction_c")
         return parse_number(entry, "vp_m_per_s", where)
     if entry.get("vp_fraction_c") is not None:
         return parse_number(entry, "vp_fraction_c", where) * constants.c
@@ -210,16 +227,18 @@ def _require(mapping: Mapping, key: str, context: str):
 
 def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> DeviceConfig:
     base_dir = Path(base_dir)
-    if not isinstance(raw, Mapping):
-        raise ConfigError("device configuration must be a mapping")
+    check_fields(raw, ("name", "datum", "cells", "couplers", "subsystems", "junctions",
+                       "inductors", "analysis"), "config")
     name = str(raw.get("name", "device"))
     datum = str(_require(raw, "datum", "config"))
 
     cells = []
     for entry in _require(raw, "cells", "config"):
-        maxwell_entry = str(_require(entry, "maxwell_file", "cell"))
+        ident = str(_require(entry, "id", "cell"))
+        check_fields(entry, ("id", "maxwell_file", "ground_nets"), f"cell {ident!r}")
+        maxwell_entry = str(_require(entry, "maxwell_file", f"cell {ident!r}"))
         cells.append(CellConfig(
-            ident=str(_require(entry, "id", "cell")),
+            ident=ident,
             maxwell_file=base_dir / maxwell_entry,
             maxwell_entry=maxwell_entry,
             ground_nets=tuple(entry.get("ground_nets", ())),
@@ -235,6 +254,8 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         nodes = tuple(str(n) for n in _require(entry, "nodes", f"subsystem {sname!r}"))
         if kind == "transmon":
             where = f"subsystem {sname!r}"
+            check_fields(entry, ("name", "kind", "nodes", "levels", "n_max", "q_offset_2e"),
+                         where)
             transmons.append(TransmonConfig(
                 name=sname,
                 nodes=nodes,
@@ -244,6 +265,9 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
             ))
         elif kind == "loaded_line":
             where = f"line {sname!r}"
+            check_fields(entry, ("name", "kind", "role", "nodes", "z0_ohm", "vp_m_per_s",
+                                 "vp_fraction_c", "termination", "length_mm", "target_ghz",
+                                 "target_mode", "target_loading", "modes", "levels"), where)
             modes = parse_number(entry, "modes", where, 1, int)
             levels = entry.get("levels", 5)
             levels = tuple(_finite(v, "levels", where, int) for v in levels) \
@@ -275,6 +299,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     for entry in raw.get("junctions", ()):
         ident = str(_require(entry, "id", "junction"))
         where = f"junction {ident!r}"
+        check_fields(entry, ("id", "nodes", "subsystem", "lj_nh", "ej_ghz", "cj_ff"), where)
         nodes = _require(entry, "nodes", where)
         if len(nodes) != 2:
             raise ConfigError(f"{where}: nodes must be a [neg, pos] pair")
@@ -297,12 +322,15 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         nodes = _require(entry, "nodes", "inductor")
         if len(nodes) != 2:
             raise ConfigError("inductor nodes must be a pair")
+        where = f"inductor {list(nodes)}"
+        check_fields(entry, ("nodes", "l_nh"), where)
         inductors.append(InductorConfig(
             node_a=str(nodes[0]), node_b=str(nodes[1]),
-            l_h=parse_number(entry, "l_nh", "inductor") * 1e-9,
+            l_h=parse_number(entry, "l_nh", where) * 1e-9,
         ))
 
     ana = raw.get("analysis", {})
+    check_fields(ana, ("qubit", "readout", "dimension_cap", "min_overlap"), "analysis")
     default_qubit = transmons[0].name if transmons else ""
     default_readout = ""
     for line in lines:

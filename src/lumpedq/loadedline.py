@@ -45,15 +45,18 @@ class LoadedLineSpec:
     shorted_end: bool = False  # termination at z = length
 
     def __post_init__(self):
-        if self.length <= 0 or self.c_per_len <= 0 or self.l_per_len <= 0:
-            raise ValidationError("line length and per-length parameters must be positive")
-        if self.c_load < 0:
-            raise ValidationError("loading capacitance must be non-negative")
+        # each bound is written so that NaN fails it
+        if not all(x > 0 and math.isfinite(x)
+                   for x in (self.length, self.c_per_len, self.l_per_len)):
+            raise ValidationError(
+                "line length and per-length parameters must be positive and finite")
+        if not (self.c_load >= 0 and math.isfinite(self.c_load)):
+            raise ValidationError("loading capacitance must be non-negative and finite")
 
     @classmethod
     def from_wave_params(cls, length, z0, v_p, c_load=0.0, shorted_end=False):
         """Build from impedance and phase velocity: c = 1/(z0 v_p), l = z0/v_p."""
-        if z0 <= 0 or v_p <= 0:
+        if not (z0 > 0 and v_p > 0):
             raise ValidationError("impedance and phase velocity must be positive")
         return cls(length=length, c_per_len=1.0 / (z0 * v_p), l_per_len=z0 / v_p,
                    c_load=c_load, shorted_end=shorted_end)

@@ -30,6 +30,7 @@ across threads or sweep workers.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -325,8 +326,9 @@ class JunctionElement:
     def __post_init__(self):
         if self.node_neg == self.node_pos:
             raise MalformedPartition(f"junction {self.ident!r} terminals coincide")
-        if self.cj < 0:
-            raise MalformedMatrix(f"junction {self.ident!r} has negative capacitance")
+        if not (self.cj >= 0 and math.isfinite(self.cj)):
+            raise MalformedMatrix(f"junction {self.ident!r} capacitance must be non-negative "
+                                  f"and finite, got {self.cj}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ exactly these zeros (see ``composite``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,11 +55,15 @@ class TransmonSpec:
     levels: int = 5  # retained eigenlevels
 
     def __post_init__(self):
-        if self.c_eff <= 0 or self.ej <= 0:
-            raise ValidationError("transmon capacitance and Josephson energy must be positive")
-        if self.n_max < 10:
+        # each bound is written so that NaN fails it
+        if not all(x > 0 and math.isfinite(x) for x in (self.c_eff, self.ej)):
+            raise ValidationError(
+                "transmon capacitance and Josephson energy must be positive and finite")
+        if not math.isfinite(self.q_offset):
+            raise ValidationError("transmon offset charge must be finite")
+        if not self.n_max >= 10:
             raise ValidationError("charge-basis cutoff n_max must be at least 10")
-        if self.levels < 2 or self.levels > 2 * self.n_max:
+        if not 2 <= self.levels <= 2 * self.n_max:
             raise ValidationError("retained level count must be in [2, 2*n_max]")
 
     @property
@@ -118,6 +123,10 @@ class ModeFactor:
             if np.max(np.abs(op[same_parity])) <= bound:
                 op = np.where(same_parity, 0.0, op)
             object.__setattr__(self, what, op)
+
+    @property
+    def flux_scale(self) -> float:  # Wb; Phi_zpf of a harmonic quadrature
+        return float(self.flux[0, 1])
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def stride_hamiltonian(subsystems, graph):
     strides = [int(np.prod(dims[k + 1:])) for k in range(len(dims))]
     h = np.zeros((total, total))
     h[np.diag_indices(total)] = outer_sum([s.energies for s in subsystems])
-    for ia, a, ib, b, coef in pair_terms(subsystems, graph):
+    for ia, a, ib, b, coef, _ in pair_terms(subsystems, graph):
         rest = np.zeros(1, dtype=np.intp)
         for k, d in enumerate(dims):
             if k not in (ia, ib):

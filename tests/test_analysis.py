@@ -1,6 +1,7 @@
 """Full device pipeline: dressing, naive comparison, budget, calibration."""
 
 import copy
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -515,6 +516,26 @@ class TestValidation:
         cfg = parse_device_config(raw, base_dir=bench.base_dir)
         with pytest.raises(ConfigError, match="retains non-junction coordinates"):
             build_model(cfg)
+
+
+    @pytest.mark.parametrize("nodes, l_nh, named", [
+        (["g", "b2"], 10.0, ["b2"]),
+        (["p0", "p1"], 20.0, ["j1"]),
+        (["b2", "b3"], 200.0, ["b2", "b3"]),
+    ])
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_linear_inductance_on_a_retained_coordinate_rejected(self, bench, nodes, l_nh,
+                                                                  named, naive):
+        """No subsystem models a linear inductance on its own coordinate, so
+        one that reaches the diagonal of the reduced L^-1 (to ground at a
+        line port, across the junction, or between two line ports) is
+        refused, naming each coordinate, rather than dropped."""
+        cfg = bench.with_override("inductors", [{"nodes": nodes, "l_nh": l_nh}])
+        circuit = build_circuit(cfg)
+        diagonal = dict(zip(circuit.blocks.labels, np.diag(circuit.blocks.l_inv)))
+        assert sorted(label for label, y in diagonal.items() if y) == named
+        with pytest.raises(ConfigError, match=re.escape(f"retained coordinates {named} carry")):
+            build_model(cfg, circuit=circuit, naive=naive)
 
 
 class TestDeterminism:

@@ -380,6 +380,67 @@ class TestRealGauge:
                        flux=1e-15 * (a.T + a))
 
 
+class TestCouplingRates:
+    @pytest.mark.parametrize("inv_c, inv_l, half_splitting_mhz", [
+        (2e12, 0.0, 22.2100),
+        (0.0, -2e7, 24.7927),
+        (2e12, -2e7, 2.5827),
+        (2e12, 2e7, 47.0026),
+    ])
+    def test_rate_is_half_the_normal_mode_splitting(self, inv_c, inv_l, half_splitting_mhz):
+        """Two identical 9.527 GHz line modes joined by one edge: g is the
+        sum g_c + g_f of the edge's charge and flux rates, and half the
+        splitting of the odd sector's lowest two levels is |g|. The
+        counter-rotating part of the coupling, g_c - g_f, moves that half
+        splitting by the relative (g_c - g_f)^2 / (2 omega^2), 1.2e-5 in
+        the mixed case of opposite signs; the exact normal-mode splitting of
+        the two coupled oscillators accounts for it to 1e-11."""
+        spec = LoadedLineSpec.from_wave_params(6e-3, 50.0, 1.2e8, c_load=50e-15)
+        (mode,) = solve_modes(spec, 1)
+        subs = [quantize_line(spec, [mode], levels=4, name=name, ports=("p",))
+                for name in ("la", "lb")]
+        graph = CouplingGraph((CouplingEdge("la", "p", "lb", "p",
+                                            inv_c_eff=inv_c, inv_l_eff=inv_l),))
+        g_c = mode.q0_zpf**2 * 0.5 * inv_c / HBAR
+        g_f = float(mode.phi_zpf(0.0)) ** 2 * 0.5 * inv_l / HBAR
+        rates = coupling_rates(subs, graph)
+        assert list(rates) == [("la", 0, "lb", 0)]
+        g = rates["la", 0, "lb", 0]
+        assert g == pytest.approx(g_c + g_f, rel=1e-12)
+
+        odd = np.linalg.eigvalsh(build_full_hamiltonian(subs, graph).blocks[1])
+        half = (odd[1] - odd[0]) / (2 * HBAR)
+        assert half / (2e6 * np.pi) == pytest.approx(half_splitting_mhz, abs=1e-4)
+        w, counter = mode.omega, g_c - g_f
+        assert abs(g) == pytest.approx(half, rel=(counter / w) ** 2)
+        exact = 0.5 * (math.sqrt((w + g) ** 2 - counter**2) - math.sqrt((w - g) ** 2 - counter**2))
+        assert abs(exact) == pytest.approx(half, rel=1e-11)
+
+    def test_mixed_edge_sums_charge_and_flux_rates(self):
+        """The line-line edge of the gauge oracle couples the two lines'
+        first modes at 150 MHz through each quadrature: g is 300 MHz, and
+        every mode pair's g is A_n B_m [C^-1]_nm + Phi_n Phi_m [L^-1]_nm
+        from the solved modes' ZPFs."""
+        subs, edges, zpfs = gauge_oracle_system()
+        edge = edges["line-line inductive"]
+        rates = coupling_rates(subs, CouplingGraph((edge,)))
+        assert rates["la", 0, "lb", 0] / (2 * np.pi) == pytest.approx(300e6, rel=1e-12)
+        assert len(rates) == 4
+        for (ma, (qa, fa)), (mb, (qb, fb)) in itertools.product(enumerate(zpfs["la"]),
+                                                               enumerate(zpfs["lb"])):
+            hbar_g = qa * qb * 0.5 * edge.inv_c_eff + fa * fb * 0.5 * edge.inv_l_eff
+            assert rates["la", ma, "lb", mb] == pytest.approx(hbar_g / HBAR, rel=1e-12)
+
+    def test_inductive_rate_to_a_transmon_rejected(self):
+        """The rates read the Hamiltonian's terms, so they refuse an edge the
+        Hamiltonian refuses."""
+        subs, _, _, _, _ = qubit_readout_system(0.0)
+        graph = CouplingGraph(
+            (CouplingEdge("transmon", "junction", "readout", "b1", inv_l_eff=1e3),))
+        with pytest.raises(ValidationError, match="flux operator"):
+            coupling_rates(subs, graph)
+
+
 class TestLabeling:
     def test_ground_label_and_injectivity(self):
         subs, graph, _, _, _ = qubit_readout_system(120e6)

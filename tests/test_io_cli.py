@@ -1,7 +1,9 @@
 """File formats, configuration schema, report rendering, CLI surface."""
 
+import copy
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -189,6 +191,71 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
             parse_device_config(raw, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("section, index, key, value", [
+        ("subsystems", 0, "levels", 5.7),
+        ("subsystems", 0, "n_max", 30.5),
+        ("subsystems", 1, "modes", 2.5),
+        ("subsystems", 1, "levels", [4, 3.5]),
+        ("subsystems", 1, "target_mode", 1.5),
+        ("analysis", None, "dimension_cap", 2e4 + 0.5),
+    ])
+    def test_integer_field_rejects_a_fraction(self, tmp_path, section, index, key, value):
+        """An integer field is not truncated: 5.7 levels is an error, not 5."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        (raw[section] if index is None else raw[section][index])[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be a whole number, got"):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    def test_integer_field_accepts_a_whole_float(self, tmp_path):
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw["subsystems"][0]["levels"] = 4.0
+        levels = parse_device_config(raw, base_dir=tmp_path).transmons[0].levels
+        assert levels == 4 and type(levels) is int
+
+    @pytest.mark.parametrize("section, index, key, value", [
+        ("subsystems", 1, "z0_ohm", True),
+        ("subsystems", 0, "levels", True),
+        ("junctions", 0, "cj_ff", False),
+        ("analysis", None, "min_overlap", True),
+    ])
+    def test_numeric_field_rejects_a_boolean(self, tmp_path, section, index, key, value):
+        """``z0_ohm: true`` is not 1 ohm."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        (raw[section] if index is None else raw[section][index])[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number, got {value}"):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("section, index, key, where", [
+        (None, None, "levles", "config"),
+        ("cells", 0, "groundnets", "cell 'cell0'"),
+        ("subsystems", 0, "levles", "subsystem 'qubit'"),
+        ("subsystems", 0, "role", "subsystem 'qubit'"),
+        ("subsystems", 1, "levles", "line 'readout'"),
+        ("junctions", 0, "lj_nH", "junction 'j1'"),
+        ("analysis", None, "qubti", "analysis"),
+    ])
+    def test_unknown_field_rejected(self, tmp_path, section, index, key, where):
+        """A key no parser reads is an error naming it and its entry, not
+        silently ignored."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        entry = raw if section is None else raw[section] if index is None else raw[section][index]
+        entry[key] = 9
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: unknown field(s) '{key}'")):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    def test_unknown_inductor_field_rejected(self, tmp_path):
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw["inductors"] = [{"nodes": ["g", "b2"], "l_nh": 10.0, "l_uh": 0.01}]
+        message = "inductor ['g', 'b2']: unknown field(s) 'l_uh'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    def test_two_phase_velocities_rejected(self, tmp_path):
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw["subsystems"][1]["vp_m_per_s"] = 1.2e8
+        with pytest.raises(ConfigError, match="line 'readout': give one of vp_m_per_s or"):
+            parse_device_config(raw, base_dir=tmp_path)
+
     def test_override_unknown_path(self, tmp_path):
         cfg = benchmark_config(tmp_path)
         with pytest.raises(ConfigError, match="override path"):
@@ -361,6 +428,30 @@ class TestCli:
         features = [row["feature"] for row in doc["budget"]]
         assert "coupling_hamiltonians" in features
         assert "readout_first_harmonic" in features
+
+    def test_modes_rejects_unknown_field(self, line_spec, tmp_path, capsys):
+        raw = yaml.safe_load(line_spec.read_text(encoding="utf-8"))
+        path = tmp_path / "extra.yaml"
+        path.write_text(yaml.safe_dump({**raw, "c_load_pf": 0.32}), encoding="utf-8")
+        assert run_cli("modes", str(path)) == 2
+        assert "unknown field(s) 'c_load_pf'" in capsys.readouterr().err
+
+    def test_sweep_of_a_misspelled_field_exit_code_2(self, device_dir, capsys):
+        """Sweeping ``lj_nH`` (for ``lj_nh``) used to report the same f_q at
+        every point; the override adds a field no parser reads."""
+        assert run_cli("sweep", str(device_dir / "device.yaml"), "--param",
+                       "junctions.j1.lj_nH", "--values", "10,14") == 2
+        assert "junction 'j1': unknown field(s) 'lj_nH'" in capsys.readouterr().err
+
+    def test_inductance_on_a_line_port_exit_code_2(self, device_dir, tmp_path, capsys):
+        """The quantization has no inductive line load, so an inductor from
+        ground to a bus port is refused, naive comparison or not."""
+        cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
+        cfg["inductors"] = [{"nodes": ["g", "b2"], "l_nh": 10.0}]
+        (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
+        assert run_cli("analyze", str(tmp_path / "device.yaml"), "--naive") == 2
+        assert "retained coordinates ['b2'] carry a linear inductance" in capsys.readouterr().err
 
     def test_validation_error_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -57,6 +57,20 @@ class TestSpec:
         with pytest.raises(ValidationError):
             LoadedLineSpec(length=1e-3, c_per_len=1e-10, l_per_len=1e-7, c_load=-1e-15)
 
+    @pytest.mark.parametrize("field", ["length", "c_per_len", "l_per_len", "c_load"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        """A NaN passes no bound: it does not reach the mode solver, which
+        would return a NaN mode for an unloaded line."""
+        params = {"length": 6e-3, "c_per_len": 1e-10, "l_per_len": 4e-7, "c_load": 0.0}
+        with pytest.raises(ValidationError, match="finite"):
+            LoadedLineSpec(**{**params, field: value})
+
+    @pytest.mark.parametrize("z0, v_p", [(math.nan, 1.2e8), (50.0, math.nan)])
+    def test_non_finite_wave_parameter_rejected(self, z0, v_p):
+        with pytest.raises(ValidationError, match="positive"):
+            LoadedLineSpec.from_wave_params(6e-3, z0, v_p)
+
     def test_dc_mode_metadata(self):
         open_line = LoadedLineSpec.from_wave_params(6e-3, 53.0, 1.2e8)
         short_line = LoadedLineSpec.from_wave_params(6e-3, 53.0, 1.2e8, shorted_end=True)

@@ -227,6 +227,11 @@ class TestCompose:
         net = compose_cells(cells, reg)
         np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
 
+    @pytest.mark.parametrize("cj", [-1 * fF, float("nan"), float("inf")])
+    def test_junction_capacitance_must_be_finite_and_non_negative(self, cj):
+        with pytest.raises(MalformedMatrix, match="'j1' capacitance must be non-negative"):
+            JunctionElement("j1", "gnd", "a", "s0", cj=cj)
+
     def test_junction_to_datum_stamp(self):
         j = JunctionElement("j1", "gnd", "a", "s0", cj=2 * fF)
         cell = CellMatrices("c1", ("a",), np.zeros((1, 1)), np.zeros((1, 1)), junctions=(j,))

@@ -140,6 +140,17 @@ class TestTransmon:
         with pytest.raises(ValidationError):
             TransmonSpec(c_eff=1e-13, ej=1e-24, n_max=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("c_eff", float("nan")), ("c_eff", float("inf")), ("ej", float("nan")),
+        ("ej", float("inf")), ("q_offset", float("nan")), ("q_offset", float("inf")),
+        ("n_max", float("nan")), ("levels", float("nan")),
+    ])
+    def test_non_finite_spec_rejected(self, field, value):
+        """A NaN fails every bound, as a typed ValidationError, before the
+        charge-basis solve could fail on it untyped."""
+        with pytest.raises(ValidationError):
+            TransmonSpec(**{"c_eff": 1e-13, "ej": 1e-24, field: value})
+
 
 def single_mode_line(levels=3):
     spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,

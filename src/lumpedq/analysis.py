@@ -44,7 +44,6 @@ from .maxwell_io import parse_maxwell_file
 from .netlist import (
     CellMatrices,
     CircuitBlocks,
-    CompositeNetlist,
     JunctionElement,
     MaxwellMatrix,
     NodeRegistry,
@@ -85,7 +84,6 @@ class DeviceCircuit:
     they store equal values."""
 
     config: DeviceConfig
-    netlist: CompositeNetlist
     reduced: ReducedCircuit
     blocks: CircuitBlocks
     # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
@@ -125,7 +123,7 @@ class DeviceModel:
 
 
 def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
-        list[tuple[str, CellMatrices]], dict[str, str]]:
+        list[CellMatrices], dict[str, str]]:
     """The reduced cells, and the sha256 of each Maxwell file as parsed."""
     cells, digests = [], {}
     for cc in config.cells:
@@ -135,25 +133,16 @@ def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
             maxwell = merge_maxwell_nodes(maxwell, cc.ground_nets, config.datum)
         if cell_hook is not None:
             maxwell = cell_hook(cc.ident, maxwell)
-        cells.append((cc.ident, reduce_maxwell(maxwell, config.datum)))
+        cells.append(reduce_maxwell(maxwell, config.datum, cc.ident))
     return cells, digests
 
 
-def _build_registry(config: DeviceConfig, cells: Sequence[tuple[str, CellMatrices]],
-                    extra_couplers: Sequence[str]) -> NodeRegistry:
-    """The partition of the config over the nodes of ``cells``: a declared
-    node in no cell is a MalformedPartition."""
-    cell_of: dict[str, str] = {}
-    for ident, cell in cells:
-        for node in cell.nodes:
-            cell_of.setdefault(node, ident)
-    subsystems = (*config.transmons, *config.lines)
+def _build_registry(config: DeviceConfig, extra_couplers: Sequence[str]) -> NodeRegistry:
+    """The config's partition of the device nodes into subsystems and couplers."""
     return NodeRegistry(
         datum=config.datum,
-        subsystem_names=tuple(s.name for s in subsystems),
-        subsystem_nodes=tuple(frozenset(s.nodes) for s in subsystems),
+        subsystems={s.name: frozenset(s.nodes) for s in (*config.transmons, *config.lines)},
         couplers=frozenset((*config.couplers, *extra_couplers)),
-        cell_of=cell_of,
     )
 
 
@@ -265,12 +254,10 @@ def build_circuit(config: DeviceConfig, cell_hook: CellHook | None = None,
                   extra_couplers: Sequence[str] = ()) -> DeviceCircuit:
     """Stages 1-5, with each cell passed through ``cell_hook`` and the nodes
     it adds declared in ``extra_couplers``."""
-    loaded, input_sha256 = _load_cells(config, cell_hook)
-    loaded.append(("__lumped__", _lumped_cell(config)))
-    registry = _build_registry(config, loaded, extra_couplers)
-    netlist = compose_cells([cell for _, cell in loaded], registry)
+    cells, input_sha256 = _load_cells(config, cell_hook)
+    netlist = compose_cells([*cells, _lumped_cell(config)], _build_registry(config, extra_couplers))
     reduced = reduce_network(netlist)
-    return DeviceCircuit(config, netlist, reduced, extract_blocks(reduced), input_sha256)
+    return DeviceCircuit(config, reduced, extract_blocks(reduced), input_sha256)
 
 
 def build_model(
@@ -285,7 +272,8 @@ def build_model(
     (``build_circuit(config)`` when not given), which must come from a
     config equal to ``config`` in every field stages 1-5 read. Each E_J is
     set here, from the junction's config entry or ``lj_overrides`` (henries
-    by junction id; an id that is no junction of ``config`` is a ConfigError).
+    by junction id; an id that is no junction of ``config``, or a value that
+    is not positive and finite, is a ConfigError).
     Lines come from ``circuit.lines`` where solved there before.
 
     ``naive`` recomputes under conventional approximations: line modes are
@@ -296,6 +284,10 @@ def build_model(
     unknown = sorted(set(lj_overrides or {}) - {j.ident for j in config.junctions})
     if unknown:
         raise ConfigError(f"lj_overrides name no junction of the configuration: {unknown}")
+    for ident, lj in (lj_overrides or {}).items():
+        if not (lj > 0.0 and math.isfinite(lj)):
+            raise ConfigError(f"lj_overrides: {ident!r} must be a positive, finite "
+                              f"inductance, got {lj!r}")
     if circuit is None:
         circuit = build_circuit(config)
     elif not circuit.fits(config):

@@ -48,6 +48,14 @@ def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = 
     return _finite(entry[key], key, where, kind)
 
 
+def parse_positive(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED):
+    """``parse_number`` of a float field that must be positive when given."""
+    number = parse_number(entry, key, where, default)
+    if number is not None and not number > 0.0:
+        raise ConfigError(f"{where}: {key} must be positive, got {entry[key]!r}")
+    return number
+
+
 def _finite(value: Any, key: str, where: str, kind: type = float):
     try:
         number = math.nan if isinstance(value, bool) else float(value)
@@ -303,8 +311,8 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         nodes = _require(entry, "nodes", where)
         if len(nodes) != 2:
             raise ConfigError(f"{where}: nodes must be a [neg, pos] pair")
-        lj = parse_number(entry, "lj_nh", where, None)
-        ej = parse_number(entry, "ej_ghz", where, None)
+        lj = parse_positive(entry, "lj_nh", where, None)
+        ej = parse_positive(entry, "ej_ghz", where, None)
         junctions.append(JunctionConfig(
             ident=ident,
             node_neg=str(nodes[0]),
@@ -326,7 +334,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         check_fields(entry, ("nodes", "l_nh"), where)
         inductors.append(InductorConfig(
             node_a=str(nodes[0]), node_b=str(nodes[1]),
-            l_h=parse_number(entry, "l_nh", where) * 1e-9,
+            l_h=parse_positive(entry, "l_nh", where) * 1e-9,
         ))
 
     ana = raw.get("analysis", {})

@@ -51,13 +51,8 @@ def ladder_cell(spec: LoadedLineSpec, n_nodes: int, ident: str = "ladder") -> Ce
 def ladder_netlist(spec: LoadedLineSpec, n_nodes: int, subsystem: str = "line") -> CompositeNetlist:
     """Single-subsystem composite netlist for the discretized line."""
     cell = ladder_cell(spec, n_nodes)
-    registry = NodeRegistry(
-        datum="gnd",
-        subsystem_names=(subsystem,),
-        subsystem_nodes=(frozenset(cell.nodes),),
-        couplers=frozenset(),
-        cell_of={n: cell.ident for n in cell.nodes},
-    )
+    registry = NodeRegistry(datum="gnd", subsystems={subsystem: frozenset(cell.nodes)},
+                            couplers=frozenset())
     return compose_cells([cell], registry)
 
 

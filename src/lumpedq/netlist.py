@@ -212,47 +212,33 @@ def _dense_block(m, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeRegistry:
-    """Device node bookkeeping: datum, subsystem/coupler partition, cells.
+    """Device node bookkeeping: the datum and the partition of the other
+    nodes into subsystems (name -> nodes, in subsystem order) and couplers.
+    Which cell holds each node is known to ``compose_cells`` alone.
 
     Non-datum nodes are kept in lexicographic order so every matrix built on
     top of the registry has a deterministic, reproducible layout.
     """
 
     datum: str
-    subsystem_names: tuple[str, ...]
-    subsystem_nodes: tuple[frozenset[str], ...]
+    subsystems: Mapping[str, frozenset[str]]
     couplers: frozenset[str]
-    cell_of: Mapping[str, str]
     # all non-datum nodes, lexicographically ordered
     nodes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.subsystem_names) != len(self.subsystem_nodes):
-            raise MalformedPartition("subsystem name/node lists differ in length")
-        if len(set(self.subsystem_names)) != len(self.subsystem_names):
-            raise MalformedPartition("duplicate subsystem names")
-        all_sets = list(self.subsystem_nodes) + [self.couplers]
         seen: set[str] = set()
-        for s in all_sets:
+        for s in (*self.subsystems.values(), self.couplers):
             if self.datum in s:
                 raise MalformedPartition(f"datum {self.datum!r} assigned to a partition set")
             overlap = seen & s
             if overlap:
                 raise MalformedPartition(f"nodes assigned twice: {sorted(overlap)}")
             seen |= s
-        missing = [n for n in seen if n not in self.cell_of]
-        if missing:
-            raise MalformedPartition(f"nodes without a cell: {sorted(missing)}")
-        extra = [n for n in self.cell_of if n != self.datum and n not in seen]
-        if extra:
-            raise MalformedPartition(f"cell nodes not covered by any partition set: {sorted(extra)}")
         object.__setattr__(self, "nodes", tuple(sorted(seen)))
 
     def subsystem_of(self, node: str) -> str | None:
-        for name, nodes in zip(self.subsystem_names, self.subsystem_nodes):
-            if node in nodes:
-                return name
-        return None
+        return next((name for name, nodes in self.subsystems.items() if node in nodes), None)
 
     def is_coupler(self, node: str) -> bool:
         return node in self.couplers
@@ -378,6 +364,10 @@ class CompositeNetlist:
         check_symmetric(self.c_mat, "composite capacitance")
         check_symmetric(self.l_inv, "composite inverse inductance")
         check_psd(self.c_mat, "composite capacitance")
+        for j in self.junctions:
+            if j.subsystem not in self.registry.subsystems:
+                raise MalformedPartition(
+                    f"junction {j.ident!r} names no subsystem: {j.subsystem!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -434,15 +424,15 @@ class ReducedCircuit:
 # operations
 # ---------------------------------------------------------------------------
 
-def reduce_maxwell(m: MaxwellMatrix, datum: str) -> CellMatrices:
-    """Fold the Maxwell matrix to the node-to-datum basis by deleting the
-    datum row and column; remaining node order is preserved."""
+def reduce_maxwell(m: MaxwellMatrix, datum: str, ident: str) -> CellMatrices:
+    """Fold the Maxwell matrix to the node-to-datum basis of cell ``ident`` by
+    deleting the datum row and column; remaining node order is preserved."""
     if datum not in m.names:
         raise UnknownDatum(f"datum {datum!r} not among nodes {list(m.names)}")
     keep = [i for i, n in enumerate(m.names) if n != datum]
     nodes = tuple(m.names[i] for i in keep)
     c = m.matrix[np.ix_(keep, keep)].copy()
-    return CellMatrices(ident="maxwell", nodes=nodes, c_mat=c, l_inv=np.zeros_like(c))
+    return CellMatrices(ident=ident, nodes=nodes, c_mat=c, l_inv=np.zeros_like(c))
 
 
 def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> MaxwellMatrix:
@@ -484,22 +474,30 @@ def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> Comp
     """Scatter-add cell matrices into the global node order and stamp each
     junction's intrinsic capacitance C_J across its terminal pair; its L_j
     stays out of L_inv. Each device matrix is built once, as sparse CSR,
-    from the entries of all cells and stamps."""
+    from the entries of all cells and stamps.
+
+    Every cell node must be a registry node, and every registry node must
+    lie in a cell."""
     nodes = registry.nodes
     index = {n: i for i, n in enumerate(nodes)}
+    in_cell = np.zeros(len(nodes), dtype=bool)
     rows, cols, c_vals, l_vals = [], [], [], []
     junctions: list[JunctionElement] = []
     for cell in cells:
-        for node in cell.nodes:
-            if node not in index:
-                raise UnknownNode(f"cell {cell.ident!r} node {node!r} not in registry")
+        unknown = [node for node in cell.nodes if node not in index]
+        if unknown:
+            raise UnknownNode(f"cell {cell.ident!r} nodes not in the registry: {unknown}")
         at = np.array([index[node] for node in cell.nodes], dtype=np.intp)
+        in_cell[at] = True
         r, k = np.nonzero((cell.c_mat != 0) | (cell.l_inv != 0))
         rows.append(at[r])
         cols.append(at[k])
         c_vals.append(cell.c_mat[r, k])
         l_vals.append(cell.l_inv[r, k])
         junctions.extend(cell.junctions)
+    missing = [nodes[i] for i in (~in_cell).nonzero()[0]]
+    if missing:
+        raise MalformedPartition(f"nodes without a cell: {missing}")
     stamps = np.array([(i, k, sign * j.cj)
                        for j in junctions
                        for i, k, sign in _two_terminal_stamp(index, registry.datum,
@@ -820,7 +818,7 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
             "declare them as subsystem nodes or fix the element classes touching them"
         )
 
-    block_lists: dict[str, list[int]] = {name: [] for name in net.registry.subsystem_names}
+    block_lists: dict[str, list[int]] = {name: [] for name in net.registry.subsystems}
     junction_by_id = {j.ident: j for j in net.junctions}
     for i, lab in enumerate(labels2):
         if lab in junction_by_id:

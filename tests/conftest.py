@@ -94,10 +94,8 @@ def random_circuit(
     cell = CellMatrices(ident="cell0", nodes=tuple(names), c_mat=c, l_inv=l_inv)
     registry = NodeRegistry(
         datum="gnd",
-        subsystem_names=tuple(sorted(subsystems)),
-        subsystem_nodes=tuple(frozenset(subsystems[k]) for k in sorted(subsystems)),
+        subsystems={k: frozenset(subsystems[k]) for k in sorted(subsystems)},
         couplers=frozenset(couplers),
-        cell_of={n: "cell0" for n in names},
     )
     return compose_cells([cell], registry)
 

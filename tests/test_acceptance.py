@@ -131,12 +131,8 @@ def test_criterion_5_series_eliminations():
     series inductors through an inductive coupler give L1 + L2; 1e-12."""
     from lumpedq.netlist import NodeRegistry, coupler_kernel, schur_eliminate
 
-    reg = NodeRegistry(
-        datum="gnd", subsystem_names=("s0", "s1"),
-        subsystem_nodes=(frozenset({"a"}), frozenset({"b"})),
-        couplers=frozenset({"m"}),
-        cell_of={"a": "c", "b": "c", "m": "c"},
-    )
+    reg = NodeRegistry(datum="gnd", subsystems={"s0": frozenset({"a"}), "s1": frozenset({"b"})},
+                       couplers=frozenset({"m"}))
     c1, c2 = 2e-15, 2e-15
     c = np.array([[c1, 0.0, -c1], [0.0, c2, -c2], [-c1, -c2, c1 + c2]])
     l_inv = np.diag([1e9, 1e9, 0.0])

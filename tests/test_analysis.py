@@ -320,6 +320,13 @@ class TestSweepAndCalibration:
         with pytest.raises(ConfigError, match="'jX'"):
             calibrate_junction(bench, "jX", 5.3e9, (10e-9, 14e-9))
 
+    @pytest.mark.parametrize("lj", [0.0, -12e-9, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_override_rejected(self, bench, lj):
+        """An L_j override must be a positive, finite inductance, not a
+        division by zero or a negative E_J in the transmon."""
+        with pytest.raises(ConfigError, match=r"lj_overrides: 'j1' must be a positive, finite"):
+            build_model(bench, lj_overrides={"j1": lj})
+
     def test_calibrate_target_out_of_range(self, bench):
         with pytest.raises(TargetOutOfRange, match=r"target 20\.0000 GHz"):
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))

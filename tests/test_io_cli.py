@@ -474,6 +474,32 @@ class TestCli:
         assert run_cli("analyze", str(misspelled)) == 2
         assert "'zz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(inductors=[{"nodes": ["g", "cl"], "l_nh": 0}]),
+         "inductor ['g', 'cl']: l_nh must be positive, got 0"),
+        (lambda cfg: cfg.update(inductors=[{"nodes": ["g", "cl"], "l_nh": -5}]),
+         "inductor ['g', 'cl']: l_nh must be positive, got -5"),
+        (lambda cfg: cfg["junctions"][0].update(lj_nh=0),
+         "junction 'j1': lj_nh must be positive, got 0"),
+        (lambda cfg: cfg["junctions"][0].update(lj_nh=None, ej_ghz=0),
+         "junction 'j1': ej_ghz must be positive, got 0"),
+        (lambda cfg: cfg["junctions"][0].update(subsystem="nosuch"),
+         "junction 'j1' names no subsystem: 'nosuch'"),
+        (lambda cfg: cfg["couplers"].remove("cl"),
+         "cell 'cell0' nodes not in the registry: ['cl']"),
+    ], ids=["l_nh-zero", "l_nh-negative", "lj_nh-zero", "ej_ghz-zero", "junction-subsystem",
+            "undeclared-cell-node"])
+    def test_refused_config_exit_code_2(self, device_dir, tmp_path, capsys, edit, message):
+        """Non-positive inductances and energies, a junction of no subsystem
+        and a cell node the partition leaves out are validation errors that
+        name the entry, not a traceback or a numerical failure later on."""
+        cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
+        edit(cfg)
+        (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
+        assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, message", [
         ("z0_ohm: 53.0", "z0_ohm: fifty", "z0_ohm must be a finite number, got 'fifty'"),
         ("z0_ohm: 53.0", "z0_ohm: .nan", "z0_ohm must be a finite number, got nan"),

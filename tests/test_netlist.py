@@ -57,16 +57,11 @@ fF = 1e-15
 nH = 1e-9
 
 
-def simple_registry(subsystems, couplers=(), datum="gnd", cell="cell0"):
-    nodes = set(couplers)
-    for s in subsystems.values():
-        nodes |= set(s)
+def simple_registry(subsystems, couplers=(), datum="gnd"):
     return NodeRegistry(
         datum=datum,
-        subsystem_names=tuple(sorted(subsystems)),
-        subsystem_nodes=tuple(frozenset(subsystems[k]) for k in sorted(subsystems)),
+        subsystems={k: frozenset(subsystems[k]) for k in sorted(subsystems)},
         couplers=frozenset(couplers),
-        cell_of={n: cell for n in nodes},
     )
 
 
@@ -80,19 +75,20 @@ class TestMaxwell:
             names=("g", "a", "b"),
             matrix=np.array([[5.0, -2.0, -3.0], [-2.0, 6.0, -4.0], [-3.0, -4.0, 8.0]]) * fF,
         )
-        cell = reduce_maxwell(m, "g")
+        cell = reduce_maxwell(m, "g", "cell0")
+        assert cell.ident == "cell0"
         assert cell.nodes == ("a", "b")
         np.testing.assert_allclose(cell.c_mat, np.array([[6.0, -4.0], [-4.0, 8.0]]) * fF)
 
     def test_reduce_single_island(self):
         m = MaxwellMatrix(names=("g", "a"), matrix=np.array([[3.0, -3.0], [-3.0, 3.0]]) * fF)
-        cell = reduce_maxwell(m, "g")
+        cell = reduce_maxwell(m, "g", "cell0")
         np.testing.assert_allclose(cell.c_mat, [[3.0 * fF]])
 
     def test_unknown_datum(self):
         m = MaxwellMatrix(names=("g", "a"), matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]) * fF)
         with pytest.raises(UnknownDatum):
-            reduce_maxwell(m, "zz")
+            reduce_maxwell(m, "zz", "cell0")
 
     def test_positive_offdiagonal_rejected(self):
         with pytest.raises(MalformedMatrix):
@@ -124,7 +120,7 @@ class TestMaxwell:
 
     def test_reduce_then_embed_recovers_original(self, rng):
         m = _random_maxwell(rng, 5)
-        cell = reduce_maxwell(m, m.names[0])
+        cell = reduce_maxwell(m, m.names[0], "cell0")
         datum_mutuals = -m.matrix[0, 1:]
         rebuilt = embed_maxwell(cell, m.names[0], datum_mutuals)
         # row sums of the re-embedded matrix recover the self-capacitances
@@ -162,7 +158,7 @@ class TestMaxwell:
         """Effective port-to-datum capacitance of a fully connected 6-node
         cell: matrix inverse vs. independent star-mesh graph elimination."""
         m = _random_maxwell(rng, 6, names=("g", "p0", "p1", "b1", "b2", "cline"))
-        cell = reduce_maxwell(m, "g")
+        cell = reduce_maxwell(m, "g", "cell0")
         c_inv = np.linalg.inv(cell.c_mat)
         port = cell.nodes.index("p1")
         c_eff_matrix = 1.0 / c_inv[port, port]
@@ -685,16 +681,31 @@ class TestBlocks:
 class TestRegistry:
     def test_datum_in_partition_rejected(self):
         with pytest.raises(MalformedPartition):
-            NodeRegistry("g", ("s0",), (frozenset({"g"}),), frozenset(), {"g": "c"})
+            NodeRegistry("g", {"s0": frozenset({"g"})}, frozenset())
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(MalformedPartition):
-            NodeRegistry("g", ("s0", "s1"), (frozenset({"a"}), frozenset({"a"})),
-                         frozenset(), {"a": "c"})
+            NodeRegistry("g", {"s0": frozenset({"a"}), "s1": frozenset({"a"})}, frozenset())
 
     def test_node_without_cell_rejected(self):
-        with pytest.raises(MalformedPartition):
-            NodeRegistry("g", ("s0",), (frozenset({"a"}),), frozenset(), {})
+        cell = CellMatrices("c", ("a",), [[1.0 * fF]], [[0.0]])
+        with pytest.raises(MalformedPartition, match=r"nodes without a cell: \['b'\]"):
+            compose_cells([cell], simple_registry({"s0": ["a", "b"]}))
+
+    def test_cell_node_outside_registry_names_the_cell(self):
+        cell = CellMatrices("c7", ("a", "x"), np.eye(2) * fF, np.zeros((2, 2)))
+        with pytest.raises(UnknownNode, match=r"cell 'c7' nodes not in the registry: \['x'\]"):
+            compose_cells([cell], simple_registry({"s0": ["a"]}))
+
+    def test_junction_of_no_subsystem_rejected(self):
+        j = JunctionElement("j1", "a", "b", "nosuch")
+        with pytest.raises(MalformedPartition, match="junction 'j1' names no subsystem: 'nosuch'"):
+            CompositeNetlist(simple_registry({"s0": ["a", "b"]}), np.eye(2) * fF,
+                             np.zeros((2, 2)), (j,))
+
+    def test_subsystem_of(self):
+        reg = simple_registry({"s0": ["a"], "s1": ["b"]}, couplers=["m"])
+        assert [reg.subsystem_of(n) for n in ("a", "b", "m")] == ["s0", "s1", None]
 
     def test_lexicographic_node_order(self):
         reg = simple_registry({"s0": ["zz", "aa"], "s1": ["mm"]}, couplers=["bb"])
@@ -1080,7 +1091,7 @@ def modular_devices(draw):
         junction = JunctionElement(f"j{k}", *ends, f"q{k}", cj=rng.uniform(0.0, 3.0) * fF)
         maxwell = embed_maxwell(CellMatrices(f"cell{k}", tuple(nodes), c * fF, l_inv / nH),
                                 "gnd", ground * fF)
-        node_cell = reduce_maxwell(maxwell, "gnd")
+        node_cell = reduce_maxwell(maxwell, "gnd", f"cell{k}")
         cells.append(CellMatrices(f"cell{k}", node_cell.nodes, node_cell.c_mat, l_inv / nH,
                                   junctions=(junction,)))
     return cells, simple_registry(subsystems, couplers=couplers), lj

@@ -193,9 +193,6 @@ class DeviceConfig:
     raw: Mapping[str, Any] = field(default_factory=dict, compare=False)
     base_dir: Path = Path(".")
 
-    def subsystem_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.transmons) + tuple(l.name for l in self.lines)
-
     def with_override(self, dotted_path: str, value) -> "DeviceConfig":
         """New config with one raw field replaced; list entries are addressed
         by their id/name key (for example ``junctions.j1.lj_nh``)."""

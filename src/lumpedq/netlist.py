@@ -11,18 +11,14 @@ pipeline is:
     --coupler_kernel/schur_eliminate(L_inv, C)--> inductive couplers removed
     --extract_blocks--> dressed subsystem blocks and pairwise couplings
 
-Cells are small and stay dense. The device is their union, so its
-matrices are almost empty: from ``compose_cells`` through the rotation to
-the first elimination pass, C and L_inv are ``scipy.sparse`` CSR arrays.
-That pass keeps only the few subsystem coordinates, so it returns them as
-small dense arrays, and the second pass and ``ReducedCircuit`` work on
-those. Every stage reads a matrix, dense or CSR, as the (rows, cols, vals)
-index arrays of its nonzero entries and builds each result matrix once: the
-rotation is read off the junction forest and applied as a sparse
-congruence, and each elimination solves the islands of its coupler block
-one at a time, as small dense blocks. Whether a coupler block is singular
-is decided from its Gershgorin bounds where they suffice, and from the
-spectra of its islands only where they do not.
+Each cell first eliminates its private coupler pads: those that lie in it
+alone, on no junction, with a zero L_inv row. By the quotient property of
+Schur complements this equals eliminating them in the device; where C joins
+them to another coupler they stay, and the device pass eliminates them
+with it. So the device is a few nodes, and every device matrix is a small
+dense array. Each elimination solves its block whole; whether the block is
+singular is decided from its Gershgorin bounds where they suffice, and from
+its spectrum only where they do not.
 
 All functions are pure; returned dataclasses are frozen and safe to share
 across threads or sweep workers.
@@ -37,10 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy import constants
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DependentJunctionLoop,
@@ -78,30 +71,29 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(m, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise unless the dense or sparse ``m`` is symmetric to ``rtol``."""
-    if sp.issparse(m):
-        rows, cols, vals = _coo(m)
-        diff = _add_up(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                       np.concatenate((vals, -vals)), m.shape[0])[2]
-    else:
-        vals, diff = m, m - m.T
-    scale = np.abs(vals).max(initial=0.0) or 1.0
-    asym = np.abs(diff).max(initial=0.0)
+def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
+    """Raise unless ``m`` is symmetric to ``rtol``."""
+    scale = np.abs(m).max(initial=0.0) or 1.0
+    asym = np.abs(m - m.T).max(initial=0.0)
     if asym > rtol * scale:
         raise MalformedMatrix(f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})")
 
 
-def check_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
-    """Raise unless the dense or sparse ``m`` is positive semi-definite to
-    ``rtol``. A factorization that succeeds only on a positive definite
-    matrix accepts it at a fraction of an eigensolve; only a matrix it
-    rejects (singular or indefinite) pays for a dense ``eigvalsh``, which
-    decides the case and words the error."""
-    if m.shape[0] == 0 or _positive_definite(m):
+def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
+    """Raise unless ``m`` is positive semi-definite to ``rtol``. A Cholesky
+    factorization, which succeeds only on a positive definite matrix,
+    accepts it at a fraction of an eigensolve; only a matrix it rejects
+    (singular or indefinite) pays for an ``eigvalsh``, which decides the
+    case and words the error."""
+    if m.shape[0] == 0:
         return
+    try:
+        scipy.linalg.cholesky(_symmetrize(m), lower=True)
+        return
+    except np.linalg.LinAlgError:  # not positive definite
+        pass
     # every full spectrum here is divide and conquer (dsyevd), as in numpy's eigvalsh
-    w = scipy.linalg.eigvalsh(_symmetrize(m.toarray() if sp.issparse(m) else m), driver="evd")
+    w = scipy.linalg.eigvalsh(_symmetrize(m), driver="evd")
     largest = max(w[-1], 0.0) or 1.0
     if w[0] < -rtol * largest:
         raise MalformedMatrix(
@@ -109,101 +101,8 @@ def check_psd(m, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
         )
 
 
-def _positive_definite(m) -> bool:
-    """Cholesky for a dense matrix. A sparse one is factored as P A P^T = L U
-    with diagonal pivots only; then U's diagonal is the D of an LDL^T
-    factorization, and by Sylvester's law of inertia A is positive definite
-    exactly when every pivot is positive."""
-    try:
-        if not sp.issparse(m):
-            scipy.linalg.cholesky(_symmetrize(m), lower=True)
-            return True
-        # the CSC transpose of a symmetric CSR matrix is the matrix itself
-        lu = splu(m.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except (np.linalg.LinAlgError, RuntimeError):  # not positive definite / exactly singular
-        return False
-    return np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0))
-
-
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-# ---------------------------------------------------------------------------
-# matrices as index arrays
-# ---------------------------------------------------------------------------
-
-def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of the nonzero entries of a dense array or a
-    canonical CSR array, in row-major order; stored zeros are skipped."""
-    if not sp.issparse(m):
-        rows, cols = np.nonzero(m)
-        return rows, cols, m[rows, cols]
-    rows = np.arange(m.shape[0]).repeat(m.indptr[1:] - m.indptr[:-1])
-    nonzero = m.data != 0
-    return rows[nonzero], m.indices[nonzero].astype(np.intp), m.data[nonzero]
-
-
-def _from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_array:
-    """The n x n CSR array of distinct (rows, cols, vals) entries listed in
-    row-major order."""
-    return sp.csr_array((vals, cols, rows.searchsorted(np.arange(n + 1))), shape=(n, n))
-
-
-def _add_up(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (rows, cols, sums) in row-major order of the n x n matrix
-    whose entries are the sums of the (rows, cols, vals) triplets;
-    duplicates add in the order listed, as a dense scatter-add would. The
-    sums are float even for no triplets, where ``bincount`` gives int64."""
-    keys = rows.astype(np.int64) * n + cols
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    sums = np.bincount(first.cumsum() - 1, weights=vals[order]).astype(float, copy=False)
-    keys = keys[first]
-    return keys // n, keys % n, sums
-
-
-def _symmetric_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_array:
-    """The symmetric part 0.5 (M + M^T), as CSR, of the n x n matrix M whose
-    entries are the sums of the (rows, cols, vals) triplets; entries that
-    add to zero are dropped. Halving is exact, so 0.5 M[i, j] + 0.5 M[j, i]
-    equals 0.5 (M[i, j] + M[j, i]) bit for bit."""
-    rows, cols, vals = _add_up(rows, cols, vals, n)
-    half = 0.5 * vals
-    rows, cols, sym = _add_up(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                              np.concatenate((half, half)), n)
-    nonzero = sym != 0
-    return _from_coo(rows[nonzero], cols[nonzero], sym[nonzero], n)
-
-
-def _times(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-           s: sp.csr_array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unsummed triplets of A @ s for the A with entries (rows, cols, vals):
-    entry A[i, j] contributes A[i, j] s[j, b] to (i, b) for each nonzero of
-    row j of s, listed in A's order."""
-    count = (s.indptr[1:] - s.indptr[:-1])[cols]
-    entry = np.arange(rows.size).repeat(count)
-    at = s.indptr[cols[entry]] + np.arange(entry.size) - (count.cumsum() - count).repeat(count)
-    return rows[entry], s.indices[at].astype(np.intp), vals[entry] * s.data[at]
-
-
-def _dense_block(m, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """m[np.ix_(rows, cols)] of a dense or CSR ``m`` as a dense array, for
-    distinct rows and cols."""
-    row_at = np.zeros(m.shape[0], dtype=np.intp) - 1
-    col_at = np.zeros(m.shape[1], dtype=np.intp) - 1
-    row_at[rows] = np.arange(len(rows))
-    col_at[cols] = np.arange(len(cols))
-    r, c, vals = _coo(m)
-    r, c = row_at[r], col_at[c]
-    inside = (r >= 0) & (c >= 0)
-    out = np.zeros((len(rows), len(cols)))
-    out[r[inside], c[inside]] = vals[inside]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +236,8 @@ class CellMatrices:
             raise DimensionMismatch(
                 f"cell {self.ident!r}: {n} nodes but matrices {c.shape} and {li.shape}"
             )
+        if len(set(self.nodes)) != n:
+            raise MalformedMatrix(f"cell {self.ident!r}: duplicate node names")
         check_symmetric(c, f"cell {self.ident!r} capacitance")
         check_symmetric(li, f"cell {self.ident!r} inverse inductance")
         check_psd(c, f"cell {self.ident!r} capacitance")
@@ -344,22 +245,32 @@ class CellMatrices:
 
 @dataclass(frozen=True)
 class CompositeNetlist:
-    """Assembled device-level matrices in the node-to-datum flux basis, held
-    as sparse CSR arrays (dense input is converted)."""
+    """Assembled device-level matrices in the node-to-datum flux basis, on
+    the registry nodes that no cell condensed (``labels``, in registry
+    order).
+
+    ``condensed`` names the nodes eliminated inside their cells, and
+    ``c_bare`` is C on ``labels`` before that elimination (``c_mat`` when
+    nothing was condensed): the naive model expands the bare C."""
 
     registry: NodeRegistry
-    c_mat: sp.csr_array
-    l_inv: sp.csr_array
+    c_mat: np.ndarray
+    l_inv: np.ndarray
     junctions: tuple[JunctionElement, ...]
+    condensed: tuple[str, ...] = ()
+    c_bare: np.ndarray | None = None
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("c_mat", "l_inv"):
-            m = getattr(self, name)
-            if not isinstance(m, sp.csr_array) or m.dtype != np.float64:
-                m = sp.csr_array(m, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise MalformedMatrix(f"expected a square matrix, got shape {m.shape}")
-            m.sum_duplicates()  # canonical form: sorted column indices, no duplicates
+        gone = set(self.condensed)
+        object.__setattr__(self, "labels", tuple(n for n in self.registry.nodes if n not in gone))
+        if self.c_bare is None:
+            object.__setattr__(self, "c_bare", self.c_mat)
+        n = len(self.labels)
+        for name in ("c_mat", "l_inv", "c_bare"):
+            m = _as_matrix(getattr(self, name))
+            if m.shape != (n, n):
+                raise DimensionMismatch(f"composite {name} is {m.shape} for {n} nodes")
             object.__setattr__(self, name, m)
         check_symmetric(self.c_mat, "composite capacitance")
         check_symmetric(self.l_inv, "composite inverse inductance")
@@ -369,19 +280,17 @@ class CompositeNetlist:
                 raise MalformedPartition(
                     f"junction {j.ident!r} names no subsystem: {j.subsystem!r}")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.registry.nodes
-
 
 @dataclass(frozen=True)
 class ReductionRecord:
     """Transformations applied on the way to the reduced basis."""
 
-    # junction-basis capacitance before elimination, restricted to the
-    # retained coordinates in ReducedCircuit.labels order
+    # junction-basis capacitance before any elimination, in-cell or device,
+    # restricted to the retained coordinates in ReducedCircuit.labels order
     c_rotated: np.ndarray
-    eliminated: tuple[str, ...]  # coupler coordinates removed, first pass first
+    # coupler coordinates removed: those condensed in their cells, then the
+    # first pass's, then the second's
+    eliminated: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -471,45 +380,71 @@ def _two_terminal_stamp(index: Mapping[str, int], datum: str,
 
 
 def compose_cells(cells: Sequence[CellMatrices], registry: NodeRegistry) -> CompositeNetlist:
-    """Scatter-add cell matrices into the global node order and stamp each
-    junction's intrinsic capacitance C_J across its terminal pair; its L_j
-    stays out of L_inv. Each device matrix is built once, as sparse CSR,
-    from the entries of all cells and stamps.
+    """Condense each cell's private coupler pads, then scatter-add the cells
+    into the global node order and stamp each junction's intrinsic
+    capacitance C_J across its terminal pair; its L_j stays out of L_inv.
+
+    A cell's private pads are its couplers that lie in no other cell and on
+    no junction, and whose L_inv row is zero. The cell eliminates them as
+    one block, by ``schur_eliminate``, unless C joins them to another
+    coupler: then they stay, and the device pass eliminates them with it.
 
     Every cell node must be a registry node, and every registry node must
     lie in a cell."""
     nodes = registry.nodes
     index = {n: i for i, n in enumerate(nodes)}
-    in_cell = np.zeros(len(nodes), dtype=bool)
-    rows, cols, c_vals, l_vals = [], [], [], []
-    junctions: list[JunctionElement] = []
+    holders = np.zeros(len(nodes), dtype=np.intp)  # how many cells hold each node
+    places = []
     for cell in cells:
         unknown = [node for node in cell.nodes if node not in index]
         if unknown:
             raise UnknownNode(f"cell {cell.ident!r} nodes not in the registry: {unknown}")
-        at = np.array([index[node] for node in cell.nodes], dtype=np.intp)
-        in_cell[at] = True
-        r, k = np.nonzero((cell.c_mat != 0) | (cell.l_inv != 0))
-        rows.append(at[r])
-        cols.append(at[k])
-        c_vals.append(cell.c_mat[r, k])
-        l_vals.append(cell.l_inv[r, k])
-        junctions.extend(cell.junctions)
-    missing = [nodes[i] for i in (~in_cell).nonzero()[0]]
+        places.append(np.array([index[node] for node in cell.nodes], dtype=np.intp))
+        holders[places[-1]] += 1
+    missing = [nodes[i] for i in (holders == 0).nonzero()[0]]
     if missing:
         raise MalformedPartition(f"nodes without a cell: {missing}")
-    stamps = np.array([(i, k, sign * j.cj)
-                       for j in junctions
-                       for i, k, sign in _two_terminal_stamp(index, registry.datum,
-                                                             j.node_neg, j.node_pos)]).reshape(-1, 3)
-    rows = np.concatenate([*rows, stamps[:, 0].astype(np.intp)])
-    cols = np.concatenate([*cols, stamps[:, 1].astype(np.intp)])
-    n = len(nodes)
+    junctions = tuple(j for cell in cells for j in cell.junctions)
+    coupler = np.array([node in registry.couplers for node in nodes], dtype=bool)
+    private = coupler & (holders == 1)
+    private[[index[n] for j in junctions for n in (j.node_neg, j.node_pos) if n in index]] = False
+
+    gone = np.zeros(len(nodes), dtype=bool)
+    kept, c_parts, bare_parts, l_parts = [], [], [], []  # per cell, on its remaining nodes
+    for cell, at in zip(cells, places):
+        c, l_inv, keep = cell.c_mat, cell.l_inv, slice(None)
+        r = private[at] & ~l_inv.any(axis=1)
+        if r.any() and not c[np.ix_(r, coupler[at] & ~r)].any():
+            c, l_inv, keep = schur_eliminate(c, l_inv, r.nonzero()[0], "capacitance",
+                                             cell.nodes, cell.ident)
+            gone[at[r]] = True
+        kept.append(at[keep])
+        c_parts.append(c)
+        bare_parts.append(cell.c_mat[keep][:, keep])
+        l_parts.append(l_inv)
+
+    position = (~gone).cumsum() - 1  # a remaining node's row in the device matrices
+    n = len(nodes) - int(gone.sum())
+    stamps = [(position[i], position[k], sign * j.cj)
+              for j in junctions
+              for i, k, sign in _two_terminal_stamp(index, registry.datum, j.node_neg, j.node_pos)]
+
+    def assemble(parts: list[np.ndarray], stamps=()) -> np.ndarray:
+        m = np.zeros((n, n))
+        for at, part in zip(kept, parts):
+            rows = position[at]
+            m[np.ix_(rows, rows)] += part
+        for i, k, value in stamps:
+            m[i, k] += value
+        return _symmetrize(m)
+
     return CompositeNetlist(
         registry=registry,
-        c_mat=_symmetric_csr(rows, cols, np.concatenate([*c_vals, stamps[:, 2]]), n),
-        l_inv=_symmetric_csr(rows, cols, np.concatenate([*l_vals, np.zeros(len(stamps))]), n),
-        junctions=tuple(junctions),
+        c_mat=assemble(c_parts, stamps),
+        l_inv=assemble(l_parts),
+        junctions=junctions,
+        condensed=tuple(nodes[i] for i in gone.nonzero()[0]),
+        c_bare=assemble(bare_parts, stamps) if gone.any() else None,
     )
 
 
@@ -558,30 +493,23 @@ def _junction_pivots(net: CompositeNetlist) -> dict[str, tuple[str, str]]:
     return pivots
 
 
-def _sparse_congruence(m: sp.csr_array, s: sp.csr_array) -> sp.csr_array:
-    """s.T @ m @ s for a symmetric m, as two products on index arrays: t =
-    m @ s, then (s.T @ t).T = t.T @ s, each entry summed over rising node
-    index. A row of s with one nonzero (nearly all of them) makes this a
-    signed gather of m."""
-    n = s.shape[1]
-    rows, cols, vals = _add_up(*_times(*_coo(m), s), n)
-    return _symmetric_csr(*_times(cols, rows, vals, s), n)
+def _congruence(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s.T @ m @ s for a symmetric m, symmetrized."""
+    return _symmetrize(s.T @ (m @ s))
 
 
 def rotate_to_junction_basis(
     net: CompositeNetlist,
-) -> tuple[sp.csr_array, sp.csr_array, tuple[str, ...], sp.csr_array]:
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
     """Rotate the node-flux basis so every junction flux phi_j = phi(n2) -
     phi(n1) is an explicit coordinate, listed first.
 
     Returns (C, L_inv, labels, s_n) with C = s_n.T @ C_n @ s_n and
-    L_inv = s_n.T @ L_inv_n @ s_n, all sparse CSR; s_n is integer-valued and
-    invertible.
+    L_inv = s_n.T @ L_inv_n @ s_n; s_n is integer-valued and invertible.
 
     s_n is read off the junction forest: a node that keeps its own
     coordinate has a unit row, and each pivot node's row is its parent's row
-    plus or minus its junction's coordinate (the datum's row is zero). The
-    unit rows are index arrays; only the pivot rows are built one by one.
+    plus or minus its junction's coordinate (the datum's row is zero).
     """
     nodes = net.labels
     datum = net.registry.datum
@@ -590,61 +518,44 @@ def rotate_to_junction_basis(
     kept = np.ones(len(nodes), dtype=bool)
     kept[[index[pivot] for _, pivot in pivots.values()]] = False
     kept_rows = kept.nonzero()[0]
-    unit_column = len(net.junctions) + kept.cumsum() - 1  # column of a kept node's unit row
+    n_j = len(net.junctions)
     labels = [j.ident for j in net.junctions] + [nodes[i] for i in kept_rows]
 
-    # the pivot rows of s_n, as {column: +-1}
-    pivot_rows: dict[str, dict[int, int]] = {}
+    # square unless two junctions share an ident, which the check below refuses
+    s_n = np.zeros((len(nodes), len(labels)))
+    s_n[kept_rows, n_j + np.arange(kept_rows.size)] = 1.0
+    zero = np.zeros(len(labels))
 
-    def s_row(node: str) -> dict[int, int]:
-        if node == datum:
-            return {}
-        if node in pivot_rows:
-            return pivot_rows[node]
-        return {int(unit_column[index[node]]): 1}
+    def s_row(node: str) -> np.ndarray:
+        return zero if node == datum else s_n[index[node]]
 
     junction_by_id = {j.ident: j for j in net.junctions}
     column = {j.ident: k for k, j in enumerate(net.junctions)}
     for ident, (parent, pivot) in pivots.items():
-        sign = 1 if pivot == junction_by_id[ident].node_pos else -1
-        pivot_rows[pivot] = {**s_row(parent), column[ident]: sign}
+        s_n[index[pivot]] = s_row(parent)
+        s_n[index[pivot], column[ident]] = 1.0 if pivot == junction_by_id[ident].node_pos else -1.0
 
     # t, the inverse of s_n, maps node fluxes to the rotated coordinates:
     # its row k is e_pos - e_neg for a junction and e_node for a kept node.
     # (t s_n) is the identity on a kept node's row by construction, so only
     # the junction rows are checked.
     for k, j in enumerate(net.junctions):
-        product = dict(s_row(j.node_pos))
-        for col, v in s_row(j.node_neg).items():
-            product[col] = product.get(col, 0) - v
-        if {col: v for col, v in product.items() if v} != {k: 1}:
+        product = s_row(j.node_pos) - s_row(j.node_neg)
+        if product[k] != 1.0 or np.count_nonzero(product) != 1:
             raise DependentJunctionLoop("junction basis transformation is not invertible")
 
-    entries = [(index[node], col, v) for node, row in pivot_rows.items() for col, v in row.items()]
-    rows, cols, vals = np.array(entries, dtype=np.intp).reshape(-1, 3).T
-    rows = np.concatenate((rows, kept_rows))
-    cols = np.concatenate((cols, unit_column[kept_rows]))
-    vals = np.concatenate((vals, np.ones(kept_rows.size, dtype=np.intp)))
-    order = np.lexsort((cols, rows))  # row-major
-    s_n = _from_coo(rows[order], cols[order], vals[order].astype(float), len(nodes))
-    c = _sparse_congruence(net.c_mat, s_n)
-    l_inv = _sparse_congruence(net.l_inv, s_n)
-    return c, l_inv, tuple(labels), s_n
+    return _congruence(net.c_mat, s_n), _congruence(net.l_inv, s_n), tuple(labels), s_n
 
 
-def coupler_class_warnings(c_mat, l_inv, labels: Sequence[str],
+def coupler_class_warnings(c_mat: np.ndarray, l_inv: np.ndarray, labels: Sequence[str],
                            registry: NodeRegistry) -> list[str]:
     """Check the non-dynamical sufficiency condition for every declared
     coupler coordinate (touched by one element class only) and warn on
     failures. Runs in the junction basis: a junction's inductance belongs to
-    its own flux coordinate, not to the terminal pads it spans. The matrices
-    may be dense or CSR."""
-    def touched(m) -> np.ndarray:
-        rows, _, vals = _coo(m)
-        vals = np.abs(vals)
-        hit = np.zeros(len(labels), dtype=bool)
-        hit[rows[vals > 1e-14 * (vals.max(initial=0.0) or 1.0)]] = True
-        return hit
+    its own flux coordinate, not to the terminal pads it spans."""
+    def touched(m: np.ndarray) -> np.ndarray:
+        size = np.abs(m)
+        return (size > 1e-14 * (size.max(initial=0.0) or 1.0)).any(axis=1)
 
     messages = []
     index = {lab: i for i, lab in enumerate(labels)}
@@ -663,153 +574,101 @@ def coupler_class_warnings(c_mat, l_inv, labels: Sequence[str],
     return messages
 
 
-def coupler_kernel(mat, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
-    """Indices of the declared coupler coordinates that lie in ker(mat), for
-    a dense or CSR ``mat``.
+def coupler_kernel(mat: np.ndarray, labels: Sequence[str], registry: NodeRegistry) -> list[int]:
+    """Indices of the declared coupler coordinates that lie in ker(mat).
 
     Subsystem-owned kernel directions (for instance the uniform mode of an
     open-ended line) are never candidates.
     """
     candidates = [i for i, lab in enumerate(labels) if registry.is_coupler(lab)]
-    rows, cols, vals = _coo(mat)
-    if not candidates or not vals.size:
+    if not candidates or not mat.any():
         return candidates
-    # ||mat||_2, the largest singular value, equals that of its block on the
-    # nonzero rows and columns
-    occupied = np.zeros((2, mat.shape[0]), dtype=bool)
-    occupied[0, rows] = occupied[1, cols] = True
-    block = _dense_block(mat, occupied[0].nonzero()[0], occupied[1].nonzero()[0])
-    scale = scipy.linalg.svdvals(block)[0]
-    norms = np.sqrt(np.bincount(cols, weights=vals * vals, minlength=mat.shape[1]))
+    scale = scipy.linalg.svdvals(mat)[0]  # ||mat||_2
+    norms = np.sqrt((mat * mat).sum(axis=0))
     return [i for i in candidates if norms[i] <= KERNEL_RTOL * scale]
 
 
 def schur_eliminate(
-    schur,
-    other,
+    schur: np.ndarray,
+    other: np.ndarray,
     eliminate: Sequence[int],
     block: str,
+    labels: Sequence[str] | None = None,
+    cell: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Eliminate the ``eliminate`` coordinates: take the Schur complement of
     the ``schur`` quadratic form onto the kept coordinates and restrict
-    ``other`` to them. Both matrices may be dense or CSR; the results are
-    dense, since few coordinates are kept. ``block`` names the Schur block
-    in the error raised when it is singular.
+    ``other`` to them. The eliminated block is solved whole, against every
+    kept coordinate. ``block`` names the Schur block, and ``labels`` the
+    coordinates (indices when not given) of the ``cell`` that eliminates
+    them (the device when not given), in the error raised when the block is
+    singular.
 
-    The eliminated block is split into the islands of its nonzero pattern
-    (couplers of different cells share no entries); each island is solved
-    on its own as a dense block, and its update reaches only the kept rows
-    that touch it; the updates are subtracted in island order.
-
-    The block is singular when its smallest eigenvalue, over all islands,
-    is at most ``SINGULAR_RATIO`` times its largest. Gershgorin bounds,
-    taken in one pass over the block's entries, decide most blocks: when
-    the lower bound is positive and above ``SINGULAR_RATIO`` times the
-    upper one, the exact rule accepts the block too, and no spectrum is
-    computed. This holds for grounded coupler pads, whose rows are
-    diagonally dominant. Otherwise (a floating island, a zero row, islands
-    of very different scales, or a block that is not diagonally dominant)
-    the full spectrum of every island decides the case and words the error.
+    The block is singular when its smallest eigenvalue is at most
+    ``SINGULAR_RATIO`` times its largest. Its Gershgorin bounds decide most
+    blocks: when the lower bound is positive and above ``SINGULAR_RATIO``
+    times the upper one, the exact rule accepts the block too, and no
+    spectrum is computed. This holds for grounded coupler pads, whose rows
+    are diagonally dominant. Otherwise (a floating island, a zero row,
+    islands of very different scales, or a block that is not diagonally
+    dominant) its spectrum decides the case and words the error.
 
     Returns (schur_reduced, other_reduced, keep), keep in ascending order.
     """
     dropped = np.zeros(schur.shape[0], dtype=bool)
     dropped[np.asarray(eliminate, dtype=np.intp)] = True
-    keep = ~dropped
-    kept = keep.nonzero()[0]
-    if not dropped.any():
-        return _dense_block(schur, kept, kept), _dense_block(other, kept, kept), kept.tolist()
-    rows, cols, vals = _coo(schur)
-    local = dropped.cumsum() - 1  # position among the eliminated coordinates
-    new = keep.cumsum() - 1  # position among the kept coordinates
-    n_r = int(local[-1]) + 1
-    inner = dropped[rows] & dropped[cols]
-    edge = keep[rows] & dropped[cols]
-    a, b = local[rows[inner]], local[cols[inner]]
-
-    # islands of the symmetric pattern of the eliminated block, which scipy
-    # numbers in the order of their smallest member
-    links = _add_up(np.concatenate((a, b)), np.concatenate((b, a)), np.ones(2 * a.size), n_r)
-    count, island = connected_components(_from_coo(*links, n_r), connection="strong")
-    members, first = _grouped(island, count)
-    slot = np.empty(n_r, dtype=np.intp)  # position within its island
-    slot[members] = np.arange(n_r) - first[island[members]]
-
-    # each island's block, and its couplings to the kept rows that touch it
-    v = vals[inner]
-    lower, upper = _gershgorin_bounds(a, b, v, n_r)
-    order, start = _grouped(island[a], count)
-    a, b, v = slot[a[order]], slot[b[order]], v[order]
-    blocks = []
-    for k in range(count):
-        rr = np.zeros((first[k + 1] - first[k],) * 2)
-        rr[a[start[k]:start[k + 1]], b[start[k]:start[k + 1]]] = v[start[k]:start[k + 1]]
-        blocks.append(rr)
+    r, keep = dropped.nonzero()[0], (~dropped).nonzero()[0]
+    kk = np.ix_(keep, keep)
+    if not r.size:
+        return schur[kk], other[kk], keep.tolist()
+    rr = schur[np.ix_(r, r)]
+    lower, upper = _gershgorin_bounds(rr)
     if not (lower > 0.0 and lower > SINGULAR_RATIO * upper):
-        # the bounds cannot decide; the extreme eigenvalues of the islands do
-        spectra = [scipy.linalg.eigvalsh(_symmetrize(rr), driver="evd") for rr in blocks]
-        lowest = min(w[0] for w in spectra)
-        highest = max(w[-1] for w in spectra)
-        if lowest <= SINGULAR_RATIO * max(highest, 0.0) or highest <= 0.0:
+        # the bounds cannot decide; the extreme eigenvalues do
+        w = scipy.linalg.eigvalsh(_symmetrize(rr), driver="evd")
+        if w[0] <= SINGULAR_RATIO * max(w[-1], 0.0) or w[-1] <= 0.0:
+            names = r.tolist() if labels is None else [labels[i] for i in r]
+            where, what = ("", "coordinates") if cell is None else (f" of cell {cell!r}", "nodes")
             raise SingularCouplerBlock(
-                f"coupler {block} block is numerically singular; an eliminated "
-                f"coupler island is not connected through the {block} matrix"
+                f"coupler {block} block{where} is numerically singular; the eliminated "
+                f"{what} {names} hold an island not connected through the {block} matrix"
             )
-
-    kept_rows, c = rows[edge], local[cols[edge]]
-    order, start = _grouped(island[c], count)
-    kept_rows, c, v = kept_rows[order], slot[c[order]], vals[edge][order]
-    reduced = _dense_block(schur, kept, kept)
-    for k, rr in enumerate(blocks):
-        seg = slice(start[k], start[k + 1])
-        touching, at = np.unique(kept_rows[seg], return_inverse=True)
-        kr = np.zeros((touching.size, rr.shape[0]))
-        kr[at, c[seg]] = v[seg]
-        reduced[np.ix_(new[touching], new[touching])] -= (
-            kr @ scipy.linalg.solve(rr, kr.T, assume_a="gen"))
-    return _symmetrize(reduced), _dense_block(other, kept, kept), kept.tolist()
+    kr = schur[np.ix_(keep, r)]
+    reduced = schur[kk] - kr @ scipy.linalg.solve(rr, kr.T, assume_a="gen")
+    return _symmetrize(reduced), other[kk], keep.tolist()
 
 
-def _gershgorin_bounds(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                       n: int) -> tuple[float, float]:
+def _gershgorin_bounds(m: np.ndarray) -> tuple[float, float]:
     """Bounds (lower, upper) on the spectrum of the symmetric part of the
-    n x n matrix with distinct entries (rows, cols, vals), by Gershgorin's
-    circle theorem (Golub & Van Loan, *Matrix Computations*): lower is the
-    least a_ii - r_i and upper the largest |a_ii| + r_i. The radius r_i of
-    row i is half the off-diagonal magnitudes of its row and its column,
-    which bounds the sum of |a_ij + a_ji| / 2 and equals it for a symmetric
-    matrix."""
-    on = rows == cols
-    diag = np.bincount(rows[on], weights=vals[on], minlength=n)
-    size = np.abs(vals[~on])
-    radius = 0.5 * (np.bincount(rows[~on], weights=size, minlength=n)
-                    + np.bincount(cols[~on], weights=size, minlength=n))
+    square ``m``, by Gershgorin's circle theorem (Golub & Van Loan, *Matrix
+    Computations*): lower is the least a_ii - r_i and upper the largest
+    |a_ii| + r_i. The radius r_i of row i is half the off-diagonal
+    magnitudes of its row and its column, which bounds the sum of
+    |a_ij + a_ji| / 2 and equals it for a symmetric matrix."""
+    diag = m.diagonal()
+    size = np.abs(m)
+    np.fill_diagonal(size, 0.0)
+    radius = 0.5 * (size.sum(axis=1) + size.sum(axis=0))
     return float((diag - radius).min()), float((np.abs(diag) + radius).max())
-
-
-def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stable order that sorts an integer key in [0, count), and where
-    each key's run starts in it (count + 1 bounds)."""
-    bounds = np.zeros(count + 1, dtype=np.intp)
-    bounds[1:] = np.bincount(key, minlength=count).cumsum()
-    return key.argsort(kind="stable"), bounds
 
 
 def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
     """Rotate to the junction basis, then eliminate the coupler coordinates
     in two passes: those in ker(L_inv) by a Schur complement of C, then
-    those in ker(C) by a Schur complement of L_inv. The matrices are sparse
-    until the first pass, which returns the small retained block dense."""
-    c, l_inv, labels, _ = rotate_to_junction_basis(net)
+    those in ker(C) by a Schur complement of L_inv. The record lists the
+    nodes the cells condensed first, and keeps the bare C (``net.c_bare``)
+    on the retained coordinates."""
+    c, l_inv, labels, s_n = rotate_to_junction_basis(net)
     coupler_class_warnings(c, l_inv, labels, net.registry)
 
     first = coupler_kernel(l_inv, labels, net.registry)
-    c1, l1, keep1 = schur_eliminate(c, l_inv, first, "capacitance")
+    c1, l1, keep1 = schur_eliminate(c, l_inv, first, "capacitance", labels)
     labels1 = [labels[i] for i in keep1]
     second = coupler_kernel(c1, labels1, net.registry)
-    l2, c2, keep2 = schur_eliminate(l1, c1, second, "inverse inductance")
+    l2, c2, keep2 = schur_eliminate(l1, c1, second, "inverse inductance", labels1)
     labels2 = tuple(labels1[i] for i in keep2)
-    eliminated = tuple(labels[i] for i in first) + tuple(labels1[i] for i in second)
+    eliminated = (net.condensed + tuple(labels[i] for i in first)
+                  + tuple(labels1[i] for i in second))
 
     leftovers = [lab for lab in labels2 if net.registry.is_coupler(lab)]
     if leftovers:
@@ -827,7 +686,8 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
             block_lists[net.registry.subsystem_of(lab)].append(i)
 
     retained = [keep1[i] for i in keep2]
-    record = ReductionRecord(c_rotated=_dense_block(c, retained, retained), eliminated=eliminated)
+    c_bare = c if net.c_bare is net.c_mat else _congruence(net.c_bare, s_n)
+    record = ReductionRecord(c_rotated=c_bare[np.ix_(retained, retained)], eliminated=eliminated)
     return ReducedCircuit(
         labels=labels2, c_mat=c2, l_inv=l2,
         block_index={k: tuple(v) for k, v in block_lists.items()},

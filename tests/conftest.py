@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 from scipy import constants
 from scipy.special import mathieu_a, mathieu_b
@@ -12,7 +11,7 @@ from lumpedq.composite import (
     pair_terms,
     product_basis,
 )
-from lumpedq.netlist import CellMatrices, MaxwellMatrix, NodeRegistry, compose_cells
+from lumpedq.netlist import CompositeNetlist, MaxwellMatrix, NodeRegistry
 from lumpedq.subsystems import TransmonSpec, diagonalize_transmon, outer_sum, quantize_line
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 
@@ -41,8 +40,8 @@ def random_circuit(
     """Random well-conditioned circuit: capacitors everywhere, inductors only
     inside subsystems, couplers touched by capacitors only.
 
-    Returns a CompositeNetlist with one or two subsystems and the requested
-    coupler count.
+    Returns a CompositeNetlist, on the nodes in name order, with one or two
+    subsystems and the requested coupler count.
     """
     if n_nodes is None:
         n_nodes = int(rng.integers(4, 9))
@@ -91,13 +90,14 @@ def random_circuit(
                 else:
                     l_inv[a, a] += y
 
-    cell = CellMatrices(ident="cell0", nodes=tuple(names), c_mat=c, l_inv=l_inv)
     registry = NodeRegistry(
         datum="gnd",
         subsystems={k: frozenset(subsystems[k]) for k in sorted(subsystems)},
         couplers=frozenset(couplers),
     )
-    return compose_cells([cell], registry)
+    # built directly, not by compose_cells, so that no cell condenses the
+    # couplers and the device's own passes eliminate them
+    return CompositeNetlist(registry, c, l_inv, ())
 
 
 @pytest.fixture
@@ -303,12 +303,12 @@ def merge_maxwell_oracle(m, merge, into):
 
 
 def with_junction_stamps(l_inv, junctions, lj, labels, datum="gnd"):
-    """``l_inv`` (dense or CSR) as a dense array with each junction's linear
-    inductance ``lj[ident]`` added back, as the network would hold it if L_j
-    were a linear inductor: 1/L_j on the junction's own coordinate when
-    ``labels`` hold it (the junction basis), else the two-terminal stamp
-    across its nodes."""
-    out = np.array(l_inv.toarray() if sp.issparse(l_inv) else l_inv)
+    """A copy of ``l_inv`` with each junction's linear inductance
+    ``lj[ident]`` added back, as the network would hold it if L_j were a
+    linear inductor: 1/L_j on the junction's own coordinate when ``labels``
+    hold it (the junction basis), else the two-terminal stamp across its
+    nodes."""
+    out = np.array(l_inv)
     index = {label: i for i, label in enumerate(labels)}
     for j in junctions:
         e = np.zeros(len(labels))

@@ -148,16 +148,12 @@ class TestMaxwellFormat:
 
 
 class TestConfig:
-    def test_benchmark_parses(self, tmp_path):
-        cfg = benchmark_config(tmp_path)
-        assert cfg.analysis.qubit == "qubit"
-        assert cfg.analysis.readout == "readout"
-        assert cfg.subsystem_names() == ("qubit", "readout", "bus2", "bus3")
-
     def test_load_from_file(self, tmp_path):
         path = write_benchmark(tmp_path)
         cfg = load_device_config(path)
         assert cfg.name == "synth-floating-transmon"
+        assert cfg.analysis.qubit == "qubit"
+        assert cfg.analysis.readout == "readout"
 
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="datum"):
@@ -524,6 +520,23 @@ class TestCli:
         (tmp_path / "device.yaml").write_bytes((device_dir / "device.yaml").read_bytes())
         assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
         assert f"line {row + 1}, column 4" in capsys.readouterr().err
+
+    def test_floating_private_pads_exit_code_3(self, device_dir, tmp_path, capsys):
+        """Two private pads coupled only to each other are condensed in their
+        cell; their block is singular, and the error names the cell and both
+        pads."""
+        mat = np.array([[0.0, 0.0, 0.0], [0.0, 3.0, -3.0], [0.0, -3.0, 3.0]])
+        pads = netlist.MaxwellMatrix(names=("g", "fa", "fb"), matrix=mat * 1e-15,
+                                     display_units="fF", display_matrix=mat)
+        (tmp_path / "pads.csv").write_text(serialize_maxwell(pads), encoding="utf-8")
+        (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
+        cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
+        cfg["cells"].append({"id": "pads", "maxwell_file": "pads.csv"})
+        cfg["couplers"] += ["fa", "fb"]
+        (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert run_cli("analyze", str(tmp_path / "device.yaml")) == 3
+        assert ("coupler capacitance block of cell 'pads' is numerically singular; "
+                "the eliminated nodes ['fa', 'fb']") in capsys.readouterr().err
 
     def test_numerical_error_exit_code_3(self, device_dir, tmp_path):
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text())

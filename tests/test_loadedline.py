@@ -324,7 +324,7 @@ class TestDiscreteToContinuum:
         errors = {}
         for n in (50, 100, 200):
             net = ladder_netlist(spec, n)
-            w = normal_mode_frequencies(net.c_mat.toarray(), net.l_inv.toarray())[0]
+            w = normal_mode_frequencies(net.c_mat, net.l_inv)[0]
             errors[n] = abs(w - w_exact) / w_exact
         assert errors[100] < errors[50] / 3.5
         assert errors[200] < errors[100] / 3.5

@@ -1,5 +1,6 @@
 """Circuit data model and the matrix reduction pipeline."""
 
+import dataclasses
 import re
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -24,6 +24,7 @@ from lumpedq.errors import (
     UnknownNode,
 )
 from lumpedq import netlist
+from lumpedq.benchmark import benchmark_maxwell
 from lumpedq.loadedline import LoadedLineSpec
 from lumpedq.netlist import (
     KERNEL_RTOL,
@@ -221,7 +222,7 @@ class TestCompose:
             CellMatrices("c2", ("x",), np.array([[1.0 * fF]]), np.zeros((1, 1))),
         ]
         net = compose_cells(cells, reg)
-        np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
+        np.testing.assert_allclose(net.c_mat, [[2.0 * fF]])
 
     @pytest.mark.parametrize("cj", [-1 * fF, float("nan"), float("inf")])
     def test_junction_capacitance_must_be_finite_and_non_negative(self, cj):
@@ -232,8 +233,8 @@ class TestCompose:
         j = JunctionElement("j1", "gnd", "a", "s0", cj=2 * fF)
         cell = CellMatrices("c1", ("a",), np.zeros((1, 1)), np.zeros((1, 1)), junctions=(j,))
         net = compose_cells([cell], simple_registry({"s0": ["a"]}))
-        np.testing.assert_allclose(net.c_mat.toarray(), [[2.0 * fF]])
-        assert net.l_inv.nnz == 0  # L_j stays out of the linear network
+        np.testing.assert_allclose(net.c_mat, [[2.0 * fF]])
+        assert not net.l_inv.any()  # L_j stays out of the linear network
         np.testing.assert_allclose(with_junction_stamps(net.l_inv, net.junctions,
                                                         {"j1": 10 * nH}, net.labels),
                                    [[0.1 / nH]])
@@ -256,11 +257,11 @@ class TestCompose:
         c[0, 2] = -1e-14 * fF  # within the cell's symmetry tolerance
         cell = CellMatrices("c1", ("a", "b", "c"), c, np.zeros((3, 3)))
         net = compose_cells([cell], simple_registry({"s0": ["a", "b", "c"]}))
-        np.testing.assert_array_equal(net.c_mat.toarray(), 0.5 * (c + c.T))
+        np.testing.assert_array_equal(net.c_mat, 0.5 * (c + c.T))
 
     def test_rank_bounded_by_element_count(self, rng):
         net = random_circuit(rng)
-        l_inv = net.l_inv.toarray()
+        l_inv = net.l_inv
         assert np.linalg.matrix_rank(l_inv, tol=1e-9 * np.linalg.norm(l_inv, 2) or None) \
             <= np.count_nonzero(np.triu(l_inv))
 
@@ -277,8 +278,8 @@ class TestRotation:
         net = compose_cells([cell], simple_registry({"s0": ["p1"]}))
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1",)
-        np.testing.assert_allclose(s_n.toarray(), [[1.0]])
-        np.testing.assert_allclose(c.toarray(), net.c_mat.toarray())
+        np.testing.assert_allclose(s_n, [[1.0]])
+        np.testing.assert_allclose(c, net.c_mat)
 
     def test_pair_junction_new_basis(self):
         j = JunctionElement("j1", "p0", "p1", "s0")
@@ -288,7 +289,7 @@ class TestRotation:
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "p0")
         # no inductor: L_inv is empty, and still float
-        assert l_inv.nnz == 0 and l_inv.dtype == np.float64
+        assert not l_inv.any() and l_inv.dtype == np.float64
         # junction inductance lands purely on the junction coordinate
         np.testing.assert_allclose(with_junction_stamps(l_inv, net.junctions,
                                                         {"j1": 10 * nH}, labels),
@@ -358,7 +359,7 @@ class TestRotation:
         _, _, labels, s_n = rotate_to_junction_basis(net)
         assert labels == ("j1", "j2", "j3", "d", "z")
         # node fluxes: b = -j2, a = b - j1, c = z - j3
-        np.testing.assert_array_equal(s_n.toarray(), [
+        np.testing.assert_array_equal(s_n, [
             [-1, -1, 0, 0, 0],
             [0, -1, 0, 0, 0],
             [0, 0, -1, 0, 1],
@@ -418,7 +419,7 @@ class TestElimination:
         net = ladder_netlist(spec, 20)
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
         uniform = np.ones(len(labels))
-        l_inv_n = net.l_inv.toarray()
+        l_inv_n = net.l_inv
         assert np.linalg.norm(l_inv_n @ uniform) < 1e-9 * np.linalg.norm(l_inv_n, 2)
         assert coupler_kernel(l_inv, labels, net.registry) == []
 
@@ -445,8 +446,8 @@ class TestElimination:
         c, l_inv, labels, _ = rotate_to_junction_basis(net)
         c_k, l_k, keep = schur_eliminate(c, l_inv, [], "capacitance")
         assert keep == list(range(len(labels)))
-        np.testing.assert_allclose(c_k, c.toarray())
-        np.testing.assert_allclose(l_k, l_inv.toarray())
+        np.testing.assert_allclose(c_k, c)
+        np.testing.assert_allclose(l_k, l_inv)
 
     def test_coupler_island_without_capacitive_path(self):
         reg = simple_registry({"s0": ["a"]}, couplers=["p"])
@@ -497,6 +498,12 @@ class TestElimination:
     def test_cell_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             CellMatrices("c1", ("a", "b"), np.array([[1.0 * fF]]), np.zeros((1, 1)))
+
+    def test_cell_duplicate_node_names_rejected(self):
+        # composing would keep one of the node's entries, not their sum
+        c = np.array([[3.0, -1.0], [-1.0, 3.0]]) * fF
+        with pytest.raises(MalformedMatrix, match="cell 'c9': duplicate node names"):
+            CellMatrices("c9", ("a", "a"), c, np.zeros((2, 2)))
 
     def test_mixed_class_coupler_warns_and_raises(self):
         j = JunctionElement("j1", "gnd", "a", "s0")
@@ -553,7 +560,7 @@ class TestReduceNetwork:
             net = random_circuit(rng)
             rc = reduce_network(net)
             reduced = normal_mode_frequencies(rc.c_mat, rc.l_inv)
-            full = normal_mode_frequencies(net.c_mat.toarray(), net.l_inv.toarray())
+            full = normal_mode_frequencies(net.c_mat, net.l_inv)
             np.testing.assert_allclose(reduced, full, rtol=1e-8)
 
     def test_time_domain_oracle(self, rng):
@@ -563,7 +570,7 @@ class TestReduceNetwork:
         rc = reduce_network(net)
         c, l_inv, labels, s_n = rotate_to_junction_basis(net)
         eliminate = coupler_kernel(l_inv, labels, net.registry)
-        c, l_inv = c.toarray(), l_inv.toarray()
+        c, l_inv = c, l_inv
         identity = np.eye(len(labels))
         s_r = identity[:, eliminate]
         s_k = np.delete(identity, eliminate, axis=1)
@@ -800,11 +807,11 @@ def test_sparse_rotation_matches_dense_inverse(net):
     c, l_inv, labels, s_n = rotate_to_junction_basis(net)
     assert labels[:len(net.junctions)] == tuple(j.ident for j in net.junctions)
     s_ref = dense_junction_inverse(net, labels)
-    assert np.array_equal(s_n.toarray(), s_ref)
+    assert np.array_equal(s_n, s_ref)
     for got, node_matrix in ((c, net.c_mat), (l_inv, net.l_inv)):
-        ref = s_ref.T @ node_matrix.toarray() @ s_ref
+        ref = s_ref.T @ node_matrix @ s_ref
         ref = 0.5 * (ref + ref.T)
-        np.testing.assert_allclose(got.toarray(), ref, rtol=1e-12,
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -930,7 +937,7 @@ def all_spectra_rule(m, eliminated):
 
 class TestSingularityDecision:
     """``schur_eliminate`` accepts a block from its Gershgorin bounds when
-    they prove it regular, and otherwise decides from the island spectra."""
+    they prove it regular, and otherwise decides from its spectrum."""
 
     @given(st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from(["grounded", "floating", "scaled", "dense"]),
@@ -966,7 +973,7 @@ class TestSingularityDecision:
         m, r = pad_islands(rng, ["grounded", "floating"], sizes=[4, 5])
         with pytest.raises(SingularCouplerBlock, match="capacitance block"):
             schur_eliminate(m, np.eye(len(m)), r, "capacitance")
-        assert sorted(call.shape for call in eigvalsh_calls) == [(4, 4), (5, 5)]
+        assert [call.shape for call in eigvalsh_calls] == [(9, 9)]
 
     def test_regular_island_the_bounds_cannot_prove_is_accepted(self, rng, eigvalsh_calls):
         m, r = pad_islands(rng, ["dense"], sizes=[6])
@@ -974,6 +981,22 @@ class TestSingularityDecision:
         assert np.any(2 * block.diagonal() < block.sum(axis=1))  # not diagonally dominant
         schur_eliminate(m, np.eye(len(m)), r, "capacitance")
         assert [call.shape for call in eigvalsh_calls] == [(6, 6)]
+
+    def test_singular_device_block_names_its_coordinates(self):
+        c = np.array([[50.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) * fF
+        with pytest.raises(SingularCouplerBlock, match=re.escape(
+                "coupler capacitance block is numerically singular; "
+                "the eliminated coordinates ['p', 'q'] hold an island")):
+            schur_eliminate(c, np.zeros((3, 3)), [1, 2], "capacitance", ("a", "p", "q"))
+
+    def test_singular_cell_block_names_the_cell_and_its_nodes(self):
+        # a floating pair of private pads, condensed in its cell
+        c = np.array([[50.0, 0.0, 0.0], [0.0, 2.0, -2.0], [0.0, -2.0, 2.0]]) * fF
+        cell = CellMatrices("pads", ("a", "fa", "fb"), c, np.zeros((3, 3)))
+        with pytest.raises(SingularCouplerBlock, match=re.escape(
+                "coupler capacitance block of cell 'pads' is numerically singular; "
+                "the eliminated nodes ['fa', 'fb'] hold an island")):
+            compose_cells([cell], simple_registry({"s0": ["a"]}, couplers=["fa", "fb"]))
 
 
 class TestPsdCheck:
@@ -998,21 +1021,21 @@ class TestPsdCheck:
 
 
 class TestCompositeChecks:
-    """A composite C is checked on its sparse form: symmetry on the stored
-    entries, then positive semi-definiteness by a sparse factorization that
-    accepts only a positive definite matrix, with a dense eigenvalue
-    fallback that decides the rest and words the error."""
+    """A composite C is checked for symmetry, then for positive
+    semi-definiteness by a Cholesky factorization that accepts only a
+    positive definite matrix, with an eigenvalue fallback that decides the
+    rest and words the error."""
 
     @staticmethod
     def composite(c):
         n = c.shape[0]
         registry = simple_registry({"s0": [f"n{i}" for i in range(n)]})
-        return CompositeNetlist(registry, sp.csr_array(c), sp.csr_array((n, n)), ())
+        return CompositeNetlist(registry, c, np.zeros((n, n)), ())
 
     def test_positive_definite_accepted_by_factorization(self, eigvalsh_calls):
         c = np.array([[3.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 3.0]]) * fF
         net = self.composite(c)
-        assert isinstance(net.c_mat, sp.csr_array)
+        assert isinstance(net.c_mat, np.ndarray)
         assert eigvalsh_calls == []
 
     def test_singular_psd_accepted_through_fallback(self, eigvalsh_calls):
@@ -1022,7 +1045,7 @@ class TestCompositeChecks:
 
     @pytest.mark.parametrize("c", [
         np.array([[1.0, 1.5, 0.0], [1.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
-        # a zero diagonal forces an off-diagonal pivot, whose U diagonal is positive
+        # a zero diagonal, which Cholesky refuses at its first pivot
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     ])
     def test_indefinite_rejected(self, c):
@@ -1041,25 +1064,25 @@ class TestCompositeChecks:
             self.composite(c)
 
     def test_all_zero_matrix_is_checked(self, eigvalsh_calls):
-        # a sparse matrix's .size counts stored entries, which is 0 here
-        net = self.composite(np.zeros((3, 3)))
-        assert net.c_mat.size == 0
+        self.composite(np.zeros((3, 3)))
         assert [call.shape for call in eigvalsh_calls] == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------
-# sparse reduction against a dense oracle, and its memory at scale
+# in-cell condensation against an uncondensed dense oracle, and its memory
+# at scale
 # ---------------------------------------------------------------------------
 
 @st.composite
 def modular_devices(draw):
     """Cell matrices of a random device of 2-4 cells that share a bus node.
-    Each cell has a qubit pad pair with a junction to ground or across the
-    pair, 1-4 capacitive coupler pads (grounded, randomly coupled, so they
-    form one or more islands) and, optionally, an inductive coupler that
-    joins a qubit pad to the bus through two inductors and carries no
-    capacitance. Every cell enters as a Maxwell matrix. Returns (cells,
-    registry, L_j by junction id)."""
+    Each cell has a qubit pad pair with a junction to ground, across the
+    pair, or from its first coupler pad to a qubit pad; 1-4 capacitive
+    coupler pads (grounded, randomly coupled, so they form one or more
+    islands, which C may join to a coupler on the junction); and,
+    optionally, an inductive coupler that joins a qubit pad to the bus
+    through two inductors and carries no capacitance. Every cell enters as
+    a Maxwell matrix. Returns (cells, registry, L_j by junction id)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells, subsystems, couplers, lj = [], {"bus": ["bus"]}, [], {}
     for k in range(draw(st.integers(2, 4))):
@@ -1086,7 +1109,7 @@ def modular_devices(draw):
                 y = 1.0 / rng.uniform(1.0, 20.0)
                 l_inv[[i, j], [i, j]] += y
                 l_inv[[i, j], [j, i]] -= y
-        ends = ["gnd", pads[0]] if draw(st.booleans()) else pads
+        ends = draw(st.sampled_from([("gnd", pads[0]), tuple(pads), (caps[0], pads[0])]))
         lj[f"j{k}"] = rng.uniform(5.0, 20.0) * nH
         junction = JunctionElement(f"j{k}", *ends, f"q{k}", cj=rng.uniform(0.0, 3.0) * fF)
         maxwell = embed_maxwell(CellMatrices(f"cell{k}", tuple(nodes), c * fF, l_inv / nH),
@@ -1097,11 +1120,10 @@ def modular_devices(draw):
     return cells, simple_registry(subsystems, couplers=couplers), lj
 
 
-def dense_reduction(cells, registry, lj, labels):
-    """Reference reduction on dense arrays: compose by 0/1 selection
-    matrices and junction stamps, rotate by the dense inverse of the
-    node-to-rotated transform, and eliminate each pass's kernel couplers by
-    a single-block Schur complement. Returns (C, L_inv, labels, eliminated)."""
+def dense_composite(cells, registry, lj=None):
+    """The device composed on dense arrays with no in-cell condensation: by
+    0/1 selection matrices and junction C_J stamps, and, given ``lj``, each
+    junction's L_j stamped as a linear inductor."""
     nodes = registry.nodes
     n = len(nodes)
     c, l_inv = np.zeros((n, n)), np.zeros((n, n))
@@ -1114,11 +1136,22 @@ def dense_reduction(cells, registry, lj, labels):
     for j in junctions:
         e = np.array([(node == j.node_pos) - (node == j.node_neg) for node in nodes], dtype=float)
         c += j.cj * np.outer(e, e)
-        l_inv += np.outer(e, e) / lj[j.ident]
-    net = CompositeNetlist(registry, c, l_inv, tuple(junctions))
+        if lj is not None:
+            l_inv += np.outer(e, e) / lj[j.ident]
+    return CompositeNetlist(registry, c, l_inv, tuple(junctions))
+
+
+def dense_reduction(cells, registry, lj):
+    """Reference reduction on dense arrays: compose with no in-cell
+    condensation, rotate by the dense inverse of the node-to-rotated
+    transform, and eliminate each pass's kernel couplers by a single-block
+    Schur complement. Returns (C, L_inv, labels, the coordinates each pass
+    eliminated)."""
+    net = dense_composite(cells, registry, lj)
+    labels = rotate_to_junction_basis(net)[2]
     s_n = dense_junction_inverse(net, labels)
-    schur, other = s_n.T @ c @ s_n, s_n.T @ l_inv @ s_n
-    labels, eliminated = list(labels), []
+    schur, other = s_n.T @ net.c_mat @ s_n, s_n.T @ net.l_inv @ s_n
+    labels, passes = list(labels), []
     for _ in range(2):  # C by ker(L_inv), then L_inv by ker(C)
         other, schur = 0.5 * (other + other.T), 0.5 * (schur + schur.T)
         scale = np.linalg.norm(other, 2)
@@ -1129,21 +1162,25 @@ def dense_reduction(cells, registry, lj, labels):
         if r:
             kr = schur[np.ix_(k, r)]
             reduced = reduced - kr @ np.linalg.solve(schur[np.ix_(r, r)], kr.T)
-        eliminated += [labels[i] for i in r]
+        passes.append(tuple(labels[i] for i in r))
         labels = [labels[i] for i in k]
         schur, other = other[np.ix_(k, k)], reduced
-    return schur, other, tuple(labels), tuple(eliminated)
+    return schur, other, tuple(labels), passes
 
 
 @given(modular_devices())
-def test_sparse_reduction_matches_dense_oracle(device):
+def test_condensed_reduction_matches_dense_oracle(device):
+    """Condensing each cell's private pads, then reducing the device, gives
+    the reduction of the uncondensed device; the record lists the condensed
+    nodes, then the rest of the first pass, then the second pass."""
     cells, registry, lj = device
     net = compose_cells(cells, registry)
     rc = reduce_network(net)
-    _, _, labels, _ = rotate_to_junction_basis(net)
-    c, l_inv, ref_labels, ref_eliminated = dense_reduction(cells, registry, lj, labels)
+    c, l_inv, ref_labels, (first, second) = dense_reduction(cells, registry, lj)
+    assert set(net.condensed) <= set(first)
     assert rc.labels == ref_labels
-    assert rc.record.eliminated == ref_eliminated
+    assert rc.record.eliminated == (
+        net.condensed + tuple(lab for lab in first if lab not in net.condensed) + second)
     stamped = with_junction_stamps(rc.l_inv, rc.junctions, lj, rc.labels)
     for got, ref in ((rc.c_mat, c), (stamped, l_inv)):
         ref = 0.5 * (ref + ref.T)
@@ -1172,6 +1209,61 @@ def spectator_chip(n_cells, pads_per_cell=99, seed=5):
         cells.append(CellMatrices(f"spectator{k}", ("bus", *names), c * fF, np.zeros((n, n))))
     registry = simple_registry({"qubit": ["q"], "bus": ["bus"]}, couplers=pads)
     return cells, registry
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """(block shape, right-hand side shape) of every ``scipy.linalg.solve``
+    during the test."""
+    calls = []
+    real = scipy.linalg.solve
+
+    def spy(a, b, *args, **kwargs):
+        calls.append((np.shape(a), np.shape(b)))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve", spy)
+    return calls
+
+
+def test_spectator_pads_condense_in_their_cells(solve_calls):
+    cells, registry = spectator_chip(3)
+    net = compose_cells(cells, registry)
+    assert net.condensed == tuple(sorted(registry.couplers))
+    assert net.labels == ("bus", "q")
+    # each cell solves its pads as one block, against its one remaining node
+    assert solve_calls == [((99, 99), (99, 1))] * 3
+    assert reduce_network(net).record.eliminated == net.condensed
+
+
+def test_shipped_charge_line_stays_for_the_device_pass(solve_calls):
+    """C joins the shipped cell's private pad cl to p0, a junction terminal,
+    so cl stays in the device, whose first pass solves (cl, p0) as one
+    block against the 4 retained coordinates."""
+    cell = reduce_maxwell(benchmark_maxwell(), "g", "cell0")
+    j1 = JunctionElement("j1", "p0", "p1", "qubit", cj=2 * fF)
+    registry = simple_registry({"qubit": ["p1"], "readout": ["b1"], "bus2": ["b2"],
+                                "bus3": ["b3"]}, couplers=["p0", "cl"], datum="g")
+    net = compose_cells([dataclasses.replace(cell, junctions=(j1,))], registry)
+    assert net.condensed == () and net.c_bare is net.c_mat
+    rc = reduce_network(net)
+    assert rc.record.eliminated == ("cl", "p0")
+    assert solve_calls == [((2, 2), (2, 4))]
+
+
+def test_record_keeps_the_bare_capacitance():
+    """The naive model expands the junction-basis C before any elimination:
+    the record holds the uncondensed device's C on the retained
+    coordinates, which the pads' condensation would move."""
+    cells, registry = spectator_chip(3)
+    net = compose_cells(cells, registry)
+    rc = reduce_network(net)
+    c, _, labels, _ = rotate_to_junction_basis(dense_composite(cells, registry))
+    at = [labels.index(lab) for lab in rc.labels]
+    bare = c[np.ix_(at, at)]
+    np.testing.assert_allclose(rc.record.c_rotated, bare, rtol=1e-13, atol=0)
+    condensed = rotate_to_junction_basis(net)[0]
+    assert np.abs(condensed - bare).max() > 1e-6 * np.abs(bare).max()
 
 
 def test_spectator_chip_reduces_without_dense_matrices():

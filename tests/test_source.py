@@ -49,20 +49,22 @@ def test_dense_linear_algebra_uses_one_lapack():
     assert not offenders, sorted(offenders)
 
 
-def scipy_optimize_imports(tree: ast.AST) -> list[str]:
-    """Modules under scipy.optimize that a parsed module imports, with
-    ``from scipy import optimize`` counted as scipy.optimize."""
+def scipy_imports(tree: ast.AST, package: str) -> list[str]:
+    """Modules under ``package`` (``scipy.optimize``, say) that a parsed
+    module imports, with ``from scipy import optimize`` counted as
+    scipy.optimize."""
+    def under(name: str) -> bool:
+        return name == package or name.startswith(package + ".")
+
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found.extend(alias.name for alias in node.names
-                         if alias.name.startswith("scipy.optimize"))
+            found.extend(alias.name for alias in node.names if under(alias.name))
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.optimize"):
+            if under(node.module):
                 found.append(node.module)
             elif node.module == "scipy":
-                found.extend("scipy.optimize" for alias in node.names
-                             if alias.name == "optimize")
+                found.extend(package for alias in node.names if under(f"scipy.{alias.name}"))
     return found
 
 
@@ -70,7 +72,7 @@ def test_scipy_optimize_imports_are_seen():
     tree = ast.parse("import scipy.optimize\nfrom scipy.optimize import brentq\n"
                      "from scipy import optimize, linalg\ndef f():\n"
                      "    from scipy.optimize._zeros_py import brentq\n")
-    assert scipy_optimize_imports(tree) == [
+    assert scipy_imports(tree, "scipy.optimize") == [
         "scipy.optimize", "scipy.optimize", "scipy.optimize", "scipy.optimize._zeros_py"]
 
 
@@ -80,9 +82,54 @@ def test_no_scipy_optimize_import():
     offenders = {
         f"{path.name}: {name}"
         for path in sorted(SOURCE.glob("*.py"))
-        for name in scipy_optimize_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in scipy_imports(ast.parse(path.read_text(encoding="utf-8")), "scipy.optimize")
     }
     assert not offenders, sorted(offenders)
+
+
+def test_scipy_sparse_imports_are_seen():
+    tree = ast.parse("import scipy.sparse as sp\nimport scipy.sparse.linalg\n"
+                     "from scipy.sparse.csgraph import connected_components\n"
+                     "from scipy import sparse, linalg\nimport scipy.sparsetools\n"
+                     "def f():\n    from scipy.sparse import csr_array\n")
+    assert scipy_imports(tree, "scipy.sparse") == [
+        "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.sparse",
+        "scipy.sparse"]
+
+
+def test_no_scipy_sparse_import():
+    """Each cell condenses its private pads, so the device matrices are a
+    few nodes and dense; scipy.sparse would cost about 5 MB of resident
+    memory to import."""
+    offenders = {
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in scipy_imports(ast.parse(path.read_text(encoding="utf-8")), "scipy.sparse")
+    }
+    assert not offenders, sorted(offenders)
+
+
+def fresh_interpreter(script: str) -> list[str]:
+    """The stdout lines of ``script`` run in a new interpreter that imports
+    this package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.split("\n")
+
+
+def test_analysis_leaves_scipy_sparse_unimported(tmp_path):
+    """An analysis of the shipped device, in a fresh interpreter, loads no
+    module of scipy.sparse."""
+    script = (
+        "import sys\n"
+        "from lumpedq.analysis import run_analysis\n"
+        "from lumpedq.benchmark import benchmark_config\n"
+        f"run_analysis(benchmark_config({str(tmp_path)!r}))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    assert fresh_interpreter(script)[0] == "[]"
 
 
 def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
@@ -108,8 +155,4 @@ def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
         "print(calls['loadedline'] > 0, calls['roots'] > 0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.split("\n")[:2] == ["True True", "[]"]
+    assert fresh_interpreter(script)[:2] == ["True True", "[]"]

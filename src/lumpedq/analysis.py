@@ -16,6 +16,7 @@ and store a line, and they store equal values.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .composite import (
     mode_frequencies,
     observable_labels,
 )
-from .config import DeviceConfig, LineConfig, TransmonConfig
+from .config import DeviceConfig, JunctionConfig, LineConfig, TransmonConfig
 from .errors import ConfigError
 from .loadedline import LineMode, LoadedLineSpec, calibrate_length, solve_modes
 from .maxwell_io import parse_maxwell_file
@@ -108,7 +109,7 @@ class DeviceModel:
     graph: CouplingGraph
     spectrum: DressedSpectrum
     dispersive: DispersiveObservables | None
-    port_coord: Mapping[str, tuple[str, str]]  # reduced label -> (subsystem, port)
+    port_coord: Mapping[int, tuple[str, str]]  # reduced coordinate index -> (subsystem, port)
     # one name per flattened mode: the subsystem's, indexed when it has several
     flat_mode_names: tuple[str, ...]
 
@@ -162,31 +163,20 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
 
 
 def _transmon_subsystem(
-    tc: TransmonConfig, config: DeviceConfig, blocks: CircuitBlocks,
+    tc: TransmonConfig, junction: JunctionConfig, c_eff: float,
     lj_overrides: Mapping[str, float],
-) -> tuple[TransmonSpec, QuantizedSubsystem, str]:
+) -> tuple[TransmonSpec, QuantizedSubsystem]:
     """The transmon's spec, with E_J from its junction's config entry or
     ``lj_overrides``, and its factor."""
-    owned = [j for j in config.junctions if j.subsystem == tc.name]
-    if len(owned) != 1:
-        raise ConfigError(f"transmon {tc.name!r} must own exactly one junction, found {len(owned)}")
-    junction = owned[0]
-    coords = blocks.block_index[tc.name]
-    if list(coords) != [blocks.index_of(junction.ident)]:
-        extra = [blocks.labels[i] for i in coords if blocks.labels[i] != junction.ident]
-        raise ConfigError(
-            f"transmon {tc.name!r} retains non-junction coordinates {extra}; "
-            "declare pad nodes consumed by the rotation or mark them as couplers"
-        )
     lj = lj_overrides.get(junction.ident, junction.lj_h)
     spec = TransmonSpec(
-        c_eff=blocks.c_eff(junction.ident),
+        c_eff=c_eff,
         ej=junction.ej_j if lj is None else PHI_0**2 / lj,
         q_offset=tc.q_offset_2e * 2.0 * constants.e,
         n_max=tc.n_max,
         levels=tc.levels,
     )
-    return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name), junction.ident
+    return spec, dataclasses.replace(diagonalize_transmon(spec), name=tc.name)
 
 
 def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float]]:
@@ -201,16 +191,15 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit, blocks: CircuitBlocks,
+def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit, port_loadings: Mapping[str, float],
                     naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
     """Solve and quantize one line, loaded by the larger of its port loadings
-    in ``blocks`` (the circuit's blocks, or their weak-coupling form when
+    (read off the circuit's blocks, or their weak-coupling form when
     ``naive``); ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
     A line solved on ``circuit`` before is taken from ``circuit.lines``."""
     solved = circuit.lines.get((lc, naive))
     if solved is not None:
         return solved
-    port_loadings = {node: blocks.c_eff(node) for node in lc.nodes}
     loading = 0.0
     if port_loadings and not naive:
         loading = max(port_loadings.values())
@@ -300,30 +289,40 @@ def build_model(
                           "(nonzero L^-1 diagonal), which the quantization would drop")
     blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
+    # stage 6 reads each subsystem's coordinates off the reduction's block
+    # index, and checks them against the subsystem's ports
+    junctions = {j.ident: j for j in config.junctions}
     subsystems: list[QuantizedSubsystem] = []
     transmon_specs = {}
-    port_coord: dict[str, tuple[str, str]] = {}
-    for tc in config.transmons:
-        spec, sub, junction_label = _transmon_subsystem(tc, config, blocks, lj_overrides or {})
-        transmon_specs[tc.name] = spec
-        subsystems.append(sub)
-        port_coord[junction_label] = (tc.name, "junction")
-
     lines = {}
-    for lc in config.lines:
-        lines[lc.name], sub = _line_subsystem(lc, circuit, blocks, naive)
-        subsystems.append(sub)
-        for node in lc.nodes:
-            port_coord[node] = (lc.name, node)
-
-    # every retained coordinate must carry a port operator
-    for name, coords in blocks.block_index.items():
-        for i in coords:
-            label = blocks.labels[i]
-            if label not in port_coord:
+    port_coord: dict[int, tuple[str, str]] = {}
+    for sc in (*config.transmons, *config.lines):
+        coords = blocks.block_index[sc.name]
+        labels = [blocks.labels[i] for i in coords]
+        if isinstance(sc, TransmonConfig):
+            if len(labels) != 1 or labels[0] not in junctions:
                 raise ConfigError(
-                    f"retained coordinate {label!r} of subsystem {name!r} has no port operator"
-                )
+                    f"transmon {sc.name!r} must retain exactly one junction flux and nothing "
+                    f"else; it retains non-junction coordinates "
+                    f"{[lab for lab in labels if lab not in junctions]} and junction fluxes "
+                    f"{[lab for lab in labels if lab in junctions]}; give it one junction, "
+                    "and declare pad nodes consumed by the rotation or mark them as couplers")
+            i = coords[0]
+            transmon_specs[sc.name], sub = _transmon_subsystem(
+                sc, junctions[labels[0]], 1.0 / blocks.c_inv[i, i], lj_overrides or {})
+            port_coord[i] = (sc.name, "junction")
+        else:
+            coord_of = dict(zip(labels, coords))
+            if sorted(coord_of) != sorted(sc.nodes):
+                raise ConfigError(
+                    f"line {sc.name!r} must retain exactly its nodes {list(sc.nodes)}, but "
+                    f"retains {labels}; a line carries no junction, and no junction may "
+                    "consume a line's port node")
+            port_loadings = {node: 1.0 / blocks.c_inv[coord_of[node], coord_of[node]]
+                             for node in sc.nodes}
+            lines[sc.name], sub = _line_subsystem(sc, circuit, port_loadings, naive)
+            port_coord.update((coord_of[node], (sc.name, node)) for node in sc.nodes)
+        subsystems.append(sub)
 
     graph = _coupling_graph(port_coord, blocks)
     if graph_hook is not None:
@@ -355,23 +354,19 @@ def build_model(
     )
 
 
-def _coupling_graph(port_coord: Mapping[str, tuple[str, str]],
+def _coupling_graph(port_coord: Mapping[int, tuple[str, str]],
                     blocks: CircuitBlocks) -> CouplingGraph:
     """One edge per pair of ports in different subsystems with a nonzero
-    capacitive or inductive coupling reciprocal."""
-    labels = list(port_coord)
+    capacitive or inductive coupling reciprocal; ``port_coord`` maps each
+    port's coordinate index in ``blocks`` to its (subsystem, port)."""
     edges = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            la, lb = labels[a], labels[b]
-            sub_a, p_a = port_coord[la]
-            sub_b, p_b = port_coord[lb]
-            if sub_a == sub_b:
-                continue
-            c_ab, l_ab = blocks.inv_c_coupling(la, lb), blocks.inv_l_coupling(la, lb)
-            if c_ab == 0.0 and l_ab == 0.0:
-                continue
-            edges.append(CouplingEdge(sub_a, p_a, sub_b, p_b, inv_c_eff=c_ab, inv_l_eff=l_ab))
+    for (a, (sub_a, p_a)), (b, (sub_b, p_b)) in itertools.combinations(port_coord.items(), 2):
+        if sub_a == sub_b:
+            continue
+        c_ab, l_ab = 2.0 * blocks.c_inv[a, b], 2.0 * blocks.l_inv[a, b]
+        if c_ab == 0.0 and l_ab == 0.0:
+            continue
+        edges.append(CouplingEdge(sub_a, p_a, sub_b, p_b, inv_c_eff=c_ab, inv_l_eff=l_ab))
     return CouplingGraph(tuple(edges))
 
 

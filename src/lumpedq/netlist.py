@@ -71,16 +71,16 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = SYMMETRY_RTOL) -> None:
-    """Raise unless ``m`` is symmetric to ``rtol``."""
+def check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless ``m`` is symmetric to SYMMETRY_RTOL."""
     scale = np.abs(m).max(initial=0.0) or 1.0
     asym = np.abs(m - m.T).max(initial=0.0)
-    if asym > rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise MalformedMatrix(f"{name} is not symmetric (relative asymmetry {asym / scale:.3e})")
 
 
-def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> None:
-    """Raise unless ``m`` is positive semi-definite to ``rtol``. A Cholesky
+def check_psd(m: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless ``m`` is positive semi-definite to PSD_RTOL. A Cholesky
     factorization, which succeeds only on a positive definite matrix,
     accepts it at a fraction of an eigensolve; only a matrix it rejects
     (singular or indefinite) pays for an ``eigvalsh``, which decides the
@@ -95,7 +95,7 @@ def check_psd(m: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> No
     # every full spectrum here is divide and conquer (dsyevd), as in numpy's eigvalsh
     w = scipy.linalg.eigvalsh(_symmetrize(m), driver="evd")
     largest = max(w[-1], 0.0) or 1.0
-    if w[0] < -rtol * largest:
+    if w[0] < -PSD_RTOL * largest:
         raise MalformedMatrix(
             f"{name} is not positive semi-definite (min/max eigenvalue {w[0]:.3e}/{largest:.3e})"
         )
@@ -324,9 +324,6 @@ class ReducedCircuit:
         covered = sorted(i for idx in self.block_index.values() for i in idx)
         if covered != list(range(len(self.labels))):
             raise MalformedPartition("block index maps do not partition the retained coordinates")
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 # ---------------------------------------------------------------------------
@@ -703,39 +700,20 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
 class CircuitBlocks:
     """Dressed subsystem blocks of the inverted reduced matrices.
 
-    Diagonal entries of ``c_inv`` give 1/C_eff for single-coordinate ports
-    (the dressed junction or line-loading capacitances). Off-diagonal pair
-    couplings carry a factor of two relative to the raw inverse entries, so
-    1/C_nm_eff = 2 * c_inv[n, m]; the Hamiltonian assembly must weight each
-    unordered pair term by half of that to reproduce the quadratic form.
+    ``block_index`` is the one subsystem -> ports map: it gives each
+    subsystem its retained coordinates, as indices into ``labels``,
+    ``c_inv`` and ``l_inv``. Diagonal entries of ``c_inv`` give 1/C_eff for
+    single-coordinate ports (the dressed junction or line-loading
+    capacitances). Off-diagonal pair couplings carry a factor of two
+    relative to the raw inverse entries, so 1/C_nm_eff = 2 * c_inv[n, m]
+    (and 1/L_nm_eff = 2 * l_inv[n, m]); the Hamiltonian assembly must weight
+    each unordered pair term by half of that to reproduce the quadratic form.
     """
 
     labels: tuple[str, ...]
     c_inv: np.ndarray
     l_inv: np.ndarray  # the linear network's; no junction L_j
     block_index: Mapping[str, tuple[int, ...]]
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def c_eff(self, label: str) -> float:
-        """Dressed effective capacitance of a single retained coordinate."""
-        i = self.index_of(label)
-        return 1.0 / self.c_inv[i, i]
-
-    def inv_c_coupling(self, label_a: str, label_b: str) -> float:
-        """1/C_nm_eff between two retained coordinates (pair-reported with the
-        factor-two convention; see the class docstring)."""
-        i, j = self.index_of(label_a), self.index_of(label_b)
-        if i == j:
-            raise DimensionMismatch("pair coupling requires two distinct coordinates")
-        return 2.0 * self.c_inv[i, j]
-
-    def inv_l_coupling(self, label_a: str, label_b: str) -> float:
-        i, j = self.index_of(label_a), self.index_of(label_b)
-        if i == j:
-            raise DimensionMismatch("pair coupling requires two distinct coordinates")
-        return 2.0 * self.l_inv[i, j]
 
 
 def extract_blocks(rc: ReducedCircuit) -> CircuitBlocks:

@@ -41,6 +41,12 @@ _E = constants.e
 # relative tolerance, against an operator's largest entry, to which a mode
 # operator is accepted as (anti)symmetric and its equal-parity entries as zero
 OPERATOR_RTOL = 1e-12
+# relative change of the transmon's 0-1 splitting, on doubling the charge-basis
+# cutoff, below which the truncation is accepted as converged
+TRUNCATION_RTOL = 1e-10
+# components within this of an eigenvector's largest magnitude tie for its
+# sign choice; two components equal by symmetry differ by rounding, ~1e-16
+PHASE_TIE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,11 +160,15 @@ class QuantizedSubsystem:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each eigenvector real and
-    positive so operator matrices are reproducible across platforms."""
+    """Make the largest-magnitude component of each real eigenvector
+    positive, so operator matrices are reproducible across platforms and
+    parameter values. Components within PHASE_TIE_ATOL of the largest tie
+    (at zero offset charge, psi(-n) = +-psi(n)); the last of them, on the
+    n > 0 side, is chosen, so rounding does not pick the sign."""
     out = vecs.copy()
     for col in range(out.shape[1]):
-        i = np.argmax(np.abs(out[:, col]))
+        mag = np.abs(out[:, col])
+        i = np.flatnonzero(mag >= mag.max() - PHASE_TIE_ATOL)[-1]
         if out[i, col] < 0:
             out[:, col] = -out[:, col]
     return out
@@ -178,13 +188,13 @@ def diagonalize_transmon(spec: TransmonSpec) -> QuantizedSubsystem:
     eigenstates with the charge operator 2e*n projected onto them.
 
     Truncation is verified by doubling n_max: the 0-1 splitting must be
-    reproduced to 1e-10 relative or TruncationNotConverged is raised.
+    reproduced to TRUNCATION_RTOL relative or TruncationNotConverged is raised.
     """
     n, vals, vecs = _charge_basis_levels(spec, spec.n_max, spec.levels)
     _, vals2, _ = _charge_basis_levels(spec, 2 * spec.n_max, min(spec.levels, 2))
     e01 = vals[1] - vals[0]
     e01_big = vals2[1] - vals2[0]
-    if abs(e01 - e01_big) > 1e-10 * abs(e01_big):
+    if abs(e01 - e01_big) > TRUNCATION_RTOL * abs(e01_big):
         raise TruncationNotConverged(
             f"charge-basis cutoff n_max={spec.n_max} not converged: "
             f"E01 changes by {abs(e01 - e01_big) / abs(e01_big):.3e} on doubling"

@@ -81,11 +81,11 @@ class TestFullModel:
         assert bare < 0.85 * f_unloaded  # strong loading renormalization
 
     def test_transmon_reduces_to_junction_coordinate(self, full_model):
-        assert full_model.circuit.reduced.block_index["qubit"] == (
-            full_model.circuit.reduced.index_of("j1"),)
+        reduced = full_model.circuit.reduced
+        assert [reduced.labels[i] for i in reduced.block_index["qubit"]] == ["j1"]
 
     def test_every_retained_coordinate_has_port(self, full_model):
-        assert set(full_model.port_coord) == set(full_model.circuit.reduced.labels)
+        assert sorted(full_model.port_coord) == list(range(len(full_model.circuit.reduced.labels)))
 
 
     @pytest.mark.filterwarnings("ignore:line 'bus2'")
@@ -265,11 +265,13 @@ class TestNaiveComparison:
         full = build_model(bench, circuit=circuit)
         naive = build_model(bench, circuit=circuit, naive=True)
         weak = weak_coupling_blocks(circuit.reduced)
+        labels = circuit.reduced.labels
         for lc in bench.lines:
+            at = [labels.index(node) for node in lc.nodes]
             assert naive.lines[lc.name].port_loadings == {
-                node: weak.c_eff(node) for node in lc.nodes}
+                labels[i]: 1.0 / weak.c_inv[i, i] for i in at}
             assert full.lines[lc.name].port_loadings == {
-                node: circuit.blocks.c_eff(node) for node in lc.nodes}
+                labels[i]: 1.0 / circuit.blocks.c_inv[i, i] for i in at}
         assert naive.lines["readout"].port_loadings["b1"] == pytest.approx(265.20e-15, abs=5e-18)
         assert full.lines["readout"].port_loadings["b1"] == pytest.approx(261.17e-15, abs=5e-18)
 

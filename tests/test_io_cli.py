@@ -483,12 +483,33 @@ class TestCli:
          "junction 'j1' names no subsystem: 'nosuch'"),
         (lambda cfg: cfg["couplers"].remove("cl"),
          "cell 'cell0' nodes not in the registry: ['cl']"),
+        (lambda cfg: cfg["junctions"].append(
+            {"id": "j2", "nodes": ["g", "b1"], "subsystem": "readout", "lj_nh": 10.0}),
+         "line 'readout' must retain exactly its nodes ['b1'], but retains ['j2']"),
+        (lambda cfg: cfg["junctions"].append(
+            {"id": "j2", "nodes": ["b2", "b3"], "subsystem": "bus2", "lj_nh": 10.0}),
+         "line 'bus2' must retain exactly its nodes ['b2'], but retains ['j2', 'b2']"),
+        (lambda cfg: cfg.update(junctions=[]),
+         "transmon 'qubit' must retain exactly one junction flux and nothing else; "
+         "it retains non-junction coordinates ['p1'] and junction fluxes []"),
+        (lambda cfg: cfg["junctions"].append(
+            {"id": "j2", "nodes": ["g", "p1"], "subsystem": "qubit", "lj_nh": 10.0}),
+         "transmon 'qubit' must retain exactly one junction flux and nothing else; "
+         "it retains non-junction coordinates [] and junction fluxes ['j1', 'j2']"),
+        (lambda cfg: (cfg.update(couplers=["cl"]),
+                      cfg["subsystems"][0].update(nodes=["p0", "p1"])),
+         "transmon 'qubit' must retain exactly one junction flux and nothing else; "
+         "it retains non-junction coordinates ['p0'] and junction fluxes ['j1']"),
     ], ids=["l_nh-zero", "l_nh-negative", "lj_nh-zero", "ej_ghz-zero", "junction-subsystem",
-            "undeclared-cell-node"])
+            "undeclared-cell-node", "junction-on-a-line", "junction-consumes-a-line-port",
+            "transmon-without-junction", "transmon-with-two-junctions", "pad-left-on-a-transmon"])
     def test_refused_config_exit_code_2(self, device_dir, tmp_path, capsys, edit, message):
-        """Non-positive inductances and energies, a junction of no subsystem
-        and a cell node the partition leaves out are validation errors that
-        name the entry, not a traceback or a numerical failure later on."""
+        """Non-positive inductances and energies, a junction of no subsystem,
+        a cell node the partition leaves out, and retained coordinates that
+        are not the subsystem's ports (a junction on a line or consuming its
+        port, a transmon without exactly one junction flux) are validation
+        errors that name the entry, not a traceback or a numerical failure
+        later on."""
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
         edit(cfg)
         (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")

@@ -551,8 +551,8 @@ class TestReduceNetwork:
         assert rc.labels[0] == "j1"
         assert set(rc.labels) == {"j1", "b1"}
         assert rc.record.eliminated == ("p0",)
-        assert rc.block_index["q"] == (rc.index_of("j1"),)
-        assert rc.block_index["r"] == (rc.index_of("b1"),)
+        assert rc.block_index["q"] == (rc.labels.index("j1"),)
+        assert rc.block_index["r"] == (rc.labels.index("b1"),)
 
     def test_frequencies_match_unreduced_pencil(self, rng):
         """Reduced normal modes vs. the full constrained pencil, 1e-8."""
@@ -633,7 +633,8 @@ class TestBlocks:
         net = compose_cells([cell], simple_registry({"q": ["a"], "r": ["b"]}))
         rc = reduce_network(net)
         blocks = extract_blocks(rc)
-        assert blocks.inv_c_coupling("j1", "b") == 0.0
+        assert rc.labels == ("j1", "b")
+        assert 2.0 * blocks.c_inv[0, 1] == 0.0
 
     def test_two_by_two_pair_coupling_formula(self):
         """The exact pair reciprocal, and the naive blocks' first-order one,
@@ -646,12 +647,13 @@ class TestBlocks:
         net = compose_cells([cell], simple_registry({"q": ["x"], "r": ["y"]}))
         rc = reduce_network(net)
         blocks = extract_blocks(rc)
+        assert rc.labels == ("j1", "y")
         expected = 2.0 * (-b) / (a * d - b * b)
-        assert blocks.inv_c_coupling("j1", "y") == pytest.approx(expected, rel=1e-12)
+        assert 2.0 * blocks.c_inv[0, 1] == pytest.approx(expected, rel=1e-12)
         naive = weak_coupling_blocks(rc)
-        assert naive.inv_c_coupling("j1", "y") == pytest.approx(2.0 * (-b) / (a * d), rel=1e-12)
-        assert naive.c_eff("j1") == pytest.approx(a, rel=1e-15)
-        assert naive.inv_l_coupling("j1", "y") == 0.0
+        assert 2.0 * naive.c_inv[0, 1] == pytest.approx(2.0 * (-b) / (a * d), rel=1e-12)
+        assert 1.0 / naive.c_inv[0, 0] == pytest.approx(a, rel=1e-15)
+        assert 2.0 * naive.l_inv[0, 1] == 0.0
 
     def test_far_coupler_perturbation_moves_dressed_capacitance(self):
         """The dressed junction capacitance depends on coupler and loading
@@ -666,7 +668,9 @@ class TestBlocks:
             cell = CellMatrices("c1", ("b1", "p0", "p1"), c, np.zeros((3, 3)), junctions=(j,))
             net = compose_cells(
                 [cell], simple_registry({"q": ["p1"], "r": ["b1"]}, couplers=["p0"]))
-            return extract_blocks(reduce_network(net)).c_eff("j1")
+            rc = reduce_network(net)
+            i = rc.labels.index("j1")
+            return 1.0 / extract_blocks(rc).c_inv[i, i]
 
         assert abs(build(120.0) - build(200.0)) > 0.0
 

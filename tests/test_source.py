@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import lumpedq
 
 SOURCE = Path(lumpedq.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def numpy_linalg_uses(tree: ast.AST) -> list[str]:
@@ -156,3 +158,20 @@ def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
     )
     assert fresh_interpreter(script)[:2] == ["True True", "[]"]
+
+
+def test_perfbench_span_targets_resolve():
+    """The benchmark times each stage by wrapping a (module, attribute) of
+    its span table at run time, so every one of them must name an attribute
+    of this package. The table is imported without writing bytecode under
+    ``perfbench/``."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        from spans import TARGETS
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+    missing = [f"{module}.{attr}" for module, attr, _ in TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert TARGETS and not missing, missing

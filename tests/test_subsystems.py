@@ -7,6 +7,7 @@ import pytest
 from scipy import constants
 
 from lumpedq.errors import TruncationNotConverged, ValidationError
+from lumpedq.netlist import PHI_0
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.composite import CouplingEdge, CouplingGraph, build_full_hamiltonian
 from lumpedq.subsystems import (
@@ -113,6 +114,19 @@ class TestTransmon:
         spec = transmon_from_ratio(50.0)
         n01 = abs(q[0, 1]) / (2 * E)
         assert n01 == pytest.approx((50.0 / 8.0) ** 0.25 / math.sqrt(2), rel=0.05)
+
+    def test_charge_operator_signs_fixed_across_inductance(self):
+        """The level signs do not follow rounding: at zero offset charge an
+        odd level's two largest components tie, psi(-n) = -psi(n), and the
+        n > 0 one is made positive, so the sign pattern of <k|n|k+1> is
+        one pattern over a fine L_j sweep of 8 levels."""
+        patterns = set()
+        for step in range(40):
+            lj = (12.0 + 0.005 * step) * 1e-9
+            spec = TransmonSpec(c_eff=80e-15, ej=PHI_0**2 / lj, levels=8)
+            q = diagonalize_transmon(spec).factors[0].charge
+            patterns.add(tuple(np.sign(np.diag(q, k=1))))
+        assert len(patterns) == 1
 
     def test_charge_operator_parity_zeros(self):
         """At n_g = 0 the levels alternate in parity under n -> -n, so 2e*n

@@ -20,7 +20,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import constants
@@ -46,24 +46,18 @@ from .netlist import (
     CellMatrices,
     CircuitBlocks,
     JunctionElement,
-    MaxwellMatrix,
     NodeRegistry,
     PHI_0,
     ReducedCircuit,
     _two_terminal_stamp,
     compose_cells,
     extract_blocks,
-    merge_maxwell_nodes,
     reduce_maxwell,
     reduce_network,
     weak_coupling_blocks,
 )
 from .roots import calibrate_scalar
 from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, quantize_line
-
-CellHook = Callable[[str, MaxwellMatrix], MaxwellMatrix]
-GraphHook = Callable[[CouplingGraph], CouplingGraph]
-
 
 @dataclass(frozen=True)
 class LineResult:
@@ -123,28 +117,14 @@ class DeviceModel:
         return coupling_rates(self.subsystems, self.graph)
 
 
-def _load_cells(config: DeviceConfig, cell_hook: CellHook | None) -> tuple[
-        list[CellMatrices], dict[str, str]]:
-    """The reduced cells, and the sha256 of each Maxwell file as parsed."""
+def _load_cells(config: DeviceConfig) -> tuple[list[CellMatrices], dict[str, str]]:
+    """Stage 1: the reduced cells, and the sha256 of each Maxwell file as parsed."""
     cells, digests = [], {}
     for cc in config.cells:
         maxwell = parse_maxwell_file(cc.maxwell_file)
         digests[cc.maxwell_entry] = maxwell.source_sha256
-        if cc.ground_nets:
-            maxwell = merge_maxwell_nodes(maxwell, cc.ground_nets, config.datum)
-        if cell_hook is not None:
-            maxwell = cell_hook(cc.ident, maxwell)
-        cells.append(reduce_maxwell(maxwell, config.datum, cc.ident))
+        cells.append(reduce_maxwell(maxwell, config.datum, cc.ident, cc.ground_nets))
     return cells, digests
-
-
-def _build_registry(config: DeviceConfig, extra_couplers: Sequence[str]) -> NodeRegistry:
-    """The config's partition of the device nodes into subsystems and couplers."""
-    return NodeRegistry(
-        datum=config.datum,
-        subsystems={s.name: frozenset(s.nodes) for s in (*config.transmons, *config.lines)},
-        couplers=frozenset((*config.couplers, *extra_couplers)),
-    )
 
 
 def _lumped_cell(config: DeviceConfig) -> CellMatrices:
@@ -239,14 +219,22 @@ def _circuit_fields(config: DeviceConfig) -> tuple:
             [(j.ident, j.node_neg, j.node_pos, j.subsystem, j.cj_f) for j in config.junctions])
 
 
-def build_circuit(config: DeviceConfig, cell_hook: CellHook | None = None,
-                  extra_couplers: Sequence[str] = ()) -> DeviceCircuit:
-    """Stages 1-5, with each cell passed through ``cell_hook`` and the nodes
-    it adds declared in ``extra_couplers``."""
-    cells, input_sha256 = _load_cells(config, cell_hook)
-    netlist = compose_cells([*cells, _lumped_cell(config)], _build_registry(config, extra_couplers))
+def _circuit_from_cells(config: DeviceConfig, cells: Sequence[CellMatrices],
+                        input_sha256: Mapping[str, str]) -> DeviceCircuit:
+    """Stages 2-5 of ``config`` on its stage-1 ``cells``."""
+    registry = NodeRegistry(
+        datum=config.datum,
+        subsystems={s.name: frozenset(s.nodes) for s in (*config.transmons, *config.lines)},
+        couplers=frozenset(config.couplers),
+    )
+    netlist = compose_cells([*cells, _lumped_cell(config)], registry)
     reduced = reduce_network(netlist)
     return DeviceCircuit(config, reduced, extract_blocks(reduced), input_sha256)
+
+
+def build_circuit(config: DeviceConfig) -> DeviceCircuit:
+    """Stages 1-5."""
+    return _circuit_from_cells(config, *_load_cells(config))
 
 
 def build_model(
@@ -254,7 +242,6 @@ def build_model(
     *,
     circuit: DeviceCircuit | None = None,
     naive: bool = False,
-    graph_hook: GraphHook | None = None,
     lj_overrides: Mapping[str, float] | None = None,
 ) -> DeviceModel:
     """Run the pipeline once: stages 6-7 of ``config`` on ``circuit``
@@ -290,68 +277,76 @@ def build_model(
     blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
     # stage 6 reads each subsystem's coordinates off the reduction's block
-    # index, and checks them against the subsystem's ports
+    # index, checks them against the subsystem's ports, and quantizes it
+    # while no subsystem has failed its check
     junctions = {j.ident: j for j in config.junctions}
     subsystems: list[QuantizedSubsystem] = []
     transmon_specs = {}
     lines = {}
     port_coord: dict[int, tuple[str, str]] = {}
+    errors: list[str] = []
     for sc in (*config.transmons, *config.lines):
         coords = blocks.block_index[sc.name]
         labels = [blocks.labels[i] for i in coords]
-        if isinstance(sc, TransmonConfig):
-            if len(labels) != 1 or labels[0] not in junctions:
-                raise ConfigError(
-                    f"transmon {sc.name!r} must retain exactly one junction flux and nothing "
-                    f"else; it retains non-junction coordinates "
-                    f"{[lab for lab in labels if lab not in junctions]} and junction fluxes "
-                    f"{[lab for lab in labels if lab in junctions]}; give it one junction, "
-                    "and declare pad nodes consumed by the rotation or mark them as couplers")
+        transmon = isinstance(sc, TransmonConfig)
+        if transmon and (len(labels) != 1 or labels[0] not in junctions):
+            errors.append(
+                f"transmon {sc.name!r} must retain exactly one junction flux and nothing "
+                f"else; it retains non-junction coordinates "
+                f"{[lab for lab in labels if lab not in junctions]} and junction fluxes "
+                f"{[lab for lab in labels if lab in junctions]}; give it one junction, "
+                "and declare pad nodes consumed by the rotation or mark them as couplers")
+        elif not transmon and sorted(labels) != sorted(sc.nodes):
+            errors.append(
+                f"line {sc.name!r} must retain exactly its nodes {list(sc.nodes)}, but "
+                f"retains {labels}; a line carries no junction, and no junction may "
+                "consume a line's port node")
+        if errors:
+            continue
+        if transmon:
             i = coords[0]
             transmon_specs[sc.name], sub = _transmon_subsystem(
                 sc, junctions[labels[0]], 1.0 / blocks.c_inv[i, i], lj_overrides or {})
             port_coord[i] = (sc.name, "junction")
         else:
             coord_of = dict(zip(labels, coords))
-            if sorted(coord_of) != sorted(sc.nodes):
-                raise ConfigError(
-                    f"line {sc.name!r} must retain exactly its nodes {list(sc.nodes)}, but "
-                    f"retains {labels}; a line carries no junction, and no junction may "
-                    "consume a line's port node")
             port_loadings = {node: 1.0 / blocks.c_inv[coord_of[node], coord_of[node]]
                              for node in sc.nodes}
             lines[sc.name], sub = _line_subsystem(sc, circuit, port_loadings, naive)
             port_coord.update((coord_of[node], (sc.name, node)) for node in sc.nodes)
         subsystems.append(sub)
+    if errors:
+        raise ConfigError("\n".join(errors))
 
     graph = _coupling_graph(port_coord, blocks)
-    if graph_hook is not None:
-        graph = graph_hook(graph)
-
-    flat_mode_names = tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
-                            for sub in subsystems for m in range(len(sub.factors)))
-
-    def first_mode(name: str) -> int:
-        return flat_mode_names.index(name if name in flat_mode_names else f"{name}[0]")
-
-    qubit_mode = readout_mode = None
-    if config.analysis.qubit and config.analysis.readout:
-        qubit_mode = first_mode(config.analysis.qubit)
-        readout_mode = first_mode(config.analysis.readout)
-
-    h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
-    spectrum = diagonalize(subsystems, h, observable_labels(subsystems, qubit_mode),
-                           min_overlap=config.analysis.min_overlap)
-    dispersive = None
-    if qubit_mode is not None:
-        dispersive = extract_dispersive(spectrum, qubit_mode, readout_mode)
-
+    flat_mode_names, spectrum, dispersive = _solve_composite(config, subsystems, graph)
     return DeviceModel(
         config=config, circuit=circuit, subsystems=tuple(subsystems),
         transmon_specs=transmon_specs, lines=lines, graph=graph,
         spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
         flat_mode_names=flat_mode_names,
     )
+
+
+def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsystem],
+                     graph: CouplingGraph) -> tuple[
+        tuple[str, ...], DressedSpectrum, DispersiveObservables | None]:
+    """Stage 7: the composite of ``subsystems`` coupled by ``graph``: its
+    flattened mode names, its dressed spectrum and, when the config names a
+    qubit and a readout, their dispersive observables."""
+    flat_mode_names = tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
+                            for sub in subsystems for m in range(len(sub.factors)))
+    offsets = itertools.accumulate((len(sub.factors) for sub in subsystems), initial=0)
+    first_mode = {sub.name: k for sub, k in zip(subsystems, offsets)}  # its flattened index
+    pair = bool(config.analysis.qubit and config.analysis.readout)
+    qubit_mode = first_mode[config.analysis.qubit] if pair else None
+
+    h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
+    spectrum = diagonalize(subsystems, h, observable_labels(subsystems, qubit_mode),
+                           min_overlap=config.analysis.min_overlap)
+    dispersive = (extract_dispersive(spectrum, qubit_mode, first_mode[config.analysis.readout])
+                  if pair else None)
+    return flat_mode_names, spectrum, dispersive
 
 
 def _coupling_graph(port_coord: Mapping[int, tuple[str, str]],
@@ -412,7 +407,11 @@ class BudgetRow:
 def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[BudgetRow]:
     """Sensitivity budget: toggle each model feature / parameter and report
     the change of chi_qr against the full model (``base`` when it is
-    already built). Rows that keep the circuit requantize the base."""
+    already built). Each row reruns the stages its variation reaches: the
+    coupling row stage 7 on the base subsystems, the rows that change the
+    circuit (substrate, junction capacitance, cell padding) stages 2-5 on
+    the cells stage 1 loaded once, and the other rows stages 6-7 on the
+    base circuit."""
     if base is None:
         base = build_model(config)
     if base.dispersive is None:
@@ -421,15 +420,15 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
     qubit = config.analysis.qubit
     rows: list[BudgetRow] = []
 
-    def add(feature: str, variation: str, model: DeviceModel):
-        chi = model.dispersive.chi_qr
+    def add(feature: str, variation: str, dispersive: DispersiveObservables):
+        chi = dispersive.chi_qr
         rows.append(BudgetRow(feature, variation, chi, 100.0 * (chi - chi0) / abs(chi0)))
 
-    def requantize(cfg: DeviceConfig, **kwargs) -> DeviceModel:
-        return build_model(cfg, circuit=base.circuit, **kwargs)
+    def requantize(cfg: DeviceConfig) -> DispersiveObservables:
+        return build_model(cfg, circuit=base.circuit).dispersive
 
     add("coupling_hamiltonians", "qubit couplings only",
-        requantize(config, graph_hook=lambda g: g.restricted_to(qubit)))
+        _solve_composite(config, base.subsystems, base.graph.restricted_to(qubit))[2])
 
     readout = next((l for l in config.lines if l.name == config.analysis.readout), None)
     if readout is not None and readout.modes > 1:
@@ -445,35 +444,29 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
                 f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
             add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", requantize(cfg))
 
-    def scale_cells(factor):
-        def hook(ident, maxwell):
-            return MaxwellMatrix(names=maxwell.names, matrix=maxwell.matrix * factor,
-                                 display_units=maxwell.display_units)
-        return hook
+    cells, input_sha256 = _load_cells(config)
+
+    def rebuild(cfg: DeviceConfig, varied: Sequence[CellMatrices]) -> DispersiveObservables:
+        return build_model(cfg, circuit=_circuit_from_cells(cfg, varied, input_sha256)).dispersive
 
     add("substrate_permittivity", "+2% on cell capacitances",
-        build_model(config, circuit=build_circuit(config, scale_cells(1.02))))
+        rebuild(config, [dataclasses.replace(c, c_mat=c.c_mat * 1.02) for c in cells]))
 
     for jc in config.junctions:
         if jc.subsystem == qubit and jc.cj_f > 0.0:
             cfg = config.with_override(f"junctions.{jc.ident}.cj_ff", jc.cj_f * 1.1 / 1e-15)
-            add("junction_capacitance", f"+10% on {jc.ident}", build_model(cfg))
+            add("junction_capacitance", f"+10% on {jc.ident}", rebuild(cfg, cells))
             break
 
-    def pad_hook(ident, maxwell):
-        n = maxwell.size
-        padded = np.zeros((n + 1, n + 1))
-        padded[:n, :n] = maxwell.matrix
-        spectator = 1e-18  # 1 aF to the local ground keeps the matrix regular
-        padded[n, n] = spectator
-        padded[n, 0] = padded[0, n] = -spectator
-        padded[0, 0] += spectator
-        return MaxwellMatrix(names=maxwell.names + (f"__pad_{ident}",), matrix=padded,
-                             display_units=maxwell.display_units)
+    def padded(cell: CellMatrices) -> CellMatrices:
+        c_mat = np.pad(cell.c_mat, (0, 1))
+        c_mat[-1, -1] = 1e-18  # 1 aF to the datum keeps the matrix regular
+        return dataclasses.replace(cell, nodes=(*cell.nodes, f"__pad_{cell.ident}"),
+                                   c_mat=c_mat, l_inv=np.pad(cell.l_inv, (0, 1)))
 
-    pads = [f"__pad_{c.ident}" for c in config.cells]
-    add("cell_padding", "spectator node added",
-        build_model(config, circuit=build_circuit(config, pad_hook, pads)))
+    cfg = config.with_override("couplers", [*config.couplers,
+                                            *(f"__pad_{c.ident}" for c in cells)])
+    add("cell_padding", "spectator node added", rebuild(cfg, [padded(c) for c in cells]))
 
     return rows
 

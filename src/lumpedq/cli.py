@@ -35,10 +35,10 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_sweep(args) -> None:
     from .analysis import run_sweep
-    from .config import load_device_config
+    from .config import load_device_config, parse_finite
     from .report import to_machine, to_table
 
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [parse_finite(v, "--values", "sweep") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValidationError("no sweep values given")
     config = load_device_config(args.config)

@@ -35,6 +35,16 @@ def parse_termination(entry: Mapping[str, Any], where: str) -> bool:
 _REQUIRED = object()
 
 
+def _require(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED):
+    """``entry[key]``, or ``default`` when the field is absent or null; a
+    field without a default is required."""
+    if entry.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+        return default
+    return entry[key]
+
+
 def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
                  kind: type = float):
     """``entry[key]`` as a finite ``kind`` (float or int), or ``default`` when
@@ -42,10 +52,8 @@ def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = 
     value that is not a finite number (a boolean is not one), or not a whole
     number for an int field, raises ConfigError naming the field."""
     if entry.get(key) is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required field {key!r}")
-        return default
-    return _finite(entry[key], key, where, kind)
+        return _require(entry, key, where, default)
+    return parse_finite(entry[key], key, where, kind)
 
 
 def parse_positive(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED):
@@ -56,7 +64,8 @@ def parse_positive(entry: Mapping[str, Any], key: str, where: str, default: Any 
     return number
 
 
-def _finite(value: Any, key: str, where: str, kind: type = float):
+def parse_finite(value: Any, key: str, where: str, kind: type = float):
+    """``value`` as ``parse_number`` reads the value of field ``key``."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
@@ -68,6 +77,24 @@ def _finite(value: Any, key: str, where: str, kind: type = float):
             raise ConfigError(f"{where}: {key} must be a whole number, got {value!r}")
         return int(number)
     return number
+
+
+def parse_list(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
+               names: bool = False) -> list:
+    """``entry[key]`` as a list, or ``default`` as ``_require`` gives it: of
+    node ``names`` (strings, or integers read as their decimal string), or
+    else of mappings; anything else is a ConfigError naming the field."""
+    if entry.get(key) is None:
+        return _require(entry, key, where, default)
+    kind = "node names" if names else "mappings"
+    value = entry[key]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: {key} must be a list of {kind}, got {value!r}")
+    for item in value:
+        if not (isinstance(item, (str, int)) and not isinstance(item, bool) if names
+                else isinstance(item, Mapping)):
+            raise ConfigError(f"{where}: {key} must be a list of {kind}, got item {item!r}")
+    return [str(item) for item in value] if names else list(value)
 
 
 def check_fields(entry: Any, fields: tuple[str, ...], where: str) -> None:
@@ -224,12 +251,6 @@ def _find_named(entries: list, key: str, path: str) -> dict:
     raise ConfigError(f"override path {path!r}: no entry named {key!r}")
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return mapping[key]
-
-
 def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> DeviceConfig:
     base_dir = Path(base_dir)
     check_fields(raw, ("name", "datum", "cells", "couplers", "subsystems", "junctions",
@@ -238,7 +259,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     datum = str(_require(raw, "datum", "config"))
 
     cells = []
-    for entry in _require(raw, "cells", "config"):
+    for entry in parse_list(raw, "cells", "config"):
         ident = str(_require(entry, "id", "cell"))
         check_fields(entry, ("id", "maxwell_file", "ground_nets"), f"cell {ident!r}")
         maxwell_entry = str(_require(entry, "maxwell_file", f"cell {ident!r}"))
@@ -246,17 +267,17 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
             ident=ident,
             maxwell_file=base_dir / maxwell_entry,
             maxwell_entry=maxwell_entry,
-            ground_nets=tuple(entry.get("ground_nets", ())),
+            ground_nets=tuple(parse_list(entry, "ground_nets", f"cell {ident!r}", (), names=True)),
         ))
     if len({c.ident for c in cells}) != len(cells):
         raise ConfigError("duplicate cell ids")
 
     transmons: list[TransmonConfig] = []
     lines: list[LineConfig] = []
-    for entry in _require(raw, "subsystems", "config"):
+    for entry in parse_list(raw, "subsystems", "config"):
         kind = _require(entry, "kind", "subsystem")
         sname = str(_require(entry, "name", "subsystem"))
-        nodes = tuple(str(n) for n in _require(entry, "nodes", f"subsystem {sname!r}"))
+        nodes = tuple(parse_list(entry, "nodes", f"subsystem {sname!r}", names=True))
         if kind == "transmon":
             where = f"subsystem {sname!r}"
             check_fields(entry, ("name", "kind", "nodes", "levels", "n_max", "q_offset_2e"),
@@ -275,7 +296,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
                                  "target_mode", "target_loading", "modes", "levels"), where)
             modes = parse_number(entry, "modes", where, 1, int)
             levels = entry.get("levels", 5)
-            levels = tuple(_finite(v, "levels", where, int) for v in levels) \
+            levels = tuple(parse_finite(v, "levels", where, int) for v in levels) \
                 if isinstance(levels, (list, tuple)) \
                 else (parse_number(entry, "levels", where, 5, int),) * modes
             length = parse_number(entry, "length_mm", where, None)
@@ -301,19 +322,19 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         raise ConfigError("duplicate subsystem names")
 
     junctions = []
-    for entry in raw.get("junctions", ()):
+    for entry in parse_list(raw, "junctions", "config", ()):
         ident = str(_require(entry, "id", "junction"))
         where = f"junction {ident!r}"
         check_fields(entry, ("id", "nodes", "subsystem", "lj_nh", "ej_ghz", "cj_ff"), where)
-        nodes = _require(entry, "nodes", where)
+        nodes = parse_list(entry, "nodes", where, names=True)
         if len(nodes) != 2:
             raise ConfigError(f"{where}: nodes must be a [neg, pos] pair")
         lj = parse_positive(entry, "lj_nh", where, None)
         ej = parse_positive(entry, "ej_ghz", where, None)
         junctions.append(JunctionConfig(
             ident=ident,
-            node_neg=str(nodes[0]),
-            node_pos=str(nodes[1]),
+            node_neg=nodes[0],
+            node_pos=nodes[1],
             subsystem=str(_require(entry, "subsystem", where)),
             lj_h=None if lj is None else lj * 1e-9,
             ej_j=None if ej is None else ej * 1e9 * constants.h,
@@ -323,33 +344,33 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         raise ConfigError("duplicate junction ids")
 
     inductors = []
-    for entry in raw.get("inductors", ()):
-        nodes = _require(entry, "nodes", "inductor")
+    for entry in parse_list(raw, "inductors", "config", ()):
+        nodes = parse_list(entry, "nodes", "inductor", names=True)
         if len(nodes) != 2:
             raise ConfigError("inductor nodes must be a pair")
-        where = f"inductor {list(nodes)}"
+        where = f"inductor {nodes}"
         check_fields(entry, ("nodes", "l_nh"), where)
         inductors.append(InductorConfig(
-            node_a=str(nodes[0]), node_b=str(nodes[1]),
+            node_a=nodes[0], node_b=nodes[1],
             l_h=parse_positive(entry, "l_nh", where) * 1e-9,
         ))
 
     ana = raw.get("analysis", {})
     check_fields(ana, ("qubit", "readout", "dimension_cap", "min_overlap"), "analysis")
-    default_qubit = transmons[0].name if transmons else ""
-    default_readout = ""
-    for line in lines:
-        if line.role == "readout":
-            default_readout = line.name
-            break
-    else:
-        if lines:
-            default_readout = lines[0].name
+    # the pair defaults to the first transmon and the readout-role line, or the first line
+    pair = {"qubit": transmons[0].name if transmons else "",
+            "readout": next((l.name for l in lines if l.role == "readout"),
+                            lines[0].name if lines else "")}
+    for key in pair:
+        pair[key] = str(ana.get(key, pair[key]))
+        if pair[key] and pair[key] not in names:
+            raise ConfigError(f"analysis: {key} {pair[key]!r} names no subsystem of {names}")
+    if pair["qubit"] and pair["qubit"] == pair["readout"]:
+        raise ConfigError(f"analysis: qubit and readout both name {pair['qubit']!r}")
     analysis = AnalysisOptions(
         dimension_cap=parse_number(ana, "dimension_cap", "analysis", DEFAULT_DIMENSION_CAP, int),
         min_overlap=parse_number(ana, "min_overlap", "analysis", DEFAULT_MIN_OVERLAP),
-        qubit=str(ana.get("qubit", default_qubit)),
-        readout=str(ana.get("readout", default_readout)),
+        **pair,
     )
 
     return DeviceConfig(
@@ -358,7 +379,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         cells=tuple(cells),
         transmons=tuple(transmons),
         lines=tuple(lines),
-        couplers=tuple(str(n) for n in raw.get("couplers", ())),
+        couplers=tuple(parse_list(raw, "couplers", "config", (), names=True)),
         junctions=tuple(junctions),
         inductors=tuple(inductors),
         analysis=analysis,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -330,35 +330,22 @@ class ReducedCircuit:
 # operations
 # ---------------------------------------------------------------------------
 
-def reduce_maxwell(m: MaxwellMatrix, datum: str, ident: str) -> CellMatrices:
+def reduce_maxwell(m: MaxwellMatrix, datum: str, ident: str,
+                   ground_nets: Sequence[str] = ()) -> CellMatrices:
     """Fold the Maxwell matrix to the node-to-datum basis of cell ``ident`` by
-    deleting the datum row and column; remaining node order is preserved."""
+    deleting the rows and columns of the datum and of the ``ground_nets``,
+    islands grounded to it, whose flux is zero; remaining node order is
+    preserved."""
+    for n in ground_nets:
+        if n not in m.names:
+            raise UnknownNode(f"cannot merge unknown node {n!r}")
     if datum not in m.names:
         raise UnknownDatum(f"datum {datum!r} not among nodes {list(m.names)}")
-    keep = [i for i, n in enumerate(m.names) if n != datum]
+    grounded = {datum, *ground_nets}
+    keep = [i for i, n in enumerate(m.names) if n not in grounded]
     nodes = tuple(m.names[i] for i in keep)
     c = m.matrix[np.ix_(keep, keep)].copy()
     return CellMatrices(ident=ident, nodes=nodes, c_mat=c, l_inv=np.zeros_like(c))
-
-
-def merge_maxwell_nodes(m: MaxwellMatrix, merge: Iterable[str], into: str) -> MaxwellMatrix:
-    """Merge grounded islands into a single net by summing their rows and
-    columns; mutuals internal to the merged group vanish. Each entry is
-    scatter-added to the entry of its row's and its column's groups."""
-    merge = [n for n in merge if n != into]
-    for n in merge:
-        if n not in m.names:
-            raise UnknownNode(f"cannot merge unknown node {n!r}")
-    if into not in m.names:
-        raise UnknownNode(f"merge target {into!r} not present")
-    merged = set(merge)
-    keep = [n for n in m.names if n not in merged]
-    position = {n: a for a, n in enumerate(keep)}
-    group = np.array([position[into if n in merged else n] for n in m.names], dtype=np.intp)
-    k = len(keep)
-    out = np.bincount((group[:, None] * k + group).ravel(), weights=m.matrix.ravel(),
-                      minlength=k * k).reshape(k, k)
-    return MaxwellMatrix(names=tuple(keep), matrix=_symmetrize(out), display_units=m.display_units)
 
 
 def _two_terminal_stamp(index: Mapping[str, int], datum: str,
@@ -675,12 +662,9 @@ def reduce_network(net: CompositeNetlist) -> ReducedCircuit:
         )
 
     block_lists: dict[str, list[int]] = {name: [] for name in net.registry.subsystems}
-    junction_by_id = {j.ident: j for j in net.junctions}
+    owner = {j.ident: j.subsystem for j in net.junctions}  # a junction flux's subsystem
     for i, lab in enumerate(labels2):
-        if lab in junction_by_id:
-            block_lists[junction_by_id[lab].subsystem].append(i)
-        else:
-            block_lists[net.registry.subsystem_of(lab)].append(i)
+        block_lists[owner[lab] if lab in owner else net.registry.subsystem_of(lab)].append(i)
 
     retained = [keep1[i] for i in keep2]
     c_bare = c if net.c_bare is net.c_mat else _congruence(net.c_bare, s_n)

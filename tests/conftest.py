@@ -288,9 +288,10 @@ def subsystem_c_inv(blocks, name):
 
 
 def merge_maxwell_oracle(m, merge, into):
-    """Double-loop reference for ``merge_maxwell_nodes``: each entry of the
-    merged matrix is the sum of the block of the original between the two
-    groups of nodes it stands for."""
+    """Double-loop reference for merging the grounded nets ``merge`` into
+    ``into``: each entry of the merged matrix is the sum of the block of the
+    original between the two groups of nodes it stands for.
+    ``reduce_maxwell`` with ``ground_nets`` gives its non-datum block."""
     merge = [n for n in merge if n != into]
     keep = [n for n in m.names if n not in merge]
     idx = {n: i for i, n in enumerate(m.names)}

@@ -369,14 +369,23 @@ class TestCircuitReuse:
         through a new circuit, reusing nothing. Covers the calibration (both
         bracket ends and the calibrated point), every budget row, a 3-point
         lj_nh sweep and analyze --naive, and counts their circuit builds,
-        quantizations and line solves."""
+        quantizations and line solves. A circuit the budget builds on cells
+        it varied is rebuilt from those cells, and its coupling row, which
+        reruns stage 7 alone, from a fresh model's subsystems."""
         fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
-        fresh_solve = analysis.solve_modes
-        circuits, quantized = {}, []  # id(circuit) -> its build arguments; (config, kwargs, model)
+        fresh_from_cells, fresh_solve = analysis._circuit_from_cells, analysis.solve_modes
+        # id(circuit) -> its build arguments: (config,) through build_circuit,
+        # (config, cells, input_sha256) on cells the budget varied
+        circuits, quantized = {}, []  # (config, kwargs, model)
         solves = []
 
-        def spy_circuit(*args):
-            circuit = fresh_circuit(*args)
+        def spy_circuit(config):
+            circuit = fresh_circuit(config)
+            circuits[id(circuit)] = (config,)
+            return circuit
+
+        def spy_from_cells(*args):
+            circuit = fresh_from_cells(*args)
             circuits[id(circuit)] = args
             return circuit
 
@@ -390,6 +399,7 @@ class TestCircuitReuse:
             return fresh_solve(*args)
 
         monkeypatch.setattr(analysis, "build_circuit", spy_circuit)
+        monkeypatch.setattr(analysis, "_circuit_from_cells", spy_from_cells)
         monkeypatch.setattr(analysis, "build_model", spy_model)
         monkeypatch.setattr(analysis, "solve_modes", spy_solve)
         counts = []
@@ -399,7 +409,7 @@ class TestCircuitReuse:
 
         lj, calibrated = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         count()
-        run_budget(bench)
+        budget = run_budget(bench)
         count()
         swept = run_sweep(bench, "junctions.j1.lj_nh", [11.0, 12.0, 13.0])
         count()
@@ -408,15 +418,22 @@ class TestCircuitReuse:
         monkeypatch.undo()
         steps = [tuple(b - a for a, b in zip(before, after))
                  for before, after in zip([(0, 0, 0)] + counts, counts)]
-        assert steps == [(1, 6, 3), (4, 8, 15), (1, 3, 3), (1, 2, 6)]
+        assert steps == [(1, 6, 3), (4, 7, 15), (1, 3, 3), (1, 2, 6)]
         assert {10e-9, 14e-9, lj} <= {kw["lj_overrides"]["j1"] for _, kw, _ in quantized[:6]}
 
         for config, kwargs, model in quantized:
             options = {k: v for k, v in kwargs.items() if k != "circuit"}
             args = circuits[id(model.circuit)]
+            rebuild = fresh_circuit if len(args) == 1 else fresh_from_cells
             fresh = (fresh_model(config, **options) if args == (config,) else
-                     fresh_model(config, circuit=fresh_circuit(*args), **options))
+                     fresh_model(config, circuit=rebuild(*args), **options))
             assert to_machine(build_report(model)) == to_machine(build_report(fresh))
+
+        base = fresh_model(bench)
+        _, _, restricted = analysis._solve_composite(
+            bench, base.subsystems, base.graph.restricted_to(bench.analysis.qubit))
+        assert budget[0].feature == "coupling_hamiltonians"
+        assert budget[0].chi_hz == restricted.chi_qr
 
         assert to_machine(calibrated) == to_machine(build_report(
             build_model(bench, lj_overrides={"j1": lj}), calibrated={"j1": lj}))

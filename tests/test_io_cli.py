@@ -155,6 +155,22 @@ class TestConfig:
         assert cfg.analysis.qubit == "qubit"
         assert cfg.analysis.readout == "readout"
 
+    def test_integer_node_names_read_as_strings(self):
+        """YAML reads a node name such as 0 as an integer; every list of node
+        names takes it as its decimal string."""
+        raw = benchmark_raw_config()
+        raw["couplers"] = [0, "cl"]
+        raw["cells"][0]["ground_nets"] = [2]
+        raw["subsystems"][0]["nodes"] = [1]
+        raw["junctions"][0]["nodes"] = [0, 1]
+        raw["inductors"] = [{"nodes": ["g", 3], "l_nh": 1.0}]
+        cfg = parse_device_config(raw)
+        assert cfg.couplers == ("0", "cl")
+        assert cfg.cells[0].ground_nets == ("2",)
+        assert cfg.transmons[0].nodes == ("1",)
+        assert (cfg.junctions[0].node_neg, cfg.junctions[0].node_pos) == ("0", "1")
+        assert cfg.inductors[0].node_b == "3"
+
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="datum"):
             parse_device_config({"cells": []})
@@ -500,16 +516,43 @@ class TestCli:
                       cfg["subsystems"][0].update(nodes=["p0", "p1"])),
          "transmon 'qubit' must retain exactly one junction flux and nothing else; "
          "it retains non-junction coordinates ['p0'] and junction fluxes ['j1']"),
+        (lambda cfg: cfg["junctions"].append(
+            {"id": "j2", "nodes": ["b2", "b3"], "subsystem": "bus2", "lj_nh": 10.0}),
+         "line 'bus3' must retain exactly its nodes ['b3'], but retains []"),
+        (lambda cfg: cfg["analysis"].update(qubit="qbit"),
+         "analysis: qubit 'qbit' names no subsystem"),
+        (lambda cfg: cfg["subsystems"][1].update(name="ro"),
+         "analysis: readout 'readout' names no subsystem"),
+        (lambda cfg: cfg["analysis"].update(qubit="readout"),
+         "analysis: qubit and readout both name 'readout'"),
+        (lambda cfg: cfg.update(couplers="cl"),
+         "config: couplers must be a list of node names, got 'cl'"),
+        (lambda cfg: cfg["cells"][0].update(ground_nets="cl"),
+         "cell 'cell0': ground_nets must be a list of node names, got 'cl'"),
+        (lambda cfg: cfg["subsystems"][0].update(nodes={"a": 1}),
+         "subsystem 'qubit': nodes must be a list of node names, got {'a': 1}"),
+        (lambda cfg: cfg["junctions"][0].update(nodes=["p0", None]),
+         "junction 'j1': nodes must be a list of node names, got item None"),
+        (lambda cfg: cfg.update(subsystems=7),
+         "config: subsystems must be a list of mappings, got 7"),
+        (lambda cfg: cfg["junctions"].append("j2"),
+         "config: junctions must be a list of mappings, got item 'j2'"),
     ], ids=["l_nh-zero", "l_nh-negative", "lj_nh-zero", "ej_ghz-zero", "junction-subsystem",
             "undeclared-cell-node", "junction-on-a-line", "junction-consumes-a-line-port",
-            "transmon-without-junction", "transmon-with-two-junctions", "pad-left-on-a-transmon"])
+            "transmon-without-junction", "transmon-with-two-junctions", "pad-left-on-a-transmon",
+            "junction-consumes-another-lines-port", "analysis-qubit-unknown",
+            "analysis-readout-renamed", "analysis-qubit-is-readout", "couplers-bare-string",
+            "ground_nets-bare-string", "nodes-mapping", "junction-node-null", "subsystems-scalar",
+            "junction-entry-string"])
     def test_refused_config_exit_code_2(self, device_dir, tmp_path, capsys, edit, message):
         """Non-positive inductances and energies, a junction of no subsystem,
-        a cell node the partition leaves out, and retained coordinates that
-        are not the subsystem's ports (a junction on a line or consuming its
-        port, a transmon without exactly one junction flux) are validation
-        errors that name the entry, not a traceback or a numerical failure
-        later on."""
+        a cell node the partition leaves out, retained coordinates that are
+        not the subsystem's ports (a junction on a line or consuming its
+        port, a transmon without exactly one junction flux; every failing
+        subsystem is named), an analysis block that names no subsystem or
+        one subsystem twice, and a list field that is not a list of the
+        right kind are validation errors that name the entry, not a
+        traceback or a numerical failure later on."""
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
         edit(cfg)
         (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -528,6 +571,15 @@ class TestCli:
         (tmp_path / "device.yaml").write_text(text.replace(old, new, 1), encoding="utf-8")
         (tmp_path / "qubit_cell.csv").write_bytes((device_dir / "qubit_cell.csv").read_bytes())
         assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("junctions.j1.lj_nh", "11,abc", "sweep: --values must be a finite number, got 'abc'"),
+        ("analysis.qubit", "1", "analysis: qubit '1.0' names no subsystem"),
+    ])
+    def test_refused_sweep_exit_code_2(self, device_dir, capsys, param, values, message):
+        assert run_cli("sweep", str(device_dir / "device.yaml"), "--param", param,
+                       "--values", values) == 2
         assert message in capsys.readouterr().err
 
     def test_non_finite_maxwell_value_exit_code_2(self, device_dir, tmp_path, capsys):
@@ -570,10 +622,11 @@ class TestCli:
         assert run_cli("analyze", str(small)) == 3
 
     def test_budget_reuses_the_base_build(self, device_dir, tmp_path, monkeypatch):
-        """The budget quantizes its base model once, builds a circuit only for
-        the base and the rows that change it (substrate, junction capacitance,
-        cell padding), and its machine report is byte-identical to one
-        assembled from separate budget and analysis runs."""
+        """The budget quantizes its base model once, reruns stages 2-5 only
+        for the base and the rows that change it (substrate, junction
+        capacitance, cell padding), reruns stage 7 alone for the coupling
+        row, and its machine report is byte-identical to one assembled from
+        separate budget and analysis runs."""
         config = load_device_config(device_dir / "device.yaml")
         rows = run_budget(config)
         base = run_analysis(config)
@@ -582,23 +635,23 @@ class TestCli:
             observables=base.observables, budget=budget_to_dicts(rows)))
 
         calls, circuits = [], []
-        build, build_circuit = analysis.build_model, analysis.build_circuit
+        build, from_cells = analysis.build_model, analysis._circuit_from_cells
 
         def counting(*args, **kwargs):
             calls.append(kwargs)
             return build(*args, **kwargs)
 
-        def counting_circuit(*args, **kwargs):
+        def counting_circuit(*args):
             circuits.append(args)
-            return build_circuit(*args, **kwargs)
+            return from_cells(*args)
 
         monkeypatch.setattr(analysis, "build_model", counting)
-        monkeypatch.setattr(analysis, "build_circuit", counting_circuit)
+        monkeypatch.setattr(analysis, "_circuit_from_cells", counting_circuit)
         out = tmp_path / "budget.json"
         assert run_cli("budget", str(device_dir / "device.yaml"),
                        "--format", "machine", "-o", str(out)) == 0
         assert out.read_text(encoding="utf-8") == separate
-        assert len(calls) == len(rows) + 1 == 8
+        assert len(calls) == len(rows) == 7
         assert len(circuits) == 4
 
     def test_memory_guard_exit_code_3(self, device_dir, monkeypatch, capsys):
@@ -626,3 +679,45 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "dispersive" in proc.stdout
+
+
+def config_fields(node, path=()):
+    """The path of every mapping key and list item of a raw config, at any depth."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from config_fields(value, (*path, key))
+
+
+class TestMalformedConfig:
+    WRONG_VALUES = ("x", 7, [], {"a": 1}, None)
+
+    def test_every_field_wrong_typed_exits_cleanly(self, tmp_path, capsys):
+        """Each field of the shipped config, plus an empty ``ground_nets``
+        and ``inductors`` and a ``dimension_cap`` at the shipped dimension
+        (a valid but larger level count stops at the cap, exit 3, and
+        builds no larger model), replaced in turn by each wrong-typed
+        value: ``analyze`` exits 0, 2 or 3, and raises nothing."""
+        write_benchmark(tmp_path)
+        raw = benchmark_raw_config()
+        raw["cells"][0]["ground_nets"] = []
+        raw["inductors"] = []
+        raw["analysis"]["dimension_cap"] = 540
+        path = tmp_path / "malformed.yaml"
+        crashed = []
+        for field in config_fields(raw):
+            for value in self.WRONG_VALUES:
+                doc = copy.deepcopy(raw)
+                node = doc
+                for key in field[:-1]:
+                    node = node[key]
+                node[field[-1]] = value
+                path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+                try:
+                    code = run_cli("analyze", str(path))
+                except Exception as exc:  # any exception that escapes is the failure
+                    code = exc
+                if code not in (0, 2, 3):
+                    crashed.append((field, value, code))
+        capsys.readouterr()
+        assert crashed == []

@@ -38,7 +38,6 @@ from lumpedq.netlist import (
     compose_cells,
     coupler_kernel,
     extract_blocks,
-    merge_maxwell_nodes,
     reduce_maxwell,
     reduce_network,
     rotate_to_junction_basis,
@@ -134,26 +133,35 @@ class TestMaxwell:
         np.testing.assert_allclose(rebuilt.matrix[1:, 1:], m.matrix[1:, 1:], rtol=1e-12)
 
     def test_merge_ground_nets(self):
+        """A grounded net drops like the datum: the cell is the non-datum
+        block of the merged matrix, exactly."""
         m = MaxwellMatrix(
             names=("g", "g2", "a"),
             matrix=np.array(
                 [[6.0, -1.0, -2.0], [-1.0, 4.0, -3.0], [-2.0, -3.0, 5.0]]
             ) * fF,
         )
-        merged = merge_maxwell_nodes(m, ["g2"], "g")
-        assert merged.names == ("g", "a")
+        cell = reduce_maxwell(m, "g", "c", ground_nets=["g2"])
+        ref_names, ref = merge_maxwell_oracle(m, ["g2"], "g")
         # mutuals to the merged island add; the internal g-g2 mutual vanishes
-        np.testing.assert_allclose(merged.matrix, np.array([[8.0, -5.0], [-5.0, 5.0]]) * fF)
+        np.testing.assert_allclose(ref, np.array([[8.0, -5.0], [-5.0, 5.0]]) * fF)
+        assert cell.nodes == ref_names[1:] == ("a",)
+        assert np.array_equal(cell.c_mat, ref[1:, 1:])
 
     def test_merge_matches_double_loop_oracle(self, rng):
         names = [f"n{i:02d}" for i in range(60)]
         m = _random_maxwell(rng, 60, names=names)
         merge = [names[i] for i in rng.choice(np.arange(1, 60), size=3, replace=False)]
-        merged = merge_maxwell_nodes(m, merge, names[0])
+        cell = reduce_maxwell(m, names[0], "c", ground_nets=merge)
         ref_names, ref = merge_maxwell_oracle(m, merge, names[0])
-        assert merged.names == ref_names
-        assert len(merged.names) == 57
-        np.testing.assert_allclose(merged.matrix, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert cell.nodes == ref_names[1:]
+        assert len(cell.nodes) == 56
+        assert np.array_equal(cell.c_mat, ref[1:, 1:])
+
+    def test_unknown_ground_net_rejected(self):
+        m = _random_maxwell(np.random.default_rng(0), 3, names=("g", "a", "b"))
+        with pytest.raises(UnknownNode, match="cannot merge unknown node 'x'"):
+            reduce_maxwell(m, "g", "c", ground_nets=["x"])
 
     def test_star_mesh_oracle_for_qubit_cell(self, rng):
         """Effective port-to-datum capacitance of a fully connected 6-node

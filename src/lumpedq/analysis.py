@@ -5,12 +5,9 @@ ingestion -> cell composition -> constraint elimination -> dressed blocks,
 reading no junction's L_j or E_J, and ``build_model`` runs subsystem
 quantization -> composite Hamiltonian -> dressed observables on a circuit.
 Also provides the naive comparison mode, parameter sweeps, the sensitivity
-budget, and junction inductance calibration, which quantize one circuit
-many times where their variations leave it unchanged. A circuit keeps each
-line it solved, so a line whose config is unchanged is solved once per
-circuit. Every run is a pure function of the configuration, so sweep points
-may execute in parallel; two threads that share a circuit may both solve
-and store a line, and they store equal values.
+budget, and junction inductance calibration, which rerun only the stages
+their variation reaches. Every run is a pure function of the configuration,
+so sweep points may execute in parallel.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import dataclasses
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,20 +68,13 @@ class LineResult:
 @dataclass(frozen=True)
 class DeviceCircuit:
     """Stages 1-5 of one configuration: the linear network, reduced and cut
-    into blocks. It holds no junction's L_j or E_J.
-
-    ``lines`` keeps each line solved on this circuit, keyed by its config and
-    the naive flag: its port loadings depend only on the circuit and the
-    line's nodes. Two threads that share a circuit may both fill an entry;
-    they store equal values."""
+    into blocks. It holds no junction's L_j or E_J."""
 
     config: DeviceConfig
     reduced: ReducedCircuit
     blocks: CircuitBlocks
     # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
     input_sha256: Mapping[str, str]
-    lines: dict[tuple[LineConfig, bool], tuple[LineResult, QuantizedSubsystem]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def fits(self, config: DeviceConfig) -> bool:
         """Whether ``config`` equals this circuit's in every field stages 1-5 read."""
@@ -142,13 +132,10 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
     return CellMatrices("__lumped__", tuple(nodes), np.zeros_like(l_inv), l_inv, junctions)
 
 
-def _transmon_subsystem(
-    tc: TransmonConfig, junction: JunctionConfig, c_eff: float,
-    lj_overrides: Mapping[str, float],
-) -> tuple[TransmonSpec, QuantizedSubsystem]:
-    """The transmon's spec, with E_J from its junction's config entry or
-    ``lj_overrides``, and its factor."""
-    lj = lj_overrides.get(junction.ident, junction.lj_h)
+def _transmon_subsystem(tc: TransmonConfig, junction: JunctionConfig, c_eff: float,
+                        lj: float | None) -> tuple[TransmonSpec, QuantizedSubsystem]:
+    """The transmon's spec, with E_J from ``lj`` (henries) or else its
+    junction's ``ej_j``, and its factor."""
     spec = TransmonSpec(
         c_eff=c_eff,
         ej=junction.ej_j if lj is None else PHI_0**2 / lj,
@@ -171,15 +158,11 @@ def _naive_port_zpfs(modes: Sequence[LineMode]) -> tuple[list[float], list[float
     return charge, flux
 
 
-def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit, port_loadings: Mapping[str, float],
+def _line_subsystem(lc: LineConfig, port_loadings: Mapping[str, float],
                     naive: bool) -> tuple[LineResult, QuantizedSubsystem]:
     """Solve and quantize one line, loaded by the larger of its port loadings
     (read off the circuit's blocks, or their weak-coupling form when
-    ``naive``); ``naive`` solves it unloaded with lumped-equivalent port ZPFs.
-    A line solved on ``circuit`` before is taken from ``circuit.lines``."""
-    solved = circuit.lines.get((lc, naive))
-    if solved is not None:
-        return solved
+    ``naive``); ``naive`` solves it unloaded with lumped-equivalent port ZPFs."""
     loading = 0.0
     if port_loadings and not naive:
         loading = max(port_loadings.values())
@@ -206,10 +189,8 @@ def _line_subsystem(lc: LineConfig, circuit: DeviceCircuit, port_loadings: Mappi
     charge_zpf, flux_zpf = _naive_port_zpfs(modes) if naive else (None, None)
     sub = quantize_line(spec, modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
                         charge_zpf=charge_zpf, flux_zpf=flux_zpf)
-    solved = circuit.lines[lc, naive] = (
-        LineResult(config=lc, spec=spec, dressed_loading=loading,
-                   port_loadings=port_loadings, modes=tuple(modes)), sub)
-    return solved
+    return LineResult(config=lc, spec=spec, dressed_loading=loading,
+                      port_loadings=port_loadings, modes=tuple(modes)), sub
 
 
 def _circuit_fields(config: DeviceConfig) -> tuple:
@@ -237,37 +218,28 @@ def build_circuit(config: DeviceConfig) -> DeviceCircuit:
     return _circuit_from_cells(config, *_load_cells(config))
 
 
-def build_model(
-    config: DeviceConfig,
-    *,
-    circuit: DeviceCircuit | None = None,
-    naive: bool = False,
-    lj_overrides: Mapping[str, float] | None = None,
-) -> DeviceModel:
+def build_model(config: DeviceConfig, *, circuit: DeviceCircuit | None = None,
+                naive: bool = False) -> DeviceModel:
     """Run the pipeline once: stages 6-7 of ``config`` on ``circuit``
     (``build_circuit(config)`` when not given), which must come from a
-    config equal to ``config`` in every field stages 1-5 read. Each E_J is
-    set here, from the junction's config entry or ``lj_overrides`` (henries
-    by junction id; an id that is no junction of ``config``, or a value that
-    is not positive and finite, is a ConfigError).
-    Lines come from ``circuit.lines`` where solved there before.
+    config equal to ``config`` in every field stages 1-5 read.
 
     ``naive`` recomputes under conventional approximations: line modes are
     solved without loading (undressed eigenfields, lumped-equivalent port
     ZPFs), and the transmons and couplings read ``weak_coupling_blocks``
     in place of the eliminated inverse.
     """
-    unknown = sorted(set(lj_overrides or {}) - {j.ident for j in config.junctions})
-    if unknown:
-        raise ConfigError(f"lj_overrides name no junction of the configuration: {unknown}")
-    for ident, lj in (lj_overrides or {}).items():
-        if not (lj > 0.0 and math.isfinite(lj)):
-            raise ConfigError(f"lj_overrides: {ident!r} must be a positive, finite "
-                              f"inductance, got {lj!r}")
     if circuit is None:
         circuit = build_circuit(config)
     elif not circuit.fits(config):
         raise ConfigError("configuration differs from its circuit's in a field stages 1-5 read")
+    return _composite_model(config, circuit, _quantize(config, circuit, naive))
+
+
+def _quantize(config: DeviceConfig, circuit: DeviceCircuit, naive: bool) -> tuple:
+    """Stage 6 of ``config`` on ``circuit``: the tuple of its subsystems,
+    their transmon specs and line results by name, the (subsystem, port) of
+    each port coordinate, and the coupling graph of those ports."""
     # no subsystem models a linear inductance on its own coordinate: refuse it, not drop it
     inductive = [label for label, y in zip(circuit.blocks.labels, np.diag(circuit.blocks.l_inv))
                  if y != 0.0]
@@ -276,13 +248,12 @@ def build_model(
                           "(nonzero L^-1 diagonal), which the quantization would drop")
     blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
-    # stage 6 reads each subsystem's coordinates off the reduction's block
-    # index, checks them against the subsystem's ports, and quantizes it
-    # while no subsystem has failed its check
+    # read each subsystem's coordinates off the reduction's block index,
+    # check them against the subsystem's ports, and quantize it while no
+    # subsystem has failed its check
     junctions = {j.ident: j for j in config.junctions}
     subsystems: list[QuantizedSubsystem] = []
-    transmon_specs = {}
-    lines = {}
+    transmon_specs, lines = {}, {}
     port_coord: dict[int, tuple[str, str]] = {}
     errors: list[str] = []
     for sc in (*config.transmons, *config.lines):
@@ -306,26 +277,38 @@ def build_model(
         if transmon:
             i = coords[0]
             transmon_specs[sc.name], sub = _transmon_subsystem(
-                sc, junctions[labels[0]], 1.0 / blocks.c_inv[i, i], lj_overrides or {})
+                sc, junctions[labels[0]], 1.0 / blocks.c_inv[i, i], junctions[labels[0]].lj_h)
             port_coord[i] = (sc.name, "junction")
         else:
             coord_of = dict(zip(labels, coords))
             port_loadings = {node: 1.0 / blocks.c_inv[coord_of[node], coord_of[node]]
                              for node in sc.nodes}
-            lines[sc.name], sub = _line_subsystem(sc, circuit, port_loadings, naive)
+            lines[sc.name], sub = _line_subsystem(sc, port_loadings, naive)
             port_coord.update((coord_of[node], (sc.name, node)) for node in sc.nodes)
         subsystems.append(sub)
     if errors:
         raise ConfigError("\n".join(errors))
+    return tuple(subsystems), transmon_specs, lines, port_coord, _coupling_graph(port_coord, blocks)
 
-    graph = _coupling_graph(port_coord, blocks)
+
+def _composite_model(config: DeviceConfig, circuit: DeviceCircuit, quantized: tuple,
+                     swap: tuple | None = None) -> DeviceModel:
+    """Stage 7 on the stage-6 products ``quantized`` of ``circuit``, with
+    ``swap`` (a transmon's spec or a line's result, and its factor) in place
+    of the subsystem of its name."""
+    subsystems, transmon_specs, lines, port_coord, graph = quantized
+    if swap is not None:
+        product, sub = swap
+        subsystems = tuple(sub if s.name == sub.name else s for s in subsystems)
+        if isinstance(product, TransmonSpec):
+            transmon_specs = {**transmon_specs, sub.name: product}
+        else:
+            lines = {**lines, sub.name: product}
     flat_mode_names, spectrum, dispersive = _solve_composite(config, subsystems, graph)
     return DeviceModel(
-        config=config, circuit=circuit, subsystems=tuple(subsystems),
-        transmon_specs=transmon_specs, lines=lines, graph=graph,
-        spectrum=spectrum, dispersive=dispersive, port_coord=port_coord,
-        flat_mode_names=flat_mode_names,
-    )
+        config=config, circuit=circuit, subsystems=subsystems, transmon_specs=transmon_specs,
+        lines=lines, graph=graph, spectrum=spectrum, dispersive=dispersive,
+        port_coord=port_coord, flat_mode_names=flat_mode_names)
 
 
 def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsystem],
@@ -408,10 +391,10 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
     """Sensitivity budget: toggle each model feature / parameter and report
     the change of chi_qr against the full model (``base`` when it is
     already built). Each row reruns the stages its variation reaches: the
-    coupling row stage 7 on the base subsystems, the rows that change the
-    circuit (substrate, junction capacitance, cell padding) stages 2-5 on
-    the cells stage 1 loaded once, and the other rows stages 6-7 on the
-    base circuit."""
+    coupling row stage 7 on the base subsystems, the readout rows the
+    readout line and stage 7, and the rows that change the circuit
+    (substrate, junction capacitance, cell padding) stages 2-7 on the cells
+    stage 1 loaded once."""
     if base is None:
         base = build_model(config)
     if base.dispersive is None:
@@ -424,25 +407,28 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         chi = dispersive.chi_qr
         rows.append(BudgetRow(feature, variation, chi, 100.0 * (chi - chi0) / abs(chi0)))
 
-    def requantize(cfg: DeviceConfig) -> DispersiveObservables:
-        return build_model(cfg, circuit=base.circuit).dispersive
-
     add("coupling_hamiltonians", "qubit couplings only",
         _solve_composite(config, base.subsystems, base.graph.restricted_to(qubit))[2])
 
-    readout = next((l for l in config.lines if l.name == config.analysis.readout), None)
-    if readout is not None and readout.modes > 1:
+    readout = next(l for l in config.lines if l.name == config.analysis.readout)
+    quantized = (base.subsystems, base.transmon_specs, base.lines, base.port_coord, base.graph)
+
+    def resolve_readout(cfg: DeviceConfig) -> DispersiveObservables:
+        lc = next(l for l in cfg.lines if l.name == readout.name)
+        swap = _line_subsystem(lc, base.lines[readout.name].port_loadings, naive=False)
+        return _composite_model(cfg, base.circuit, quantized, swap).dispersive
+
+    if readout.modes > 1:
         cfg = config.with_overrides({
             f"subsystems.{readout.name}.modes": 1,
             f"subsystems.{readout.name}.levels": [readout.levels[0]],
         })
-        add("readout_first_harmonic", "excluded", requantize(cfg))
+        add("readout_first_harmonic", "excluded", resolve_readout(cfg))
 
-    if readout is not None:
-        for sign in (+1, -1):
-            cfg = config.with_override(
-                f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
-            add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", requantize(cfg))
+    for sign in (+1, -1):
+        cfg = config.with_override(
+            f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
+        add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", resolve_readout(cfg))
 
     cells, input_sha256 = _load_cells(config)
 
@@ -481,18 +467,27 @@ def calibrate_junction(
     inductance to 2e-12 H (see ``calibrate_scalar``), building one model per
     L_j tried. The response is verified to bracket the target at the
     endpoints (f_q decreases as L_j grows); a NaN f_q or a solve that does
-    not converge raises NumericalError. Returns (lj, report). Every L_j is
-    quantized on one circuit, so the lines are solved once: line loading
-    does not depend on L_j."""
+    not converge raises NumericalError. Returns (lj, report). Stages 1-6
+    run once; each L_j rediagonalizes the junction's transmon and reruns
+    stage 7. An unknown ``junction``, or a bound that is not positive and
+    finite, is a ConfigError."""
     from .report import build_report
 
+    jc = next((j for j in config.junctions if j.ident == junction), None)
+    if jc is None:
+        raise ConfigError(f"calibrate_junction: {junction!r} names no junction")
+    if not all(lj > 0.0 and math.isfinite(lj) for lj in lj_bounds_h):
+        raise ConfigError(f"calibrate_junction: bounds must be positive and finite: {lj_bounds_h}")
     circuit = build_circuit(config)
+    quantized = _quantize(config, circuit, naive=False)
+    tc = next(t for t in config.transmons if t.name == jc.subsystem)
     models: dict[float, DeviceModel] = {}
 
     def model_at(lj: float) -> DeviceModel:
         # the root is an L_j already built; keep each model to report it
         if lj not in models:
-            models[lj] = build_model(config, circuit=circuit, lj_overrides={junction: lj})
+            swap = _transmon_subsystem(tc, jc, quantized[1][tc.name].c_eff, lj)
+            models[lj] = _composite_model(config, circuit, quantized, swap)
         return models[lj]
 
     lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,

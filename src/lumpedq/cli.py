@@ -74,6 +74,8 @@ def _cmd_modes(args) -> None:
                          parse_termination)
     from .loadedline import LoadedLineSpec, solve_modes
 
+    if args.samples < 0:
+        raise ValidationError(f"modes: --samples must not be negative, got {args.samples}")
     raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
     where = args.line_spec
     check_fields(raw, ("length_mm", "z0_ohm", "vp_m_per_s", "vp_fraction_c", "c_load_ff",

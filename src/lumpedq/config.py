@@ -26,7 +26,7 @@ _TERMINATIONS = {"open": False, "short": True}
 def parse_termination(entry: Mapping[str, Any], where: str) -> bool:
     """Whether the line described by ``entry`` has a shorted far end; its
     ``termination`` is open (the default) or short."""
-    termination = str(entry.get("termination", "open"))
+    termination = str(_require(entry, "termination", where, "open"))
     if termination not in _TERMINATIONS:
         raise ConfigError(f"{where}: termination must be open or short")
     return _TERMINATIONS[termination]
@@ -255,7 +255,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     base_dir = Path(base_dir)
     check_fields(raw, ("name", "datum", "cells", "couplers", "subsystems", "junctions",
                        "inductors", "analysis"), "config")
-    name = str(raw.get("name", "device"))
+    name = str(_require(raw, "name", "config", "device"))
     datum = str(_require(raw, "datum", "config"))
 
     cells = []
@@ -312,8 +312,8 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
                 length_m=None if length is None else length * 1e-3,
                 target_hz=None if target is None else target * 1e9,
                 target_mode=parse_number(entry, "target_mode", where, 1, int),
-                target_loading=str(entry.get("target_loading", "unloaded")),
-                role=str(entry.get("role", "")),
+                target_loading=str(_require(entry, "target_loading", where, "unloaded")),
+                role=str(_require(entry, "role", where, "")),
             ))
         else:
             raise ConfigError(f"subsystem {sname!r}: unknown kind {kind!r}")
@@ -355,18 +355,23 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
             l_h=parse_positive(entry, "l_nh", where) * 1e-9,
         ))
 
-    ana = raw.get("analysis", {})
+    ana = _require(raw, "analysis", "config", {})
     check_fields(ana, ("qubit", "readout", "dimension_cap", "min_overlap"), "analysis")
     # the pair defaults to the first transmon and the readout-role line, or the first line
     pair = {"qubit": transmons[0].name if transmons else "",
             "readout": next((l.name for l in lines if l.role == "readout"),
                             lines[0].name if lines else "")}
-    for key in pair:
-        pair[key] = str(ana.get(key, pair[key]))
-        if pair[key] and pair[key] not in names:
-            raise ConfigError(f"analysis: {key} {pair[key]!r} names no subsystem of {names}")
+    kinds = dict(zip(names, ["transmon"] * len(transmons) + ["loaded line"] * len(lines)))
+    errors = []
+    for key, kind in (("qubit", "transmon"), ("readout", "loaded line")):
+        pair[key] = str(_require(ana, key, "analysis", pair[key]))
+        named = f"a {kinds[pair[key]]}" if pair[key] in kinds else f"no subsystem of {names}"
+        if pair[key] and kinds.get(pair[key]) != kind:
+            errors.append(f"analysis: {key} {pair[key]!r} names {named}; it must name a {kind}")
     if pair["qubit"] and pair["qubit"] == pair["readout"]:
-        raise ConfigError(f"analysis: qubit and readout both name {pair['qubit']!r}")
+        errors.append(f"analysis: qubit and readout both name {pair['qubit']!r}")
+    if errors:
+        raise ConfigError("\n".join(errors))
     analysis = AnalysisOptions(
         dimension_cap=parse_number(ana, "dimension_cap", "analysis", DEFAULT_DIMENSION_CAP, int),
         min_overlap=parse_number(ana, "min_overlap", "analysis", DEFAULT_MIN_OVERLAP),

@@ -1,6 +1,7 @@
 """Full device pipeline: dressing, naive comparison, budget, calibration."""
 
 import copy
+import dataclasses
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ from lumpedq.errors import (
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.netlist import KERNEL_RTOL, weak_coupling_blocks
 from lumpedq.report import build_report, to_machine
-from lumpedq.subsystems import quantize_line
+from lumpedq.subsystems import TransmonSpec, quantize_line
 
 from conftest import assert_matches_full_eigh, dense_hamiltonian, stride_hamiltonian
 
@@ -324,35 +325,36 @@ class TestSweepAndCalibration:
 
     @pytest.mark.parametrize("lj", [0.0, -12e-9, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_override_rejected(self, bench, lj):
-        """An L_j override must be a positive, finite inductance, not a
-        division by zero or a negative E_J in the transmon."""
-        with pytest.raises(ConfigError, match=r"lj_overrides: 'j1' must be a positive, finite"):
-            build_model(bench, lj_overrides={"j1": lj})
+        """Each L_j a calibration tries overrides the junction's, so either
+        bound must be a positive, finite inductance, not a division by zero
+        or a negative E_J in the transmon."""
+        for bounds in ((lj, 14e-9), (10e-9, lj)):
+            with pytest.raises(ConfigError, match="calibrate_junction: bounds must be positive"):
+                calibrate_junction(bench, "j1", 5.3e9, bounds)
 
     def test_calibrate_target_out_of_range(self, bench):
         with pytest.raises(TargetOutOfRange, match=r"target 20\.0000 GHz"):
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))
 
     def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
-        """A calibration builds one circuit and quantizes it once per L_j."""
-        circuits, built = [], []
-        build_circuit = analysis.build_circuit
-
-        def counting_circuit(config, *args):
-            circuits.append(config)
-            return build_circuit(config, *args)
-
-        def counting(config, **kwargs):
-            built.append(kwargs["lj_overrides"]["j1"])
-            return build_model(config, **kwargs)
-
-        monkeypatch.setattr(analysis, "build_circuit", counting_circuit)
-        monkeypatch.setattr(analysis, "build_model", counting)
+        """A calibration builds one circuit and solves each line once. It
+        diagonalizes the transmon once in stage 6, at the config's L_j, and
+        once per distinct L_j it tries; the root is among them."""
+        calls = {name: [] for name in ("build_circuit", "solve_modes", "_transmon_subsystem",
+                                       "diagonalize_transmon")}
+        for name, record in calls.items():
+            monkeypatch.setattr(analysis, name, lambda *args, fn=getattr(analysis, name),
+                                record=record: record.append(args) or fn(*args))
         lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                         (10e-9, 14e-9))
-        assert circuits == [bench]
-        assert len(built) == len(set(built))
-        assert lj in built
+        assert [args[0] for args in calls["build_circuit"]] == [bench]
+        assert sorted(spec.length for spec, _ in calls["solve_modes"]) == sorted(
+            line.spec.length for line in full_model.lines.values())
+        stage6, *tried = [args[3] for args in calls["_transmon_subsystem"]]
+        assert stage6 == bench.junctions[0].lj_h
+        assert len(tried) == len(set(tried))
+        assert len(calls["diagonalize_transmon"]) == len(tried) + 1
+        assert lj in tried
         assert report.calibrated["j1"] == lj
 
     def test_fixed_point_calibration(self, bench, full_model):
@@ -363,21 +365,24 @@ class TestSweepAndCalibration:
 
 class TestCircuitReuse:
     def test_reused_circuits_report_as_fresh_builds(self, bench, monkeypatch):
-        """Every model a driver quantizes on a shared circuit, with the lines
-        that circuit keeps, gives the machine report byte for byte of a model built
-        afresh from the same arguments: build_model on the overridden config,
-        through a new circuit, reusing nothing. Covers the calibration (both
-        bracket ends and the calibrated point), every budget row, a 3-point
-        lj_nh sweep and analyze --naive, and counts their circuit builds,
-        quantizations and line solves. A circuit the budget builds on cells
+        """Every model a driver builds by reusing a circuit or stage-6
+        products gives the machine report byte for byte of a model built
+        afresh: build_model on the overridden config (for a calibrated L_j,
+        the config with that junction's lj_h), through a new circuit,
+        reusing nothing. Covers the calibration (both bracket ends and the
+        calibrated point), every budget row, a 3-point lj_nh sweep and
+        analyze --naive, and counts their circuit builds, build_model calls,
+        stage-7 runs and line solves. A circuit the budget builds on cells
         it varied is rebuilt from those cells, and its coupling row, which
         reruns stage 7 alone, from a fresh model's subsystems."""
         fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
         fresh_from_cells, fresh_solve = analysis._circuit_from_cells, analysis.solve_modes
+        fresh_stage7, fresh_transmon = analysis._composite_model, analysis._transmon_subsystem
         # id(circuit) -> its build arguments: (config,) through build_circuit,
         # (config, cells, input_sha256) on cells the budget varied
         circuits, quantized = {}, []  # (config, kwargs, model)
-        solves = []
+        swapped, solves = [], []  # (config, swap, model) of each stage-7 run with a swap
+        lj_of = {}  # id(transmon spec) -> the L_j it was diagonalized at
 
         def spy_circuit(config):
             circuit = fresh_circuit(config)
@@ -394,6 +399,16 @@ class TestCircuitReuse:
             quantized.append((config, kwargs, model))
             return model
 
+        def spy_stage7(config, circuit, products, swap=None):
+            model = fresh_stage7(config, circuit, products, swap)
+            swapped.append((config, swap, model))
+            return model
+
+        def spy_transmon(tc, jc, c_eff, lj):
+            spec, sub = fresh_transmon(tc, jc, c_eff, lj)
+            lj_of[id(spec)] = lj
+            return spec, sub
+
         def spy_solve(*args):
             solves.append(args)
             return fresh_solve(*args)
@@ -401,11 +416,13 @@ class TestCircuitReuse:
         monkeypatch.setattr(analysis, "build_circuit", spy_circuit)
         monkeypatch.setattr(analysis, "_circuit_from_cells", spy_from_cells)
         monkeypatch.setattr(analysis, "build_model", spy_model)
+        monkeypatch.setattr(analysis, "_composite_model", spy_stage7)
+        monkeypatch.setattr(analysis, "_transmon_subsystem", spy_transmon)
         monkeypatch.setattr(analysis, "solve_modes", spy_solve)
         counts = []
 
         def count():
-            counts.append((len(circuits), len(quantized), len(solves)))
+            counts.append((len(circuits), len(quantized), len(swapped), len(solves)))
 
         lj, calibrated = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         count()
@@ -417,9 +434,12 @@ class TestCircuitReuse:
         count()
         monkeypatch.undo()
         steps = [tuple(b - a for a, b in zip(before, after))
-                 for before, after in zip([(0, 0, 0)] + counts, counts)]
-        assert steps == [(1, 6, 3), (4, 7, 15), (1, 3, 3), (1, 2, 6)]
-        assert {10e-9, 14e-9, lj} <= {kw["lj_overrides"]["j1"] for _, kw, _ in quantized[:6]}
+                 for before, after in zip([(0, 0, 0, 0)] + counts, counts)]
+        assert steps == [(1, 0, 6, 3), (4, 4, 7, 15), (1, 3, 3, 9), (1, 2, 2, 6)]
+
+        def with_lj(config, lj):
+            j1 = dataclasses.replace(config.junctions[0], lj_h=lj)
+            return dataclasses.replace(config, junctions=(j1,))
 
         for config, kwargs, model in quantized:
             options = {k: v for k, v in kwargs.items() if k != "circuit"}
@@ -427,6 +447,14 @@ class TestCircuitReuse:
             rebuild = fresh_circuit if len(args) == 1 else fresh_from_cells
             fresh = (fresh_model(config, **options) if args == (config,) else
                      fresh_model(config, circuit=rebuild(*args), **options))
+            assert to_machine(build_report(model)) == to_machine(build_report(fresh))
+        swaps = [(config, swap, model) for config, swap, model in swapped if swap is not None]
+        assert len(swaps) == 9  # 6 calibration points, 3 readout budget rows
+        tried = [lj_of[id(swap[0])] for _, swap, _ in swaps[:6]]
+        assert {10e-9, 14e-9, lj} <= set(tried)
+        for k, (config, swap, model) in enumerate(swaps):
+            assert isinstance(swap[0], TransmonSpec) == (k < 6)
+            fresh = fresh_model(with_lj(config, tried[k]) if k < 6 else config)
             assert to_machine(build_report(model)) == to_machine(build_report(fresh))
 
         base = fresh_model(bench)
@@ -436,7 +464,7 @@ class TestCircuitReuse:
         assert budget[0].chi_hz == restricted.chi_qr
 
         assert to_machine(calibrated) == to_machine(build_report(
-            build_model(bench, lj_overrides={"j1": lj}), calibrated={"j1": lj}))
+            build_model(with_lj(bench, lj)), calibrated={"j1": lj}))
         for value, report in zip([11.0, 12.0, 13.0], swept):
             path = "junctions.j1.lj_nh"
             fresh = build_model(bench.with_override(path, value))
@@ -445,24 +473,21 @@ class TestCircuitReuse:
             build_model(bench), naive_model=build_model(bench, naive=True)))
 
     def test_threads_sharing_a_circuit_keep_one_line_each(self, bench):
-        """Threads that quantize one circuit at once may each solve a line
-        and store it; each model still reports as a fresh build, and the
-        circuit keeps one entry per line."""
+        """Threads that quantize one circuit at once, each at its own L_j,
+        each report as a fresh build: a circuit holds nothing a
+        quantization writes."""
         circuit = build_circuit(bench)
-        ljs = [10e-9 + 0.5e-9 * k for k in range(6)]
+        configs = [bench.with_override("junctions.j1.lj_nh", 10.0 + 0.5 * k) for k in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(build_model, bench, circuit=circuit,
-                                       lj_overrides={"j1": lj}) for lj in ljs]
+                futures = [pool.submit(build_model, cfg, circuit=circuit) for cfg in configs]
                 models = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert set(circuit.lines) == {(lc, False) for lc in bench.lines}
-        for lj, model in zip(ljs, models):
-            fresh = build_model(bench, lj_overrides={"j1": lj})
-            assert to_machine(build_report(model)) == to_machine(build_report(fresh))
+        for cfg, model in zip(configs, models):
+            assert to_machine(build_report(model)) == to_machine(build_report(build_model(cfg)))
 
     @pytest.mark.parametrize("path, value", [
         ("datum", "b1"),
@@ -511,16 +536,17 @@ class TestCircuitReuse:
         raw["inductors"] = [{"nodes": ["g", "m2"], "l_nh": 100.0},
                             {"nodes": ["g", "m"], "l_nh": 100.0 / (factor * KERNEL_RTOL)}]
         cfg = parse_device_config(raw, base_dir=tmp_path)
+        at_lj = [cfg.with_override("junctions.j1.lj_nh", lj_nh) for lj_nh in (10.0, 14.0)]
         if factor > 1.0:
-            for lj in (10e-9, 14e-9):
+            for cfg_lj in at_lj:
                 with pytest.raises(NonNullDirection, match="'m'"):
-                    build_model(cfg, lj_overrides={"j1": lj})
+                    build_model(cfg_lj)
             return
         circuit = build_circuit(cfg)
         assert circuit.reduced.record.eliminated == ("cl", "m", "p0", "m2")
-        for lj in (10e-9, 14e-9):
-            fresh = build_model(cfg, lj_overrides={"j1": lj})
-            reused = build_model(cfg, circuit=circuit, lj_overrides={"j1": lj})
+        for cfg_lj in at_lj:
+            fresh = build_model(cfg_lj)
+            reused = build_model(cfg_lj, circuit=circuit)
             assert fresh.circuit.reduced.record.eliminated == circuit.reduced.record.eliminated
             assert to_machine(build_report(reused)) == to_machine(build_report(fresh))
 

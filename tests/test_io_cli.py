@@ -171,6 +171,25 @@ class TestConfig:
         assert (cfg.junctions[0].node_neg, cfg.junctions[0].node_pos) == ("0", "1")
         assert cfg.inductors[0].node_b == "3"
 
+    @pytest.mark.parametrize("path", [
+        ("name",), ("analysis",), ("analysis", "qubit"), ("analysis", "readout"),
+        ("subsystems", 1, "role"), ("subsystems", 1, "termination"),
+        ("subsystems", 1, "target_loading"),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_null_optional_field_reads_as_absent(self, path):
+        """An optional field given as null parses as if it were absent: it
+        takes its default, not the string 'None' or an error."""
+        null, absent = benchmark_raw_config(), benchmark_raw_config()
+        for doc in (null, absent):
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if doc is null:
+                node[path[-1]] = None
+            else:
+                del node[path[-1]]
+        assert parse_device_config(null) == parse_device_config(absent)
+
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="datum"):
             parse_device_config({"cells": []})
@@ -397,6 +416,14 @@ class TestCli:
         assert len(doc["modes"]) == 2
         assert len(doc["modes"][0]["field"]["z_m"]) == 11
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "-1", "modes: --samples must not be negative, got -1"),
+        ("--count", "0", "mode count must be at least 1"),
+    ])
+    def test_modes_refused_count_exit_code_2(self, line_spec, capsys, flag, value, message):
+        assert run_cli("modes", str(line_spec), flag, value) == 2
+        assert message in capsys.readouterr().err
+
     def test_modes_rejects_misspelled_termination(self, line_spec, tmp_path, capsys):
         raw = yaml.safe_load(line_spec.read_text(encoding="utf-8"))
         path = tmp_path / "shrot.yaml"
@@ -525,6 +552,11 @@ class TestCli:
          "analysis: readout 'readout' names no subsystem"),
         (lambda cfg: cfg["analysis"].update(qubit="readout"),
          "analysis: qubit and readout both name 'readout'"),
+        (lambda cfg: cfg["analysis"].update(qubit="bus2"),
+         "analysis: qubit 'bus2' names a loaded line; it must name a transmon"),
+        (lambda cfg: cfg["analysis"].update(qubit="bus2", readout="qubit"),
+         "analysis: qubit 'bus2' names a loaded line; it must name a transmon\n"
+         "analysis: readout 'qubit' names a transmon; it must name a loaded line"),
         (lambda cfg: cfg.update(couplers="cl"),
          "config: couplers must be a list of node names, got 'cl'"),
         (lambda cfg: cfg["cells"][0].update(ground_nets="cl"),
@@ -541,7 +573,8 @@ class TestCli:
             "undeclared-cell-node", "junction-on-a-line", "junction-consumes-a-line-port",
             "transmon-without-junction", "transmon-with-two-junctions", "pad-left-on-a-transmon",
             "junction-consumes-another-lines-port", "analysis-qubit-unknown",
-            "analysis-readout-renamed", "analysis-qubit-is-readout", "couplers-bare-string",
+            "analysis-readout-renamed", "analysis-qubit-is-readout", "analysis-qubit-is-a-line",
+            "analysis-pair-swapped", "couplers-bare-string",
             "ground_nets-bare-string", "nodes-mapping", "junction-node-null", "subsystems-scalar",
             "junction-entry-string"])
     def test_refused_config_exit_code_2(self, device_dir, tmp_path, capsys, edit, message):
@@ -549,8 +582,9 @@ class TestCli:
         a cell node the partition leaves out, retained coordinates that are
         not the subsystem's ports (a junction on a line or consuming its
         port, a transmon without exactly one junction flux; every failing
-        subsystem is named), an analysis block that names no subsystem or
-        one subsystem twice, and a list field that is not a list of the
+        subsystem is named), an analysis block that names no subsystem, one
+        subsystem twice, or a subsystem of the wrong kind for its field
+        (every failing field is named), and a list field that is not a list of the
         right kind are validation errors that name the entry, not a
         traceback or a numerical failure later on."""
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
@@ -622,11 +656,12 @@ class TestCli:
         assert run_cli("analyze", str(small)) == 3
 
     def test_budget_reuses_the_base_build(self, device_dir, tmp_path, monkeypatch):
-        """The budget quantizes its base model once, reruns stages 2-5 only
-        for the base and the rows that change it (substrate, junction
-        capacitance, cell padding), reruns stage 7 alone for the coupling
-        row, and its machine report is byte-identical to one assembled from
-        separate budget and analysis runs."""
+        """The budget quantizes its base model once, reruns stages 2-7 only
+        for the base and the rows that change the circuit (substrate,
+        junction capacitance, cell padding), re-solves only the readout line
+        for the readout rows, reruns stage 7 alone for the coupling row, and
+        its machine report is byte-identical to one assembled from separate
+        budget and analysis runs."""
         config = load_device_config(device_dir / "device.yaml")
         rows = run_budget(config)
         base = run_analysis(config)
@@ -634,8 +669,9 @@ class TestCli:
             device=base.device, provenance=base.provenance,
             observables=base.observables, budget=budget_to_dicts(rows)))
 
-        calls, circuits = [], []
+        calls, circuits, solved = [], [], []
         build, from_cells = analysis.build_model, analysis._circuit_from_cells
+        solve = analysis.solve_modes
 
         def counting(*args, **kwargs):
             calls.append(kwargs)
@@ -645,14 +681,24 @@ class TestCli:
             circuits.append(args)
             return from_cells(*args)
 
+        def counting_solve(spec, count):
+            solved.append(spec)
+            return solve(spec, count)
+
         monkeypatch.setattr(analysis, "build_model", counting)
         monkeypatch.setattr(analysis, "_circuit_from_cells", counting_circuit)
+        monkeypatch.setattr(analysis, "solve_modes", counting_solve)
         out = tmp_path / "budget.json"
         assert run_cli("budget", str(device_dir / "device.yaml"),
                        "--format", "machine", "-o", str(out)) == 0
         assert out.read_text(encoding="utf-8") == separate
-        assert len(calls) == len(rows) == 7
-        assert len(circuits) == 4
+        assert len(rows) == 7
+        assert len(calls) == len(circuits) == 4
+        # 3 lines for each of the 4 builds, and the readout alone for each readout row
+        assert len(solved) == 3 * 4 + 3
+        readout_z0 = config.lines[0].z0_ohm
+        assert [spec.z0 for spec in solved[3:6]] == pytest.approx(
+            [readout_z0 * (1 + 0.03 * sign) for sign in (0, +1, -1)], rel=1e-12)
 
     def test_memory_guard_exit_code_3(self, device_dir, monkeypatch, capsys):
         monkeypatch.setattr(composite, "available_memory_bytes", lambda: 1 << 20)

@@ -58,9 +58,7 @@ from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, 
 
 @dataclass(frozen=True)
 class LineResult:
-    config: LineConfig
-    spec: LoadedLineSpec
-    dressed_loading: float  # F, loading used for the mode solve
+    spec: LoadedLineSpec  # its c_load is the loading used for the mode solve
     port_loadings: Mapping[str, float]  # dressed loading seen per port node
     modes: tuple[LineMode, ...]
 
@@ -93,7 +91,6 @@ class DeviceModel:
     graph: CouplingGraph
     spectrum: DressedSpectrum
     dispersive: DispersiveObservables | None
-    port_coord: Mapping[int, tuple[str, str]]  # reduced coordinate index -> (subsystem, port)
     # one name per flattened mode: the subsystem's, indexed when it has several
     flat_mode_names: tuple[str, ...]
 
@@ -189,8 +186,7 @@ def _line_subsystem(lc: LineConfig, port_loadings: Mapping[str, float],
     charge_zpf, flux_zpf = _naive_port_zpfs(modes) if naive else (None, None)
     sub = quantize_line(spec, modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
                         charge_zpf=charge_zpf, flux_zpf=flux_zpf)
-    return LineResult(config=lc, spec=spec, dressed_loading=loading,
-                      port_loadings=port_loadings, modes=tuple(modes)), sub
+    return LineResult(spec=spec, port_loadings=port_loadings, modes=tuple(modes)), sub
 
 
 def _circuit_fields(config: DeviceConfig) -> tuple:
@@ -238,8 +234,8 @@ def build_model(config: DeviceConfig, *, circuit: DeviceCircuit | None = None,
 
 def _quantize(config: DeviceConfig, circuit: DeviceCircuit, naive: bool) -> tuple:
     """Stage 6 of ``config`` on ``circuit``: the tuple of its subsystems,
-    their transmon specs and line results by name, the (subsystem, port) of
-    each port coordinate, and the coupling graph of those ports."""
+    their transmon specs and line results by name, and the coupling graph of
+    their ports."""
     # no subsystem models a linear inductance on its own coordinate: refuse it, not drop it
     inductive = [label for label, y in zip(circuit.blocks.labels, np.diag(circuit.blocks.l_inv))
                  if y != 0.0]
@@ -288,7 +284,7 @@ def _quantize(config: DeviceConfig, circuit: DeviceCircuit, naive: bool) -> tupl
         subsystems.append(sub)
     if errors:
         raise ConfigError("\n".join(errors))
-    return tuple(subsystems), transmon_specs, lines, port_coord, _coupling_graph(port_coord, blocks)
+    return tuple(subsystems), transmon_specs, lines, _coupling_graph(port_coord, blocks)
 
 
 def _composite_model(config: DeviceConfig, circuit: DeviceCircuit, quantized: tuple,
@@ -296,7 +292,7 @@ def _composite_model(config: DeviceConfig, circuit: DeviceCircuit, quantized: tu
     """Stage 7 on the stage-6 products ``quantized`` of ``circuit``, with
     ``swap`` (a transmon's spec or a line's result, and its factor) in place
     of the subsystem of its name."""
-    subsystems, transmon_specs, lines, port_coord, graph = quantized
+    subsystems, transmon_specs, lines, graph = quantized
     if swap is not None:
         product, sub = swap
         subsystems = tuple(sub if s.name == sub.name else s for s in subsystems)
@@ -308,7 +304,7 @@ def _composite_model(config: DeviceConfig, circuit: DeviceCircuit, quantized: tu
     return DeviceModel(
         config=config, circuit=circuit, subsystems=subsystems, transmon_specs=transmon_specs,
         lines=lines, graph=graph, spectrum=spectrum, dispersive=dispersive,
-        port_coord=port_coord, flat_mode_names=flat_mode_names)
+        flat_mode_names=flat_mode_names)
 
 
 def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsystem],
@@ -411,7 +407,7 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         _solve_composite(config, base.subsystems, base.graph.restricted_to(qubit))[2])
 
     readout = next(l for l in config.lines if l.name == config.analysis.readout)
-    quantized = (base.subsystems, base.transmon_specs, base.lines, base.port_coord, base.graph)
+    quantized = (base.subsystems, base.transmon_specs, base.lines, base.graph)
 
     def resolve_readout(cfg: DeviceConfig) -> DispersiveObservables:
         lc = next(l for l in cfg.lines if l.name == readout.name)
@@ -468,9 +464,10 @@ def calibrate_junction(
     L_j tried. The response is verified to bracket the target at the
     endpoints (f_q decreases as L_j grows); a NaN f_q or a solve that does
     not converge raises NumericalError. Returns (lj, report). Stages 1-6
-    run once; each L_j rediagonalizes the junction's transmon and reruns
-    stage 7. An unknown ``junction``, or a bound that is not positive and
-    finite, is a ConfigError."""
+    run once, with the junction at the first bound, the first L_j tried;
+    each other L_j rediagonalizes the junction's transmon, and each L_j
+    reruns stage 7. An unknown ``junction``, or a bound that is not positive
+    and finite, is a ConfigError."""
     from .report import build_report
 
     jc = next((j for j in config.junctions if j.ident == junction), None)
@@ -479,9 +476,12 @@ def calibrate_junction(
     if not all(lj > 0.0 and math.isfinite(lj) for lj in lj_bounds_h):
         raise ConfigError(f"calibrate_junction: bounds must be positive and finite: {lj_bounds_h}")
     circuit = build_circuit(config)
-    quantized = _quantize(config, circuit, naive=False)
+    lo = lj_bounds_h[0]
+    at_lo = tuple(dataclasses.replace(j, lj_h=lo, ej_j=None) if j is jc else j
+                  for j in config.junctions)
+    quantized = _quantize(dataclasses.replace(config, junctions=at_lo), circuit, naive=False)
     tc = next(t for t in config.transmons if t.name == jc.subsystem)
-    models: dict[float, DeviceModel] = {}
+    models = {lo: _composite_model(config, circuit, quantized)}
 
     def model_at(lj: float) -> DeviceModel:
         # the root is an L_j already built; keep each model to report it

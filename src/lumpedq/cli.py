@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -54,16 +55,12 @@ def _cmd_sweep(args) -> None:
 def _cmd_budget(args) -> None:
     from .analysis import build_model, run_analysis, run_budget
     from .config import load_device_config
-    from .report import AnalysisReport, budget_to_dicts, to_machine, to_table
+    from .report import budget_to_dicts, to_machine, to_table
 
     config = load_device_config(args.config)
     model = build_model(config)
     rows = run_budget(config, base=model)
-    base = run_analysis(config, model=model)
-    report = AnalysisReport(
-        device=base.device, provenance=base.provenance,
-        observables=base.observables, budget=budget_to_dicts(rows),
-    )
+    report = dataclasses.replace(run_analysis(config, model=model), budget=budget_to_dicts(rows))
     _write(to_machine(report) if args.format == "machine" else to_table(report), args.output)
 
 

@@ -305,7 +305,6 @@ class DressedSpectrum:
     energies: np.ndarray
     labels: Mapping[tuple[int, ...], int]
     overlaps: Mapping[tuple[int, ...], float]
-    subsystem_names: tuple[str, ...]
     mode_dims: tuple[tuple[int, ...], ...]
     unlabeled: tuple[int, ...] = ()
     min_overlap: float = DEFAULT_MIN_OVERLAP
@@ -399,7 +398,6 @@ def diagonalize(
         energies=np.sort(merged),
         labels={label: s for s, label, _ in picked},
         overlaps={label: q for _, label, q in picked},
-        subsystem_names=tuple(s.name for s in subsystems),
         mode_dims=tuple(s.mode_dims for s in subsystems),
         unlabeled=tuple(sorted(set(range(len(merged))) - {s for s, _, _ in picked})),
         min_overlap=min_overlap,

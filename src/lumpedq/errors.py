@@ -97,9 +97,5 @@ class AsymmetryError(ValidationError):
     pass
 
 
-class SignError(ValidationError):
-    pass
-
-
 class ConfigError(ValidationError):
     pass

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AsymmetryError, ParseError, SignError
-from .netlist import POSITIVE_MUTUAL_RTOL, MaxwellMatrix
+from .errors import AsymmetryError, MalformedMatrix, ParseError
+from .netlist import MaxwellMatrix
 
 UNIT_SCALES = {"F": 1.0, "pF": 1e-12, "fF": 1e-15}
 
@@ -117,22 +117,11 @@ def parse_maxwell_text(text: str, source: str = "<string>",
         )
         display = 0.5 * (display + display.T)
 
-    off = display.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off > POSITIVE_MUTUAL_RTOL * magnitude):
-        i, j = np.unravel_index(np.argmax(off), off.shape)
-        raise SignError(
-            f"{source}: positive off-diagonal capacitance entry at "
-            f"({names[i]}, {names[j]}): {display[i, j]:.6g} {units}"
-        )
-
-    return MaxwellMatrix(
-        names=tuple(names),
-        matrix=display * scale,
-        display_units=units,
-        display_matrix=display,
-        source_sha256=source_sha256,
-    )
+    try:
+        return MaxwellMatrix(names=tuple(names), matrix=display * scale, display_units=units,
+                             display_matrix=display, source_sha256=source_sha256)
+    except MalformedMatrix as exc:
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def parse_maxwell_file(path: str | Path) -> MaxwellMatrix:

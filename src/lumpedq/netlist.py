@@ -188,10 +188,6 @@ class MaxwellMatrix:
             bad = [self.names[i] for i in np.nonzero(sums < -1e-9 * scale)[0]]
             raise MalformedMatrix(f"negative self-capacitance (row sum) at nodes {bad}")
 
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
     def self_capacitance(self, node: str) -> float:
         """Capacitance to infinity of ``node`` (its row sum)."""
         return float(self.matrix[self.names.index(node)].sum())
@@ -311,11 +307,10 @@ class ReducedCircuit:
 
     def __post_init__(self):
         check_symmetric(self.c_mat, "reduced capacitance")
-        check_psd(self.c_mat, "reduced capacitance")
         w = scipy.linalg.eigvalsh(self.c_mat, driver="evd")
         if w[0] <= SINGULAR_RATIO * w[-1]:
             raise IllConditionedMatrix(
-                f"reduced capacitance matrix is numerically singular "
+                f"reduced capacitance matrix is numerically singular or indefinite "
                 f"(eigenvalue ratio {w[0] / w[-1]:.3e})"
             )
         for j in self.junctions:
@@ -532,7 +527,7 @@ def rotate_to_junction_basis(
 
 
 def coupler_class_warnings(c_mat: np.ndarray, l_inv: np.ndarray, labels: Sequence[str],
-                           registry: NodeRegistry) -> list[str]:
+                           registry: NodeRegistry) -> None:
     """Check the non-dynamical sufficiency condition for every declared
     coupler coordinate (touched by one element class only) and warn on
     failures. Runs in the junction basis: a junction's inductance belongs to
@@ -541,21 +536,14 @@ def coupler_class_warnings(c_mat: np.ndarray, l_inv: np.ndarray, labels: Sequenc
         size = np.abs(m)
         return (size > 1e-14 * (size.max(initial=0.0) or 1.0)).any(axis=1)
 
-    messages = []
     index = {lab: i for i, lab in enumerate(labels)}
     # couplers consumed by a junction pivot have no coordinate left
     present = [node for node in sorted(registry.couplers) if node in index]
     idx = [index[node] for node in present]
     for node, both in zip(present, (touched(c_mat) & touched(l_inv))[idx]):
-        if not both:
-            continue
-        msg = (
-            f"coupler node {node!r} is touched by both capacitive and inductive "
-            "elements; only verified kernel directions will be eliminated"
-        )
-        warnings.warn(msg)
-        messages.append(msg)
-    return messages
+        if both:
+            warnings.warn(f"coupler node {node!r} is touched by both capacitive and inductive "
+                          "elements; only verified kernel directions will be eliminated")
 
 
 def coupler_kernel(mat: np.ndarray, labels: Sequence[str], registry: NodeRegistry) -> list[int]:

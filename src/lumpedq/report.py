@@ -91,7 +91,7 @@ def _observable_block(model) -> dict:
         effective[f"ec:{name}"] = _qty(spec.e_c, "J")
         effective[f"ej:{name}"] = _qty(spec.ej, "J")
     for name, line in model.lines.items():
-        effective[f"c_load:{name}"] = _qty(line.dressed_loading, "F")
+        effective[f"c_load:{name}"] = _qty(line.spec.c_load, "F")
         for port, value in line.port_loadings.items():
             effective[f"c_load:{name}:{port}"] = _qty(value, "F")
         for mode in line.modes:

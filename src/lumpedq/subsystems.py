@@ -213,7 +213,7 @@ def quantize_line(
     modes: Sequence[LineMode],
     levels: int | Sequence[int] = 5,
     name: str = "line",
-    ports: str | Sequence[str] = ("z0",),
+    ports: Sequence[str] = ("z0",),
     charge_zpf: Sequence[float] | None = None,
     flux_zpf: Sequence[float] | None = None,
 ) -> QuantizedSubsystem:
@@ -227,8 +227,6 @@ def quantize_line(
     (the two-port bus approximation). The per-mode ZPF amplitudes can be
     overridden to realize alternative port conventions.
     """
-    if isinstance(ports, str):
-        ports = (ports,)
     if isinstance(levels, int):
         level_list = [levels] * len(modes)
     else:

@@ -68,8 +68,8 @@ class TestFullModel:
     def test_dressed_loading_exceeds_direct_ground_capacitance(self, full_model):
         # the b1 loading is dressed well above its direct 220 fF to ground
         line = full_model.lines["readout"]
-        assert line.dressed_loading > 240e-15
-        assert line.port_loadings["b1"] == line.dressed_loading
+        assert line.spec.c_load > 240e-15
+        assert line.port_loadings["b1"] == line.spec.c_load
 
     def test_readout_renormalized_down(self, full_model):
         bare = full_model.lines["readout"].modes[0].frequency
@@ -86,7 +86,11 @@ class TestFullModel:
         assert [reduced.labels[i] for i in reduced.block_index["qubit"]] == ["j1"]
 
     def test_every_retained_coordinate_has_port(self, full_model):
-        assert sorted(full_model.port_coord) == list(range(len(full_model.circuit.reduced.labels)))
+        block_index = full_model.circuit.blocks.block_index
+        assert {name: len(coords) for name, coords in block_index.items()} == {
+            sub.name: len(sub.ports) for sub in full_model.subsystems}
+        assert sorted(i for coords in block_index.values() for i in coords) == list(
+            range(len(full_model.circuit.reduced.labels)))
 
 
     @pytest.mark.filterwarnings("ignore:line 'bus2'")
@@ -338,22 +342,25 @@ class TestSweepAndCalibration:
 
     def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
         """A calibration builds one circuit and solves each line once. It
-        diagonalizes the transmon once in stage 6, at the config's L_j, and
-        once per distinct L_j it tries; the root is among them."""
+        diagonalizes the transmon once per distinct L_j it tries, and no
+        more: in stage 6 at the first bound, the first L_j tried, and then
+        at each other L_j; the root is among them."""
         calls = {name: [] for name in ("build_circuit", "solve_modes", "_transmon_subsystem",
                                        "diagonalize_transmon")}
         for name, record in calls.items():
             monkeypatch.setattr(analysis, name, lambda *args, fn=getattr(analysis, name),
                                 record=record: record.append(args) or fn(*args))
+        tried, calibrate = [], analysis.calibrate_scalar
+        monkeypatch.setattr(analysis, "calibrate_scalar", lambda response, *args, **kwargs:
+                            calibrate(lambda x: tried.append(x) or response(x), *args, **kwargs))
         lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                         (10e-9, 14e-9))
         assert [args[0] for args in calls["build_circuit"]] == [bench]
         assert sorted(spec.length for spec, _ in calls["solve_modes"]) == sorted(
             line.spec.length for line in full_model.lines.values())
-        stage6, *tried = [args[3] for args in calls["_transmon_subsystem"]]
-        assert stage6 == bench.junctions[0].lj_h
-        assert len(tried) == len(set(tried))
-        assert len(calls["diagonalize_transmon"]) == len(tried) + 1
+        assert tried[0] == 10e-9
+        assert [args[3] for args in calls["_transmon_subsystem"]] == list(dict.fromkeys(tried))
+        assert len(calls["diagonalize_transmon"]) == len(set(tried))
         assert lj in tried
         assert report.calibrated["j1"] == lj
 
@@ -361,6 +368,54 @@ class TestSweepAndCalibration:
         lj, _ = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                    (11.8e-9, 12.2e-9))
         assert lj == pytest.approx(12.0e-9, rel=1e-6)
+
+    def test_sweep_of_a_circuit_field_rebuilds_each_point(self, bench, monkeypatch):
+        """A sweep of a field stages 1-5 read (a junction's C_J) builds a
+        new circuit at each point, and each point reports byte for byte as a
+        fresh build of its config."""
+        path, values = "junctions.j1.cj_ff", [2.0, 2.5, 3.0]
+        built, fresh_circuit = [], analysis.build_circuit
+        monkeypatch.setattr(analysis, "build_circuit",
+                            lambda config: built.append(config) or fresh_circuit(config))
+        reports = run_sweep(bench, path, values)
+        monkeypatch.undo()
+        assert [config.junctions[0].cj_f for config in built] == [v * 1e-15 for v in values]
+        for value, report in zip(values, reports):
+            fresh = build_model(bench.with_override(path, value))
+            assert to_machine(report) == to_machine(build_report(fresh, swept={path: value}))
+
+
+class TestLineInputs:
+    def test_line_given_by_length(self, bench, full_model, monkeypatch):
+        """A line given by length_mm takes that length, times 1e-3, exactly,
+        and no length is calibrated. At the calibrated lengths of the shipped
+        device it gives the same readout."""
+        raw = copy.deepcopy(dict(bench.raw))
+        lengths_mm = {}
+        for entry in raw["subsystems"]:
+            if entry["kind"] == "loaded_line":
+                del entry["target_ghz"], entry["target_loading"]
+                entry["length_mm"] = lengths_mm[entry["name"]] = (
+                    full_model.lines[entry["name"]].spec.length * 1e3)
+        calibrated, fresh_calibrate = [], analysis.calibrate_length
+        monkeypatch.setattr(analysis, "calibrate_length", lambda *args, **kwargs:
+                            calibrated.append(args) or fresh_calibrate(*args, **kwargs))
+        model = build_model(parse_device_config(raw, base_dir=bench.base_dir))
+        assert calibrated == []
+        assert {name: line.spec.length for name, line in model.lines.items()} == {
+            name: length * 1e-3 for name, length in lengths_mm.items()}
+        assert model.dispersive.f_readout == pytest.approx(full_model.dispersive.f_readout,
+                                                           rel=1e-9)
+
+    def test_line_given_by_phase_velocity(self, bench, full_model):
+        """A line given by vp_m_per_s analyzes, and at the shipped
+        vp_fraction_c times c it gives the same observables bit for bit."""
+        raw = copy.deepcopy(dict(bench.raw))
+        for entry in raw["subsystems"]:
+            if entry["kind"] == "loaded_line":
+                entry["vp_m_per_s"] = entry.pop("vp_fraction_c") * constants.c
+        model = build_model(parse_device_config(raw, base_dir=bench.base_dir))
+        assert build_report(model).observables == build_report(full_model).observables
 
 
 class TestCircuitReuse:
@@ -372,9 +427,11 @@ class TestCircuitReuse:
         reusing nothing. Covers the calibration (both bracket ends and the
         calibrated point), every budget row, a 3-point lj_nh sweep and
         analyze --naive, and counts their circuit builds, build_model calls,
-        stage-7 runs and line solves. A circuit the budget builds on cells
-        it varied is rebuilt from those cells, and its coupling row, which
-        reruns stage 7 alone, from a fresh model's subsystems."""
+        stage-7 runs and line solves. The calibration's first stage-7 run is
+        at its lower bound, on the stage-6 products quantized there, with no
+        swap. A circuit the budget builds on cells it varied is rebuilt from
+        those cells, and its coupling row, which reruns stage 7 alone, from
+        a fresh model's subsystems."""
         fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
         fresh_from_cells, fresh_solve = analysis._circuit_from_cells, analysis.solve_modes
         fresh_stage7, fresh_transmon = analysis._composite_model, analysis._transmon_subsystem
@@ -448,14 +505,17 @@ class TestCircuitReuse:
             fresh = (fresh_model(config, **options) if args == (config,) else
                      fresh_model(config, circuit=rebuild(*args), **options))
             assert to_machine(build_report(model)) == to_machine(build_report(fresh))
-        swaps = [(config, swap, model) for config, swap, model in swapped if swap is not None]
-        assert len(swaps) == 9  # 6 calibration points, 3 readout budget rows
-        tried = [lj_of[id(swap[0])] for _, swap, _ in swaps[:6]]
+        calibration, rows = swapped[:6], [run for run in swapped[6:] if run[1] is not None]
+        assert [swap is None for _, swap, _ in calibration] == [True] + [False] * 5
+        tried = [lj_of[id(model.transmon_specs["qubit"])] for _, _, model in calibration]
         assert {10e-9, 14e-9, lj} <= set(tried)
-        for k, (config, swap, model) in enumerate(swaps):
-            assert isinstance(swap[0], TransmonSpec) == (k < 6)
-            fresh = fresh_model(with_lj(config, tried[k]) if k < 6 else config)
+        for (config, _, model), lj_k in zip(calibration, tried):
+            fresh = fresh_model(with_lj(config, lj_k))
             assert to_machine(build_report(model)) == to_machine(build_report(fresh))
+        assert len(rows) == 3  # the readout budget rows
+        for config, swap, model in rows:
+            assert not isinstance(swap[0], TransmonSpec)
+            assert to_machine(build_report(model)) == to_machine(build_report(fresh_model(config)))
 
         base = fresh_model(bench)
         _, _, restricted = analysis._solve_composite(

@@ -9,11 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 import lumpedq
-from lumpedq import analysis, composite, loadedline, netlist
-from lumpedq.analysis import run_analysis, run_budget
+from lumpedq import analysis, composite, loadedline, netlist, subsystems
+from lumpedq.analysis import calibrate_junction, run_analysis, run_budget, run_sweep
 from lumpedq.benchmark import (
     benchmark_config,
     benchmark_maxwell,
@@ -27,7 +28,6 @@ from lumpedq.errors import (
     ConfigError,
     MalformedPartition,
     ParseError,
-    SignError,
 )
 from lumpedq.maxwell_io import parse_maxwell_file, parse_maxwell_text, serialize_maxwell
 from lumpedq.report import AnalysisReport, budget_to_dicts, build_report, to_machine, to_table
@@ -57,11 +57,12 @@ class TestMaxwellFormat:
         text = serialize_maxwell(benchmark_maxwell())
         assert serialize_maxwell(parse_maxwell_text(text)) == text
 
-    def test_positive_offdiagonal_sign_error(self):
-        bad = CANONICAL.replace("a,-2.0,6.0,-4.0", "a,2.0,6.0,-4.0") \
-                       .replace("g,5.0,-2.0,-3.0", "g,5.0,2.0,-3.0")
-        with pytest.raises(SignError):
-            parse_maxwell_text(bad)
+    def test_positive_offdiagonal_sign_error(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text(CANONICAL.replace("a,-2.0,6.0,-4.0", "a,2.0,6.0,-4.0")
+                                 .replace("g,5.0,-2.0,-3.0", "g,5.0,2.0,-3.0"), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: positive off-diagonal"):
+            parse_maxwell_file(path)
 
     def test_small_asymmetry_symmetrized_with_warning(self):
         nudged = CANONICAL.replace("a,-2.0,6.0,-4.0", "a,-2.000000004,6.0,-4.0")
@@ -468,6 +469,26 @@ class TestCli:
         assert "coupling_hamiltonians" in features
         assert "readout_first_harmonic" in features
 
+    def test_budget_table(self, device_dir, capsys):
+        """The budget table lists its 7 rows, each ending in its change of
+        chi_qr in percent."""
+        assert run_cli("budget", str(device_dir / "device.yaml")) == 0
+        out = capsys.readouterr().out
+        section = out.split("sensitivity budget (delta chi_qr vs full model)\n")[1]
+        rows = section.split("\n\n")[0].splitlines()
+        assert [row.split()[0] for row in rows] == [
+            "coupling_hamiltonians", "readout_first_harmonic", "line_impedance",
+            "line_impedance", "substrate_permittivity", "junction_capacitance", "cell_padding"]
+        assert all(re.search(r"  [+-]\d+\.\d{3} %$", row) for row in rows)
+
+    def test_sweep_table(self, device_dir, capsys):
+        """A sweep's table is each point's table in turn."""
+        config = load_device_config(device_dir / "device.yaml")
+        assert run_cli("sweep", str(device_dir / "device.yaml"),
+                       "--param", "junctions.j1.lj_nh", "--values", "11.5,12.5") == 0
+        assert capsys.readouterr().out == "".join(
+            to_table(r) + "\n" for r in run_sweep(config, "junctions.j1.lj_nh", [11.5, 12.5]))
+
     def test_modes_rejects_unknown_field(self, line_spec, tmp_path, capsys):
         raw = yaml.safe_load(line_spec.read_text(encoding="utf-8"))
         path = tmp_path / "extra.yaml"
@@ -767,3 +788,37 @@ class TestMalformedConfig:
                     crashed.append((field, value, code))
         capsys.readouterr()
         assert crashed == []
+
+
+class TestCallInventory:
+    """The LAPACK calls of a CLI budget, a junction calibration and a CLI
+    analyze of the shipped device, counted by name: scipy.linalg's, then
+    the transmon's tridiagonal eigensolve. A change that adds, removes or
+    reshapes such a call moves a count here, and says so."""
+
+    @pytest.mark.parametrize("run, counts", [
+        ("budget", (8, 16, 4, 4, 4, 0, 8)),
+        ("calibrate", (2, 12, 1, 1, 1, 0, 12)),
+        ("analyze", (2, 2, 1, 1, 1, 0, 2)),
+    ])
+    def test_lapack_call_counts(self, device_dir, tmp_path, monkeypatch, run, counts):
+        calls = {}
+
+        def count(module, name):
+            real, calls[name] = getattr(module, name), 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("cholesky", "eigh", "eigvalsh", "inv", "solve", "svdvals"):
+            count(scipy.linalg, name)
+        count(subsystems, "eigh_tridiagonal")
+        config = device_dir / "device.yaml"
+        if run == "calibrate":
+            calibrate_junction(load_device_config(config), "j1", 5.3e9, (10e-9, 14e-9))
+        else:
+            assert run_cli(run, str(config), "--format", "machine",
+                           "-o", str(tmp_path / "report.json")) == 0
+        assert calls == dict(zip(calls, counts))

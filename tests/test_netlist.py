@@ -16,9 +16,11 @@ from lumpedq.discretize import ladder_netlist, normal_mode_frequencies
 from lumpedq.errors import (
     DependentJunctionLoop,
     DimensionMismatch,
+    IllConditionedMatrix,
     MalformedMatrix,
     MalformedPartition,
     NonNullDirection,
+    NumericalError,
     SingularCouplerBlock,
     UnknownDatum,
     UnknownNode,
@@ -34,6 +36,8 @@ from lumpedq.netlist import (
     JunctionElement,
     MaxwellMatrix,
     NodeRegistry,
+    ReducedCircuit,
+    ReductionRecord,
     check_psd,
     compose_cells,
     coupler_kernel,
@@ -1078,6 +1082,29 @@ class TestCompositeChecks:
     def test_all_zero_matrix_is_checked(self, eigvalsh_calls):
         self.composite(np.zeros((3, 3)))
         assert [call.shape for call in eigvalsh_calls] == [(3, 3)]
+
+
+class TestReducedChecks:
+    """A reduced C is checked for symmetry, then by its spectrum alone: a
+    smallest eigenvalue at most SINGULAR_RATIO times the largest, which
+    every singular or indefinite matrix has, is a numerical failure (exit
+    code 3), not malformed input."""
+
+    @pytest.mark.parametrize("c", [
+        # two equal rows
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        np.array([[1.0, 1.5, 0.0], [1.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),  # indefinite
+    ])
+    def test_singular_or_indefinite_rejected(self, c):
+        c = c * fF
+        w = scipy.linalg.eigvalsh(c, driver="evd")
+        with pytest.raises(IllConditionedMatrix) as err:
+            ReducedCircuit(labels=("n0", "n1", "n2"), c_mat=c, l_inv=np.zeros((3, 3)),
+                           block_index={"s0": (0, 1, 2)}, junctions=(),
+                           record=ReductionRecord(c_rotated=c, eliminated=()))
+        assert isinstance(err.value, NumericalError)
+        assert str(err.value) == (f"reduced capacitance matrix is numerically singular or "
+                                  f"indefinite (eigenvalue ratio {w[0] / w[-1]:.3e})")
 
 
 # ---------------------------------------------------------------------------

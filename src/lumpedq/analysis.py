@@ -56,6 +56,11 @@ from .netlist import (
 from .roots import calibrate_scalar
 from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, quantize_line
 
+# spread of a line's port loadings, relative to the larger, beyond which
+# loading it singly by the larger is reported as an approximation
+PORT_LOADING_RTOL = 1e-3
+
+
 @dataclass(frozen=True)
 class LineResult:
     spec: LoadedLineSpec  # its c_load is the loading used for the mode solve
@@ -69,6 +74,7 @@ class DeviceCircuit:
     into blocks. It holds no junction's L_j or E_J."""
 
     config: DeviceConfig
+    cells: tuple[CellMatrices, ...]  # stage 1: the reduced cells, in config order
     reduced: ReducedCircuit
     blocks: CircuitBlocks
     # sha256 of each Maxwell file's bytes as parsed, keyed by its config entry
@@ -164,7 +170,7 @@ def _line_subsystem(lc: LineConfig, port_loadings: Mapping[str, float],
     if port_loadings and not naive:
         loading = max(port_loadings.values())
         spread = loading - min(port_loadings.values())
-        if len(port_loadings) > 1 and spread > 1e-3 * loading:
+        if len(port_loadings) > 1 and spread > PORT_LOADING_RTOL * loading:
             warnings.warn(
                 f"line {lc.name!r}: port loadings differ by {spread:.3e} F; "
                 "modeled as singly loaded with the larger value"
@@ -206,7 +212,7 @@ def _circuit_from_cells(config: DeviceConfig, cells: Sequence[CellMatrices],
     )
     netlist = compose_cells([*cells, _lumped_cell(config)], registry)
     reduced = reduce_network(netlist)
-    return DeviceCircuit(config, reduced, extract_blocks(reduced), input_sha256)
+    return DeviceCircuit(config, tuple(cells), reduced, extract_blocks(reduced), input_sha256)
 
 
 def build_circuit(config: DeviceConfig) -> DeviceCircuit:
@@ -389,10 +395,13 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
     already built). Each row reruns the stages its variation reaches: the
     coupling row stage 7 on the base subsystems, the readout rows the
     readout line and stage 7, and the rows that change the circuit
-    (substrate, junction capacitance, cell padding) stages 2-7 on the cells
-    stage 1 loaded once."""
+    (substrate, junction capacitance, cell padding) stages 2-7 on the base
+    circuit's stage-1 cells. A ``base`` whose circuit does not fit
+    ``config`` is a ConfigError."""
     if base is None:
         base = build_model(config)
+    elif not base.circuit.fits(config):
+        raise ConfigError("configuration differs from its base model's in a field stages 1-5 read")
     if base.dispersive is None:
         raise ConfigError("budget requires a qubit and a readout subsystem")
     chi0 = base.dispersive.chi_qr
@@ -426,7 +435,7 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
             f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
         add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", resolve_readout(cfg))
 
-    cells, input_sha256 = _load_cells(config)
+    cells, input_sha256 = base.circuit.cells, base.circuit.input_sha256
 
     def rebuild(cfg: DeviceConfig, varied: Sequence[CellMatrices]) -> DispersiveObservables:
         return build_model(cfg, circuit=_circuit_from_cells(cfg, varied, input_sha256)).dispersive

@@ -67,23 +67,19 @@ def _cmd_budget(args) -> None:
 def _cmd_modes(args) -> None:
     import numpy as np
 
-    from .config import (check_fields, load_yaml, parse_number, parse_phase_velocity,
-                         parse_termination)
+    from .config import Fields, load_yaml
     from .loadedline import LoadedLineSpec, solve_modes
 
     if args.samples < 0:
         raise ValidationError(f"modes: --samples must not be negative, got {args.samples}")
-    raw = load_yaml(Path(args.line_spec).read_text(encoding="utf-8"))
-    where = args.line_spec
-    check_fields(raw, ("length_mm", "z0_ohm", "vp_m_per_s", "vp_fraction_c", "c_load_ff",
-                       "termination"), where)
-    spec = LoadedLineSpec.from_wave_params(
-        length=parse_number(raw, "length_mm", where) * 1e-3,
-        z0=parse_number(raw, "z0_ohm", where),
-        v_p=parse_phase_velocity(raw, where),
-        c_load=parse_number(raw, "c_load_ff", where, 0.0) * 1e-15,
-        shorted_end=parse_termination(raw, where),
-    )
+    line = Fields(load_yaml(Path(args.line_spec).read_text(encoding="utf-8")), args.line_spec)
+    spec = LoadedLineSpec.from_wave_params(**line.done(
+        length=line.number("length_mm") * 1e-3,
+        z0=line.number("z0_ohm"),
+        v_p=line.phase_velocity(),
+        c_load=line.number("c_load_ff", 0.0) * 1e-15,
+        shorted_end=line.shorted_end(),
+    ))
     modes = solve_modes(spec, args.count)
     z = np.linspace(0.0, spec.length, args.samples)
     if args.format == "machine":

@@ -22,10 +22,11 @@ product state's occupation, bare energy, sector and position in its
 sector, and the Hamiltonian is assembled as one dense real-symmetric block
 per sector, each term written at the sector positions of the product
 indices the tensor strides give. The N x N matrix is never formed. When an
-operator joins levels of equal parity (a transmon at nonzero offset
-charge) the whole basis is one sector. ``diagonalize`` solves each block
-only for the lowest eigenpairs, the ones that hold the bare labels it is
-asked for: ``observable_labels``, the labels the observables read.
+operator joins levels of equal parity (a transmon at an offset charge that
+is no multiple of 1/2) the whole basis is one sector. ``diagonalize``
+solves each block only for the lowest eigenpairs, the ones that hold the
+bare labels it is asked for: ``observable_labels``, the labels the
+observables read.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ SUBSET_MARGIN = 4
 # dense float64 copies of the largest sector block the eigensolve adds to the
 # blocks themselves: the solver's working copy and up to a sector of eigenvectors
 EIGENSOLVE_COPIES = 2
+# overlap slack in deciding that a state outside a solved subset can still
+# carry a label: the summed squared overlaps reach 1 only to rounding
+REACHABLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -242,8 +246,8 @@ def build_full_hamiltonian(
     Every term moves the occupation of each of its two modes by +-1. When
     every operator of every term connects only levels of opposite parity
     (the exact zeros ``ModeFactor`` stores), H conserves the parity of the
-    total occupation and has two sectors; otherwise (a transmon at nonzero
-    offset charge) the whole basis is one sector."""
+    total occupation and has two sectors; otherwise (a transmon at an
+    offset charge that is no multiple of 1/2) the whole basis is one sector."""
     terms = pair_terms(subsystems, graph)
     total = int(np.prod([d for s in subsystems for d in s.mode_dims]))
     if total > dimension_cap:
@@ -339,7 +343,7 @@ def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
         labeled = np.zeros(n, dtype=bool)
         labeled[basis[states]] = True
         # overlap still left for states outside the subset, with rounding slack
-        reachable = 1.0 - overlap.sum(axis=1) >= min_overlap - 1e-9
+        reachable = 1.0 - overlap.sum(axis=1) >= min_overlap - REACHABLE_SLACK
         if k == n or not np.any(required & ~labeled & reachable):
             break
         k = min(n, 2 * k)

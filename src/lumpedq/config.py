@@ -1,9 +1,10 @@
 """Device configuration schema.
 
 Configurations are YAML documents; every physical value carries its unit in
-the field name (lj_nh, cj_ff, z0_ohm, ...). The parsed dataclasses keep the
-raw mapping around so sweeps and budget rows can derive modified configs by
-dotted-path overrides.
+the field name (lj_nh, cj_ff, z0_ohm, ...). Each mapping is read through
+``Fields``, whose reads are the one list of the keys it accepts. The parsed
+dataclasses keep the raw mapping around so sweeps and budget rows can
+derive modified configs by dotted-path overrides.
 """
 
 from __future__ import annotations
@@ -20,52 +21,12 @@ from scipy import constants
 from .composite import DEFAULT_DIMENSION_CAP, DEFAULT_MIN_OVERLAP
 from .errors import ConfigError
 
-_TERMINATIONS = {"open": False, "short": True}
-
-
-def parse_termination(entry: Mapping[str, Any], where: str) -> bool:
-    """Whether the line described by ``entry`` has a shorted far end; its
-    ``termination`` is open (the default) or short."""
-    termination = str(_require(entry, "termination", where, "open"))
-    if termination not in _TERMINATIONS:
-        raise ConfigError(f"{where}: termination must be open or short")
-    return _TERMINATIONS[termination]
-
-
 _REQUIRED = object()
 
 
-def _require(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED):
-    """``entry[key]``, or ``default`` when the field is absent or null; a
-    field without a default is required."""
-    if entry.get(key) is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required field {key!r}")
-        return default
-    return entry[key]
-
-
-def parse_number(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
-                 kind: type = float):
-    """``entry[key]`` as a finite ``kind`` (float or int), or ``default`` when
-    the field is absent or null; a field without a default is required. A
-    value that is not a finite number (a boolean is not one), or not a whole
-    number for an int field, raises ConfigError naming the field."""
-    if entry.get(key) is None:
-        return _require(entry, key, where, default)
-    return parse_finite(entry[key], key, where, kind)
-
-
-def parse_positive(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED):
-    """``parse_number`` of a float field that must be positive when given."""
-    number = parse_number(entry, key, where, default)
-    if number is not None and not number > 0.0:
-        raise ConfigError(f"{where}: {key} must be positive, got {entry[key]!r}")
-    return number
-
-
 def parse_finite(value: Any, key: str, where: str, kind: type = float):
-    """``value`` as ``parse_number`` reads the value of field ``key``."""
+    """``value`` of field ``key`` of entry ``where`` as a finite ``kind``
+    (float or int); a boolean, or a fraction for an int, is refused."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
@@ -79,44 +40,79 @@ def parse_finite(value: Any, key: str, where: str, kind: type = float):
     return number
 
 
-def parse_list(entry: Mapping[str, Any], key: str, where: str, default: Any = _REQUIRED,
-               names: bool = False) -> list:
-    """``entry[key]`` as a list, or ``default`` as ``_require`` gives it: of
-    node ``names`` (strings, or integers read as their decimal string), or
-    else of mappings; anything else is a ConfigError naming the field."""
-    if entry.get(key) is None:
-        return _require(entry, key, where, default)
-    kind = "node names" if names else "mappings"
-    value = entry[key]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}: {key} must be a list of {kind}, got {value!r}")
-    for item in value:
-        if not (isinstance(item, (str, int)) and not isinstance(item, bool) if names
-                else isinstance(item, Mapping)):
-            raise ConfigError(f"{where}: {key} must be a list of {kind}, got item {item!r}")
-    return [str(item) for item in value] if names else list(value)
+class Fields:
+    """The configuration mapping ``entry``, named ``where`` in errors. Each
+    read records its key; an absent or null field takes the read's
+    ``default``, and is required without one. ``done`` refuses every key no
+    read recorded, so the reads are the one list of the keys it accepts."""
 
+    def __init__(self, entry: Any, where: str):
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"{where}: expected a mapping")
+        self.entry, self.where, self.read = entry, where, set()
 
-def check_fields(entry: Any, fields: tuple[str, ...], where: str) -> None:
-    """Raise ConfigError unless ``entry`` is a mapping whose every key is one
-    of the ``fields`` its parser reads; the error names each other key."""
-    if not isinstance(entry, Mapping):
-        raise ConfigError(f"{where}: expected a mapping")
-    unknown = [key for key in entry if key not in fields]
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {', '.join(map(repr, unknown))}")
+    def get(self, key: str, default: Any = _REQUIRED):
+        """The field's raw value, or ``default``."""
+        self.read.add(key)
+        if self.entry.get(key) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.where}: missing required field {key!r}")
+            return default
+        return self.entry[key]
 
+    def number(self, key: str, default: Any = _REQUIRED, kind: type = float):
+        """The field as ``parse_finite`` reads it, or ``default``."""
+        value = self.get(key, default)
+        return value if self.entry.get(key) is None else parse_finite(value, key, self.where, kind)
 
-def parse_phase_velocity(entry: Mapping[str, Any], where: str) -> float:
-    """Phase velocity in m/s of the line described by ``entry``, from its
-    ``vp_m_per_s`` or else its ``vp_fraction_c`` times c."""
-    if entry.get("vp_m_per_s") is not None:
-        if entry.get("vp_fraction_c") is not None:
-            raise ConfigError(f"{where}: give one of vp_m_per_s or vp_fraction_c")
-        return parse_number(entry, "vp_m_per_s", where)
-    if entry.get("vp_fraction_c") is not None:
-        return parse_number(entry, "vp_fraction_c", where) * constants.c
-    raise ConfigError(f"{where}: need vp_m_per_s or vp_fraction_c")
+    def positive(self, key: str, default: Any = _REQUIRED):
+        """``number`` of a float field that must be positive when given."""
+        number = self.number(key, default)
+        if number is not None and not number > 0.0:
+            raise ConfigError(f"{self.where}: {key} must be positive, got {self.entry[key]!r}")
+        return number
+
+    def items(self, key: str, default: Any = _REQUIRED, names: bool = False) -> list:
+        """The field as a list of node ``names`` (strings, or integers read as
+        their decimal string), or else of mappings, or ``default``."""
+        value = self.get(key, default)
+        if self.entry.get(key) is None:
+            return value
+        kind = "node names" if names else "mappings"
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{self.where}: {key} must be a list of {kind}, got {value!r}")
+        for item in value:
+            if not (isinstance(item, (str, int)) and not isinstance(item, bool) if names
+                    else isinstance(item, Mapping)):
+                raise ConfigError(f"{self.where}: {key} must be a list of {kind}, "
+                                  f"got item {item!r}")
+        return [str(item) for item in value] if names else list(value)
+
+    def phase_velocity(self) -> float:
+        """Phase velocity in m/s of a line, from its ``vp_m_per_s`` or else
+        its ``vp_fraction_c`` times c."""
+        vp, fraction = self.number("vp_m_per_s", None), self.number("vp_fraction_c", None)
+        if vp is None and fraction is None:
+            raise ConfigError(f"{self.where}: need vp_m_per_s or vp_fraction_c")
+        if vp is not None and fraction is not None:
+            raise ConfigError(f"{self.where}: give one of vp_m_per_s or vp_fraction_c")
+        return vp if fraction is None else fraction * constants.c
+
+    def shorted_end(self) -> bool:
+        """Whether a line has a shorted far end; its ``termination`` is open
+        (the default) or short."""
+        termination = self.get("termination", "open")
+        if termination not in ("open", "short"):
+            raise ConfigError(f"{self.where}: termination must be open or short")
+        return termination == "short"
+
+    def done(self, **fields) -> dict:
+        """``fields``, once every key of the entry is one a read recorded; the
+        reads given as ``fields`` run first. The error names each other key."""
+        unknown = [key for key in self.entry if key not in self.read]
+        if unknown:
+            raise ConfigError(f"{self.where}: unknown field(s) {', '.join(map(repr, unknown))}")
+        return fields
 
 
 def load_yaml(text: str) -> Any:
@@ -253,68 +249,64 @@ def _find_named(entries: list, key: str, path: str) -> dict:
 
 def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> DeviceConfig:
     base_dir = Path(base_dir)
-    check_fields(raw, ("name", "datum", "cells", "couplers", "subsystems", "junctions",
-                       "inductors", "analysis"), "config")
-    name = str(_require(raw, "name", "config", "device"))
-    datum = str(_require(raw, "datum", "config"))
+    doc = Fields(raw, "config")
+    name = str(doc.get("name", "device"))
+    datum = str(doc.get("datum"))
 
     cells = []
-    for entry in parse_list(raw, "cells", "config"):
-        ident = str(_require(entry, "id", "cell"))
-        check_fields(entry, ("id", "maxwell_file", "ground_nets"), f"cell {ident!r}")
-        maxwell_entry = str(_require(entry, "maxwell_file", f"cell {ident!r}"))
-        cells.append(CellConfig(
+    for entry in doc.items("cells"):
+        cell = Fields(entry, "cell")
+        ident = str(cell.get("id"))
+        cell.where = f"cell {ident!r}"
+        maxwell_entry = str(cell.get("maxwell_file"))
+        cells.append(CellConfig(**cell.done(
             ident=ident,
             maxwell_file=base_dir / maxwell_entry,
             maxwell_entry=maxwell_entry,
-            ground_nets=tuple(parse_list(entry, "ground_nets", f"cell {ident!r}", (), names=True)),
-        ))
+            ground_nets=tuple(cell.items("ground_nets", (), names=True)),
+        )))
     if len({c.ident for c in cells}) != len(cells):
         raise ConfigError("duplicate cell ids")
 
     transmons: list[TransmonConfig] = []
     lines: list[LineConfig] = []
-    for entry in parse_list(raw, "subsystems", "config"):
-        kind = _require(entry, "kind", "subsystem")
-        sname = str(_require(entry, "name", "subsystem"))
-        nodes = tuple(parse_list(entry, "nodes", f"subsystem {sname!r}", names=True))
+    for entry in doc.items("subsystems"):
+        sub = Fields(entry, "subsystem")
+        kind = sub.get("kind")
+        sname = str(sub.get("name"))
+        sub.where = f"subsystem {sname!r}"
+        nodes = tuple(sub.items("nodes", names=True))
         if kind == "transmon":
-            where = f"subsystem {sname!r}"
-            check_fields(entry, ("name", "kind", "nodes", "levels", "n_max", "q_offset_2e"),
-                         where)
-            transmons.append(TransmonConfig(
+            transmons.append(TransmonConfig(**sub.done(
                 name=sname,
                 nodes=nodes,
-                levels=parse_number(entry, "levels", where, 5, int),
-                n_max=parse_number(entry, "n_max", where, 30, int),
-                q_offset_2e=parse_number(entry, "q_offset_2e", where, 0.0),
-            ))
+                levels=sub.number("levels", 5, int),
+                n_max=sub.number("n_max", 30, int),
+                q_offset_2e=sub.number("q_offset_2e", 0.0),
+            )))
         elif kind == "loaded_line":
-            where = f"line {sname!r}"
-            check_fields(entry, ("name", "kind", "role", "nodes", "z0_ohm", "vp_m_per_s",
-                                 "vp_fraction_c", "termination", "length_mm", "target_ghz",
-                                 "target_mode", "target_loading", "modes", "levels"), where)
-            modes = parse_number(entry, "modes", where, 1, int)
-            levels = entry.get("levels", 5)
-            levels = tuple(parse_finite(v, "levels", where, int) for v in levels) \
+            sub.where = f"line {sname!r}"
+            modes = sub.number("modes", 1, int)
+            levels = sub.get("levels", 5)
+            levels = tuple(parse_finite(v, "levels", sub.where, int) for v in levels) \
                 if isinstance(levels, (list, tuple)) \
-                else (parse_number(entry, "levels", where, 5, int),) * modes
-            length = parse_number(entry, "length_mm", where, None)
-            target = parse_number(entry, "target_ghz", where, None)
-            lines.append(LineConfig(
+                else (sub.number("levels", 5, int),) * modes
+            length = sub.number("length_mm", None)
+            target = sub.number("target_ghz", None)
+            lines.append(LineConfig(**sub.done(
                 name=sname,
                 nodes=nodes,
-                z0_ohm=parse_number(entry, "z0_ohm", where),
-                vp_m_per_s=parse_phase_velocity(entry, where),
-                shorted_end=parse_termination(entry, where),
+                z0_ohm=sub.number("z0_ohm"),
+                vp_m_per_s=sub.phase_velocity(),
+                shorted_end=sub.shorted_end(),
                 modes=modes,
                 levels=levels,
                 length_m=None if length is None else length * 1e-3,
                 target_hz=None if target is None else target * 1e9,
-                target_mode=parse_number(entry, "target_mode", where, 1, int),
-                target_loading=str(_require(entry, "target_loading", where, "unloaded")),
-                role=str(_require(entry, "role", where, "")),
-            ))
+                target_mode=sub.number("target_mode", 1, int),
+                target_loading=str(sub.get("target_loading", "unloaded")),
+                role=str(sub.get("role", "")),
+            )))
         else:
             raise ConfigError(f"subsystem {sname!r}: unknown kind {kind!r}")
     names = [t.name for t in transmons] + [l.name for l in lines]
@@ -322,41 +314,40 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         raise ConfigError("duplicate subsystem names")
 
     junctions = []
-    for entry in parse_list(raw, "junctions", "config", ()):
-        ident = str(_require(entry, "id", "junction"))
-        where = f"junction {ident!r}"
-        check_fields(entry, ("id", "nodes", "subsystem", "lj_nh", "ej_ghz", "cj_ff"), where)
-        nodes = parse_list(entry, "nodes", where, names=True)
+    for entry in doc.items("junctions", ()):
+        junction = Fields(entry, "junction")
+        ident = str(junction.get("id"))
+        junction.where = f"junction {ident!r}"
+        nodes = junction.items("nodes", names=True)
         if len(nodes) != 2:
-            raise ConfigError(f"{where}: nodes must be a [neg, pos] pair")
-        lj = parse_positive(entry, "lj_nh", where, None)
-        ej = parse_positive(entry, "ej_ghz", where, None)
-        junctions.append(JunctionConfig(
+            raise ConfigError(f"{junction.where}: nodes must be a [neg, pos] pair")
+        lj = junction.positive("lj_nh", None)
+        ej = junction.positive("ej_ghz", None)
+        junctions.append(JunctionConfig(**junction.done(
             ident=ident,
             node_neg=nodes[0],
             node_pos=nodes[1],
-            subsystem=str(_require(entry, "subsystem", where)),
+            subsystem=str(junction.get("subsystem")),
             lj_h=None if lj is None else lj * 1e-9,
             ej_j=None if ej is None else ej * 1e9 * constants.h,
-            cj_f=parse_number(entry, "cj_ff", where, 0.0) * 1e-15,
-        ))
+            cj_f=junction.number("cj_ff", 0.0) * 1e-15,
+        )))
     if len({j.ident for j in junctions}) != len(junctions):
         raise ConfigError("duplicate junction ids")
 
     inductors = []
-    for entry in parse_list(raw, "inductors", "config", ()):
-        nodes = parse_list(entry, "nodes", "inductor", names=True)
+    for entry in doc.items("inductors", ()):
+        inductor = Fields(entry, "inductor")
+        nodes = inductor.items("nodes", names=True)
         if len(nodes) != 2:
             raise ConfigError("inductor nodes must be a pair")
-        where = f"inductor {nodes}"
-        check_fields(entry, ("nodes", "l_nh"), where)
-        inductors.append(InductorConfig(
+        inductor.where = f"inductor {nodes}"
+        inductors.append(InductorConfig(**inductor.done(
             node_a=nodes[0], node_b=nodes[1],
-            l_h=parse_positive(entry, "l_nh", where) * 1e-9,
-        ))
+            l_h=inductor.positive("l_nh") * 1e-9,
+        )))
 
-    ana = _require(raw, "analysis", "config", {})
-    check_fields(ana, ("qubit", "readout", "dimension_cap", "min_overlap"), "analysis")
+    ana = Fields(doc.get("analysis", {}), "analysis")
     # the pair defaults to the first transmon and the readout-role line, or the first line
     pair = {"qubit": transmons[0].name if transmons else "",
             "readout": next((l.name for l in lines if l.role == "readout"),
@@ -364,7 +355,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     kinds = dict(zip(names, ["transmon"] * len(transmons) + ["loaded line"] * len(lines)))
     errors = []
     for key, kind in (("qubit", "transmon"), ("readout", "loaded line")):
-        pair[key] = str(_require(ana, key, "analysis", pair[key]))
+        pair[key] = str(ana.get(key, pair[key]))
         named = f"a {kinds[pair[key]]}" if pair[key] in kinds else f"no subsystem of {names}"
         if pair[key] and kinds.get(pair[key]) != kind:
             errors.append(f"analysis: {key} {pair[key]!r} names {named}; it must name a {kind}")
@@ -372,25 +363,25 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
         errors.append(f"analysis: qubit and readout both name {pair['qubit']!r}")
     if errors:
         raise ConfigError("\n".join(errors))
-    analysis = AnalysisOptions(
-        dimension_cap=parse_number(ana, "dimension_cap", "analysis", DEFAULT_DIMENSION_CAP, int),
-        min_overlap=parse_number(ana, "min_overlap", "analysis", DEFAULT_MIN_OVERLAP),
+    analysis = AnalysisOptions(**ana.done(
+        dimension_cap=ana.number("dimension_cap", DEFAULT_DIMENSION_CAP, int),
+        min_overlap=ana.number("min_overlap", DEFAULT_MIN_OVERLAP),
         **pair,
-    )
+    ))
 
-    return DeviceConfig(
+    return DeviceConfig(**doc.done(
         name=name,
         datum=datum,
         cells=tuple(cells),
         transmons=tuple(transmons),
         lines=tuple(lines),
-        couplers=tuple(parse_list(raw, "couplers", "config", (), names=True)),
+        couplers=tuple(doc.items("couplers", (), names=True)),
         junctions=tuple(junctions),
         inductors=tuple(inductors),
         analysis=analysis,
         raw=raw,
         base_dir=base_dir,
-    )
+    ))
 
 
 def load_device_config(path: str | Path) -> DeviceConfig:

@@ -54,6 +54,12 @@ PSD_RTOL = 1e-12
 # largest positive off-diagonal entry of a Maxwell matrix, relative to its
 # largest magnitude, taken as rounding of a zero mutual capacitance
 POSITIVE_MUTUAL_RTOL = 1e-12
+# most negative row sum (capacitance to infinity), relative to the largest
+# magnitude, taken as rounding of a node with no capacitance to infinity
+ROW_SUM_RTOL = 1e-9
+# entries within this of a matrix's largest magnitude are rounding left by
+# the junction-basis congruence, not an element touching the coordinate
+TOUCH_RTOL = 1e-14
 # Input matrices carry ~1e-3 relative extraction noise, so rank decisions
 # must sit far above machine epsilon but far below physical couplings.
 KERNEL_RTOL = 1e-9
@@ -184,8 +190,8 @@ class MaxwellMatrix:
                 f"positive off-diagonal entry at ({self.names[i]}, {self.names[j]}): {m[i, j]:.6g}"
             )
         sums = m.sum(axis=1)
-        if np.any(sums < -1e-9 * scale):
-            bad = [self.names[i] for i in np.nonzero(sums < -1e-9 * scale)[0]]
+        if np.any(sums < -ROW_SUM_RTOL * scale):
+            bad = [self.names[i] for i in np.nonzero(sums < -ROW_SUM_RTOL * scale)[0]]
             raise MalformedMatrix(f"negative self-capacitance (row sum) at nodes {bad}")
 
     def self_capacitance(self, node: str) -> float:
@@ -534,7 +540,7 @@ def coupler_class_warnings(c_mat: np.ndarray, l_inv: np.ndarray, labels: Sequenc
     its own flux coordinate, not to the terminal pads it spans."""
     def touched(m: np.ndarray) -> np.ndarray:
         size = np.abs(m)
-        return (size > 1e-14 * (size.max(initial=0.0) or 1.0)).any(axis=1)
+        return (size > TOUCH_RTOL * (size.max(initial=0.0) or 1.0)).any(axis=1)
 
     index = {lab: i for i, lab in enumerate(labels)}
     # couplers consumed by a junction pivot have no coordinate left

@@ -14,14 +14,16 @@ Phi (a^dag + a) is i times the real antisymmetric Phi (a - a^dag). Transmon
 eigenvectors are real, so their charge operator is real as it stands.
 
 Port operators obey a level-parity selection rule: they connect only levels
-of opposite index parity. A line quadrature moves the occupation by +-1, and
-at zero offset charge the transmon's levels alternate in parity under
-n -> -n, which 2e*n reverses (Koch et al., PRA 76, 042319 (2007)). A factor
-stores the entries between levels of equal parity as exact zeros when all of
-them are rounding noise, within OPERATOR_RTOL of the largest entry; at a
-nonzero offset charge they are not small and stay as they are. The composite
-diagonalization splits the product basis by total-occupation parity on
-exactly these zeros (see ``composite``).
+of opposite index parity. A line quadrature moves the occupation by +-1. A
+transmon couples through its charge 2e*(n - n_g); at an offset charge n_g
+that is a multiple of 1/2 its levels alternate in parity under the
+reflection n - n_g -> -(n - n_g), which that charge reverses (Koch et al.,
+PRA 76, 042319 (2007)). A factor stores the entries between levels of equal
+parity as exact zeros when all of them are rounding noise, within
+OPERATOR_RTOL of the largest entry; at any other offset charge they are not
+small and stay as they are. The composite diagonalization splits the
+product basis by total-occupation parity on exactly these zeros (see
+``composite``).
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each real eigenvector
     positive, so operator matrices are reproducible across platforms and
     parameter values. Components within PHASE_TIE_ATOL of the largest tie
-    (at zero offset charge, psi(-n) = +-psi(n)); the last of them, on the
-    n > 0 side, is chosen, so rounding does not pick the sign."""
+    (at an offset charge n_g that is a multiple of 1/2, psi reflects about
+    n_g); the last of them, on the n > n_g side, is chosen, so rounding does
+    not pick the sign."""
     out = vecs.copy()
     for col in range(out.shape[1]):
         mag = np.abs(out[:, col])
@@ -185,7 +188,7 @@ def _charge_basis_levels(spec: TransmonSpec, n_max: int, count: int):
 
 def diagonalize_transmon(spec: TransmonSpec) -> QuantizedSubsystem:
     """Exact charge-basis diagonalization; returns the lowest ``levels``
-    eigenstates with the charge operator 2e*n projected onto them.
+    eigenstates with the charge operator 2e*(n - n_g) projected onto them.
 
     Truncation is verified by doubling n_max: the 0-1 splitting must be
     reproduced to TRUNCATION_RTOL relative or TruncationNotConverged is raised.
@@ -199,7 +202,7 @@ def diagonalize_transmon(spec: TransmonSpec) -> QuantizedSubsystem:
             f"charge-basis cutoff n_max={spec.n_max} not converged: "
             f"E01 changes by {abs(e01 - e01_big) / abs(e01_big):.3e} on doubling"
         )
-    charge = 2.0 * _E * (vecs.T @ (n[:, None] * vecs))
+    charge = 2.0 * _E * (vecs.T @ ((n - spec.n_g)[:, None] * vecs))
     return QuantizedSubsystem(name="transmon", ports=("junction",), factors=(
         ModeFactor(levels=vals, charge=charge, charge_scale=2.0 * _E),))
 

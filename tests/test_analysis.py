@@ -12,6 +12,7 @@ from scipy import constants
 
 from lumpedq import analysis
 from lumpedq.analysis import (
+    PORT_LOADING_RTOL,
     build_circuit,
     build_model,
     calibrate_junction,
@@ -111,6 +112,47 @@ class TestFullModel:
         assert g == pytest.approx(sum(per_edge), rel=1e-12)
         assert abs(g) > 1.5 * max(abs(r) for r in per_edge)
 
+    def test_unequal_port_loadings_warn_and_load_by_the_larger(self, bench, tmp_path):
+        """A bus on two ports, one of them with 50 fF more to ground, is
+        loaded by the larger dressed loading, with a warning that names the
+        line and the spread."""
+        (tmp_path / "qubit_cell.csv").write_bytes((bench.base_dir / "qubit_cell.csv").read_bytes())
+        (tmp_path / "b3_pad.csv").write_text(
+            "# units: fF\nnode,g,b3\ng,50.0,-50.0\nb3,-50.0,50.0\n", encoding="utf-8")
+        raw = copy.deepcopy(dict(bench.raw))
+        raw["cells"].append({"id": "pad", "maxwell_file": "b3_pad.csv"})
+        raw["subsystems"] = [s for s in raw["subsystems"] if s["name"] != "bus3"]
+        next(s for s in raw["subsystems"] if s["name"] == "bus2")["nodes"] = ["b2", "b3"]
+        with pytest.warns(UserWarning) as record:
+            model = build_model(parse_device_config(raw, base_dir=tmp_path))
+        loadings = model.lines["bus2"].port_loadings
+        spread = loadings["b3"] - loadings["b2"]
+        assert spread > PORT_LOADING_RTOL * loadings["b3"]
+        assert model.lines["bus2"].spec.c_load == loadings["b3"]
+        assert f"line 'bus2': port loadings differ by {spread:.3e} F; modeled as singly " \
+               "loaded with the larger value" in [str(w.message) for w in record]
+
+    def test_unresolved_pair_is_left_out_of_the_chi_matrix(self, full_model):
+        """A spectrum without the label of one two-excitation pair gives NaN
+        for that pair alone, and the report's chi_matrix leaves it out."""
+        names = full_model.flat_mode_names
+        a, b = names.index("bus2"), names.index("bus3")
+        pair = tuple(int(m in (a, b)) for m in range(len(names)))
+        spectrum = full_model.spectrum
+        model = dataclasses.replace(full_model, spectrum=dataclasses.replace(
+            spectrum, labels={k: v for k, v in spectrum.labels.items() if k != pair},
+            overlaps={k: v for k, v in spectrum.overlaps.items() if k != pair}))
+        kerr, full = model.cross_kerr(), full_model.cross_kerr()
+        unresolved = np.zeros_like(full, dtype=bool)
+        unresolved[a, b] = unresolved[b, a] = True
+        assert np.all(np.isnan(kerr[unresolved]))
+        assert np.array_equal(kerr[~unresolved], full[~unresolved], equal_nan=True)
+        chi = build_report(full_model).observables["chi_matrix"]
+        assert "bus2|bus3" in chi
+        del chi["bus2|bus3"]
+        assert build_report(model).observables["chi_matrix"] == chi
+
+
 class TestLowestSubset:
     def test_subset_matches_full_eigh_on_benchmark_device(self, full_model):
         """The partial solve's labels and energies equal those of a full
@@ -125,12 +167,12 @@ class TestLowestSubset:
         assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
         assert set(required) <= set(spec.labels)
 
-    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
+    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1), (0.5, 2)])
     def test_offset_charge_decides_the_sectors(self, bench, monkeypatch, q_offset_2e, sectors):
-        """At zero offset charge the product basis splits into its two
-        parity sectors of N/2. At a nonzero one the transmon's charge
-        operator breaks the selection rule, so the whole basis is one
-        sector and the solve keeps the full solve's lowest levels."""
+        """At offset charge 0 or 1/2 the product basis splits into its two
+        parity sectors of N/2. At 1/4 the transmon's charge operator breaks
+        the selection rule, so the whole basis is one sector and the solve
+        keeps the full solve's lowest levels."""
         import scipy.linalg
 
         model = build_model(bench.with_override("subsystems.qubit.q_offset_2e", q_offset_2e))
@@ -157,10 +199,10 @@ class TestLowestSubset:
             assert spec.labels == {lab: s for lab, s in full.items() if s < k}
             np.testing.assert_allclose(spec.energies, vals[:k], rtol=1e-12)
 
-    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1)])
+    @pytest.mark.parametrize("q_offset_2e, sectors", [(0.0, 2), (0.25, 1), (0.5, 2)])
     def test_blocks_equal_the_stride_oracle(self, bench, q_offset_2e, sectors):
         """On the shipped device each sector block equals the whole-H stride
-        oracle on its sector, bit for bit; at a nonzero offset charge the one
+        oracle on its sector, bit for bit; at offset charge 1/4 the one
         block is the oracle itself."""
         model = build_model(bench.with_override("subsystems.qubit.q_offset_2e", q_offset_2e))
         h = build_full_hamiltonian(model.subsystems, model.graph)
@@ -303,6 +345,22 @@ class TestBudget:
 
     def test_impedance_rows_present(self, rows):
         assert sum(r.feature == "line_impedance" for r in rows) == 2
+
+    def test_reads_no_maxwell_file_of_its_own(self, bench, full_model, rows, monkeypatch):
+        """The rows that vary the circuit rerun stages 2-5 on the stage-1
+        cells of the base model's circuit: the budget parses no Maxwell
+        file, and its rows are those of a budget that builds its base."""
+        parsed = []
+        monkeypatch.setattr(analysis, "parse_maxwell_file", parsed.append)
+        assert run_budget(bench, base=full_model) == rows
+        assert parsed == []
+
+    def test_base_of_another_circuit_rejected(self, bench, full_model):
+        """A base model built from a config that differs in a field stages
+        1-5 read has none of the cells the budget varies."""
+        cfg = bench.with_override("junctions.j1.cj_ff", 2.5)
+        with pytest.raises(ConfigError, match="stages 1-5"):
+            run_budget(cfg, base=full_model)
 
 
 class TestSweepAndCalibration:

@@ -282,6 +282,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_device_config(raw, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("section, index, key, misspells, where", [
+        ("junctions", 0, "lj_nH", "lj_nh", "junction 'j1'"),
+        ("subsystems", 1, "length_m", "target_ghz", "line 'readout'"),
+    ])
+    def test_misspelled_sole_source_is_an_unknown_field(self, tmp_path, section, index, key,
+                                                         misspells, where):
+        """A misspelled key that was an entry's only energy or length source
+        is reported as the unknown field it is, not as the missing source."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        entry = raw[section][index]
+        entry[key] = entry.pop(misspells)
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: unknown field(s) '{key}'")):
+            parse_device_config(raw, base_dir=tmp_path)
+
+    def test_every_mapping_refuses_an_unread_key(self, tmp_path):
+        """Each mapping of a config (the document, every cell, subsystem,
+        junction and inductor, and the analysis block), given one key no
+        read names, is refused for that key and nothing else."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw["inductors"] = [{"nodes": ["g", "b2"], "l_nh": 10.0}]
+        parse_device_config(raw, base_dir=tmp_path)
+        mappings = [(), ("analysis",)] + [(section, k) for section in (
+            "cells", "subsystems", "junctions", "inductors") for k in range(len(raw[section]))]
+        assert len(mappings) == 9
+        for path in mappings:
+            doc = copy.deepcopy(raw)
+            entry = doc
+            for key in path:
+                entry = entry[key]
+            entry["unread"] = 1
+            with pytest.raises(ConfigError, match=r"^[^\n]*: unknown field\(s\) 'unread'$"):
+                parse_device_config(doc, base_dir=tmp_path)
+
     def test_two_phase_velocities_rejected(self, tmp_path):
         raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
         raw["subsystems"][1]["vp_m_per_s"] = 1.2e8
@@ -797,7 +830,7 @@ class TestCallInventory:
     reshapes such a call moves a count here, and says so."""
 
     @pytest.mark.parametrize("run, counts", [
-        ("budget", (8, 16, 4, 4, 4, 0, 8)),
+        ("budget", (7, 16, 4, 4, 4, 0, 8)),
         ("calibrate", (2, 12, 1, 1, 1, 0, 12)),
         ("analyze", (2, 2, 1, 1, 1, 0, 2)),
     ])

@@ -129,19 +129,20 @@ class TestTransmon:
         assert len(patterns) == 1
 
     def test_charge_operator_parity_zeros(self):
-        """At n_g = 0 the levels alternate in parity under n -> -n, so 2e*n
-        vanishes between levels of equal index parity: stored as exact zeros
-        where the charge-basis product leaves rounding noise. At n_g = 0.25
-        those entries are not small and are kept."""
+        """At n_g = 0 and 1/2 the levels alternate in parity under
+        n - n_g -> -(n - n_g), so the charge 2e*(n - n_g) vanishes between
+        levels of equal index parity: stored as exact zeros where the
+        charge-basis product leaves rounding noise. At n_g = 0.25 those
+        entries are not small and are kept."""
         levels = 5
         same = np.add.outer(np.arange(levels), np.arange(levels)) % 2 == 0
-        for n_g in (0.0, 0.25):
+        for n_g in (0.0, 0.5, 0.25):
             spec = transmon_from_ratio(50.0, q_offset=n_g * 2 * E, levels=levels)
             n, _, vecs = _charge_basis_levels(spec, spec.n_max, levels)
-            raw = 2 * E * (vecs.T @ (n[:, None] * vecs))
+            raw = 2 * E * (vecs.T @ ((n - n_g)[:, None] * vecs))
             q = diagonalize_transmon(spec).factors[0].charge
             np.testing.assert_allclose(q[~same], raw[~same], rtol=1e-12)
-            if n_g == 0.0:
+            if n_g != 0.25:
                 assert np.all(q[same] == 0.0)
                 assert np.max(np.abs(raw[same])) <= 1e-12 * np.max(np.abs(raw))
             else:

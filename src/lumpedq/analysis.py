@@ -135,13 +135,13 @@ def _lumped_cell(config: DeviceConfig) -> CellMatrices:
     return CellMatrices("__lumped__", tuple(nodes), np.zeros_like(l_inv), l_inv, junctions)
 
 
-def _transmon_subsystem(tc: TransmonConfig, junction: JunctionConfig, c_eff: float,
-                        lj: float | None) -> tuple[TransmonSpec, QuantizedSubsystem]:
-    """The transmon's spec, with E_J from ``lj`` (henries) or else its
-    junction's ``ej_j``, and its factor."""
+def _transmon_subsystem(tc: TransmonConfig, junction: JunctionConfig,
+                        c_eff: float) -> tuple[TransmonSpec, QuantizedSubsystem]:
+    """The transmon's spec, with E_J from its junction's ``lj_h`` or else
+    its ``ej_j``, and its factor."""
     spec = TransmonSpec(
         c_eff=c_eff,
-        ej=junction.ej_j if lj is None else PHI_0**2 / lj,
+        ej=junction.ej_j if junction.lj_h is None else PHI_0**2 / junction.lj_h,
         q_offset=tc.q_offset_2e * 2.0 * constants.e,
         n_max=tc.n_max,
         levels=tc.levels,
@@ -190,7 +190,7 @@ def _line_subsystem(lc: LineConfig, port_loadings: Mapping[str, float],
     )
     modes = solve_modes(spec, lc.modes)
     charge_zpf, flux_zpf = _naive_port_zpfs(modes) if naive else (None, None)
-    sub = quantize_line(spec, modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
+    sub = quantize_line(modes, levels=lc.levels, name=lc.name, ports=lc.nodes,
                         charge_zpf=charge_zpf, flux_zpf=flux_zpf)
     return LineResult(spec=spec, port_loadings=port_loadings, modes=tuple(modes)), sub
 
@@ -250,10 +250,10 @@ def _quantize(config: DeviceConfig, circuit: DeviceCircuit, naive: bool) -> tupl
                           "(nonzero L^-1 diagonal), which the quantization would drop")
     blocks = weak_coupling_blocks(circuit.reduced) if naive else circuit.blocks
 
-    # read each subsystem's coordinates off the reduction's block index,
-    # check them against the subsystem's ports, and quantize it while no
-    # subsystem has failed its check
-    junctions = {j.ident: j for j in config.junctions}
+    # check each subsystem's coordinates, read off the reduction's block
+    # index, against its ports, and quantize it while no subsystem has
+    # failed its check
+    junctions = {j.ident for j in config.junctions}
     subsystems: list[QuantizedSubsystem] = []
     transmon_specs, lines = {}, {}
     port_coord: dict[int, tuple[str, str]] = {}
@@ -276,36 +276,48 @@ def _quantize(config: DeviceConfig, circuit: DeviceCircuit, naive: bool) -> tupl
                 "consume a line's port node")
         if errors:
             continue
-        if transmon:
-            i = coords[0]
-            transmon_specs[sc.name], sub = _transmon_subsystem(
-                sc, junctions[labels[0]], 1.0 / blocks.c_inv[i, i], junctions[labels[0]].lj_h)
-            port_coord[i] = (sc.name, "junction")
-        else:
-            coord_of = dict(zip(labels, coords))
-            port_loadings = {node: 1.0 / blocks.c_inv[coord_of[node], coord_of[node]]
-                             for node in sc.nodes}
-            lines[sc.name], sub = _line_subsystem(sc, port_loadings, naive)
-            port_coord.update((coord_of[node], (sc.name, node)) for node in sc.nodes)
+        product, sub = _quantize_subsystem(config, blocks, sc, naive)
+        (transmon_specs if transmon else lines)[sc.name] = product
+        port_coord.update((i, (sc.name, "junction" if transmon else label))
+                          for i, label in zip(coords, labels))
         subsystems.append(sub)
     if errors:
         raise ConfigError("\n".join(errors))
     return tuple(subsystems), transmon_specs, lines, _coupling_graph(port_coord, blocks)
 
 
-def _composite_model(config: DeviceConfig, circuit: DeviceCircuit, quantized: tuple,
-                     swap: tuple | None = None) -> DeviceModel:
-    """Stage 7 on the stage-6 products ``quantized`` of ``circuit``, with
-    ``swap`` (a transmon's spec or a line's result, and its factor) in place
-    of the subsystem of its name."""
+def _quantize_subsystem(config: DeviceConfig, blocks: CircuitBlocks,
+                        sc: TransmonConfig | LineConfig, naive: bool) -> tuple:
+    """Stage 6 of the subsystem ``sc`` of ``config``: its transmon spec or
+    line result, and its factor. The one reader of its parameters off
+    ``blocks``: the C_eff of a transmon's junction flux, and the loading of
+    each port node of a line."""
+    dressed = {blocks.labels[i]: 1.0 / blocks.c_inv[i, i] for i in blocks.block_index[sc.name]}
+    if isinstance(sc, TransmonConfig):
+        [(ident, c_eff)] = dressed.items()
+        junction = next(j for j in config.junctions if j.ident == ident)
+        return _transmon_subsystem(sc, junction, c_eff)
+    return _line_subsystem(sc, {node: dressed[node] for node in sc.nodes}, naive)
+
+
+def _swap(model: DeviceModel, config: DeviceConfig, name: str) -> DeviceModel:
+    """Stages 6-7 of ``config`` on the full ``model``: the subsystem ``name``
+    requantized, and the model's other subsystems and coupling graph kept.
+    ``config`` differs from the model's only in fields of that subsystem or
+    of its junction that stages 1-5 do not read."""
+    sc = next(s for s in (*config.transmons, *config.lines) if s.name == name)
+    product, sub = _quantize_subsystem(config, model.circuit.blocks, sc, naive=False)
+    transmon_specs, lines = dict(model.transmon_specs), dict(model.lines)
+    (transmon_specs if isinstance(sc, TransmonConfig) else lines)[name] = product
+    subsystems = tuple(sub if s.name == name else s for s in model.subsystems)
+    return _composite_model(config, model.circuit,
+                            (subsystems, transmon_specs, lines, model.graph))
+
+
+def _composite_model(config: DeviceConfig, circuit: DeviceCircuit,
+                     quantized: tuple) -> DeviceModel:
+    """Stage 7 on the stage-6 products ``quantized`` of ``circuit``."""
     subsystems, transmon_specs, lines, graph = quantized
-    if swap is not None:
-        product, sub = swap
-        subsystems = tuple(sub if s.name == sub.name else s for s in subsystems)
-        if isinstance(product, TransmonSpec):
-            transmon_specs = {**transmon_specs, sub.name: product}
-        else:
-            lines = {**lines, sub.name: product}
     flat_mode_names, spectrum, dispersive = _solve_composite(config, subsystems, graph)
     return DeviceModel(
         config=config, circuit=circuit, subsystems=subsystems, transmon_specs=transmon_specs,
@@ -327,7 +339,7 @@ def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsyst
     qubit_mode = first_mode[config.analysis.qubit] if pair else None
 
     h = build_full_hamiltonian(subsystems, graph, dimension_cap=config.analysis.dimension_cap)
-    spectrum = diagonalize(subsystems, h, observable_labels(subsystems, qubit_mode),
+    spectrum = diagonalize(h, observable_labels(subsystems, qubit_mode),
                            min_overlap=config.analysis.min_overlap)
     dispersive = (extract_dispersive(spectrum, qubit_mode, first_mode[config.analysis.readout])
                   if pair else None)
@@ -416,24 +428,18 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         _solve_composite(config, base.subsystems, base.graph.restricted_to(qubit))[2])
 
     readout = next(l for l in config.lines if l.name == config.analysis.readout)
-    quantized = (base.subsystems, base.transmon_specs, base.lines, base.graph)
-
-    def resolve_readout(cfg: DeviceConfig) -> DispersiveObservables:
-        lc = next(l for l in cfg.lines if l.name == readout.name)
-        swap = _line_subsystem(lc, base.lines[readout.name].port_loadings, naive=False)
-        return _composite_model(cfg, base.circuit, quantized, swap).dispersive
-
     if readout.modes > 1:
         cfg = config.with_overrides({
             f"subsystems.{readout.name}.modes": 1,
             f"subsystems.{readout.name}.levels": [readout.levels[0]],
         })
-        add("readout_first_harmonic", "excluded", resolve_readout(cfg))
+        add("readout_first_harmonic", "excluded", _swap(base, cfg, readout.name).dispersive)
 
     for sign in (+1, -1):
         cfg = config.with_override(
             f"subsystems.{readout.name}.z0_ohm", readout.z0_ohm * (1 + 0.03 * sign))
-        add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0", resolve_readout(cfg))
+        add("line_impedance", f"{'+' if sign > 0 else '-'}3% on Z0",
+            _swap(base, cfg, readout.name).dispersive)
 
     cells, input_sha256 = base.circuit.cells, base.circuit.input_sha256
 
@@ -472,10 +478,11 @@ def calibrate_junction(
     inductance to 2e-12 H (see ``calibrate_scalar``), building one model per
     L_j tried. The response is verified to bracket the target at the
     endpoints (f_q decreases as L_j grows); a NaN f_q or a solve that does
-    not converge raises NumericalError. Returns (lj, report). Stages 1-6
-    run once, with the junction at the first bound, the first L_j tried;
-    each other L_j rediagonalizes the junction's transmon, and each L_j
-    reruns stage 7. An unknown ``junction``, or a bound that is not positive
+    not converge raises NumericalError. Returns (lj, report). The first
+    L_j tried is the first bound, and its model is ``build_model`` of the
+    config with the junction's lj_h there; each other L_j swaps in the
+    junction's transmon at that L_j (``_swap``), so each model's config
+    holds its L_j. An unknown ``junction``, or a bound that is not positive
     and finite, is a ConfigError."""
     from .report import build_report
 
@@ -484,19 +491,19 @@ def calibrate_junction(
         raise ConfigError(f"calibrate_junction: {junction!r} names no junction")
     if not all(lj > 0.0 and math.isfinite(lj) for lj in lj_bounds_h):
         raise ConfigError(f"calibrate_junction: bounds must be positive and finite: {lj_bounds_h}")
-    circuit = build_circuit(config)
+
+    def at(lj: float) -> DeviceConfig:
+        return dataclasses.replace(config, junctions=tuple(
+            dataclasses.replace(j, lj_h=lj, ej_j=None) if j is jc else j
+            for j in config.junctions))
+
     lo = lj_bounds_h[0]
-    at_lo = tuple(dataclasses.replace(j, lj_h=lo, ej_j=None) if j is jc else j
-                  for j in config.junctions)
-    quantized = _quantize(dataclasses.replace(config, junctions=at_lo), circuit, naive=False)
-    tc = next(t for t in config.transmons if t.name == jc.subsystem)
-    models = {lo: _composite_model(config, circuit, quantized)}
+    models = {lo: build_model(at(lo))}
 
     def model_at(lj: float) -> DeviceModel:
         # the root is an L_j already built; keep each model to report it
         if lj not in models:
-            swap = _transmon_subsystem(tc, jc, quantized[1][tc.name].c_eff, lj)
-            models[lj] = _composite_model(config, circuit, quantized, swap)
+            models[lj] = _swap(models[lo], at(lj), jc.subsystem)
         return models[lj]
 
     lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,

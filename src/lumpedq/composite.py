@@ -309,7 +309,7 @@ class DressedSpectrum:
     energies: np.ndarray
     labels: Mapping[tuple[int, ...], int]
     overlaps: Mapping[tuple[int, ...], float]
-    mode_dims: tuple[tuple[int, ...], ...]
+    dims: tuple[int, ...]  # levels of each flattened mode
     unlabeled: tuple[int, ...] = ()
     min_overlap: float = DEFAULT_MIN_OVERLAP
 
@@ -320,9 +320,6 @@ class DressedSpectrum:
                 f"its best overlap fell below {self.min_overlap}"
             )
         return float(self.energies[self.labels[label]])
-
-    def single_excitation(self, flat_mode: int) -> tuple[int, ...]:
-        return _excitation(sum(len(d) for d in self.mode_dims), flat_mode)
 
 
 def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
@@ -351,13 +348,14 @@ def _solve_sector(block: np.ndarray, bare: np.ndarray, required: np.ndarray,
 
 
 def diagonalize(
-    subsystems: Sequence[QuantizedSubsystem],
     hamiltonian: SectorHamiltonian,
     required: Iterable[tuple[int, ...]],
     min_overlap: float = DEFAULT_MIN_OVERLAP,
 ) -> DressedSpectrum:
     """Lowest-subset eigensolve of each sector block of ``hamiltonian`` (see
-    ``build_full_hamiltonian``) plus maximum-overlap labeling.
+    ``build_full_hamiltonian``) plus maximum-overlap labeling. The
+    Hamiltonian's basis holds the mode dimensions, and the spectrum keeps
+    them as ``dims``.
 
     ``required`` holds the bare labels to solve for, flattened occupation
     tuples such as ``observable_labels`` gives. In each sector that holds
@@ -374,8 +372,6 @@ def diagonalize(
     if not 0.5 <= min_overlap <= 1.0:
         raise ValidationError(f"min_overlap must lie in [0.5, 1], got {min_overlap}")
     basis = hamiltonian.basis
-    if basis.dims != tuple(d for s in subsystems for d in s.mode_dims):
-        raise ValidationError("Hamiltonian basis does not match the subsystem dimensions")
     wanted = np.zeros(len(basis.energies), dtype=bool)
     try:
         wanted[np.ravel_multi_index(np.array(list(required)).T, basis.dims)] = True
@@ -402,7 +398,7 @@ def diagonalize(
         energies=np.sort(merged),
         labels={label: s for s, label, _ in picked},
         overlaps={label: q for _, label, q in picked},
-        mode_dims=tuple(s.mode_dims for s in subsystems),
+        dims=basis.dims,
         unlabeled=tuple(sorted(set(range(len(merged))) - {s for s, _, _ in picked})),
         min_overlap=min_overlap,
     )
@@ -457,7 +453,7 @@ def extract_dispersive(
     readout_mode: int = 1,
 ) -> DispersiveObservables:
     """Qubit/readout observables from the labeled dressed energies."""
-    n_modes = sum(len(d) for d in spectrum.mode_dims)
+    n_modes = len(spectrum.dims)
     q, r = qubit_mode, readout_mode
     e00 = spectrum.energy_of(_excitation(n_modes))
     e10 = spectrum.energy_of(_excitation(n_modes, q))
@@ -475,18 +471,18 @@ def extract_dispersive(
 
 def mode_frequencies(spectrum: DressedSpectrum) -> list[float]:
     """Dressed single-excitation frequency (Hz) of every flattened mode."""
-    n_modes = sum(len(d) for d in spectrum.mode_dims)
+    n_modes = len(spectrum.dims)
     e0 = spectrum.energy_of(_excitation(n_modes))
     out = []
     for m in range(n_modes):
-        out.append((spectrum.energy_of(spectrum.single_excitation(m)) - e0) / constants.h)
+        out.append((spectrum.energy_of(_excitation(n_modes, m)) - e0) / constants.h)
     return out
 
 
 def cross_kerr_matrix(spectrum: DressedSpectrum) -> np.ndarray:
     """Pairwise cross-Kerr chi_ab (Hz) for all flattened mode pairs with the
     required labels present; NaN where a two-excitation label is unresolved."""
-    n_modes = sum(len(d) for d in spectrum.mode_dims)
+    n_modes = len(spectrum.dims)
     e0 = spectrum.energy_of(_excitation(n_modes))
     chi = np.full((n_modes, n_modes), np.nan)
     for a, b in itertools.combinations(range(n_modes), 2):

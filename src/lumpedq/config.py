@@ -126,16 +126,16 @@ class CellConfig:
     ident: str
     maxwell_file: Path
     maxwell_entry: str  # maxwell_file as written in the config
-    ground_nets: tuple[str, ...] = ()
+    ground_nets: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class TransmonConfig:
     name: str
     nodes: tuple[str, ...]
-    levels: int = 5
-    n_max: int = 30
-    q_offset_2e: float = 0.0
+    levels: int
+    n_max: int
+    q_offset_2e: float
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,14 @@ class LineConfig:
     nodes: tuple[str, ...]  # port node(s); first entry is the loaded end
     z0_ohm: float
     vp_m_per_s: float
-    shorted_end: bool = False
-    modes: int = 1
-    levels: tuple[int, ...] = (5,)
-    length_m: float | None = None
-    target_hz: float | None = None
-    target_mode: int = 1
-    target_loading: str = "unloaded"  # unloaded | dressed
-    role: str = ""
+    shorted_end: bool
+    modes: int
+    levels: tuple[int, ...]
+    length_m: float | None
+    target_hz: float | None
+    target_mode: int
+    target_loading: str  # unloaded | dressed
+    role: str
 
     def __post_init__(self):
         if (self.length_m is None) == (self.target_hz is None):
@@ -170,9 +170,9 @@ class JunctionConfig:
     node_neg: str
     node_pos: str
     subsystem: str
-    lj_h: float | None = None
-    ej_j: float | None = None
-    cj_f: float = 0.0
+    lj_h: float | None
+    ej_j: float | None
+    cj_f: float
 
     def __post_init__(self):
         if (self.lj_h is None) == (self.ej_j is None):
@@ -188,10 +188,10 @@ class InductorConfig:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
-    min_overlap: float = DEFAULT_MIN_OVERLAP
-    qubit: str = ""
-    readout: str = ""
+    dimension_cap: int
+    min_overlap: float
+    qubit: str
+    readout: str
 
     def __post_init__(self):
         # below 1/2 a bare state can dominate two dressed states, and the
@@ -211,10 +211,10 @@ class DeviceConfig:
     lines: tuple[LineConfig, ...]
     couplers: tuple[str, ...]
     junctions: tuple[JunctionConfig, ...]
-    inductors: tuple[InductorConfig, ...] = ()
-    analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
-    raw: Mapping[str, Any] = field(default_factory=dict, compare=False)
-    base_dir: Path = Path(".")
+    inductors: tuple[InductorConfig, ...]
+    analysis: AnalysisOptions
+    raw: Mapping[str, Any] = field(compare=False)
+    base_dir: Path
 
     def with_override(self, dotted_path: str, value) -> "DeviceConfig":
         """New config with one raw field replaced; list entries are addressed

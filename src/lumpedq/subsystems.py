@@ -37,7 +37,7 @@ from scipy import constants
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import TruncationNotConverged, ValidationError
-from .loadedline import LineMode, LoadedLineSpec
+from .loadedline import LineMode
 
 _E = constants.e
 # relative tolerance, against an operator's largest entry, to which a mode
@@ -212,7 +212,6 @@ def _destroy(dim: int) -> np.ndarray:
 
 
 def quantize_line(
-    spec: LoadedLineSpec,
     modes: Sequence[LineMode],
     levels: int | Sequence[int] = 5,
     name: str = "line",
@@ -225,9 +224,9 @@ def quantize_line(
     hbar omega_m (n + 1/2), charge Q_m_zpf (a_m^dag + a_m) and flux
     i Phi_m_zpf(0) (a_m - a_m^dag).
 
-    ``spec`` must carry the dressed loading capacitance the modes were
-    solved with. Every entry of ``ports`` shares the same z = 0 operators
-    (the two-port bus approximation). The per-mode ZPF amplitudes can be
+    Each mode carries the spec, dressed loading included, it was solved
+    with. Every entry of ``ports`` shares the same z = 0 operators (the
+    two-port bus approximation). The per-mode ZPF amplitudes can be
     overridden to realize alternative port conventions.
     """
     if isinstance(levels, int):

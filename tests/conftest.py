@@ -148,7 +148,7 @@ def assert_matches_full_eigh(spec, h, required, atol=0.0):
     eigenvalue; and every label of ``required`` the oracle assigns is
     present. Returns the oracle's (energies, labels)."""
     vals, vecs = np.linalg.eigh(h)
-    flat = list(np.ndindex(*[d for dims in spec.mode_dims for d in dims]))
+    flat = list(np.ndindex(*spec.dims))
     full = greedy_labels(vals, vecs, flat, spec.min_overlap)
     assert set(spec.labels) <= set(full)
     for label in spec.labels:
@@ -228,7 +228,7 @@ def qubit_readout_system(g01_hz, *, f_r=7.0e9, ec_hz=287e6, ej_over_ec=None,
     length = calibrate_length(2 * np.pi * f_r, 1, z0=z0, v_p=v_p, c_load=c_load)
     spec = LoadedLineSpec.from_wave_params(length, z0, v_p, c_load)
     modes = solve_modes(spec, 1)
-    readout = quantize_line(spec, modes, levels=readout_levels, name="readout",
+    readout = quantize_line(modes, levels=readout_levels, name="readout",
                             ports=("b1",))
 
     q01 = abs(transmon.factors[0].charge[0, 1])

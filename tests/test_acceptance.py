@@ -218,7 +218,7 @@ def test_criterion_7_dispersive_limit(bench):
 
     def chi_pair(g_hz):
         subs, graph = kerr_readout_system(g_hz, f_q=f_q, alpha=alpha, f_r=f_r)
-        obs = extract_dispersive(diagonalize(subs, build_full_hamiltonian(subs, graph),
+        obs = extract_dispersive(diagonalize(build_full_hamiltonian(subs, graph),
                                              observable_labels(subs, 0)))
         pert = 2.0 * g_hz**2 * alpha * (
             1.0 / (delta * (delta + alpha)) + 1.0 / (total * (total + alpha)))

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,7 +39,7 @@ from lumpedq.errors import (
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
 from lumpedq.netlist import KERNEL_RTOL, weak_coupling_blocks
 from lumpedq.report import build_report, to_machine
-from lumpedq.subsystems import TransmonSpec, quantize_line
+from lumpedq.subsystems import quantize_line
 
 from conftest import assert_matches_full_eigh, dense_hamiltonian, stride_hamiltonian
 
@@ -94,14 +95,17 @@ class TestFullModel:
             range(len(full_model.circuit.reduced.labels)))
 
 
-    @pytest.mark.filterwarnings("ignore:line 'bus2'")
     def test_rates_sum_over_port_pairs(self, bench):
         """A bus on two ports couples to the qubit through two edges; its g
-        is their sum, as in the Hamiltonian, not the last edge's rate."""
+        is their sum, as in the Hamiltonian, not the last edge's rate. Its
+        two ports load it equally (to rounding), and the build raises no
+        warning."""
         raw = copy.deepcopy(dict(bench.raw))
         raw["subsystems"] = [s for s in raw["subsystems"] if s["name"] != "bus3"]
         next(s for s in raw["subsystems"] if s["name"] == "bus2")["nodes"] = ["b2", "b3"]
-        model = build_model(parse_device_config(raw, base_dir=bench.base_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            model = build_model(parse_device_config(raw, base_dir=bench.base_dir))
         bus, qubit = (next(s for s in model.subsystems if s.name == name)
                       for name in ("bus2", "qubit"))
         edges = [e for e in model.graph.edges if {e.sub_a, e.sub_b} == {"bus2", "qubit"}]
@@ -161,7 +165,7 @@ class TestLowestSubset:
         subs = full_model.subsystems
         h = build_full_hamiltonian(subs, full_model.graph)
         required = observable_labels(subs, full_model.flat_mode_names.index("qubit"))
-        spec = diagonalize(subs, h, required)
+        spec = diagonalize(h, required)
         assert len(spec.energies) < h.shape[0]
         assert spec.labels == full_model.spectrum.labels
         assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
@@ -187,7 +191,7 @@ class TestLowestSubset:
 
         required = observable_labels(subs, model.flat_mode_names.index("qubit"))
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        spec = diagonalize(subs, h, required)
+        spec = diagonalize(h, required)
         assert len(shapes) >= sectors
         assert set(shapes) == {(h.shape[0] // sectors,) * 2}
         k = len(spec.energies)
@@ -226,7 +230,7 @@ class TestLowestSubset:
         assert n == 1920
         tracemalloc.start()
         try:
-            diagonalize(subs, build_full_hamiltonian(subs, model.graph), required)
+            diagonalize(build_full_hamiltonian(subs, model.graph), required)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -243,8 +247,8 @@ class TestRequiredLabels:
         reads, missed = [], []
         solve, energy_of = analysis.diagonalize, DressedSpectrum.energy_of
 
-        def spy_diagonalize(subsystems, h, labels, **kwargs):
-            spectrum = solve(subsystems, h, labels, **kwargs)
+        def spy_diagonalize(h, labels, **kwargs):
+            spectrum = solve(h, labels, **kwargs)
             required[id(spectrum)] = (spectrum, set(labels))
             return spectrum
 
@@ -292,8 +296,8 @@ class TestNaiveComparison:
         naive and full spectra coincide."""
         spec = LoadedLineSpec.from_wave_params(6.8e-3, 53.0, 1.2e8, c_load=0.0)
         modes = solve_modes(spec, 2)
-        full = quantize_line(spec, modes, levels=3, name="r", ports=("b",))
-        naive = quantize_line(spec, modes, levels=3, name="r", ports=("b",),
+        full = quantize_line(modes, levels=3, name="r", ports=("b",))
+        naive = quantize_line(modes, levels=3, name="r", ports=("b",),
                               charge_zpf=[m.q0_zpf for m in modes],
                               flux_zpf=[float(m.phi_zpf(0.0)) for m in modes])
         np.testing.assert_allclose(full.energies, naive.energies)
@@ -399,10 +403,11 @@ class TestSweepAndCalibration:
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))
 
     def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
-        """A calibration builds one circuit and solves each line once. It
-        diagonalizes the transmon once per distinct L_j it tries, and no
-        more: in stage 6 at the first bound, the first L_j tried, and then
-        at each other L_j; the root is among them."""
+        """A calibration builds one circuit, of its config at the first
+        bound, and solves each line once. It diagonalizes the transmon once
+        per distinct L_j it tries, and no more: in stage 6 at the first
+        bound, the first L_j tried, and then at each other L_j; the root is
+        among them."""
         calls = {name: [] for name in ("build_circuit", "solve_modes", "_transmon_subsystem",
                                        "diagonalize_transmon")}
         for name, record in calls.items():
@@ -413,11 +418,14 @@ class TestSweepAndCalibration:
                             calibrate(lambda x: tried.append(x) or response(x), *args, **kwargs))
         lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                         (10e-9, 14e-9))
-        assert [args[0] for args in calls["build_circuit"]] == [bench]
+        at_lo = dataclasses.replace(bench.junctions[0], lj_h=10e-9)
+        assert [args[0] for args in calls["build_circuit"]] == [
+            dataclasses.replace(bench, junctions=(at_lo,))]
         assert sorted(spec.length for spec, _ in calls["solve_modes"]) == sorted(
             line.spec.length for line in full_model.lines.values())
         assert tried[0] == 10e-9
-        assert [args[3] for args in calls["_transmon_subsystem"]] == list(dict.fromkeys(tried))
+        assert [args[1].lj_h for args in calls["_transmon_subsystem"]] == list(
+            dict.fromkeys(tried))
         assert len(calls["diagonalize_transmon"]) == len(set(tried))
         assert lj in tried
         assert report.calibrated["j1"] == lj
@@ -480,24 +488,22 @@ class TestCircuitReuse:
     def test_reused_circuits_report_as_fresh_builds(self, bench, monkeypatch):
         """Every model a driver builds by reusing a circuit or stage-6
         products gives the machine report byte for byte of a model built
-        afresh: build_model on the overridden config (for a calibrated L_j,
-        the config with that junction's lj_h), through a new circuit,
-        reusing nothing. Covers the calibration (both bracket ends and the
-        calibrated point), every budget row, a 3-point lj_nh sweep and
-        analyze --naive, and counts their circuit builds, build_model calls,
-        stage-7 runs and line solves. The calibration's first stage-7 run is
-        at its lower bound, on the stage-6 products quantized there, with no
-        swap. A circuit the budget builds on cells it varied is rebuilt from
-        those cells, and its coupling row, which reruns stage 7 alone, from
-        a fresh model's subsystems."""
+        afresh: build_model on the model's own config, through a new
+        circuit, reusing nothing. Covers the calibration (both bracket ends
+        and the calibrated point), every budget row, a 3-point lj_nh sweep
+        and analyze --naive, and counts their circuit builds, build_model
+        calls, stage-7 runs and line solves. The calibration's first model
+        is build_model at its lower bound, and each other one a swap of the
+        qubit into it. A circuit the budget builds on cells it varied is
+        rebuilt from those cells, and its coupling row, which reruns stage 7
+        alone, from a fresh model's subsystems."""
         fresh_circuit, fresh_model = analysis.build_circuit, analysis.build_model
         fresh_from_cells, fresh_solve = analysis._circuit_from_cells, analysis.solve_modes
-        fresh_stage7, fresh_transmon = analysis._composite_model, analysis._transmon_subsystem
+        fresh_stage7, fresh_swap = analysis._composite_model, analysis._swap
         # id(circuit) -> its build arguments: (config,) through build_circuit,
         # (config, cells, input_sha256) on cells the budget varied
         circuits, quantized = {}, []  # (config, kwargs, model)
-        swapped, solves = [], []  # (config, swap, model) of each stage-7 run with a swap
-        lj_of = {}  # id(transmon spec) -> the L_j it was diagonalized at
+        stage7, swapped, solves = [], [], []  # swapped: (config, name, model) of each swap
 
         def spy_circuit(config):
             circuit = fresh_circuit(config)
@@ -514,15 +520,14 @@ class TestCircuitReuse:
             quantized.append((config, kwargs, model))
             return model
 
-        def spy_stage7(config, circuit, products, swap=None):
-            model = fresh_stage7(config, circuit, products, swap)
-            swapped.append((config, swap, model))
-            return model
+        def spy_stage7(*args):
+            stage7.append(args)
+            return fresh_stage7(*args)
 
-        def spy_transmon(tc, jc, c_eff, lj):
-            spec, sub = fresh_transmon(tc, jc, c_eff, lj)
-            lj_of[id(spec)] = lj
-            return spec, sub
+        def spy_swap(model, config, name):
+            swap = fresh_swap(model, config, name)
+            swapped.append((config, name, swap))
+            return swap
 
         def spy_solve(*args):
             solves.append(args)
@@ -532,12 +537,12 @@ class TestCircuitReuse:
         monkeypatch.setattr(analysis, "_circuit_from_cells", spy_from_cells)
         monkeypatch.setattr(analysis, "build_model", spy_model)
         monkeypatch.setattr(analysis, "_composite_model", spy_stage7)
-        monkeypatch.setattr(analysis, "_transmon_subsystem", spy_transmon)
+        monkeypatch.setattr(analysis, "_swap", spy_swap)
         monkeypatch.setattr(analysis, "solve_modes", spy_solve)
         counts = []
 
         def count():
-            counts.append((len(circuits), len(quantized), len(swapped), len(solves)))
+            counts.append((len(circuits), len(quantized), len(stage7), len(solves)))
 
         lj, calibrated = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         count()
@@ -550,11 +555,7 @@ class TestCircuitReuse:
         monkeypatch.undo()
         steps = [tuple(b - a for a, b in zip(before, after))
                  for before, after in zip([(0, 0, 0, 0)] + counts, counts)]
-        assert steps == [(1, 0, 6, 3), (4, 4, 7, 15), (1, 3, 3, 9), (1, 2, 2, 6)]
-
-        def with_lj(config, lj):
-            j1 = dataclasses.replace(config.junctions[0], lj_h=lj)
-            return dataclasses.replace(config, junctions=(j1,))
+        assert steps == [(1, 1, 6, 3), (4, 4, 7, 15), (1, 3, 3, 9), (1, 2, 2, 6)]
 
         for config, kwargs, model in quantized:
             options = {k: v for k, v in kwargs.items() if k != "circuit"}
@@ -563,16 +564,13 @@ class TestCircuitReuse:
             fresh = (fresh_model(config, **options) if args == (config,) else
                      fresh_model(config, circuit=rebuild(*args), **options))
             assert to_machine(build_report(model)) == to_machine(build_report(fresh))
-        calibration, rows = swapped[:6], [run for run in swapped[6:] if run[1] is not None]
-        assert [swap is None for _, swap, _ in calibration] == [True] + [False] * 5
-        tried = [lj_of[id(model.transmon_specs["qubit"])] for _, _, model in calibration]
+        assert [name for _, name, _ in swapped] == ["qubit"] * 5 + ["readout"] * 3
+        calibration = [quantized[0][2]] + [model for _, _, model in swapped[:5]]
+        assert quantized[0][0].junctions[0].lj_h == 10e-9
+        tried = [model.config.junctions[0].lj_h for model in calibration]
         assert {10e-9, 14e-9, lj} <= set(tried)
-        for (config, _, model), lj_k in zip(calibration, tried):
-            fresh = fresh_model(with_lj(config, lj_k))
-            assert to_machine(build_report(model)) == to_machine(build_report(fresh))
-        assert len(rows) == 3  # the readout budget rows
-        for config, swap, model in rows:
-            assert not isinstance(swap[0], TransmonSpec)
+        for config, _, model in swapped:
+            assert model.config is config
             assert to_machine(build_report(model)) == to_machine(build_report(fresh_model(config)))
 
         base = fresh_model(bench)
@@ -581,8 +579,9 @@ class TestCircuitReuse:
         assert budget[0].feature == "coupling_hamiltonians"
         assert budget[0].chi_hz == restricted.chi_qr
 
+        root = next(model for model in calibration if model.config.junctions[0].lj_h == lj)
         assert to_machine(calibrated) == to_machine(build_report(
-            build_model(with_lj(bench, lj)), calibrated={"j1": lj}))
+            build_model(root.config), calibrated={"j1": lj}))
         for value, report in zip([11.0, 12.0, 13.0], swept):
             path = "junctions.j1.lj_nh"
             fresh = build_model(bench.with_override(path, value))

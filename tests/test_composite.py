@@ -110,7 +110,7 @@ def two_mode_line(name, target_hz, levels, port):
     length = calibrate_length(2 * np.pi * target_hz, 1, z0=z0, v_p=v_p, c_load=c_load)
     spec = LoadedLineSpec.from_wave_params(length, z0, v_p, c_load)
     modes = solve_modes(spec, 2)
-    return quantize_line(spec, modes, levels=levels, name=name, ports=(port,)), modes
+    return quantize_line(modes, levels=levels, name=name, ports=(port,)), modes
 
 
 def gauge_oracle_system():
@@ -333,7 +333,7 @@ class TestRealGauge:
         ports = ("p0", "p1")[:data.draw(st.integers(1, 2))]
         charge_zpf = [m.q0_zpf * data.draw(st.floats(0.5, 2.0)) for m in modes]
         flux_zpf = [float(m.phi_zpf(0.0)) * data.draw(st.floats(0.5, 2.0)) for m in modes]
-        line = quantize_line(spec, modes, levels=levels, name="line", ports=ports,
+        line = quantize_line(modes, levels=levels, name="line", ports=ports,
                              charge_zpf=charge_zpf, flux_zpf=flux_zpf)
 
         def hbar_g():
@@ -397,7 +397,7 @@ class TestCouplingRates:
         the two coupled oscillators accounts for it to 1e-11."""
         spec = LoadedLineSpec.from_wave_params(6e-3, 50.0, 1.2e8, c_load=50e-15)
         (mode,) = solve_modes(spec, 1)
-        subs = [quantize_line(spec, [mode], levels=4, name=name, ports=("p",))
+        subs = [quantize_line([mode], levels=4, name=name, ports=("p",))
                 for name in ("la", "lb")]
         graph = CouplingGraph((CouplingEdge("la", "p", "lb", "p",
                                             inv_c_eff=inv_c, inv_l_eff=inv_l),))
@@ -445,7 +445,7 @@ class TestLabeling:
     def test_ground_label_and_injectivity(self):
         subs, graph, _, _, _ = qubit_readout_system(120e6)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h, observable_labels(subs, 0))
+        spec = diagonalize(h, observable_labels(subs, 0))
         assert spec.labels[(0, 0)] == 0
         states = list(spec.labels.values())
         assert len(states) == len(set(states))
@@ -454,7 +454,7 @@ class TestLabeling:
     def test_multimode_flat_labels(self):
         subs, _, _, _, _ = qubit_readout_system(0.0, qubit_levels=3, readout_levels=3)
         h = build_full_hamiltonian(subs, CouplingGraph(()))
-        spec = diagonalize(subs, h, observable_labels(subs, 0))
+        spec = diagonalize(h, observable_labels(subs, 0))
         freqs = mode_frequencies(spec)
         assert freqs[0] == pytest.approx(
             (subs[0].energies[1] - subs[0].energies[0]) / H_PLANCK, rel=1e-12)
@@ -463,7 +463,7 @@ class TestLabeling:
         subs, edges, _ = gauge_oracle_system()
         h = build_full_hamiltonian(subs, CouplingGraph(tuple(edges.values())))
         required = observable_labels(subs, 0)
-        spec = diagonalize(subs, h, required)
+        spec = diagonalize(h, required)
         assert len(spec.energies) < h.shape[0]
         assert_matches_full_eigh(spec, dense_hamiltonian(h), required)
 
@@ -485,7 +485,7 @@ class TestLabeling:
         monkeypatch.setattr(composite, "SUBSET_MARGIN", 0)
         required = observable_labels([a, b], 0)
         assert (1, 1) in required and (4, 0) not in required
-        spec = diagonalize([a, b], h, required)
+        spec = diagonalize(h, required)
         assert len(spec.energies) == 8  # even: 3, doubled once; odd: 2
         # the full solve's 6 lowest even and 2 lowest odd states, in energy order
         odd = np.array([sum(lab) % 2 for lab in np.ndindex(5, 3)], dtype=bool)
@@ -515,7 +515,7 @@ class TestLabeling:
 
         monkeypatch.setattr(scipy.linalg, "eigh", sector_eigh)
         # even sector (0, 0), (1, 1) offset by 10, solved first; odd (0, 1), (1, 0) by 0
-        spec = diagonalize([a, b], split_hamiltonian([a, b], np.diag([10.0, 0.0, 0.0, 10.0])),
+        spec = diagonalize(split_hamiltonian([a, b], np.diag([10.0, 0.0, 0.0, 10.0])),
                            observable_labels([a, b], 0))
         np.testing.assert_array_equal(spec.energies, [1.0, 2.0, 11.0, 12.0])
         assert spec.labels == {(0, 1): 0, (0, 0): 2}
@@ -532,7 +532,7 @@ class TestLabeling:
         sectors = build_full_hamiltonian(subs, graph)
         h = dense_hamiltonian(sectors)
         required = observable_labels(subs, 0)
-        spec = diagonalize(subs, sectors, required)
+        spec = diagonalize(sectors, required)
         vals, full = assert_matches_full_eigh(
             spec, h, required, atol=1e-12 * np.max(np.abs(np.linalg.eigvalsh(h))))
         dims = [d for sub in subs for d in sub.mode_dims]
@@ -549,14 +549,14 @@ class TestLabeling:
         for a missing label, the solve is not repeated."""
         subs, graph, _, _, _ = qubit_readout_system(150e6)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h, observable_labels(subs, 0), min_overlap=1.0)
+        spec = diagonalize(h, observable_labels(subs, 0), min_overlap=1.0)
         assert (0, 0) not in spec.labels
         assert len(spec.energies) < h.shape[0]
 
     def test_min_overlap_below_half_rejected(self):
         subs, graph, _, _, _ = qubit_readout_system(50e6)
         with pytest.raises(ValidationError):
-            diagonalize(subs, build_full_hamiltonian(subs, graph), observable_labels(subs, 0),
+            diagonalize(build_full_hamiltonian(subs, graph), observable_labels(subs, 0),
                         min_overlap=0.4)
 
     def test_observable_labels(self):
@@ -573,13 +573,13 @@ class TestLabeling:
         h = build_full_hamiltonian(subs, graph)
         for required in ([], [(3, 0)], [(0, -1)], [(0, 0, 0)]):
             with pytest.raises(ValidationError, match="required labels"):
-                diagonalize(subs, h, required)
+                diagonalize(h, required)
 
     def test_unlabeled_state_raises(self):
         subs, graph, _, _, _ = qubit_readout_system(30e6,
                                                     qubit_levels=3, readout_levels=3)
         h = build_full_hamiltonian(subs, graph)
-        spec = diagonalize(subs, h, observable_labels(subs, 0))
+        spec = diagonalize(h, observable_labels(subs, 0))
         with pytest.raises(UnlabeledState):
             spec.energy_of((3, 0))  # beyond the retained qubit levels
 
@@ -588,7 +588,7 @@ class TestDispersive:
     def test_uncoupled_chi_is_zero(self):
         subs, _, _, _, _ = qubit_readout_system(0.0)
         h = build_full_hamiltonian(subs, CouplingGraph(()))
-        obs = extract_dispersive(diagonalize(subs, h, observable_labels(subs, 0)))
+        obs = extract_dispersive(diagonalize(h, observable_labels(subs, 0)))
         assert obs.chi_qr == pytest.approx(0.0, abs=1e-6)
 
     def test_linear_systems_have_no_cross_kerr(self):
@@ -597,7 +597,7 @@ class TestDispersive:
         coef = 2.0 * HBAR * 2 * np.pi * 100e6 / (2e-18 * 3e-18)
         graph = CouplingGraph((CouplingEdge("a", "p", "b", "p", inv_c_eff=coef),))
         h = build_full_hamiltonian([a, b], graph)
-        obs = extract_dispersive(diagonalize([a, b], h, observable_labels([a, b], 0)))
+        obs = extract_dispersive(diagonalize(h, observable_labels([a, b], 0)))
         # zero up to the eigensolver floor, ~1e-12 of the GHz energy scale
         assert abs(obs.chi_qr) < 1e-10 * obs.f_readout
 
@@ -608,8 +608,8 @@ class TestDispersive:
         h_bare = build_full_hamiltonian(subs, CouplingGraph(()))
         h_full = build_full_hamiltonian(subs, graph)
         v = dense_hamiltonian(h_full) - dense_hamiltonian(h_bare)
-        spec = diagonalize(subs, h_full, observable_labels(subs, 0))
-        spec0 = diagonalize(subs, h_bare, observable_labels(subs, 0))
+        spec = diagonalize(h_full, observable_labels(subs, 0))
+        spec0 = diagonalize(h_bare, observable_labels(subs, 0))
 
         # map bare product labels to bare-order indices for the PT oracle
         h0 = np.real(np.diag(dense_hamiltonian(h_bare)))
@@ -645,7 +645,7 @@ class TestDispersive:
         def chi_pair(g_hz):
             subs, graph = kerr_readout_system(g_hz, f_q=f_q, alpha=alpha, f_r=f_r)
             obs = extract_dispersive(
-                diagonalize(subs, build_full_hamiltonian(subs, graph),
+                diagonalize(build_full_hamiltonian(subs, graph),
                             observable_labels(subs, 0)))
             chi_pert = 2.0 * g_hz**2 * alpha * (
                 1.0 / (delta * (delta + alpha)) + 1.0 / (total * (total + alpha)))
@@ -671,7 +671,7 @@ class TestDispersive:
             subs, graph, _, _, _ = qubit_readout_system(
                 150e6, qubit_levels=5 + extra, readout_levels=5 + extra)
             obs = extract_dispersive(
-                diagonalize(subs, build_full_hamiltonian(subs, graph),
+                diagonalize(build_full_hamiltonian(subs, graph),
                             observable_labels(subs, 0)))
             chi[extra] = obs.chi_qr
         assert abs(chi[1] - chi[0]) / abs(chi[1]) < 5e-3
@@ -680,20 +680,20 @@ class TestDispersive:
         """Swapping the subsystem order leaves all observables unchanged."""
         subs, graph, _, _, _ = qubit_readout_system(150e6)
         h_ab = build_full_hamiltonian(subs, graph)
-        obs_ab = extract_dispersive(diagonalize(subs, h_ab, observable_labels(subs, 0)), qubit_mode=0, readout_mode=1)
+        obs_ab = extract_dispersive(diagonalize(h_ab, observable_labels(subs, 0)), qubit_mode=0, readout_mode=1)
         swapped = [subs[1], subs[0]]
         edge = graph.edges[0]
         graph_ba = CouplingGraph((CouplingEdge(edge.sub_b, edge.port_b, edge.sub_a,
                                                edge.port_a, inv_c_eff=edge.inv_c_eff),))
         h_ba = build_full_hamiltonian(swapped, graph_ba)
-        obs_ba = extract_dispersive(diagonalize(swapped, h_ba, observable_labels(swapped, 1)), qubit_mode=1, readout_mode=0)
+        obs_ba = extract_dispersive(diagonalize(h_ba, observable_labels(swapped, 1)), qubit_mode=1, readout_mode=0)
         assert obs_ab.f_qubit == pytest.approx(obs_ba.f_qubit, rel=1e-10)
         assert obs_ab.f_readout == pytest.approx(obs_ba.f_readout, rel=1e-10)
         assert obs_ab.chi_qr == pytest.approx(obs_ba.chi_qr, rel=1e-10)
 
     def test_cross_kerr_matrix_symmetric(self):
         subs, graph, _, _, _ = qubit_readout_system(150e6)
-        spec = diagonalize(subs, build_full_hamiltonian(subs, graph),
+        spec = diagonalize(build_full_hamiltonian(subs, graph),
                            observable_labels(subs, 0))
         kerr = cross_kerr_matrix(spec)
         assert kerr[0, 1] == kerr[1, 0]

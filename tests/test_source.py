@@ -11,6 +11,8 @@ import lumpedq
 
 SOURCE = Path(lumpedq.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the quantizers of one transmon and of one line, in ``analysis``
+STAGE_6_QUANTIZERS = {"_transmon_subsystem", "_line_subsystem"}
 
 
 def numpy_linalg_uses(tree: ast.AST) -> list[str]:
@@ -109,6 +111,35 @@ def test_no_scipy_sparse_import():
         for name in scipy_imports(ast.parse(path.read_text(encoding="utf-8")), "scipy.sparse")
     }
     assert not offenders, sorted(offenders)
+
+
+def referrers(tree: ast.Module, names: set[str]) -> set[tuple[str, str]]:
+    """(top-level definition, name) of each read of one of ``names`` in a
+    parsed module, the definition being "<module>" for a read outside one."""
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        found.update((owner, node.id) for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id in names
+                     and isinstance(node.ctx, ast.Load))
+    return found
+
+
+def test_subsystem_quantizer_referrers_are_seen():
+    tree = ast.parse("def a():\n    _line_subsystem(x)\n"
+                     "def b():\n    def inner():\n        return _transmon_subsystem\n"
+                     "f = _line_subsystem\n_transmon_subsystem = None\n")
+    assert referrers(tree, STAGE_6_QUANTIZERS) == {
+        ("a", "_line_subsystem"), ("b", "_transmon_subsystem"), ("<module>", "_line_subsystem")}
+
+
+def test_one_stage_6_path():
+    """In ``analysis``, only ``_quantize_subsystem`` quantizes a transmon or
+    a line: it is the one reader of a subsystem's C_eff or port loadings off
+    a circuit's blocks, and a build and a swap both go through it, so no
+    driver keeps a private stage 6."""
+    tree = ast.parse((SOURCE / "analysis.py").read_text(encoding="utf-8"))
+    assert {owner for owner, _ in referrers(tree, STAGE_6_QUANTIZERS)} == {"_quantize_subsystem"}
 
 
 def fresh_interpreter(script: str) -> list[str]:

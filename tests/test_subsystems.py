@@ -171,7 +171,7 @@ def single_mode_line(levels=3):
     spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
                                            c_load=320e-15)
     modes = solve_modes(spec, 1)
-    return spec, modes, quantize_line(spec, modes, levels=levels, name="readout",
+    return spec, modes, quantize_line(modes, levels=levels, name="readout",
                                       ports=("b1",))
 
 
@@ -201,7 +201,7 @@ class TestLineQuantization:
         spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
                                                c_load=320e-15)
         modes = solve_modes(spec, 2)
-        sub = quantize_line(spec, modes, levels=(3, 2), name="readout", ports=("b1",))
+        sub = quantize_line(modes, levels=(3, 2), name="readout", ports=("b1",))
         assert sub.dimension == 6
         assert sub.mode_dims == (3, 2)
         e00 = 0.5 * constants.hbar * (modes[0].omega + modes[1].omega)
@@ -215,18 +215,18 @@ class TestLineQuantization:
         spec = LoadedLineSpec.from_wave_params(8e-3, 53.0, 0.403 * constants.c,
                                                c_load=100e-15)
         modes = solve_modes(spec, 1)
-        sub = quantize_line(spec, modes, levels=3, name="bus", ports=("b2a", "b2b"))
+        sub = quantize_line(modes, levels=3, name="bus", ports=("b2a", "b2b"))
         assert sub.ports == ("b2a", "b2b")
         assert len(sub.factors) == 1
 
     def test_level_validation(self):
         spec, modes, _ = single_mode_line()
         with pytest.raises(ValidationError):
-            quantize_line(spec, modes, levels=(3, 3), name="x", ports=("p",))
+            quantize_line(modes, levels=(3, 3), name="x", ports=("p",))
         with pytest.raises(ValidationError):
-            quantize_line(spec, modes, levels=1, name="x", ports=("p",))
+            quantize_line(modes, levels=1, name="x", ports=("p",))
         with pytest.raises(ValueError):  # one ZPF per mode, none dropped silently
-            quantize_line(spec, modes, levels=3, name="x", ports=("p",),
+            quantize_line(modes, levels=3, name="x", ports=("p",),
                           charge_zpf=[1e-18, 1e-18])
 
 
@@ -254,7 +254,7 @@ class TestScaleOperators:
         spec = LoadedLineSpec.from_wave_params(6.8645659e-3, 53.0, 0.403 * constants.c,
                                                c_load=320e-15)
         modes = solve_modes(spec, 2)
-        sub = quantize_line(spec, modes, levels=(3, 4), name="readout", ports=("b1",))
+        sub = quantize_line(modes, levels=(3, 4), name="readout", ports=("b1",))
         assert sub.mode_dims == (3, 4)
         for factor, mode, d in zip(sub.factors, modes, (3, 4)):
             a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)

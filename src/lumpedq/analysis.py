@@ -97,8 +97,12 @@ class DeviceModel:
     graph: CouplingGraph
     spectrum: DressedSpectrum
     dispersive: DispersiveObservables | None
-    # one name per flattened mode: the subsystem's, indexed when it has several
-    flat_mode_names: tuple[str, ...]
+
+    @property
+    def flat_mode_names(self) -> tuple[str, ...]:
+        """One name per flattened mode: the subsystem's, indexed when it has several."""
+        return tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
+                     for sub in self.subsystems for m in range(len(sub.factors)))
 
     def dressed_mode_frequencies(self) -> list[float]:
         return mode_frequencies(self.spectrum)
@@ -316,23 +320,11 @@ def _swap(model: DeviceModel, config: DeviceConfig, name: str) -> DeviceModel:
 
 def _composite_model(config: DeviceConfig, circuit: DeviceCircuit,
                      quantized: tuple) -> DeviceModel:
-    """Stage 7 on the stage-6 products ``quantized`` of ``circuit``."""
+    """Stage 7 on the stage-6 products ``quantized`` of ``circuit``: the
+    composite of its subsystems coupled by its graph, the dressed spectrum
+    and, when the config names a qubit and a readout, their dispersive
+    observables."""
     subsystems, transmon_specs, lines, graph = quantized
-    flat_mode_names, spectrum, dispersive = _solve_composite(config, subsystems, graph)
-    return DeviceModel(
-        config=config, circuit=circuit, subsystems=subsystems, transmon_specs=transmon_specs,
-        lines=lines, graph=graph, spectrum=spectrum, dispersive=dispersive,
-        flat_mode_names=flat_mode_names)
-
-
-def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsystem],
-                     graph: CouplingGraph) -> tuple[
-        tuple[str, ...], DressedSpectrum, DispersiveObservables | None]:
-    """Stage 7: the composite of ``subsystems`` coupled by ``graph``: its
-    flattened mode names, its dressed spectrum and, when the config names a
-    qubit and a readout, their dispersive observables."""
-    flat_mode_names = tuple(f"{sub.name}[{m}]" if len(sub.factors) > 1 else sub.name
-                            for sub in subsystems for m in range(len(sub.factors)))
     offsets = itertools.accumulate((len(sub.factors) for sub in subsystems), initial=0)
     first_mode = {sub.name: k for sub, k in zip(subsystems, offsets)}  # its flattened index
     pair = bool(config.analysis.qubit and config.analysis.readout)
@@ -343,7 +335,9 @@ def _solve_composite(config: DeviceConfig, subsystems: Sequence[QuantizedSubsyst
                            min_overlap=config.analysis.min_overlap)
     dispersive = (extract_dispersive(spectrum, qubit_mode, first_mode[config.analysis.readout])
                   if pair else None)
-    return flat_mode_names, spectrum, dispersive
+    return DeviceModel(
+        config=config, circuit=circuit, subsystems=subsystems, transmon_specs=transmon_specs,
+        lines=lines, graph=graph, spectrum=spectrum, dispersive=dispersive)
 
 
 def _coupling_graph(port_coord: Mapping[int, tuple[str, str]],
@@ -424,8 +418,10 @@ def run_budget(config: DeviceConfig, base: DeviceModel | None = None) -> list[Bu
         chi = dispersive.chi_qr
         rows.append(BudgetRow(feature, variation, chi, 100.0 * (chi - chi0) / abs(chi0)))
 
+    restricted = (base.subsystems, base.transmon_specs, base.lines,
+                  base.graph.restricted_to(qubit))
     add("coupling_hamiltonians", "qubit couplings only",
-        _solve_composite(config, base.subsystems, base.graph.restricted_to(qubit))[2])
+        _composite_model(config, base.circuit, restricted).dispersive)
 
     readout = next(l for l in config.lines if l.name == config.analysis.readout)
     if readout.modes > 1:

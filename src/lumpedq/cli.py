@@ -67,12 +67,12 @@ def _cmd_budget(args) -> None:
 def _cmd_modes(args) -> None:
     import numpy as np
 
-    from .config import Fields, load_yaml
+    from .config import Fields, read_yaml_file
     from .loadedline import LoadedLineSpec, solve_modes
 
     if args.samples < 0:
         raise ValidationError(f"modes: --samples must not be negative, got {args.samples}")
-    line = Fields(load_yaml(Path(args.line_spec).read_text(encoding="utf-8")), args.line_spec)
+    line = Fields(read_yaml_file(args.line_spec), args.line_spec)
     spec = LoadedLineSpec.from_wave_params(**line.done(
         length=line.number("length_mm") * 1e-3,
         z0=line.number("z0_ohm"),

@@ -115,10 +115,22 @@ class Fields:
         return fields
 
 
-def load_yaml(text: str) -> Any:
-    """Parse a YAML document with PyYAML's safe loader, through libyaml's C
-    implementation when PyYAML was built with it."""
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+def read_yaml_file(path: str | Path) -> Any:
+    """The YAML document in the file at ``path``, parsed with PyYAML's safe
+    loader, through libyaml's C implementation when PyYAML was built with
+    it. A missing, unreadable (a directory, or not UTF-8) or invalid file
+    is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -224,27 +236,29 @@ class DeviceConfig:
     def with_overrides(self, overrides: Mapping[str, Any]) -> "DeviceConfig":
         raw = copy.deepcopy(dict(self.raw))
         for dotted_path, value in overrides.items():
-            parts = dotted_path.split(".")
+            *parents, leaf = dotted_path.split(".")
             node = raw
-            for part in parts[:-1]:
-                if isinstance(node, list):
-                    node = _find_named(node, part, dotted_path)
-                elif part in node:
-                    node = node[part]
-                else:
-                    raise ConfigError(f"override path {dotted_path!r}: no field {part!r}")
-            leaf = parts[-1]
-            if isinstance(node, list):
-                raise ConfigError(f"override path {dotted_path!r} ends on a list")
+            for part in parents:
+                node = _child(node, part, dotted_path)
+            if not isinstance(node, dict):
+                raise ConfigError(
+                    f"override path {dotted_path!r}: {parents[-1]!r} is not a mapping")
             node[leaf] = value
         return parse_device_config(raw, base_dir=self.base_dir)
 
 
-def _find_named(entries: list, key: str, path: str) -> dict:
-    for entry in entries:
-        if entry.get("id") == key or entry.get("name") == key:
-            return entry
-    raise ConfigError(f"override path {path!r}: no entry named {key!r}")
+def _child(node: Any, part: str, path: str) -> Any:
+    """The field ``part`` of the mapping ``node``, or the mapping in the list
+    ``node`` whose id or name, read as a string as the parser reads it, is
+    ``part``; anything else is a ConfigError naming the override ``path``."""
+    if isinstance(node, dict) and part in node:
+        return node[part]
+    if isinstance(node, list):
+        for entry in node:
+            if isinstance(entry, dict) and part in {
+                    str(entry[key]) for key in ("id", "name") if entry.get(key) is not None}:
+                return entry
+    raise ConfigError(f"override path {path!r}: no field or named entry {part!r}")
 
 
 def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> DeviceConfig:
@@ -385,11 +399,4 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
 
 
 def load_device_config(path: str | Path) -> DeviceConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"configuration file not found: {path}")
-    try:
-        raw = load_yaml(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    return parse_device_config(raw, base_dir=path.parent)
+    return parse_device_config(read_yaml_file(path), base_dir=Path(path).parent)

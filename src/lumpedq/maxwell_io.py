@@ -126,13 +126,17 @@ def parse_maxwell_text(text: str, source: str = "<string>",
 
 def parse_maxwell_file(path: str | Path) -> MaxwellMatrix:
     """Parse a Maxwell file, read once; the result carries the sha256 of
-    the bytes parsed."""
+    the bytes parsed. A missing or unreadable file (a directory, or not
+    UTF-8) is a ParseError naming it."""
     path = Path(path)
     try:
         data = path.read_bytes()
+        text = data.decode("utf-8")
     except FileNotFoundError:
         raise ParseError(f"Maxwell matrix file not found: {path}") from None
-    return parse_maxwell_text(data.decode("utf-8"), source=str(path),
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read Maxwell matrix file {path}: {exc}") from None
+    return parse_maxwell_text(text, source=str(path),
                               source_sha256=hashlib.sha256(data).hexdigest())
 
 

@@ -555,7 +555,7 @@ class TestCircuitReuse:
         monkeypatch.undo()
         steps = [tuple(b - a for a, b in zip(before, after))
                  for before, after in zip([(0, 0, 0, 0)] + counts, counts)]
-        assert steps == [(1, 1, 6, 3), (4, 4, 7, 15), (1, 3, 3, 9), (1, 2, 2, 6)]
+        assert steps == [(1, 1, 6, 3), (4, 4, 8, 15), (1, 3, 3, 9), (1, 2, 2, 6)]
 
         for config, kwargs, model in quantized:
             options = {k: v for k, v in kwargs.items() if k != "circuit"}
@@ -574,10 +574,11 @@ class TestCircuitReuse:
             assert to_machine(build_report(model)) == to_machine(build_report(fresh_model(config)))
 
         base = fresh_model(bench)
-        _, _, restricted = analysis._solve_composite(
-            bench, base.subsystems, base.graph.restricted_to(bench.analysis.qubit))
+        restricted = analysis._composite_model(bench, base.circuit, (
+            base.subsystems, base.transmon_specs, base.lines,
+            base.graph.restricted_to(bench.analysis.qubit)))
         assert budget[0].feature == "coupling_hamiltonians"
-        assert budget[0].chi_hz == restricted.chi_qr
+        assert budget[0].chi_hz == restricted.dispersive.chi_qr
 
         root = next(model for model in calibration if model.config.junctions[0].lj_h == lj)
         assert to_machine(calibrated) == to_machine(build_report(

@@ -321,10 +321,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 'readout': give one of vp_m_per_s or"):
             parse_device_config(raw, base_dir=tmp_path)
 
-    def test_override_unknown_path(self, tmp_path):
+    @pytest.mark.parametrize("path", [
+        "junctions.zz.lj_nh",
+        "couplers.p0.x",  # a list of names, not of mappings
+        "name.x",
+        "analysis.qubit.x",
+        "junctions.j1.lj_nh.x",
+        "name.s.x",  # 's' is in the device name as a substring, not as a field
+        "junctions.j1",  # ends on a list
+    ])
+    def test_override_unknown_path(self, tmp_path, path):
+        """An override steps only into mappings, and in a list only into the
+        mapping whose id or name matches; any other path is refused."""
         cfg = benchmark_config(tmp_path)
-        with pytest.raises(ConfigError, match="override path"):
-            cfg.with_override("junctions.zz.lj_nh", 1.0)
+        with pytest.raises(ConfigError, match=re.escape(f"override path {path!r}")):
+            cfg.with_override(path, 12.0)
+
+    def test_override_reaches_an_integer_id(self, tmp_path):
+        """YAML reads ``id: 1`` as an integer, and the parser names the
+        junction "1"; an override path names it the same way, so the
+        budget's junction-capacitance row can vary it."""
+        raw = copy.deepcopy(dict(benchmark_config(tmp_path).raw))
+        raw["junctions"][0]["id"] = 1
+        cfg = parse_device_config(raw, base_dir=tmp_path)
+        assert cfg.junctions[0].ident == "1"
+        assert cfg.with_override("junctions.1.lj_nh", 11.0).junctions[0].lj_h == 11.0 * 1e-9
+        assert run_budget(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -664,11 +686,38 @@ class TestCli:
     @pytest.mark.parametrize("param, values, message", [
         ("junctions.j1.lj_nh", "11,abc", "sweep: --values must be a finite number, got 'abc'"),
         ("analysis.qubit", "1", "analysis: qubit '1.0' names no subsystem"),
+        ("couplers.p0.x", "12", "override path 'couplers.p0.x': no field or named entry 'p0'"),
+        ("name.s.x", "12", "override path 'name.s.x': no field or named entry 's'"),
     ])
     def test_refused_sweep_exit_code_2(self, device_dir, capsys, param, values, message):
         assert run_cli("sweep", str(device_dir / "device.yaml"), "--param", param,
                        "--values", values) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "modes"])
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "file not found"),
+        (lambda path: path.mkdir(), "cannot read"),
+        (lambda path: path.write_bytes(b"name: \xff\n"), "cannot read"),
+        (lambda path: path.write_text("name: [1,\n", encoding="utf-8"), "invalid YAML"),
+    ], ids=["missing", "directory", "not-utf8", "invalid"])
+    def test_unreadable_yaml_exit_code_2(self, tmp_path, capsys, command, make, message):
+        path = tmp_path / "input.yaml"
+        make(path)
+        assert run_cli(command, str(path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"# units: fF\nnode,g\ng,\xff\n"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_maxwell_file_exit_code_2(self, device_dir, tmp_path, capsys, make):
+        (tmp_path / "device.yaml").write_bytes((device_dir / "device.yaml").read_bytes())
+        make(tmp_path / "qubit_cell.csv")
+        assert run_cli("analyze", str(tmp_path / "device.yaml")) == 2
+        err = capsys.readouterr().err
+        assert "cannot read Maxwell matrix file" in err and str(tmp_path / "qubit_cell.csv") in err
 
     def test_non_finite_maxwell_value_exit_code_2(self, device_dir, tmp_path, capsys):
         text = (device_dir / "qubit_cell.csv").read_text(encoding="utf-8")

@@ -13,6 +13,8 @@ SOURCE = Path(lumpedq.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the quantizers of one transmon and of one line, in ``analysis``
 STAGE_6_QUANTIZERS = {"_transmon_subsystem", "_line_subsystem"}
+# the assembly and the eigensolve of the composite Hamiltonian
+STAGE_7_SOLVERS = {"build_full_hamiltonian", "diagonalize"}
 
 
 def numpy_linalg_uses(tree: ast.AST) -> list[str]:
@@ -140,6 +142,71 @@ def test_one_stage_6_path():
     driver keeps a private stage 6."""
     tree = ast.parse((SOURCE / "analysis.py").read_text(encoding="utf-8"))
     assert {owner for owner, _ in referrers(tree, STAGE_6_QUANTIZERS)} == {"_quantize_subsystem"}
+
+
+def test_one_stage_7_path():
+    """In ``analysis``, only ``_composite_model`` assembles or diagonalizes
+    the composite: a build, a swap and the budget's coupling row all run
+    stage 7 through it."""
+    tree = ast.parse((SOURCE / "analysis.py").read_text(encoding="utf-8"))
+    assert {owner for owner, _ in referrers(tree, STAGE_7_SOLVERS)} == {"_composite_model"}
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Every name a parsed module binds, at any depth: by an import, a
+    definition or an assignment."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+    return found
+
+
+def test_bound_names_are_seen():
+    tree = ast.parse('"""doc"""\nimport numpy.linalg\nfrom .a import b as c\n'
+                     "def f():\n    g = 1\nclass K: pass\nx = y = 2\n")
+    assert bound_names(tree) == {"numpy", "c", "f", "g", "K", "x", "y"}
+
+
+def test_package_root_binds_only_the_version():
+    """The modules are the API: the package root re-exports none of them."""
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    assert bound_names(tree) == {"__version__"}
+
+
+def yaml_loads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(top-level definition, name) of each loader of PyYAML a parsed module
+    reaches: an attribute of ``yaml`` whose name holds "load", or such a
+    name imported from it; the definition is "<module>" outside one."""
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and "load" in node.attr
+                    and isinstance(node.value, ast.Name) and node.value.id == "yaml"):
+                found.add((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+                found.update((owner, alias.name) for alias in node.names if "load" in alias.name)
+    return found
+
+
+def test_yaml_loads_are_seen():
+    tree = ast.parse("import yaml\nfrom yaml import safe_load, dump\n"
+                     "def f(t):\n    return yaml.load(t, Loader=yaml.CSafeLoader)\n")
+    assert yaml_loads(tree) == {("<module>", "safe_load"), ("f", "load")}
+
+
+def test_one_yaml_reader():
+    """Only ``config.read_yaml_file`` parses YAML, so every input file is
+    read with the same loader and the same errors."""
+    found = {(path.name, owner)
+             for path in sorted(SOURCE.glob("*.py"))
+             for owner, _ in yaml_loads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("config.py", "read_yaml_file")}
 
 
 def fresh_interpreter(script: str) -> list[str]:

@@ -36,7 +36,7 @@ from .composite import (
     observable_labels,
 )
 from .config import DeviceConfig, JunctionConfig, LineConfig, TransmonConfig
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError, TargetOutOfRange
 from .loadedline import LineMode, LoadedLineSpec, calibrate_length, solve_modes
 from .maxwell_io import parse_maxwell_file
 from .netlist import (
@@ -53,12 +53,19 @@ from .netlist import (
     reduce_network,
     weak_coupling_blocks,
 )
-from .roots import calibrate_scalar
+from .roots import brent_root
 from .subsystems import QuantizedSubsystem, TransmonSpec, diagonalize_transmon, quantize_line
 
 # spread of a line's port loadings, relative to the larger, beyond which
 # loading it singly by the larger is reported as an approximation
 PORT_LOADING_RTOL = 1e-3
+
+# stopping rule of a junction calibration's root solve: the root is bracketed
+# to CALIBRATION_XTOL + CALIBRATION_RTOL * L_j, in henries, so the 2e-12 H
+# absolute term dominates; and its iteration cap
+CALIBRATION_XTOL = 2e-12
+CALIBRATION_RTOL = 1e-6
+CALIBRATION_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -471,20 +478,31 @@ def calibrate_junction(
     lj_bounds_h: tuple[float, float],
 ):
     """Root-solve the full-pipeline qubit frequency against the junction
-    inductance to 2e-12 H (see ``calibrate_scalar``), building one model per
-    L_j tried. The response is verified to bracket the target at the
-    endpoints (f_q decreases as L_j grows); a NaN f_q or a solve that does
-    not converge raises NumericalError. Returns (lj, report). The first
-    L_j tried is the first bound, and its model is ``build_model`` of the
-    config with the junction's lj_h there; each other L_j swaps in the
-    junction's transmon at that L_j (``_swap``), so each model's config
-    holds its L_j. An unknown ``junction``, or a bound that is not positive
-    and finite, is a ConfigError."""
+    inductance by ``brent_root``, to the CALIBRATION_* rule (2e-12 H
+    dominates), and return (lj, report). The first L_j tried is the first
+    bound, and its model is ``build_model`` of the config with the
+    junction's lj_h there; each other L_j swaps in the junction's transmon
+    at that L_j (``_swap``), so each model's config holds its L_j. Each
+    model is kept by its exact L_j. A NaN f_q at a bound is a NumericalError
+    naming that L_j; then endpoint values of f_q that do not bracket the
+    target (f_q decreases as L_j grows) raise TargetOutOfRange; a NaN f_q
+    inside, or no convergence, is a NumericalError. An unknown ``junction``,
+    one off the analysis qubit or in a config with no qubit/readout pair, or
+    a bound that is not positive and finite, is a ConfigError raised before
+    any model is built. A calibrated model's ``config.raw`` is the caller's
+    mapping: ``with_override`` on that config re-reads the caller's
+    ``lj_nh``, so a config derived from it must set the junction again."""
     from .report import build_report
 
     jc = next((j for j in config.junctions if j.ident == junction), None)
     if jc is None:
         raise ConfigError(f"calibrate_junction: {junction!r} names no junction")
+    qubit, readout = config.analysis.qubit, config.analysis.readout
+    if jc.subsystem != qubit or not readout:
+        raise ConfigError(
+            f"calibrate_junction fits the f_q of the analysis qubit, read out by a readout: "
+            f"junction {junction!r} is on {jc.subsystem!r}, the analysis qubit is {qubit!r} "
+            f"and its readout {readout!r}")
     if not all(lj > 0.0 and math.isfinite(lj) for lj in lj_bounds_h):
         raise ConfigError(f"calibrate_junction: bounds must be positive and finite: {lj_bounds_h}")
 
@@ -493,15 +511,25 @@ def calibrate_junction(
             dataclasses.replace(j, lj_h=lj, ej_j=None) if j is jc else j
             for j in config.junctions))
 
-    lo = lj_bounds_h[0]
+    lo, hi = lj_bounds_h
     models = {lo: build_model(at(lo))}
 
-    def model_at(lj: float) -> DeviceModel:
-        # the root is an L_j already built; keep each model to report it
+    def f_qubit(lj: float) -> float:
+        # the root is an L_j already tried; keep each model to report it
         if lj not in models:
             models[lj] = _swap(models[lo], at(lj), jc.subsystem)
-        return models[lj]
+        return models[lj].dispersive.f_qubit
 
-    lj = calibrate_scalar(lambda x: model_at(x).dispersive.f_qubit, target_fq_hz,
-                          lj_bounds_h, fmt=lambda f: f"{f / 1e9:.4f} GHz")
-    return lj, build_report(model_at(lj), calibrated={junction: lj})
+    ends = f_qubit(lo), f_qubit(hi)
+    for lj, f in zip(lj_bounds_h, ends):
+        if math.isnan(f):
+            raise NumericalError(f"calibrate_junction: f_q is NaN at the bound L_j={lj!r} H")
+    low, high = sorted(ends)
+    if not low <= target_fq_hz <= high:
+        raise TargetOutOfRange(
+            f"target {target_fq_hz / 1e9:.4f} GHz outside the endpoint range "
+            f"[{low / 1e9:.4f} GHz, {high / 1e9:.4f} GHz]")
+    lj = float(brent_root(lambda x: f_qubit(x) - target_fq_hz, lo, hi,
+                          ends[0] - target_fq_hz, ends[1] - target_fq_hz, xtol=CALIBRATION_XTOL,
+                          rtol=CALIBRATION_RTOL, maxiter=CALIBRATION_MAXITER))
+    return lj, build_report(models[lj], calibrated={junction: lj})

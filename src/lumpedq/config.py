@@ -65,10 +65,10 @@ class Fields:
         value = self.get(key, default)
         return value if self.entry.get(key) is None else parse_finite(value, key, self.where, kind)
 
-    def positive(self, key: str, default: Any = _REQUIRED):
-        """``number`` of a float field that must be positive when given."""
-        number = self.number(key, default)
-        if number is not None and not number > 0.0:
+    def positive(self, key: str, default: Any = _REQUIRED, kind: type = float):
+        """``number`` of a field that must be positive when given."""
+        number = self.number(key, default, kind)
+        if number is not None and not number > 0:
             raise ConfigError(f"{self.where}: {key} must be positive, got {self.entry[key]!r}")
         return number
 
@@ -378,7 +378,7 @@ def parse_device_config(raw: Mapping[str, Any], base_dir: str | Path = ".") -> D
     if errors:
         raise ConfigError("\n".join(errors))
     analysis = AnalysisOptions(**ana.done(
-        dimension_cap=ana.number("dimension_cap", DEFAULT_DIMENSION_CAP, int),
+        dimension_cap=ana.positive("dimension_cap", DEFAULT_DIMENSION_CAP, int),
         min_overlap=ana.number("min_overlap", DEFAULT_MIN_OVERLAP),
         **pair,
     ))

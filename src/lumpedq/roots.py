@@ -1,45 +1,10 @@
-"""One-dimensional root solves: ``brent_root`` solves each branch of the
-loaded line's characteristic equation (``loadedline``) and, through
-``calibrate_scalar``, a junction calibration (``analysis``), each to the
-stopping rule its caller passes."""
+"""The one-dimensional root solve: ``brent_root`` solves each branch of the
+loaded line's characteristic equation (``loadedline``) and a junction
+calibration (``analysis``). Each caller passes its own stopping rule."""
 
 import math
 
 from .errors import NumericalError, TargetOutOfRange
-
-# stopping rule of the root solve in calibrate_scalar: relative and absolute
-# tolerance on x (see its docstring for the bound that holds) and iteration cap
-CALIBRATION_RTOL = 1e-6
-CALIBRATION_XTOL = 2e-12
-CALIBRATION_MAXITER = 100
-
-
-def calibrate_scalar(
-    response,
-    target: float,
-    bounds: tuple[float, float],
-    fmt="{:.6g}".format,
-) -> float:
-    """Monotone scalar calibration: find x in ``bounds`` with response(x) =
-    target. The endpoint responses must bracket the target, otherwise
-    TargetOutOfRange is raised, quoting them as rendered by ``fmt``.
-
-    The root is solved by ``brent_root``, which is handed the endpoint
-    responses, so ``response`` runs once per x. It stops once the root is
-    bracketed to CALIBRATION_XTOL = 2e-12 plus CALIBRATION_RTOL * |x|. For x
-    in henries the absolute term dominates: the root holds to 2e-12 H, not
-    to 1e-6 relative. A NaN response, at an endpoint too, or no convergence
-    within CALIBRATION_MAXITER iterations raises NumericalError."""
-    lo, hi = bounds
-    at_lo, at_hi = _not_nan(lo, response(lo)), _not_nan(hi, response(hi))
-    low, high = sorted((at_lo, at_hi))
-    if not low <= target <= high:
-        raise TargetOutOfRange(
-            f"target {fmt(target)} outside the endpoint range [{fmt(low)}, {fmt(high)}]"
-        )
-    return float(brent_root(lambda x: response(x) - target, lo, hi,
-                            at_lo - target, at_hi - target, xtol=CALIBRATION_XTOL,
-                            rtol=CALIBRATION_RTOL, maxiter=CALIBRATION_MAXITER))
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, *,

@@ -321,3 +321,20 @@ def with_junction_stamps(l_inv, junctions, lj, labels, datum="gnd"):
                     e[index[node]] += sign
         out += np.outer(e, e) / lj[j.ident]
     return out
+
+
+def add_spectator_transmon(raw: dict) -> MaxwellMatrix:
+    """Add to the device config ``raw`` a transmon ``spectator`` of 2 levels
+    (junction ``jt`` of 10 nH across the pads t0 and t1) in a cell of its
+    own, ``spectator.csv``, with C to the datum ``g`` alone, and return that
+    cell's Maxwell matrix: each pad has 60 fF to the datum and 10 fF to the
+    other."""
+    raw["cells"].append({"id": "spectator", "maxwell_file": "spectator.csv"})
+    raw["couplers"].append("t0")
+    raw["subsystems"].append({"name": "spectator", "kind": "transmon", "nodes": ["t1"],
+                              "levels": 2})
+    raw["junctions"].append({"id": "jt", "nodes": ["t0", "t1"], "subsystem": "spectator",
+                             "lj_nh": 10.0})
+    pads_ff = np.array([[120.0, -60.0, -60.0], [-60.0, 70.0, -10.0], [-60.0, -10.0, 70.0]])
+    return MaxwellMatrix(names=("g", "t0", "t1"), matrix=pads_ff * 1e-15, display_units="fF",
+                         display_matrix=pads_ff)

@@ -21,7 +21,7 @@ from lumpedq.analysis import (
     run_budget,
     run_sweep,
 )
-from lumpedq.benchmark import benchmark_config, benchmark_raw_config
+from lumpedq.benchmark import benchmark_config, benchmark_raw_config, write_benchmark
 from lumpedq.composite import (
     DressedSpectrum,
     build_full_hamiltonian,
@@ -32,16 +32,23 @@ from lumpedq.config import parse_device_config
 from lumpedq.errors import (
     ConfigError,
     NonNullDirection,
+    NumericalError,
     TargetOutOfRange,
     UnlabeledState,
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
+from lumpedq.maxwell_io import serialize_maxwell
 from lumpedq.netlist import KERNEL_RTOL, weak_coupling_blocks
 from lumpedq.report import build_report, to_machine
 from lumpedq.subsystems import quantize_line
 
-from conftest import assert_matches_full_eigh, dense_hamiltonian, stride_hamiltonian
+from conftest import (
+    add_spectator_transmon,
+    assert_matches_full_eigh,
+    dense_hamiltonian,
+    stride_hamiltonian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +406,10 @@ class TestSweepAndCalibration:
                 calibrate_junction(bench, "j1", 5.3e9, bounds)
 
     def test_calibrate_target_out_of_range(self, bench):
-        with pytest.raises(TargetOutOfRange, match=r"target 20\.0000 GHz"):
+        """Endpoint values of f_q that do not bracket the target are quoted,
+        the lower first."""
+        with pytest.raises(TargetOutOfRange, match=r"^target 20\.0000 GHz outside the endpoint "
+                                                   r"range \[5\.\d{4} GHz, 5\.\d{4} GHz\]$"):
             calibrate_junction(bench, "j1", 20e9, (11e-9, 13e-9))
 
     def test_calibration_builds_each_inductance_once(self, bench, full_model, monkeypatch):
@@ -413,9 +423,13 @@ class TestSweepAndCalibration:
         for name, record in calls.items():
             monkeypatch.setattr(analysis, name, lambda *args, fn=getattr(analysis, name),
                                 record=record: record.append(args) or fn(*args))
-        tried, calibrate = [], analysis.calibrate_scalar
-        monkeypatch.setattr(analysis, "calibrate_scalar", lambda response, *args, **kwargs:
-                            calibrate(lambda x: tried.append(x) or response(x), *args, **kwargs))
+        tried, solve = [], analysis.brent_root
+
+        def spy(f, a, b, *args, **kwargs):
+            tried.extend((a, b))  # the bounds, whose f values the solve is handed
+            return solve(lambda x: tried.append(x) or f(x), a, b, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "brent_root", spy)
         lj, report = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,
                                         (10e-9, 14e-9))
         at_lo = dataclasses.replace(bench.junctions[0], lj_h=10e-9)
@@ -429,6 +443,55 @@ class TestSweepAndCalibration:
         assert len(calls["diagonalize_transmon"]) == len(set(tried))
         assert lj in tried
         assert report.calibrated["j1"] == lj
+
+    @pytest.mark.parametrize("target_hz", [5.385516e9, 5.3e9])
+    def test_junction_off_the_analysis_qubit_rejected(self, tmp_path, monkeypatch, target_hz):
+        """A spectator transmon's junction does not move the analysis qubit's
+        f_q, so its calibration is refused before any model is built, not
+        solved against a flat response or reported as out of range."""
+        raw = benchmark_raw_config()
+        (tmp_path / "spectator.csv").write_text(serialize_maxwell(add_spectator_transmon(raw)),
+                                                encoding="utf-8")
+        write_benchmark(tmp_path)
+        config = parse_device_config(raw, base_dir=tmp_path)
+        monkeypatch.setattr(analysis, "build_model", None)
+        with pytest.raises(ConfigError, match="junction 'jt' is on 'spectator', the analysis "
+                                              "qubit is 'qubit'"):
+            calibrate_junction(config, "jt", target_hz, (5e-9, 20e-9))
+
+    @pytest.mark.parametrize("field, message", [
+        ("qubit", "junction 'j1' is on 'qubit', the analysis qubit is '' and its readout "
+                  "'readout'"),
+        ("readout", "junction 'j1' is on 'qubit', the analysis qubit is 'qubit' and its "
+                    "readout ''"),
+    ], ids=["qubit", "readout"])
+    def test_calibration_without_a_qubit_readout_pair_rejected(self, bench, monkeypatch, field,
+                                                               message):
+        """A config with no qubit/readout pair has no dressed f_q to fit, as
+        a budget has no chi_qr: it is refused before any model is built."""
+        config = bench.with_override(f"analysis.{field}", "")
+        monkeypatch.setattr(analysis, "build_model", None)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            calibrate_junction(config, "j1", 5.3e9, (10e-9, 14e-9))
+
+    @pytest.mark.parametrize("nan_at", [10e-9, 14e-9])
+    def test_nan_f_q_at_a_bound_is_named(self, bench, monkeypatch, nan_at):
+        """A NaN f_q at either bound is a numerical error naming that L_j, not
+        a target out of range, whatever the target."""
+        def nan_at_bound(build):
+            def built(*args, **kwargs):
+                model = build(*args, **kwargs)
+                if model.config.junctions[0].lj_h != nan_at:
+                    return model
+                return dataclasses.replace(model, dispersive=dataclasses.replace(
+                    model.dispersive, f_qubit=float("nan")))
+            return built
+
+        monkeypatch.setattr(analysis, "build_model", nan_at_bound(analysis.build_model))
+        monkeypatch.setattr(analysis, "_swap", nan_at_bound(analysis._swap))
+        for target_hz in (5.3e9, 20e9):
+            with pytest.raises(NumericalError, match=rf"f_q is NaN at the bound L_j={nan_at!r} H"):
+                calibrate_junction(bench, "j1", target_hz, (10e-9, 14e-9))
 
     def test_fixed_point_calibration(self, bench, full_model):
         lj, _ = calibrate_junction(bench, "j1", full_model.dispersive.f_qubit,

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import constants
 
-from lumpedq import composite, roots
+from lumpedq import analysis, composite, roots
 from lumpedq.composite import (
     CouplingEdge,
     CouplingGraph,
@@ -31,7 +31,6 @@ from lumpedq.errors import (
     ValidationError,
 )
 from lumpedq.loadedline import LoadedLineSpec, solve_modes
-from lumpedq.roots import calibrate_scalar
 from lumpedq.subsystems import (
     ModeFactor,
     QuantizedSubsystem,
@@ -717,16 +716,23 @@ def monotone_function(seed):
     return lambda x: scale * shape(x - root)
 
 
-class TestCalibrateScalar:
-    def test_fixed_point(self):
-        assert calibrate_scalar(lambda x: x, 0.7, (0.0, 1.0)) == pytest.approx(0.7)
+CALIBRATION_RULE = dict(xtol=analysis.CALIBRATION_XTOL, rtol=analysis.CALIBRATION_RTOL,
+                        maxiter=analysis.CALIBRATION_MAXITER)
 
-    def test_out_of_range(self):
-        with pytest.raises(TargetOutOfRange):
-            calibrate_scalar(lambda x: x, 2.0, (0.0, 1.0))
+
+class TestCalibrateScalar:
+    """The root solve of a junction calibration: ``brent_root`` with the
+    calibration's stopping rule."""
+
+    def test_fixed_point(self):
+        def f(x):
+            return x - 0.7
+
+        root = roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), **CALIBRATION_RULE)
+        assert abs(root - 0.7) <= analysis.CALIBRATION_XTOL + analysis.CALIBRATION_RTOL * 0.7
 
     @pytest.mark.parametrize("xtol, rtol", [
-        (roots.CALIBRATION_XTOL, roots.CALIBRATION_RTOL),
+        (analysis.CALIBRATION_XTOL, analysis.CALIBRATION_RTOL),
         (5e-324, 4 * np.finfo(float).eps),
         (1e-3, 1e-3),
     ])
@@ -740,9 +746,9 @@ class TestCalibrateScalar:
             a, b = (-1.0, 1.0) if seed % 3 else (1.0, -1.0)
             ours, theirs = [], []
             root = roots.brent_root(lambda x: ours.append(x) or f(x), a, b, f(a), f(b),
-                                    xtol=xtol, rtol=rtol, maxiter=roots.CALIBRATION_MAXITER)
+                                    xtol=xtol, rtol=rtol, maxiter=analysis.CALIBRATION_MAXITER)
             oracle = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, rtol=rtol,
-                            maxiter=roots.CALIBRATION_MAXITER)
+                            maxiter=analysis.CALIBRATION_MAXITER)
             assert theirs[:2] == [a, b]
             assert [x.hex() for x in ours] == [x.hex() for x in theirs[2:]], seed
             assert root.hex() == oracle.hex(), seed
@@ -758,43 +764,46 @@ class TestCalibrateScalar:
 
         bench = benchmark_config(tmp_path)
         lj, report = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
-        monkeypatch.setattr(roots, "brent_root", lambda f, a, b, fa, fb, *, xtol, rtol, maxiter:
+        monkeypatch.setattr(analysis, "brent_root", lambda f, a, b, fa, fb, *, xtol, rtol, maxiter:
                             brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
         lj_oracle, report_oracle = calibrate_junction(bench, "j1", 5.3e9, (10e-9, 14e-9))
         assert lj.hex() == lj_oracle.hex()
         assert to_machine(report) == to_machine(report_oracle)
 
     def test_response_runs_once_per_x(self):
+        """The solve is handed the endpoint values, so it runs f at neither
+        bound, and at no x twice."""
         calls = collections.Counter()
 
-        def response(x):
+        def f(x):
             calls[x] += 1
-            return math.exp(-x)
+            return math.exp(-x) - 0.5
 
-        calibrate_scalar(response, 0.5, (0.0, 2.0))
+        roots.brent_root(f, 0.0, 2.0, 0.5, math.exp(-2.0) - 0.5, **CALIBRATION_RULE)
         assert len(calls) > 2
+        assert 0.0 not in calls and 2.0 not in calls
         assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("nan_from, nan_to, x", [(0.3, 0.7, "0.5"), (0.9, 2.0, "1.0")])
     def test_nan_response_is_a_numerical_error_naming_x(self, nan_from, nan_to, x):
         """The secant step from the endpoints lands on 0.5: a NaN there would
-        otherwise send the solve on to a wrong root. A NaN at an endpoint is
-        named too, not reported as a target out of range."""
+        otherwise send the solve on to a wrong root. A NaN endpoint value is
+        named too."""
+        def f(t):
+            return math.nan if nan_from < t < nan_to else t - 0.5
+
         with pytest.raises(NumericalError, match=rf"x={x} is NaN"):
-            calibrate_scalar(lambda t: math.nan if nan_from < t < nan_to else t, 0.5, (0.0, 1.0))
+            roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), **CALIBRATION_RULE)
 
     def test_solver_iteration_cap(self):
         def f(x):
             return x ** 3 - 0.2
 
-        tolerances = dict(xtol=roots.CALIBRATION_XTOL, rtol=roots.CALIBRATION_RTOL)
         with pytest.raises(NumericalError, match="3 iterations"):
-            roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=3, **tolerances)
-        root = roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), maxiter=roots.CALIBRATION_MAXITER,
-                                **tolerances)
-        assert root == pytest.approx(0.2 ** (1 / 3), rel=roots.CALIBRATION_RTOL)
+            roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), **{**CALIBRATION_RULE, "maxiter": 3})
+        root = roots.brent_root(f, 0.0, 1.0, f(0.0), f(1.0), **CALIBRATION_RULE)
+        assert root == pytest.approx(0.2 ** (1 / 3), rel=analysis.CALIBRATION_RTOL)
 
     def test_solver_needs_a_sign_change(self):
         with pytest.raises(TargetOutOfRange, match="same sign"):
-            roots.brent_root(math.exp, 0.0, 1.0, 1.0, math.e, xtol=roots.CALIBRATION_XTOL,
-                             rtol=roots.CALIBRATION_RTOL, maxiter=roots.CALIBRATION_MAXITER)
+            roots.brent_root(math.exp, 0.0, 1.0, 1.0, math.e, **CALIBRATION_RULE)

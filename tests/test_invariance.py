@@ -37,6 +37,8 @@ from lumpedq.maxwell_io import parse_maxwell_file, serialize_maxwell
 from lumpedq.netlist import MaxwellMatrix
 from lumpedq.report import AnalysisReport
 
+from conftest import add_spectator_transmon
+
 HZ_ATOL = 1e-3  # largest change in Hz a summation reorder may cause
 OTHER_RTOL = 1e-9
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,10 +52,6 @@ def maxwell(names, display_ff: np.ndarray) -> MaxwellMatrix:
 
 SHIPPED = benchmark_maxwell()
 SPECTATOR = maxwell(("g", "s"), np.array([[50.0, -50.0], [-50.0, 50.0]]))
-# a floating transmon's two pads, each with 60 fF to the datum and 10 fF to the other
-SPECTATOR_TRANSMON = maxwell(("g", "t0", "t1"), np.array([[120.0, -60.0, -60.0],
-                                                          [-60.0, 70.0, -10.0],
-                                                          [-60.0, -10.0, 70.0]]))
 
 
 def write(directory: Path, raw: dict, cells: dict[str, MaxwellMatrix]) -> DeviceConfig:
@@ -198,6 +196,41 @@ def test_cell_split_into_two_halves(devices, tmp_path):
         assert_same_report(analyze(tmp_path_for(tmp_path, device), raw, cells), device)
 
 
+def split_cell(cell: MaxwellMatrix, pads) -> tuple[MaxwellMatrix, MaxwellMatrix]:
+    """``cell`` as two cells: one holds the mutual capacitances among the
+    nodes ``pads``, the other the rest of them, on the nodes they touch."""
+    mutual = -cell.display_matrix
+    np.fill_diagonal(mutual, 0.0)
+    inner = np.isin(cell.names, pads)
+    among = np.outer(inner, inner)
+
+    def cell_of(part: np.ndarray) -> MaxwellMatrix:
+        held = part.any(axis=1)
+        part = part[np.ix_(held, held)]
+        return maxwell(np.array(cell.names)[held], np.diag(part.sum(axis=1)) - part)
+
+    return cell_of(np.where(among, mutual, 0.0)), cell_of(np.where(among, 0.0, mutual))
+
+
+def test_qubit_cell_split_into_pads_and_ports(devices, tmp_path):
+    """The qubit cell as a cell of its pads (the 6 mutuals among g, p0, p1
+    and cl) and a cell of the ports b1, b2, b3 with the other 13 mutuals, on
+    g and the pads they touch. The shared nodes carry the cross terms, and
+    cl, now in two cells, is no longer a private pad of either."""
+    for device in devices:
+        raw = device.config()
+        [entry] = [cell for cell in raw["cells"] if cell["maxwell_file"] == "qubit_cell.csv"]
+        pads, ports = split_cell(device.cells["qubit_cell.csv"], ("g", "p0", "p1", "cl"))
+        assert set(ports.names) == {"g", "b1", "b2", "b3", "p0", "p1", "cl"}
+        raw["cells"].remove(entry)
+        raw["cells"] += [{"id": "pads", "maxwell_file": "pads.csv"},
+                         {"id": "ports", "maxwell_file": "ports.csv"}]
+        cells = {name: cell for name, cell in device.cells.items() if name != "qubit_cell.csv"}
+        report = analyze(tmp_path_for(tmp_path, device), raw,
+                         {**cells, "pads.csv": pads, "ports.csv": ports})
+        assert_same_report(report, device)
+
+
 def test_isolated_spectator_pad(devices, tmp_path):
     """A coupler pad in a cell of its own, with C to the datum alone."""
     for device in devices:
@@ -214,14 +247,9 @@ def test_uncoupled_spectator_transmon(devices, tmp_path):
     alone, leaves every other observable as it is."""
     for device in devices:
         raw = device.config()
-        raw["cells"].append({"id": "spectator", "maxwell_file": "spectator.csv"})
-        raw["couplers"].append("t0")
-        raw["subsystems"].append({"name": "spectator", "kind": "transmon", "nodes": ["t1"],
-                                  "levels": 2})
-        raw["junctions"].append({"id": "jt", "nodes": ["t0", "t1"], "subsystem": "spectator",
-                                 "lj_nh": 10.0})
+        spectator = add_spectator_transmon(raw)
         report = analyze(tmp_path_for(tmp_path, device), raw,
-                         {**device.cells, "spectator.csv": SPECTATOR_TRANSMON})
+                         {**device.cells, "spectator.csv": spectator})
         assert "spectator" in report.observables["dressed_modes"]
         assert_same_report(report, device, ignore="spectator")
 

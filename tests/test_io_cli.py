@@ -645,6 +645,10 @@ class TestCli:
          "config: subsystems must be a list of mappings, got 7"),
         (lambda cfg: cfg["junctions"].append("j2"),
          "config: junctions must be a list of mappings, got item 'j2'"),
+        (lambda cfg: cfg["analysis"].update(dimension_cap=0),
+         "analysis: dimension_cap must be positive, got 0"),
+        (lambda cfg: cfg["analysis"].update(dimension_cap=-5),
+         "analysis: dimension_cap must be positive, got -5"),
     ], ids=["l_nh-zero", "l_nh-negative", "lj_nh-zero", "ej_ghz-zero", "junction-subsystem",
             "undeclared-cell-node", "junction-on-a-line", "junction-consumes-a-line-port",
             "transmon-without-junction", "transmon-with-two-junctions", "pad-left-on-a-transmon",
@@ -652,7 +656,7 @@ class TestCli:
             "analysis-readout-renamed", "analysis-qubit-is-readout", "analysis-qubit-is-a-line",
             "analysis-pair-swapped", "couplers-bare-string",
             "ground_nets-bare-string", "nodes-mapping", "junction-node-null", "subsystems-scalar",
-            "junction-entry-string"])
+            "junction-entry-string", "dimension_cap-zero", "dimension_cap-negative"])
     def test_refused_config_exit_code_2(self, device_dir, tmp_path, capsys, edit, message):
         """Non-positive inductances and energies, a junction of no subsystem,
         a cell node the partition leaves out, retained coordinates that are
@@ -660,9 +664,10 @@ class TestCli:
         port, a transmon without exactly one junction flux; every failing
         subsystem is named), an analysis block that names no subsystem, one
         subsystem twice, or a subsystem of the wrong kind for its field
-        (every failing field is named), and a list field that is not a list of the
-        right kind are validation errors that name the entry, not a
-        traceback or a numerical failure later on."""
+        (every failing field is named), a list field that is not a list of the
+        right kind, and a dimension cap that is not positive are validation
+        errors that name the entry, not a traceback or a numerical failure
+        later on."""
         cfg = yaml.safe_load((device_dir / "device.yaml").read_text(encoding="utf-8"))
         edit(cfg)
         (tmp_path / "device.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")

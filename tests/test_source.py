@@ -238,10 +238,10 @@ def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
     no module of scipy.optimize."""
     script = (
         "import sys\n"
-        "from lumpedq import loadedline, roots\n"
+        "from lumpedq import analysis, loadedline\n"
         "from lumpedq.analysis import calibrate_junction\n"
         "from lumpedq.benchmark import benchmark_config\n"
-        "calls = {'loadedline': 0, 'roots': 0}\n"
+        "calls = {'loadedline': 0, 'analysis': 0}\n"
         "def spy(module):\n"
         "    solve = module.brent_root\n"
         "    def counted(*args, **kwargs):\n"
@@ -249,10 +249,10 @@ def test_calibration_leaves_scipy_optimize_unimported(tmp_path):
         "        return solve(*args, **kwargs)\n"
         "    module.brent_root = counted\n"
         "spy(loadedline)\n"
-        "spy(roots)\n"
+        "spy(analysis)\n"
         f"config = benchmark_config({str(tmp_path)!r})\n"
         "calibrate_junction(config, 'j1', 5.3e9, (10e-9, 14e-9))\n"
-        "print(calls['loadedline'] > 0, calls['roots'] > 0)\n"
+        "print(calls['loadedline'] > 0, calls['analysis'] > 0)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
     )
     assert fresh_interpreter(script)[:2] == ["True True", "[]"]
